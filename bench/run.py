@@ -7,9 +7,11 @@ from a traced run.
 A run makes the workload's inputs from the seed, then starts fresh worker
 processes one after another (never two at once): a few that only set up, to
 time set-up, and then batches, each replaying the same inputs with cold
-module-level memos, until ``--seconds`` have passed.  With ``--trace 1``
-batches alternate between untraced and traced; the traced ones give the
-per-layer metrics and the untraced ones the tracing overhead.
+module-level memos, until ``--seconds`` have passed.  Timings are scaled to
+a reference host speed measured between operations (``hostspeed.py``) and
+reported as medians.  With ``--trace 1`` batches alternate between untraced
+and traced; the traced ones give the per-layer metrics and the untraced ones
+the tracing overhead.
 
 It prints a summary per workload (each metric with its unit and sample
 count, the failure ratio, the output digest) and, as the last line, one JSON
@@ -28,6 +30,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import hostspeed
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -51,6 +55,11 @@ def percentile(values: list[float], p: float) -> float:
     """Nearest-rank percentile."""
     s = sorted(values)
     return s[max(0, math.ceil(p / 100 * len(s)) - 1)]
+
+
+def host_slice() -> float:
+    """Median of a few host-speed slices taken in this process."""
+    return statistics.median(hostspeed.slice_time() for _ in range(9))
 
 
 class WorkerFailed(Exception):
@@ -81,18 +90,23 @@ def spawn(workload: str, inputs: Path, deadline: float, trace: Path | None = Non
 
 def run_workload(workload: str, seed: int, seconds: int, trace: bool) -> dict:
     import workloads
-    start = time.monotonic()
-    deadline = start + HARD_LIMIT_S
+    deadline = time.monotonic() + HARD_LIMIT_S
     OUT.mkdir(exist_ok=True)
     inputs = OUT / f"inputs-{workload}.json"
     make_inputs = workloads.WORKLOADS[workload][0]
     inputs.write_text(json.dumps(make_inputs(seed)))
+    start = time.monotonic()
     spans = OUT / f"spans-{workload}.bin"
 
     setups, plain, traced, errors = [], [], [], []
     try:
+        # each set-up probe is scaled by host-speed slices taken on both sides
+        before = host_slice()
         for _ in range(SETUP_PROBES):
-            setups.append(spawn(workload, inputs, deadline, setup_only=True)["setup_s"])
+            raw = spawn(workload, inputs, deadline, setup_only=True)["setup_s"]
+            after = host_slice()
+            setups.append(raw * 2 * hostspeed.REFERENCE_SLICE_S / (before + after))
+            before = after
         while True:
             use_trace = trace and len(plain) > len(traced)
             batch = spawn(workload, inputs, deadline, trace=spans if use_trace else None)
@@ -115,19 +129,20 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool) -> dict:
     if not plain:
         return result
 
-    # The host's speed drifts by 10-20 % over seconds (other tenants share the
-    # cores), far more than anything within one operation.  Every batch
-    # replays the same operations, so each operation is timed by its fastest
-    # replay and the batch wall time by the fastest batch; set-up keeps the
-    # median of all its samples.
-    setups += [b["setup_s"] for b in plain]
-    per_op = [min(col) for col in zip(*(b["latencies_s"] for b in plain))]
+    # Timings are scaled to the reference host speed (hostspeed.py), which
+    # takes out the host's drift; what is left is the odd stall, so every
+    # timing is a median: each operation's over its replays, the wall time's
+    # over batches, set-up's over its probes.
+    per_op = [statistics.median(col) for col in zip(*(b["latencies_s"] for b in plain))]
     p_tail = tail_percentile(len(per_op))
     result.update(
         tail=p_tail,
+        raw_wall_s=statistics.median(b["raw_wall_s"] for b in plain),
+        slowdown=statistics.median(x for b in plain for x in b["slices_s"])
+        / hostspeed.REFERENCE_SLICE_S,
         metrics={
             "setup_s": (statistics.median(setups), len(setups)),
-            "wall_s": (min(b["wall_s"] for b in plain), len(plain)),
+            "wall_s": (statistics.median(b["wall_s"] for b in plain), len(plain)),
             "op_p50_ms": (1000 * statistics.median(per_op), len(per_op)),
             "op_tail_ms": (1000 * (percentile(per_op, p_tail) if p_tail else max(per_op)),
                            len(per_op)),
@@ -135,7 +150,8 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool) -> dict:
         })
     if traced:
         import tracer
-        overhead = min(b["wall_s"] for b in traced) / result["metrics"]["wall_s"][0]
+        overhead = (statistics.median(b["wall_s"] for b in traced)
+                    / result["metrics"]["wall_s"][0])
         result["layers"] = tracer.layer_metrics([b["trace"] for b in traced], overhead)
         result["layer_s"] = {k: statistics.mean(b["trace"]["layer_s"][k] for b in traced)
                              for k in tracer.LAYERS}
@@ -146,11 +162,15 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool) -> dict:
 def print_summary(r: dict) -> None:
     print(f"workload {r['workload']}  seed {r['seed']}  batches {r['batches']}"
           f" (+{r['traced_batches']} traced)  digest {','.join(d[:16] for d in r['digest'])}")
-    notes = {"setup_s": "median of set-ups", "wall_s": "fastest batch",
-             "op_p50_ms": "median op, each op its fastest replay",
+    notes = {"setup_s": "median of set-up probes",
+             "wall_s": "median batch",
+             "op_p50_ms": "median op, each op its median replay",
              "op_tail_ms": (f"p{r['tail']}" if r.get("tail") else "max") + " op, each op"
-                           " its fastest replay",
+                           " its median replay",
              "peak_rss_mb": "median of batches"}
+    if "slowdown" in r:
+        print(f"  timings at the reference host speed; the host ran {r['slowdown']:.2f}x"
+              f" slower (raw median wall {r['raw_wall_s']:.3f} s)")
     for name, (value, n) in r.get("metrics", {}).items():
         unit = dict(END_TO_END)[name]
         print(f"  {name:<12} {value:>12.4f} {unit:<3} n={n:<6} ({notes[name]})")

@@ -25,6 +25,7 @@ ROOT = HERE.parent
 OUT = ROOT / ".bench_out"
 sys.path.insert(0, str(ROOT / "src"))
 
+import hostspeed  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
@@ -71,6 +72,38 @@ class Inputs(unittest.TestCase):
 
     def test_workload_names_match(self):
         self.assertEqual(set(run.NAMES), set(workloads.WORKLOADS))
+
+
+class HostSpeedScaling(unittest.TestCase):
+    def meter(self, starts, ends, slices):
+        h = hostspeed.HostSpeed.__new__(hostspeed.HostSpeed)
+        h.starts, h.ends, h.slices = starts, ends, slices
+        return h
+
+    def test_spent_skips_slices_and_scales_each_segment(self):
+        # segments [0, 1] and [2, 4], a slice in between and after
+        h = self.meter([0.0, 2.0, 5.0], [1.0, 4.0], [0.002, 0.002, 0.002])
+        self.assertAlmostEqual(h.spent(0.5, 4.5), 0.5 + 2.0)
+        self.assertAlmostEqual(h.spent(0.5, 4.5, [2.0, 0.5]), 0.5 * 2.0 + 2.0 * 0.5)
+        self.assertAlmostEqual(h.spent(2.5, 3.0, [2.0, 0.5]), 0.25)
+
+    def test_scale_is_the_reference_over_the_median_slice_around(self):
+        ref = hostspeed.REFERENCE_SLICE_S
+        slices = [ref, 2 * ref, 2 * ref, 100 * ref, 2 * ref]
+        h = self.meter([0.0, 1.0, 2.0, 3.0, 4.0], [0.9, 1.9, 2.9, 3.9], slices)
+        # segment 1 sits between slices 1 and 2; slices 0-3 set its speed and
+        # the outlier slice 3 does not move the median
+        self.assertAlmostEqual(h.scales()[1], 0.5)
+        self.assertEqual(len(h.scales()), 4)
+
+    def test_marks_cut_segments_only_after_segment_s(self):
+        h = hostspeed.HostSpeed()
+        h.mark()
+        self.assertEqual(h.ends, [])
+        h.starts[-1] -= hostspeed.SEGMENT_S
+        h.mark()
+        self.assertEqual(len(h.ends), 1)
+        self.assertEqual(len(h.slices), 2)
 
 
 class Checks(unittest.TestCase):
@@ -131,6 +164,13 @@ class Tracing(unittest.TestCase):
             with self.subTest(name):
                 self.assertEqual(plain["failed"], 0, plain["failures"])
                 self.assertEqual(plain["digest"], traced["digest"])
+
+    def test_scaled_operations_fit_in_the_scaled_wall(self):
+        for name, (plain, _) in self.reports.items():
+            with self.subTest(name):
+                self.assertGreater(plain["wall_s"], 0)
+                self.assertLessEqual(sum(plain["latencies_s"]), plain["wall_s"] * (1 + 1e-9))
+                self.assertGreater(len(plain["slices_s"]), 1)
 
     def test_predicted_dominant_layer(self):
         for name, layers in self.PREDICTED.items():

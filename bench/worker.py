@@ -3,9 +3,12 @@
 The worker loads the inputs the parent wrote, turns them into program
 objects, optionally installs the tracer, and then runs every operation of
 the workload in order on one thread, each starting when the previous one
-returned.  It prints one JSON line: the monotonic time of its first timed
-call (the parent subtracts its spawn time to get the set-up time), the wall
-time of the batch including every output check, each operation's latency,
+returned.  A ``HostSpeed`` times a short fixed slice of work between
+operations (inside a battery, also after criteria and calls into other
+layers), and the timings are scaled by it to the reference host speed.  It prints one JSON line: the monotonic
+time of its first timed call (the parent subtracts its spawn time to get the
+set-up time), the scaled wall time of the batch including every output
+check, each operation's scaled latency, the raw wall time and slice times,
 failures, a digest of the canonical outputs, peak resident memory and, when
 traced, the trace summary.  With ``--setup-only`` it stops at the first
 timed call.
@@ -22,6 +25,8 @@ import resource
 import sys
 import time
 from pathlib import Path
+
+from hostspeed import HostSpeed
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -64,30 +69,38 @@ def main(argv=None) -> int:
         print(json.dumps({"first_call": first_call}))
         return 0
 
-    latencies = []
+    spans = []
     outputs = []
     failures = []
     clock = time.perf_counter
+    speed = HostSpeed()
+    workloads.install_marks(args.workload, speed.mark, traced=tracer is not None)
     t_begin = clock()
     for index, item in enumerate(items):
         t0 = clock()
         try:
             result = run(item)
         except Exception as exc:   # an unexpected raise is a failed operation
-            latencies.append(clock() - t0)
+            spans.append((t0, clock()))
             outputs.append(["raised", type(exc).__name__])
             failures.append(f"operation {index} raised {exc!r}")
+            speed.mark()
             continue
-        latencies.append(clock() - t0)
+        spans.append((t0, clock()))
         out, problems = check(item, result)
         outputs.append(out)
         failures.extend(f"operation {index}: {p}" for p in problems[:1])
-    wall = clock() - t_begin
+        speed.mark()
+    t_end = clock()
+    speed.close()
+    scales = speed.scales()
 
     report = {
         "first_call": first_call,
-        "wall_s": wall,
-        "latencies_s": latencies,
+        "wall_s": speed.spent(t_begin, t_end, scales),
+        "latencies_s": [speed.spent(a, b, scales) for a, b in spans],
+        "raw_wall_s": speed.spent(t_begin, t_end),
+        "slices_s": speed.slices,
         "attempted": len(items),
         "failed": len(failures),
         "failures": failures[:5],
