@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from .fpmod import FPModule, Morphism, canonical_invariants
+from .fpmod import FPModule, Morphism, merge_invariants
 
 
 def _cyclic_summands(module: FPModule) -> list[int]:
@@ -45,31 +45,14 @@ def ext1(a: FPModule, b: FPModule) -> tuple[int, ...]:
     if a.modulus != b.modulus:
         raise ValueError("modules live over different rings")
     n = a.modulus
-    out_parts: list[int] = []
-    rank = 0
     if n == 0:
+        # Ext^1(Z, -) = 0 and Ext^1(Z/d, Z/e) = Z/gcd(d, e), with Z/e = Z at e = 0
         b_inv = b.invariants()
-        for d in a.invariants():
-            if d == 0:
-                continue          # Ext^1(Z, -) = 0
-            for e in b_inv:
-                g = d if e == 0 else math.gcd(d, e)
-                if g > 1:
-                    out_parts.append(g)
-        return canonical_invariants(out_parts, 0)
-    for d in _cyclic_summands(a):
-        if d == n:
-            continue              # Z/N is free over Z/N
-        ker, incl = Morphism.multiplication(b, n // d).kernel()
-        ker_rows = incl.mat()
-        image_rows = [[d * x for x in row] for row in Morphism.identity(b).mat()]
-        inv = _quotient_invariants(ker_rows, image_rows, b)
-        for x in inv:
-            if x == 0:
-                rank += 1
-            else:
-                out_parts.append(x)
-    return canonical_invariants(out_parts, rank)
+        return merge_invariants([(math.gcd(d, e),) for d in a.invariants() if d
+                                 for e in b_inv])
+    # Z/N is free over Z/N
+    return merge_invariants(_resolution_step(b, n // d, d)
+                            for d in _cyclic_summands(a) if d != n)
 
 
 def ext2(a: FPModule, b: FPModule) -> tuple[int, ...]:
@@ -79,21 +62,15 @@ def ext2(a: FPModule, b: FPModule) -> tuple[int, ...]:
     n = a.modulus
     if n == 0:
         return ()                 # hereditary ring
-    out_parts: list[int] = []
-    rank = 0
-    for d in _cyclic_summands(a):
-        if d == n:
-            continue
-        ker, incl = Morphism.multiplication(b, d).kernel()
-        ker_rows = incl.mat()
-        image_rows = [[(n // d) * x for x in row] for row in Morphism.identity(b).mat()]
-        inv = _quotient_invariants(ker_rows, image_rows, b)
-        for x in inv:
-            if x == 0:
-                rank += 1
-            else:
-                out_parts.append(x)
-    return canonical_invariants(out_parts, rank)
+    return merge_invariants(_resolution_step(b, d, n // d)
+                            for d in _cyclic_summands(a) if d != n)
+
+
+def _resolution_step(b: FPModule, kill: int, scale: int) -> tuple[int, ...]:
+    """Invariants of ker(kill on B) / scale*B."""
+    _, incl = Morphism.multiplication(b, kill).kernel()
+    image_rows = [[scale * x for x in row] for row in Morphism.identity(b).mat()]
+    return _quotient_invariants(incl.mat(), image_rows, b)
 
 
 def ext1_order(a: FPModule, b: FPModule) -> int:

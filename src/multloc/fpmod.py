@@ -59,6 +59,13 @@ def canonical_invariants(factors: list[int], rank: int = 0) -> tuple[int, ...]:
     return tuple(chain) + (0,) * rank
 
 
+def merge_invariants(blocks) -> tuple[int, ...]:
+    """Canonical invariants of a direct sum, given each summand's invariant
+    list (0 = free)."""
+    flat = [d for block in blocks for d in block]
+    return canonical_invariants(flat, flat.count(0))
+
+
 @dataclass(frozen=True)
 class FPModule:
     """Presentation of a module over Z (modulus 0) or Z/N (modulus N > 0)."""
@@ -286,10 +293,6 @@ class Morphism:
                                          modulus=self.target.modulus)
         incl = Morphism.make(img, self.target, self.mat())
         return img, incl
-
-    def image_lattice(self) -> list[list[int]]:
-        """Row lattice of the image inside the target, including target relations."""
-        return hnf_rows(self.mat() + self.target.relation_rows())
 
     def cokernel(self) -> FPModule:
         rows = self.mat() + [list(r) for r in self.target.relations]

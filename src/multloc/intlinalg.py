@@ -92,9 +92,6 @@ class SNFResult:
     V: list[list[int]]
     factors: list[int]
 
-    def nonzero_factors(self) -> list[int]:
-        return [d for d in self.factors if d != 0]
-
 
 def smith_normal_form(a: list[list[int]]) -> SNFResult:
     """Smith normal form of an arbitrary integer matrix.

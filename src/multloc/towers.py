@@ -4,14 +4,15 @@ finite modules; torsion, completion and the telescope complex.
 The schedule is round-robin over the generator list, so every generator
 recurs infinitely often; t_n is the product of the first n scheduled
 elements (t_0 = 1).  Inverse limits of truncated towers are computed as
-eventual stable images, certified by a stability window spanning one
-full schedule period; limits that the truncation cannot certify raise
-NotStabilized, and lim^1 is only ever reported as Zero-with-certificate
-or Unknown.
+eventual stable images, checked by a stability window spanning one full
+schedule period (a certificate only once the stages stop growing; see
+Tower); limits that the truncation cannot confirm raise NotStabilized,
+and lim^1 is only ever reported as Zero-with-certificate or Unknown.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -20,9 +21,10 @@ from .fpmod import (
     Morphism,
     canonical_invariants,
     factor_through_submodule,
+    merge_invariants,
     submodules_equal,
 )
-from .intlinalg import determinant, hnf_rows, mat_mul, smith_normal_form
+from .intlinalg import determinant, hnf_rows, identity, mat_mul, smith_normal_form
 
 DEFAULT_DEPTH = 12
 STABLE_WINDOW = 2
@@ -66,6 +68,11 @@ class MultSubsetSeq:
         return (self.generators, self.modulus)
 
 
+def _check_depth(depth: int | None) -> None:
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+
+
 def adequate_depth(module: FPModule, seq: MultSubsetSeq,
                    minimum: int = DEFAULT_DEPTH) -> int:
     """Depth at which every tower of this module is certain to stabilize.
@@ -106,9 +113,12 @@ class Tower:
     ``stage_inclusions`` (when present) realize each stage inside a common
     ambient module, e.g. torsion stages inside the module itself.
     ``period`` is the schedule period for towers built from a generator
-    schedule: an image chain that is constant across one full period is
-    constant forever (one more period multiplies by the same product), so
-    the stability window becomes a certificate rather than a heuristic.
+    schedule; the stability window spans one full period.  A chain that is
+    constant across one period is constant forever only once the stages
+    have stopped growing (the module's p-exponents are exhausted): from
+    then on one more period multiplies by the same product.  Before that a
+    constant window proves nothing: for Z/64 with schedule (3, 5, 6) the
+    level-2 torsion chain stays constant for 18 stages and drops at stage 20.
     """
 
     stages: list[FPModule]
@@ -152,6 +162,7 @@ class Tower:
 
 def quotient_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DEPTH) -> Tower:
     """Stages M/t_n M with the canonical (identity-on-generators) surjections."""
+    _check_depth(depth)
     stages = []
     tvals = []
     for n in range(1, depth + 1):
@@ -179,6 +190,7 @@ def quotient_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DE
 
 def torsion_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DEPTH) -> Tower:
     """Stages ker(t_n : M -> M) with transition 'multiply by s_{n+1}'."""
+    _check_depth(depth)
     stages: list[FPModule] = []
     inclusions: list[Morphism] = []
     tvals = []
@@ -209,6 +221,7 @@ def constant_hom_tower(module: FPModule, seq: MultSubsetSeq,
     Its limit realizes the module of maps from the localization into M; the
     projection to the 0-th (omitted) stage is multiplication by t_n.
     """
+    _check_depth(depth)
     stages = [module for _ in range(depth)]
     transitions = [Morphism.multiplication(module, seq.s(k + 2))
                    for k in range(depth - 1)]
@@ -238,35 +251,64 @@ class TowerLimit:
     certificate: LimCertificate
 
 
-def _stable_image_chains(tower: Tower):
-    """Per level: the decreasing chain of composite-image lattices plus
-    the stable lattice (None when the final window is not confirmed).
+def _carriers(tower: Tower, top: int) -> list[list[list[int]]]:
+    """Composites stages[top] -> stages[i] for i = 0..top, built top-down."""
+    out = [identity(tower.stages[top].gens)]
+    for i in range(top - 1, -1, -1):
+        out.append(mat_mul(out[-1], tower.transitions[i].mat()))
+    out.reverse()
+    return out
 
-    For schedule towers the window spans one full period, which makes the
-    confirmation exact: a chain equal across a period is fixed by the full
-    generator product and can never shrink again.
+
+def _stable_image_chains(tower: Tower):
+    """Per level i, lazily: (stable lattice, first stage index giving it),
+    or (None, None) when the final window does not confirm the chain.
+
+    The composite images into a level form a decreasing lattice chain, so
+    two HNFs confirm it (the top image equals the image one window below)
+    and the first stage giving the stable image is found by an exponential
+    search from the level itself, then bisection: every composite from that
+    stage up gives the stable image, every lower one a larger lattice.
+    Lower composites are built only as far as the search reaches.  The
+    confirmation is only as good as the window; see ``Tower``.
     """
     n = tower.depth
     w = tower.window()
-    chains = []
-    for i in range(n):
-        lattices = []
+    confirmable = max(n - w, 0)       # levels with a full window above them
+    if confirmable:
+        mats = [f.mat() for f in tower.transitions]
+        top = _carriers(tower, n - 1)
+        below = _carriers(tower, n - 1 - w)
+    for i in range(confirmable):
         rel = tower.stages[i].relation_rows()
-        comp = [[1 if a == b else 0 for b in range(tower.stages[i].gens)]
-                for a in range(tower.stages[i].gens)]
-        lattices.append(hnf_rows(comp + rel))
-        for m in range(i + 1, n):
-            # extend the composite one stage up: (m -> m-1) then (m-1 -> i)
-            comp = mat_mul(tower.transitions[m - 1].mat(), comp)
-            lattices.append(hnf_rows(comp + rel))
-        stable = None
-        stable_at = None
-        if len(lattices) >= w + 1 and lattices[-1] == lattices[-1 - w]:
-            stable = lattices[-1]
-            stable_at = i + next(k for k in range(len(lattices))
-                                 if lattices[k] == stable)
-        chains.append((lattices, stable, stable_at))
-    return chains
+        stable = hnf_rows(top[i] + rel)
+        if hnf_rows(below[i] + rel) != stable:
+            yield None, None
+            continue
+        comps = [identity(tower.stages[i].gens)]
+
+        def is_stable(k: int) -> bool:
+            # composite from stage i + k, extended one stage up at a time
+            while len(comps) <= k:
+                comps.append(mat_mul(mats[i + len(comps) - 1], comps[-1]))
+            return hnf_rows(comps[k] + rel) == stable
+
+        lo, hi = 0, n - 1 - w - i
+        probe = 0
+        while probe < hi:
+            if is_stable(probe):
+                hi = probe
+                break
+            lo = probe + 1
+            probe = 2 * probe + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if is_stable(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        yield stable, i + lo
+    yield from [(None, None)] * (n - confirmable)
 
 
 def _submodule_on_rows(stage: FPModule, rows: list[list[int]]) -> FPModule:
@@ -288,32 +330,33 @@ def tower_lim(tower: Tower) -> TowerLimit:
     """
     n = tower.depth
     w = tower.window()
-    chains = _stable_image_chains(tower)
-    i_max = -1
-    for i in range(n):
-        if chains[i][1] is None:
+    stable_at = []
+    for stable, at in _stable_image_chains(tower):
+        if stable is None:
             break
-        i_max = i
+        stable_at.append(at)
+    i_max = len(stable_at) - 1
     if i_max < w:
         stage_invs = [list(s.invariants()) for s in tower.stages]
         raise NotStabilized("image chains not confirmed within depth",
                             chains=[stage_invs])
 
     # carrier rows per level: generators of the stable image (without the
-    # stage relations; take the composite from the top for safety)
-    carrier = {}
-    for i in range(i_max + 1):
-        comp = tower.composite(i, n - 1)
-        carrier[i] = comp
+    # stage relations), the composite from the top stage
+    carrier = _carriers(tower, n - 1)
+    subs: dict[int, FPModule] = {}
+
+    def sub(i: int) -> FPModule:
+        if i not in subs:
+            subs[i] = _submodule_on_rows(tower.stages[i], carrier[i])
+        return subs[i]
 
     def induced(j: int) -> Morphism:
-        src = _submodule_on_rows(tower.stages[j + 1], carrier[j + 1])
-        tgt = _submodule_on_rows(tower.stages[j], carrier[j])
         rows = mat_mul(carrier[j + 1], tower.transitions[j].mat())
         coeffs = factor_through_submodule(rows, carrier[j], tower.stages[j])
         if coeffs is None:
             raise AssertionError("stable image system is not closed under transitions")
-        return Morphism.make(src, tgt, coeffs)
+        return Morphism.make(sub(j + 1), sub(j), coeffs)
 
     iso_down_to = i_max
     for j in range(i_max - 1, -1, -1):
@@ -324,18 +367,16 @@ def tower_lim(tower: Tower) -> TowerLimit:
     if i_max - iso_down_to < w:
         raise NotStabilized(
             "stable images keep changing through the truncation",
-            chains=[[canonical_invariants(
-                [d for d in _submodule_on_rows(tower.stages[i], carrier[i]).invariants()], 0)
-                for i in range(i_max + 1)]])
+            chains=[[canonical_invariants(list(sub(i).invariants()), 0)
+                     for i in range(i_max + 1)]])
 
     i0 = iso_down_to
-    module = _submodule_on_rows(tower.stages[i0], carrier[i0])
     cert = LimCertificate(
         stable_index=i0,
         verified_through=i_max,
-        image_stable_at=[chains[i][2] for i in range(i_max + 1)],
+        image_stable_at=stable_at,
     )
-    return TowerLimit(module=module, carrier_rows=carrier[i0],
+    return TowerLimit(module=sub(i0), carrier_rows=carrier[i0],
                       stage_index=i0, certificate=cert)
 
 
@@ -363,13 +404,12 @@ def tower_lim1(tower: Tower) -> Lim1Verdict:
     """
     if all(s.order() is not None for s in tower.stages):
         return Lim1Verdict(verdict="zero", certificate_kind="finite_stages")
-    chains = _stable_image_chains(tower)
-    w = tower.window()
-    for i in range(tower.depth - w):
-        if chains[i][1] is None:
+    n = tower.depth
+    for i, (stable, _) in zip(range(n - tower.window()), _stable_image_chains(tower)):
+        if stable is None:
             # record the image invariants along the failing level
             witness = []
-            for m in range(len(chains[i][0])):
+            for m in range(n - i):
                 sub = _submodule_on_rows(tower.stages[i],
                                          tower.composite(i, i + m))
                 witness.append(list(sub.invariants()))
@@ -402,6 +442,7 @@ class Gamma:
 def torsion_submodule(module: FPModule, seq: MultSubsetSeq,
                       depth: int | None = None) -> Gamma:
     """Union of the kernels of t_n, certified by a constant kernel window."""
+    _check_depth(depth)
     depth = depth if depth is not None else adequate_depth(module, seq)
     lattices = []
     w = len(seq.generators)
@@ -443,6 +484,7 @@ class DivisibilityReport:
 def divisibility_report(module: FPModule, seq: MultSubsetSeq,
                         depth: int | None = None) -> DivisibilityReport:
     """Per-generator surjectivity flags and the maximal divisible submodule."""
+    _check_depth(depth)
     depth = depth if depth is not None else adequate_depth(module, seq)
     if module.order() is None:
         raise ValueError("divisibility report requires a finite module")
@@ -615,11 +657,8 @@ def _telescope_dual_homology(schedule: tuple[int, ...], d: int, modulus: int,
             rows.append(row)
     h0 = FPModule.from_presentation(rows, gens=n, modulus=modulus).invariants()
 
-    if d == 0:
-        h1_parts = [0] * sum(1 for x in diag if x == 0)
-        h1 = canonical_invariants([], len(h1_parts))
-    else:
-        h1 = canonical_invariants([math.gcd(x, d) for x in diag])
+    # x acts on Z/d with kernel Z/gcd(x, d); on Z with kernel Z if x = 0, else 0
+    h1 = merge_invariants([(math.gcd(x, d),) for x in diag if d or x == 0])
     out = (h0, h1)
     _TEL_MEMO[key] = out
     return out
@@ -636,18 +675,10 @@ def telescope_homology_check(seq: MultSubsetSeq, n: int,
     tc = telescope_complex(seq, n)
     dual = [list(col) for col in zip(*tc.two_term)]   # row-convention dual map
 
-    h0_parts: list[int] = []
-    h1_parts: list[int] = []
-    h0_rank = 0
-    h1_rank = 0
-    for d in module.invariants():
-        cok, ker = _telescope_dual_homology(tc.schedule, d, module.modulus, dual)
-        h0_parts.extend(x for x in cok if x > 0)
-        h0_rank += sum(1 for x in cok if x == 0)
-        h1_parts.extend(x for x in ker if x > 0)
-        h1_rank += sum(1 for x in ker if x == 0)
-    h0_engine = canonical_invariants(h0_parts, h0_rank)
-    h1_engine = canonical_invariants(h1_parts, h1_rank)
+    blocks = [_telescope_dual_homology(tc.schedule, d, module.modulus, dual)
+              for d in module.invariants()]
+    h0_engine = merge_invariants(cok for cok, _ in blocks)
+    h1_engine = merge_invariants(ker for _, ker in blocks)
 
     t = seq.t(n)
     mul = Morphism.multiplication(module, t)
@@ -679,40 +710,6 @@ class DeltaReport:
                 "delta_equals_lambda": self.delta_equals_lambda}
 
 
-_DELTA_MEMO: dict = {}
-
-
-def _delta_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
-                  depth: int | None) -> DeltaReport:
-    key = (d, modulus, seq.key(), depth)
-    if key in _DELTA_MEMO:
-        out = _DELTA_MEMO[key]
-        if isinstance(out, NotStabilized):
-            raise out
-        return out
-    module = FPModule.from_invariants([d], modulus=modulus)
-    block_depth = depth if depth is not None else adequate_depth(module, seq)
-    try:
-        quo = quotient_tower(module, seq, block_depth)
-        lim = tower_lim(quo)      # raises NotStabilized on strict growth
-    except NotStabilized as exc:
-        _DELTA_MEMO[key] = exc
-        raise
-    tor = torsion_tower(module, seq, block_depth)
-    verdict = tower_lim1(tor)
-    lam_inv = lim.module.invariants()
-    zero = verdict.is_zero()
-    out = DeltaReport(
-        lim1=verdict,
-        lambda_invariants=lam_inv,
-        lambda_stable_index=lim.stage_index,
-        delta_invariants=lam_inv if zero else None,
-        delta_equals_lambda=zero,
-    )
-    _DELTA_MEMO[key] = out
-    return out
-
-
 def delta_truncated(module: FPModule, seq: MultSubsetSeq,
                     depth: int | None = None) -> DeltaReport:
     """Contramodule reflector as (lim^1 of torsion tower, lim of quotient tower).
@@ -723,33 +720,30 @@ def delta_truncated(module: FPModule, seq: MultSubsetSeq,
     stable quotient stage.  Raises NotStabilized when some factor's
     quotient tower keeps growing at depth.
     """
-    blocks = [_delta_cyclic(d, module.modulus, seq, depth)
+    _check_depth(depth)
+    blocks = [_unwrap(_cyclic_completion(d, module.modulus, seq, depth).delta)
               for d in module.invariants()]
     if not blocks:
         zero = Lim1Verdict(verdict="zero", certificate_kind="finite_stages")
         return DeltaReport(lim1=zero, lambda_invariants=(), lambda_stable_index=0,
                            delta_invariants=(), delta_equals_lambda=True)
-    parts: list[int] = []
-    rank = 0
-    for b in blocks:
-        for x in b.lambda_invariants:
-            if x == 0:
-                rank += 1
-            else:
-                parts.append(x)
-    lam_inv = canonical_invariants(parts, rank)
-    zero = all(b.lim1.is_zero() for b in blocks)
-    kinds = {b.lim1.certificate_kind for b in blocks}
-    lim1 = Lim1Verdict(verdict="zero" if zero else "unknown",
-                       certificate_kind=(kinds.pop() if zero and len(kinds) == 1
-                                         else ("finite_stages" if zero else None)))
+    lam_inv = merge_invariants(b.lambda_invariants for b in blocks)
+    lim1 = _merge_lim1([b.lim1 for b in blocks])
     return DeltaReport(
         lim1=lim1,
         lambda_invariants=lam_inv,
         lambda_stable_index=max(b.lambda_stable_index for b in blocks),
-        delta_invariants=lam_inv if zero else None,
-        delta_equals_lambda=zero,
+        delta_invariants=lam_inv if lim1.is_zero() else None,
+        delta_equals_lambda=lim1.is_zero(),
     )
+
+
+def _merge_lim1(verdicts: list[Lim1Verdict]) -> Lim1Verdict:
+    zero = all(v.is_zero() for v in verdicts)
+    kinds = {v.certificate_kind for v in verdicts}
+    return Lim1Verdict(verdict="zero" if zero else "unknown",
+                       certificate_kind=(kinds.pop() if zero and len(kinds) == 1
+                                         else ("finite_stages" if zero else None)))
 
 
 # ---------------------------------------------------------------------------
@@ -786,34 +780,15 @@ class FiveTermReport:
                 "stable_index": self.stable_index}
 
 
-_FIVE_TERM_MEMO: dict = {}
-
-
-def _five_term_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
-                      depth: int | None) -> dict:
-    key = (d, modulus, seq.key(), depth)
-    if key in _FIVE_TERM_MEMO:
-        return _FIVE_TERM_MEMO[key]
-    module = FPModule.from_invariants([d], modulus=modulus)
-    block_depth = depth if depth is not None else adequate_depth(module, seq)
-    out = _five_term_assemble(module, seq, block_depth)
-    _FIVE_TERM_MEMO[key] = out
-    return out
-
-
-def _five_term_assemble(module: FPModule, seq: MultSubsetSeq, depth: int) -> dict:
-    tor = torsion_tower(module, seq, depth)
-    con = constant_hom_tower(module, seq, depth)
-    quo = quotient_tower(module, seq, depth)
-
-    lim_tor = tower_lim(tor)
-    lim_con = tower_lim(con)
-    lim_quo = tower_lim(quo)
-    n_star = max(lim_tor.stage_index, lim_con.stage_index, lim_quo.stage_index)
+def _five_term_assemble(module: FPModule, seq: MultSubsetSeq, tor: Tower, con: Tower,
+                        quo: Tower, lims: list[TowerLimit], verdict: Lim1Verdict) -> dict:
+    """One cyclic factor's five-term block from its towers and their limits
+    (torsion, constant, quotient)."""
+    n_star = max(lim.stage_index for lim in lims)
 
     # realize every carrier at the common stage index
-    tor_rows = tor.composite(n_star, depth - 1)
-    con_rows = con.composite(n_star, depth - 1)
+    tor_rows = tor.composite(n_star, tor.depth - 1)
+    con_rows = con.composite(n_star, con.depth - 1)
     l1 = _submodule_on_rows(tor.stages[n_star], tor_rows)
     l2 = _submodule_on_rows(con.stages[n_star], con_rows)
     lam = quo.stages[n_star]
@@ -836,7 +811,6 @@ def _five_term_assemble(module: FPModule, seq: MultSubsetSeq, depth: int) -> dic
     exact_at_l2 = ok_struct and submodules_equal(
         iota.mat(), ev._preimage_lattice(), l2)
     exact_at_module = submodules_equal(ev.mat(), pi._preimage_lattice(), module)
-    verdict = tower_lim1(tor)
 
     return {
         "l1": l1.invariants(),
@@ -860,10 +834,12 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
     and all carriers are block-diagonal), each factor is checked at its own
     stable index, and the terms are merged canonically.
     """
+    _check_depth(depth)
     if module.order() is None:
         raise ValueError("five-term check requires a finite module")
     inv = module.invariants()
-    blocks = [_five_term_cyclic(d, module.modulus, seq, depth) for d in inv]
+    blocks = [_unwrap(_cyclic_completion(d, module.modulus, seq, depth).five_term)
+              for d in inv]
     if not blocks:
         zero = Lim1Verdict(verdict="zero", certificate_kind="finite_stages")
         return FiveTermReport(hom_loc_mod_r=(), hom_loc=(), module_invariants=(),
@@ -872,22 +848,8 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
                               injective_start=True, lim1=zero, stable_index=0)
 
     def merge(key):
-        parts: list[int] = []
-        rank = 0
-        for b in blocks:
-            for x in b[key]:
-                if x == 0:
-                    rank += 1
-                else:
-                    parts.append(x)
-        return canonical_invariants(parts, rank)
+        return merge_invariants(b[key] for b in blocks)
 
-    lim1_zero = all(b["lim1"].is_zero() for b in blocks)
-    kinds = {b["lim1"].certificate_kind for b in blocks}
-    merged_lim1 = Lim1Verdict(
-        verdict="zero" if lim1_zero else "unknown",
-        certificate_kind=(kinds.pop() if lim1_zero and len(kinds) == 1
-                          else ("finite_stages" if lim1_zero else None)))
     return FiveTermReport(
         hom_loc_mod_r=merge("l1"),
         hom_loc=merge("l2"),
@@ -897,11 +859,89 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
         exact_at_hom_loc=all(b["exact_at_l2"] for b in blocks),
         exact_at_module=all(b["exact_at_module"] for b in blocks),
         injective_start=all(b["injective_start"] for b in blocks),
-        lim1=merged_lim1,
+        lim1=_merge_lim1([b["lim1"] for b in blocks]),
         stable_index=max(b["stable_index"] for b in blocks),
         blocks=[{k: (list(v) if isinstance(v, tuple) else v)
                  for k, v in b.items() if k != "lim1"} for b in blocks],
     )
+
+
+# ---------------------------------------------------------------------------
+# one completion record per cyclic factor, shared by Delta and five-term
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Failure:
+    """Evidence of a NotStabilized, kept instead of the exception itself."""
+
+    message: str
+    chains: list
+
+
+def _limit(tower: Tower) -> TowerLimit | _Failure:
+    try:
+        return tower_lim(tower)
+    except NotStabilized as exc:
+        return _Failure(str(exc), exc.chains)
+
+
+def _unwrap(part):
+    """The stored part, or a fresh NotStabilized built from stored evidence."""
+    if isinstance(part, _Failure):
+        raise NotStabilized(part.message, chains=copy.deepcopy(part.chains))
+    return part
+
+
+@dataclass(frozen=True)
+class _CyclicCompletion:
+    """What Delta and the five-term check read for one cyclic factor:
+    invariants and verdicts only, never towers."""
+
+    delta: DeltaReport | _Failure
+    five_term: dict | _Failure | None      # None for a free factor
+
+
+_COMPLETION_MEMO: dict = {}
+
+
+def _cyclic_completion(d: int, modulus: int, seq: MultSubsetSeq,
+                       depth: int | None) -> _CyclicCompletion:
+    key = (d, modulus, seq.key(), depth)
+    record = _COMPLETION_MEMO.get(key)
+    if record is None:
+        record = _COMPLETION_MEMO[key] = _complete_cyclic(d, modulus, seq, depth)
+    return record
+
+
+def _complete_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
+                     depth: int | None) -> _CyclicCompletion:
+    """Each tower built once, each limit taken once.  Delta needs the
+    quotient limit and the torsion lim^1; the five-term block also needs the
+    torsion and constant limits and fails with the first of torsion,
+    constant, quotient that does not stabilize."""
+    module = FPModule.from_invariants([d], modulus=modulus)
+    depth = depth if depth is not None else adequate_depth(module, seq)
+    quo = quotient_tower(module, seq, depth)
+    tor = torsion_tower(module, seq, depth)
+    lim_quo = _limit(quo)
+    verdict = tower_lim1(tor)
+    if isinstance(lim_quo, _Failure):
+        delta = lim_quo
+    else:
+        lam_inv = lim_quo.module.invariants()
+        zero = verdict.is_zero()
+        delta = DeltaReport(lim1=verdict, lambda_invariants=lam_inv,
+                            lambda_stable_index=lim_quo.stage_index,
+                            delta_invariants=lam_inv if zero else None,
+                            delta_equals_lambda=zero)
+    if d == 0:
+        return _CyclicCompletion(delta=delta, five_term=None)
+    con = constant_hom_tower(module, seq, depth)
+    lims = [_limit(tor), _limit(con), lim_quo]
+    failure = next((lim for lim in lims if isinstance(lim, _Failure)), None)
+    five_term = failure or _five_term_assemble(module, seq, tor, con, quo, lims, verdict)
+    return _CyclicCompletion(delta=delta, five_term=five_term)
 
 
 # ---------------------------------------------------------------------------

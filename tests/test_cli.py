@@ -124,6 +124,14 @@ class TestComplete:
         assert code == 1
         assert "not_stabilized" in json.loads(out)["delta"]
 
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_depth_below_one_is_a_usage_error(self, depth, capsys):
+        code, out, err = run_cli(["complete", "--module", "12",
+                                  "--generators", "2", "--depth", depth], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "depth" in err
+
 
 class TestTelescope:
     def test_matrix_and_homology(self, capsys):

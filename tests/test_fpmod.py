@@ -11,6 +11,7 @@ from multloc.fpmod import (
     factor_through_submodule,
     is_exact_pair,
     isomorphic,
+    merge_invariants,
     short_exact,
     submodules_equal,
 )
@@ -43,6 +44,21 @@ class TestInvariants:
         assert canonical_invariants([2, 3]) == (6,)
         assert canonical_invariants([2, 4, 3]) == (2, 12)
         assert canonical_invariants([1, 1, 5]) == (5,)
+
+    def test_merge_invariants(self):
+        assert merge_invariants([]) == ()
+        assert merge_invariants([(), (2,), (3,)]) == (6,)
+        assert merge_invariants([(2, 0), (4,), (3, 0)]) == (2, 12, 0, 0)
+        rng = random.Random(11)
+        for _ in range(50):
+            blocks = [tuple(rng.choice([0, 1, 2, 3, 4, 6, 9, 12, 25])
+                            for _ in range(rng.randint(0, 3)))
+                      for _ in range(rng.randint(0, 4))]
+            flat = [d for b in blocks for d in b]
+            assert merge_invariants(blocks) == canonical_invariants(
+                [d for d in flat if d], flat.count(0))
+            assert merge_invariants(iter(blocks)) == merge_invariants(blocks)
+            assert merge_invariants(blocks) == FPModule.from_invariants(flat).invariants()
 
     def test_invariance_under_unimodular_shuffle(self):
         rng = random.Random(5)

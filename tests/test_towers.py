@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multloc import towers
+from multloc.battery import GENERATOR_SETS
 from multloc.fpmod import FPModule, Morphism
 from multloc.intlinalg import mat_mul
 from multloc.towers import (
@@ -321,3 +325,136 @@ class TestAdequateDepth:
 
     def test_default_floor(self):
         assert adequate_depth(z_mod(2), seq(2)) == 12
+
+
+class TestDepthValidation:
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_rejected(self, depth):
+        m, s = z_mod(12), seq(2)
+        for call in (quotient_tower, torsion_tower, constant_hom_tower, delta_truncated,
+                     five_term_check, torsion_submodule, divisibility_report):
+            with pytest.raises(ValueError, match="depth"):
+                call(m, s, depth)
+
+    def test_zero_module_rejected_too(self):
+        with pytest.raises(ValueError, match="depth"):
+            delta_truncated(FPModule.zero(), seq(2), 0)
+
+
+class TestFailureEvidence:
+    """Z/8 at (2,) with depth 5: the quotient limit stabilizes, the torsion
+    image chains are not confirmed, so Delta succeeds and five-term fails."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(towers, "_COMPLETION_MEMO", {})
+
+    def check_delta(self):
+        rep = delta_truncated(z_mod(8), seq(2), 5)
+        assert rep.lambda_invariants == (8,) and rep.delta_equals_lambda
+
+    def check_five_term(self):
+        with pytest.raises(NotStabilized, match="image chains not confirmed") as info:
+            five_term_check(z_mod(8), seq(2), 5)
+        assert info.value.chains == [[[2], [4], [8], [8], [8]]]
+        return info.value
+
+    def test_delta_then_five_term(self):
+        self.check_delta()
+        self.check_five_term()
+        self.check_delta()
+
+    def test_five_term_then_delta(self):
+        self.check_five_term()
+        self.check_delta()
+        self.check_five_term()
+
+    def test_fresh_exception_per_call(self):
+        first, second = self.check_five_term(), self.check_five_term()
+        assert first is not second
+        first.chains[0].clear()
+        assert self.check_five_term().chains == [[[2], [4], [8], [8], [8]]]
+
+    def test_free_factor_failure_repeats(self):
+        free = FPModule.from_presentation([], gens=1)
+        for _ in range(2):
+            with pytest.raises(NotStabilized):
+                delta_truncated(free, seq(2))
+
+
+def quadratic_image_chains(tower):
+    """The image-chain routine before bisection: one HNF per (level, source)
+    pair, then a scan for the first source giving the stable image."""
+    n = tower.depth
+    w = tower.window()
+    mats = [f.mat() for f in tower.transitions]
+    out = []
+    for i in range(n):
+        rel = tower.stages[i].relation_rows()
+        gens = tower.stages[i].gens
+        comp = [[1 if a == b else 0 for b in range(gens)] for a in range(gens)]
+        lattices = [towers.hnf_rows(comp + rel)]
+        for m in range(i + 1, n):
+            comp = mat_mul(mats[m - 1], comp)
+            lattices.append(towers.hnf_rows(comp + rel))
+        stable = stable_at = None
+        if len(lattices) >= w + 1 and lattices[-1] == lattices[-1 - w]:
+            stable = lattices[-1]
+            stable_at = i + next(k for k in range(len(lattices)) if lattices[k] == stable)
+        out.append((stable, stable_at))
+    return out
+
+
+@pytest.fixture
+def shared_hnf(monkeypatch):
+    """Both chain routines take HNFs of the same composites; computing each
+    once keeps the exhaustive comparison fast without changing any result."""
+    cache = {}
+    compute = towers.hnf_rows
+
+    def cached(rows):
+        key = tuple(map(tuple, rows))
+        if key not in cache:
+            cache[key] = compute(rows)
+        return [row[:] for row in cache[key]]
+
+    monkeypatch.setattr(towers, "hnf_rows", cached)
+
+
+def assert_same_chains(module, s, depth):
+    for build in (quotient_tower, torsion_tower, constant_hom_tower):
+        tower = build(module, s, depth)
+        assert quadratic_image_chains(tower) == list(towers._stable_image_chains(tower)), \
+            (module, s.generators, depth, build.__name__)
+
+
+class TestBisectedImageChains:
+    def test_constant_window_is_not_a_certificate(self):
+        # the level-2 torsion chain is constant for 18 stages, then drops at 20
+        t = torsion_tower(z_mod(64), seq(3, 5, 6), 31)
+        assert tower_lim(t).certificate.image_stable_at == \
+            [0, 1, 20, 20, 20, 23, 23, 23, 26, 26, 26]
+
+    def test_matches_quadratic_scan_on_battery_towers(self, shared_hnf):
+        for d in range(1, 65):
+            m = z_mod(d)
+            for gens in GENERATOR_SETS:
+                s = MultSubsetSeq(generators=gens)
+                assert_same_chains(m, s, adequate_depth(m, s))
+
+    @settings(max_examples=40, deadline=None)
+    @given(inv=st.lists(st.sampled_from([0, 2, 3, 4, 6, 8, 9, 12, 16]), min_size=1, max_size=2),
+           gens=st.lists(st.sampled_from([-2, 1, 2, 3, 4, 5, 6, 10]), min_size=1, max_size=3),
+           depth=st.integers(min_value=1, max_value=14))
+    def test_matches_quadratic_scan_sampled(self, inv, gens, depth):
+        assert_same_chains(z_mod(*inv), MultSubsetSeq(generators=tuple(gens)), depth)
+
+
+class TestKnownWrongAnswer:
+    @pytest.mark.xfail(strict=True, reason="carriers are realized at n_star = 17, but the "
+                       "constant tower's limit is only verified through level 10")
+    def test_z64_hom_from_localization(self):
+        # 2 is inverted, so nothing nonzero maps from the localization into Z/64
+        m, s = z_mod(64), seq(3, 5, 6)
+        assert adequate_depth(m, s) == 31
+        assert five_term_check(m, s).hom_loc == ()
