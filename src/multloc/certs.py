@@ -376,22 +376,16 @@ def _omega_node_from_quotients(canon: FPModule, quo, n0: int,
 
 
 def _saturate_divisor(d: int, n: int) -> int:
-    """Product of the full prime powers of n over the primes dividing d."""
-    out = 1
+    """Product of the full prime powers of n over the primes dividing d.
+
+    Peels from n every prime it shares with d by repeated gcds, so n is
+    never factored."""
     m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if d % p == 0:
-                out *= p ** e
-        p += 1
-    if m > 1 and d % m == 0:
-        out *= m
-    return out
+    g = math.gcd(m, d)
+    while g > 1:
+        m //= g
+        g = math.gcd(m, g)
+    return n // m
 
 
 def embed_two_obtainable(module: FPModule) -> Certificate:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from .fpmod import FPModule, Morphism, merge_invariants
+from .fpmod import (FPModule, Morphism, factor_through_submodule, merge_invariants,
+                    relations_among)
 
 
 def _cyclic_summands(module: FPModule) -> list[int]:
@@ -25,18 +26,12 @@ def _cyclic_summands(module: FPModule) -> list[int]:
 
 def _quotient_invariants(big_rows, small_rows, ambient: FPModule) -> tuple[int, ...]:
     """Invariants of (span big_rows) / (span small_rows) inside ambient."""
-    from .fpmod import factor_through_submodule
-    from .intlinalg import left_nullspace
     if not big_rows:
         return ()
-    rel_rows = []
-    stacked = big_rows + ambient.relation_rows()
-    null = left_nullspace(stacked)
-    rel_rows = [v[: len(big_rows)] for v in null]
     coeffs = factor_through_submodule(small_rows, big_rows, ambient)
     if coeffs is None:
         raise ValueError("small submodule does not sit inside the big one")
-    pres = rel_rows + coeffs
+    pres = relations_among(big_rows, ambient) + coeffs
     return FPModule.from_presentation(pres, gens=len(big_rows)).invariants()
 
 

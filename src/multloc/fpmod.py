@@ -13,6 +13,7 @@ exact and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .intlinalg import (
     hnf_rows,
@@ -29,34 +30,23 @@ _INV_CACHE: dict = {}
 
 
 def canonical_invariants(factors: list[int], rank: int = 0) -> tuple[int, ...]:
-    """Canonical invariant list: torsion d_1 | d_2 | ... (> 1), then 0 per free rank."""
-    torsion = sorted(d for d in factors if d not in (0, 1))
-    # resort into a divisibility chain via primary decomposition
-    primary: dict[int, list[int]] = {}
-    for d in torsion:
-        m = d
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                primary.setdefault(p, []).append(e)
-            p += 1
-        if m > 1:
-            primary.setdefault(m, []).append(1)
-    depth = max((len(v) for v in primary.values()), default=0)
-    chain = []
-    for i in range(depth):
-        d = 1
-        for p, exps in primary.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                d *= p ** exps_sorted[i]
-        chain.append(d)
-    chain.reverse()
-    return tuple(chain) + (0,) * rank
+    """Canonical invariant list: torsion d_1 | d_2 | ... (> 1), then 0 per free rank.
+
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), so pass i replaces each pair
+    (entry i, later entry) by its (gcd, lcm); after it, entry i divides every
+    later entry.  Nothing is factored.
+    """
+    chain = [d for d in factors if d not in (0, 1)]
+    for i in range(len(chain) - 1):
+        a = chain[i]
+        for j in range(i + 1, len(chain)):
+            if a == 1:
+                break
+            g = gcd(a, chain[j])
+            chain[j] = a // g * chain[j]
+            a = g
+        chain[i] = a
+    return tuple(d for d in chain if d != 1) + (0,) * rank
 
 
 def merge_invariants(blocks) -> tuple[int, ...]:
@@ -261,30 +251,15 @@ class Morphism:
 
     def _preimage_lattice(self) -> list[list[int]]:
         """Rows spanning {x in Z^g : x*F lies in the target relation lattice}."""
-        f = self.mat()
-        tgt_rel = self.target.relation_rows()
-        stacked = f + tgt_rel
-        if not stacked or self.target.gens == 0:
-            return [[1 if i == j else 0 for j in range(self.source.gens)]
-                    for i in range(self.source.gens)]
-        null = left_nullspace(stacked)
-        out = [v[: self.source.gens] for v in null]
-        return hnf_rows(out) if out else []
+        pre = relations_among(self.mat(), self.target)
+        return hnf_rows(pre) if pre else []
 
     def kernel(self) -> tuple[FPModule, "Morphism"]:
         """Kernel as (module, inclusion into source)."""
         pre = self._preimage_lattice()
-        # relations among the kernel generators: combos landing in source relations
-        src_rel = self.source.relation_rows()
-        if pre:
-            stacked = pre + src_rel
-            null = left_nullspace(stacked)
-            rel = [v[: len(pre)] for v in null]
-        else:
-            rel = []
-        ker = FPModule.from_presentation(rel, gens=len(pre), modulus=self.source.modulus)
-        incl = Morphism.make(ker, self.source, pre if pre else [])
-        return ker, incl
+        ker = FPModule.from_presentation(relations_among(pre, self.source), gens=len(pre),
+                                         modulus=self.source.modulus)
+        return ker, Morphism.make(ker, self.source, pre)
 
     def image(self) -> tuple[FPModule, "Morphism"]:
         """Image as (module presented on the source generators, inclusion into target)."""
@@ -347,6 +322,14 @@ def direct_sum_maps(maps: list[Morphism]) -> Morphism:
     return Morphism.make(src, tgt, rows)
 
 
+def relations_among(rows: list[list[int]], ambient: FPModule) -> list[list[int]]:
+    """Rows spanning the relations among ``rows`` in ``ambient``: the coefficient
+    vectors c with c * rows in the relation lattice of ``ambient``."""
+    if not rows:
+        return []
+    return [v[: len(rows)] for v in left_nullspace(rows + ambient.relation_rows())]
+
+
 def factor_through_submodule(vectors: list[list[int]], sub_gens: list[list[int]],
                              ambient: FPModule) -> list[list[int]] | None:
     """Express each vector as a combination of sub_gens modulo ambient relations.
@@ -354,15 +337,9 @@ def factor_through_submodule(vectors: list[list[int]], sub_gens: list[list[int]]
     Returns the coefficient matrix, or None if some vector is outside the
     submodule spanned by sub_gens (plus relations).
     """
-    rel = ambient.relation_rows()
-    stacked = sub_gens + rel
+    stacked = sub_gens + ambient.relation_rows()
     out = []
     for v in vectors:
-        if not stacked:
-            if any(v):
-                return None
-            out.append([])
-            continue
         sol = solve_left(stacked, v)
         if sol is None:
             return None

@@ -279,14 +279,17 @@ def hnf_rows(a: list[list[int]]) -> list[list[int]]:
             piv = [-x for x in piv]
         basis.append(piv)
         rows = rest
-    # reduce above-pivot entries
-    for i in range(len(basis) - 1, -1, -1):
-        lead = next(j for j in range(cols) if basis[i][j] != 0)
-        p = basis[i][lead]
-        for k in range(i):
-            q = basis[k][lead] // p
+    # reduce above-pivot entries bottom-up: each row against the already
+    # reduced rows below it, in ascending pivot order, so no later step
+    # disturbs an entry that was reduced earlier
+    leads = [next(j for j in range(cols) if row[j] != 0) for row in basis]
+    for k in range(len(basis) - 2, -1, -1):
+        row = basis[k]
+        for i in range(k + 1, len(basis)):
+            q = row[leads[i]] // basis[i][leads[i]]
             if q:
-                basis[k] = [basis[k][j] - q * basis[i][j] for j in range(cols)]
+                row = [x - q * y for x, y in zip(row, basis[i])]
+        basis[k] = row
     return basis
 
 
@@ -303,42 +306,63 @@ def lattice_member(basis_hnf: list[list[int]], x: list[int]) -> bool:
     return not any(v)
 
 
+def row_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Row echelon form with its transform: (E, U, pivots) with U * a = E.
+
+    U is unimodular, E is in row echelon form with positive pivots, and
+    ``pivots[k]`` is the column of row k's pivot; the rows of E from
+    ``len(pivots)`` on are zero, so the matching rows of U span the left
+    kernel of ``a`` (Cohen, GTM 138, section 2.4).  Each column is cleared by
+    repeated division by its smallest entry, which keeps U's entries small.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    # each row carries its row of U behind it, so one operation updates both
+    aug = [row[:] + [1 if i == j else 0 for j in range(rows)] for i, row in enumerate(a)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        live = [i for i in range(r, rows) if aug[i][c]]
+        if not live:
+            continue
+        while True:
+            p = min(live, key=lambda i: abs(aug[i][c]))
+            prow = aug[p]
+            pv = prow[c]
+            rest = []
+            for i in live:
+                if i != p:
+                    row = aug[i]
+                    q = row[c] // pv
+                    row = aug[i] = [x - q * y for x, y in zip(row, prow)]
+                    if row[c]:
+                        rest.append(i)
+            if not rest:
+                break
+            live = rest + [p]
+        aug[p] = aug[r]
+        aug[r] = prow if pv > 0 else [-x for x in prow]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return [row[:cols] for row in aug], [row[cols:] for row in aug], pivots
+
+
 def left_nullspace(a: list[list[int]]) -> list[list[int]]:
     """Basis (rows) of {v : v * a = 0} over the integers."""
-    rows = len(a)
-    if rows == 0:
-        return []
-    res = smith_normal_form(a)
-    # v*a = 0  <=>  (v * U^-1) * D * ... ; with U*A*V = D, rows of U whose
-    # image row in D is zero form a basis of the left kernel.
-    out = []
-    for i in range(rows):
-        if all(x == 0 for x in res.D[i]):
-            out.append(res.U[i][:])
-    return out
+    _, u, pivots = row_echelon(a)
+    return u[len(pivots):]
 
 
 def solve_left(a: list[list[int]], x: list[int]) -> list[int] | None:
     """Solve v * a = x over the integers; None if no solution."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if rows == 0:
-        return None if any(x) else []
-    res = smith_normal_form(a)
-    # v a = x  <=>  w D = x V with w = v U^{-1}; so v = w U.
-    xv = [sum(x[j] * res.V[j][k] for j in range(cols)) for k in range(cols)]
-    w = [0] * rows
-    n = min(rows, cols)
-    for k in range(n):
-        dk = res.D[k][k]
-        if dk == 0:
-            if xv[k] != 0:
-                return None
-        else:
-            if xv[k] % dk != 0:
-                return None
-            w[k] = xv[k] // dk
-    for k in range(n, cols):
-        if xv[k] != 0:
-            return None
-    return [sum(w[i] * res.U[i][j] for i in range(rows)) for j in range(rows)]
+    e, u, pivots = row_echelon(a)
+    # w * E = x by forward substitution on the pivots, then v = w * U; a
+    # remainder left in rest means x is not in the row lattice of a
+    rest, v = list(x), [0] * len(a)
+    for k, c in enumerate(pivots):
+        q = rest[c] // e[k][c]
+        rest = [y - q * z for y, z in zip(rest, e[k])]
+        v = [y + q * z for y, z in zip(v, u[k])]
+    return None if any(rest) else v

@@ -22,6 +22,7 @@ from .fpmod import (
     canonical_invariants,
     factor_through_submodule,
     merge_invariants,
+    relations_among,
     submodules_equal,
 )
 from .intlinalg import determinant, hnf_rows, identity, mat_mul, smith_normal_form
@@ -312,13 +313,8 @@ def _stable_image_chains(tower: Tower):
 
 
 def _submodule_on_rows(stage: FPModule, rows: list[list[int]]) -> FPModule:
-    if not rows:
-        return FPModule.zero(stage.modulus)
-    stacked = rows + stage.relation_rows()
-    from .intlinalg import left_nullspace
-    null = left_nullspace(stacked)
-    rel = [v[: len(rows)] for v in null]
-    return FPModule.from_presentation(rel, gens=len(rows), modulus=stage.modulus)
+    return FPModule.from_presentation(relations_among(rows, stage), gens=len(rows),
+                                      modulus=stage.modulus)
 
 
 def tower_lim(tower: Tower) -> TowerLimit:

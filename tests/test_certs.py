@@ -10,6 +10,7 @@ from multloc.certs import (
     NotWeaklyCotorsion,
     PayloadMismatch,
     PreconditionFailed,
+    _saturate_divisor,
     decompose_weakly_cotorsion,
     embed_two_obtainable,
     instantiate_and_check,
@@ -264,3 +265,37 @@ class TestOrthogonality:
             tests = projective_test_modules(rng, n, b)
             rep = orthogonality_battery(cert, tests)
             assert rep["pass"], (n, a, b)
+
+
+def _saturate_by_trial_division(d, n):
+    """Product of the full prime powers of n over the primes dividing d."""
+    out, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if d % p == 0:
+                out *= p ** e
+        p += 1
+    if m > 1 and d % m == 0:
+        out *= m
+    return out
+
+
+def test_saturate_divisor_matches_trial_division():
+    for n in range(1, 401):
+        for d in range(0, 401):
+            assert _saturate_divisor(d, n) == _saturate_by_trial_division(d, n), (d, n)
+
+
+def test_saturate_divisor_64_bit_modulus():
+    p, q = 2 ** 31 - 1, 4294967291          # primes; n is a 64-bit modulus
+    n = 2 * p * q
+    assert n.bit_length() == 64
+    assert _saturate_divisor(2 * q, n) == 2 * q
+    assert _saturate_divisor(p ** 3, n) == p
+    assert _saturate_divisor(6, n) == 2
+    assert _saturate_divisor(5, n) == 1
+    assert _saturate_divisor(0, n) == n

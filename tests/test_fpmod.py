@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multloc.fpmod import (
     FPModule,
@@ -12,9 +15,38 @@ from multloc.fpmod import (
     is_exact_pair,
     isomorphic,
     merge_invariants,
+    relations_among,
     short_exact,
     submodules_equal,
 )
+from multloc.intlinalg import determinant, hnf_rows, lattice_member, mat_mul
+
+
+def _canonical_by_trial_division(factors, rank=0):
+    """Invariant chain through the primary decomposition of every factor."""
+    primary = {}
+    for d in sorted(d for d in factors if d not in (0, 1)):
+        m, p = d, 2
+        while p * p <= m:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                primary.setdefault(p, []).append(e)
+            p += 1
+        if m > 1:
+            primary.setdefault(m, []).append(1)
+    depth = max((len(v) for v in primary.values()), default=0)
+    chain = []
+    for i in range(depth):
+        d = 1
+        for p, exps in primary.items():
+            exps = sorted(exps, reverse=True)
+            if i < len(exps):
+                d *= p ** exps[i]
+        chain.append(d)
+    return tuple(reversed(chain)) + (0,) * rank
 
 
 class TestInvariants:
@@ -59,6 +91,25 @@ class TestInvariants:
                 [d for d in flat if d], flat.count(0))
             assert merge_invariants(iter(blocks)) == merge_invariants(blocks)
             assert merge_invariants(blocks) == FPModule.from_invariants(flat).invariants()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=400), max_size=8),
+           st.integers(min_value=0, max_value=3))
+    def test_canonical_matches_primary_decomposition(self, factors, rank):
+        assert canonical_invariants(factors, rank) == _canonical_by_trial_division(
+            factors, rank)
+
+    def test_canonical_chain_of_large_primes(self):
+        for p in (2 ** 61 - 1, 2 ** 127 - 1):
+            assert FPModule.from_invariants([p, p]).invariants() == (p, p)
+            assert canonical_invariants([p, 2 * p, 3]) == (p, 6 * p)
+
+    def test_dense_20_by_20(self):
+        rng = random.Random(20)
+        rows = [[rng.randint(-9, 9) for _ in range(20)] for _ in range(20)]
+        inv = FPModule.from_presentation(rows).invariants()
+        assert all(b % a == 0 for a, b in zip(inv, inv[1:]))
+        assert abs(determinant(rows)) == math.prod(inv)
 
     def test_invariance_under_unimodular_shuffle(self):
         rng = random.Random(5)
@@ -161,6 +212,27 @@ class TestMorphisms:
         assert coeffs is not None
         assert (coeffs[0][0] * 4 - 8) % 12 == 0
         assert factor_through_submodule([[2]], sub, z12) is None
+
+    def test_relations_among(self):
+        z12 = FPModule.from_invariants([12])
+        assert relations_among([], z12) == []
+        assert hnf_rows(relations_among([[4]], z12)) == [[3]]
+        # over Z/12 the modulus supplies the same relation
+        assert hnf_rows(relations_among([[4]], FPModule(gens=1, modulus=12))) == [[3]]
+        rng = random.Random(8)
+        for _ in range(40):
+            g = rng.randint(1, 3)
+            ambient = FPModule.from_presentation(
+                [[rng.randint(-6, 6) for _ in range(g)] for _ in range(rng.randint(0, 3))],
+                gens=g, modulus=rng.choice([0, 0, 6, 8]))
+            rows = [[rng.randint(-6, 6) for _ in range(g)] for _ in range(rng.randint(1, 3))]
+            rel = relations_among(rows, ambient)
+            lattice = ambient.relation_hnf()
+            assert all(lattice_member(lattice, x) for x in mat_mul(rel, rows))
+            # the rows on their relations present the submodule they span
+            sub = FPModule.from_presentation(rel, gens=len(rows), modulus=ambient.modulus)
+            incl = Morphism.make(sub, ambient, rows)
+            assert incl.is_well_defined() and incl.is_injective()
 
     def test_submodules_equal(self):
         z12 = FPModule.from_invariants([12])

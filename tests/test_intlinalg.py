@@ -1,6 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
 from multloc.intlinalg import (
     determinant,
@@ -9,9 +13,20 @@ from multloc.intlinalg import (
     lattice_member,
     left_nullspace,
     mat_mul,
+    row_echelon,
     smith_normal_form,
     solve_left,
 )
+
+small_ints = st.integers(min_value=-9, max_value=9)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6):
+    r = draw(st.integers(min_value=1, max_value=max_rows))
+    c = draw(st.integers(min_value=1, max_value=max_cols))
+    return draw(st.lists(st.lists(small_ints, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
 
 
 def test_exgcd_basic():
@@ -135,3 +150,93 @@ def test_determinant():
                 tot += (-1) ** j * m[0][j] * cof(minor)
             return tot
         assert determinant(a) == cof(a)
+
+
+def _is_reduced_echelon(basis):
+    leads = []
+    for row in basis:
+        lead = next(j for j, x in enumerate(row) if x)
+        if leads and lead <= leads[-1]:
+            return False
+        leads.append(lead)
+    return all(0 <= basis[k][lead] < basis[i][lead]
+               for i, lead in enumerate(leads) for k in range(i))
+
+
+def test_hnf_reduced_above_every_pivot():
+    # reducing top-down by descending pivots left the 3 above the last
+    # pivot at -3 once the middle row had been subtracted
+    a = [[1, 0, -3], [0, 1, -2], [1, 1, 0]]
+    assert hnf_rows(a) == [[1, 0, 2], [0, 1, 3], [0, 0, 5]]
+    assert hnf_rows([[1, 0, 2], [0, 1, 3], [0, 0, 5]]) == hnf_rows(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_hnf_invariant_under_unimodular_rows(a, rng):
+    basis = hnf_rows(a)
+    assert _is_reduced_echelon(basis)
+    b = [row[:] for row in a]
+    for _ in range(3 * len(b)):
+        i, j = rng.sample(range(len(b)), 2) if len(b) > 1 else (0, 0)
+        if i != j:
+            q = rng.randint(-3, 3)
+            b[i] = [x + q * y for x, y in zip(b[i], b[j])]
+        if rng.random() < 0.3:
+            b[i] = [-x for x in b[i]]
+    rng.shuffle(b)
+    assert hnf_rows(b) == basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_row_echelon_postconditions(a):
+    e, u, pivots = row_echelon(a)
+    assert mat_mul(u, a) == e
+    assert abs(determinant(u)) == 1
+    rank = len(pivots)
+    assert pivots == sorted(set(pivots))
+    for k, c in enumerate(pivots):
+        assert e[k][c] > 0
+        assert all(x == 0 for x in e[k][:c])
+        assert all(e[i][c] == 0 for i in range(k + 1, len(a)))
+    assert all(not any(row) for row in e[rank:])
+
+
+def _left_nullspace_by_snf(a):
+    """Left kernel read off the row transform of a Smith normal form."""
+    res = smith_normal_form(a)
+    return [res.U[i][:] for i in range(len(a)) if not any(res.D[i])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_left_nullspace_matches_snf_route(a):
+    null = left_nullspace(a)
+    assert not any(x for row in mat_mul(null, a) for x in row)
+    assert hnf_rows(null) == hnf_rows(_left_nullspace_by_snf(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.lists(st.integers(min_value=-3, max_value=3), min_size=6,
+                            max_size=6), st.lists(small_ints, min_size=6, max_size=6),
+       st.booleans())
+def test_solve_left_exactly_on_lattice(a, coeffs, noise, in_lattice):
+    cols = len(a[0])
+    if in_lattice:
+        x = [sum(c * row[j] for c, row in zip(coeffs, a)) for j in range(cols)]
+    else:
+        x = noise[:cols]
+    v = solve_left(a, x)
+    member = lattice_member(hnf_rows(a), x)
+    assert (v is not None) == member
+    if v is not None:
+        assert len(v) == len(a)
+        assert [sum(v[i] * a[i][j] for i in range(len(a))) for j in range(cols)] == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_snf_factors_match_sympy(a):
+    expected = [abs(int(d)) for d in invariant_factors(Matrix(a), domain=ZZ)]
+    assert smith_normal_form(a).factors == expected
