@@ -96,7 +96,11 @@ class Certificate:
 
     @staticmethod
     def from_document(doc: dict) -> "Certificate":
-        return Certificate(root=_node_from_doc(doc["root"]))
+        """Parse a certificate document; ValueError naming the node path when
+        its shape is wrong.  Level values are left to ``verify_certificate``."""
+        if not isinstance(doc, dict) or "root" not in doc:
+            raise ValueError("certificate document must be an object with a root")
+        return Certificate(root=_node_from_doc(doc["root"], "root"))
 
 
 def _mod_to_doc(m: FPModule) -> dict:
@@ -127,9 +131,22 @@ def _node_to_doc(node: CertNode) -> dict:
     return out
 
 
-def _node_from_doc(doc: dict) -> CertNode:
+def _node_from_doc(doc: dict, path: str) -> CertNode:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: node must be an object")
+    if not isinstance(doc.get("kind"), str):
+        raise ValueError(f"{path}: kind must be a string")
+    level = doc.get("level")
+    if not isinstance(level, int) or isinstance(level, bool):
+        raise ValueError(f"{path}: level must be an integer")
+    children = doc.get("children", [])
+    if not isinstance(children, list):
+        raise ValueError(f"{path}: children must be a list")
+    for key in ("tag", "payload"):
+        if doc.get(key) is not None and not isinstance(doc[key], dict):
+            raise ValueError(f"{path}: {key} must be an object")
     payload = None
-    if "payload" in doc:
+    if doc.get("payload") is not None:
         payload = {}
         for key, val in doc["payload"].items():
             if key == "module":
@@ -138,8 +155,9 @@ def _node_from_doc(doc: dict) -> CertNode:
                 payload[key] = [_mod_from_doc(s) for s in val]
             else:
                 payload[key] = val
-    return CertNode(kind=doc["kind"], level=doc["level"],
-                    children=[_node_from_doc(c) for c in doc.get("children", [])],
+    return CertNode(kind=doc["kind"], level=level,
+                    children=[_node_from_doc(c, f"{path}.{i}")
+                              for i, c in enumerate(children)],
                     tag=doc.get("tag"), payload=payload)
 
 

@@ -250,9 +250,15 @@ class Morphism:
     # -- homological toolkit -------------------------------------------------
 
     def _preimage_lattice(self) -> list[list[int]]:
-        """Rows spanning {x in Z^g : x*F lies in the target relation lattice}."""
-        pre = relations_among(self.mat(), self.target)
-        return hnf_rows(pre) if pre else []
+        """HNF rows spanning {x in Z^g : x*F lies in the target relation
+        lattice}, as fresh lists; kernel, image and exactness checks share
+        one computation, kept on the instance as tuples."""
+        pre = self.__dict__.get("_preimage")
+        if pre is None:
+            rows = relations_among(self.mat(), self.target)
+            pre = tuple(map(tuple, hnf_rows(rows))) if rows else ()
+            object.__setattr__(self, "_preimage", pre)
+        return [list(r) for r in pre]
 
     def kernel(self) -> tuple[FPModule, "Morphism"]:
         """Kernel as (module, inclusion into source)."""
@@ -286,7 +292,9 @@ class Morphism:
         return all(lattice_member(tgt, list(row)) for row in self.matrix)
 
     def is_isomorphism(self) -> bool:
-        return self.is_injective() and self.is_surjective()
+        """A surjection between isomorphic finitely generated modules is
+        injective (they are Hopfian: Vasconcelos, Trans. AMS 138, 1969)."""
+        return self.is_surjective() and isomorphic(self.source, self.target)
 
 
 def direct_sum(*mods: FPModule) -> FPModule:
@@ -304,22 +312,6 @@ def direct_sum(*mods: FPModule) -> FPModule:
             rows.append(row)
         off += m.gens
     return FPModule.from_presentation(rows, gens=gens, modulus=modulus)
-
-
-def direct_sum_maps(maps: list[Morphism]) -> Morphism:
-    """Block-diagonal morphism between the direct sums of sources and targets."""
-    src = direct_sum(*[f.source for f in maps])
-    tgt = direct_sum(*[f.target for f in maps])
-    rows = [[0] * tgt.gens for _ in range(src.gens)]
-    roff = 0
-    coff = 0
-    for f in maps:
-        for i in range(f.source.gens):
-            for j in range(f.target.gens):
-                rows[roff + i][coff + j] = f.matrix[i][j]
-        roff += f.source.gens
-        coff += f.target.gens
-    return Morphism.make(src, tgt, rows)
 
 
 def relations_among(rows: list[list[int]], ambient: FPModule) -> list[list[int]]:

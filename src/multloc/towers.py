@@ -13,6 +13,7 @@ and lim^1 is only ever reported as Zero-with-certificate or Unknown.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -136,17 +137,6 @@ class Tower:
     def depth(self) -> int:
         return len(self.stages)
 
-    def check_coherent(self) -> bool:
-        for i, f in enumerate(self.transitions):
-            if f.source is not self.stages[i + 1] and f.source.gens != self.stages[i + 1].gens:
-                return False
-            if not f.is_well_defined():
-                return False
-        return True
-
-    def transitions_surjective(self) -> bool:
-        return all(f.is_surjective() for f in self.transitions)
-
     def composite(self, to_index: int, from_index: int) -> list[list[int]]:
         """Matrix of the composite stages[from_index] -> stages[to_index]."""
         if from_index < to_index:
@@ -261,9 +251,10 @@ def _carriers(tower: Tower, top: int) -> list[list[list[int]]]:
     return out
 
 
-def _stable_image_chains(tower: Tower):
+def _stable_image_chains(tower: Tower, top: list[list[list[int]]] | None = None):
     """Per level i, lazily: (stable lattice, first stage index giving it),
     or (None, None) when the final window does not confirm the chain.
+    ``top`` may pass in ``_carriers(tower, depth - 1)`` when the caller has it.
 
     The composite images into a level form a decreasing lattice chain, so
     two HNFs confirm it (the top image equals the image one window below)
@@ -278,7 +269,7 @@ def _stable_image_chains(tower: Tower):
     confirmable = max(n - w, 0)       # levels with a full window above them
     if confirmable:
         mats = [f.mat() for f in tower.transitions]
-        top = _carriers(tower, n - 1)
+        top = top if top is not None else _carriers(tower, n - 1)
         below = _carriers(tower, n - 1 - w)
     for i in range(confirmable):
         rel = tower.stages[i].relation_rows()
@@ -320,14 +311,19 @@ def _submodule_on_rows(stage: FPModule, rows: list[list[int]]) -> FPModule:
 def tower_lim(tower: Tower) -> TowerLimit:
     """Inverse limit of the truncated tower via eventual stable images.
 
-    The stable image system has surjective transitions; the limit is
-    certified once those transitions are isomorphisms over a window of
-    at least STABLE_WINDOW consecutive levels.
+    Level i's stable image is Z^g / L_i, L_i the relations among the rows of
+    its carrier (the composite from the top stage).  Since
+    ``carrier[i] = carrier[i+1] * T_i`` exactly, the transition between
+    stable images is the identity on generators with L_{i+1} inside L_i:
+    an isomorphism exactly when L_{i+1} = L_i, i.e. when the canonical
+    relation HNFs agree.  The limit is certified once those transitions are
+    isomorphisms over a window of at least STABLE_WINDOW consecutive levels.
     """
     n = tower.depth
     w = tower.window()
+    carrier = _carriers(tower, n - 1) if n > w else None
     stable_at = []
-    for stable, at in _stable_image_chains(tower):
+    for stable, at in _stable_image_chains(tower, carrier):
         if stable is None:
             break
         stable_at.append(at)
@@ -337,26 +333,13 @@ def tower_lim(tower: Tower) -> TowerLimit:
         raise NotStabilized("image chains not confirmed within depth",
                             chains=[stage_invs])
 
-    # carrier rows per level: generators of the stable image (without the
-    # stage relations), the composite from the top stage
-    carrier = _carriers(tower, n - 1)
-    subs: dict[int, FPModule] = {}
-
+    @functools.cache
     def sub(i: int) -> FPModule:
-        if i not in subs:
-            subs[i] = _submodule_on_rows(tower.stages[i], carrier[i])
-        return subs[i]
-
-    def induced(j: int) -> Morphism:
-        rows = mat_mul(carrier[j + 1], tower.transitions[j].mat())
-        coeffs = factor_through_submodule(rows, carrier[j], tower.stages[j])
-        if coeffs is None:
-            raise AssertionError("stable image system is not closed under transitions")
-        return Morphism.make(sub(j + 1), sub(j), coeffs)
+        return _submodule_on_rows(tower.stages[i], carrier[i])
 
     iso_down_to = i_max
     for j in range(i_max - 1, -1, -1):
-        if induced(j).is_isomorphism():
+        if sub(j + 1).relation_hnf() == sub(j).relation_hnf():
             iso_down_to = j
         else:
             break

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import multloc
 from multloc.cli import main
 
 
@@ -197,6 +200,25 @@ class TestVerifyCert:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "LevelViolation"
 
+    @pytest.mark.parametrize("doc, where", [
+        ([], "document"),
+        ({}, "document"),
+        ({"root": []}, "root: node"),
+        ({"root": {"kind": 3, "level": 1}}, "root: kind"),
+        ({"root": {"kind": "Seed", "level": "1"}}, "root: level"),
+        ({"root": {"kind": "Seed", "level": True}}, "root: level"),
+        ({"root": {"kind": "FiniteProduct", "level": 1, "children": 5}}, "root: children"),
+        ({"root": {"kind": "FiniteProduct", "level": 1, "children": [7]}}, "root.0: node"),
+        ({"root": {"kind": "Seed", "level": 1, "tag": []}}, "root: tag"),
+        ({"root": {"kind": "Seed", "level": 1, "payload": 4}}, "root: payload"),
+    ])
+    def test_malformed_document_is_a_usage_error(self, doc, where, tmp_path, capsys):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify-cert", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and where in err
+
     def test_with_orthogonality_tests(self, tmp_path, capsys):
         from multloc.certs import embed_two_obtainable
         from multloc.fpmod import FPModule
@@ -216,8 +238,13 @@ class TestBatteryCLI:
     def test_quick_battery_deterministic_across_processes(self):
         cmd = [sys.executable, "-m", "multloc.cli", "battery", "--quick",
                "--seed", "42", "--format", "structured"]
-        r1 = subprocess.run(cmd, capture_output=True, timeout=590)
-        r2 = subprocess.run(cmd, capture_output=True, timeout=590)
+        # the child imports the same package as this process, also when only
+        # pytest's ``pythonpath`` setting put it on the path
+        src = str(Path(multloc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        r1 = subprocess.run(cmd, capture_output=True, timeout=590, env=env)
+        r2 = subprocess.run(cmd, capture_output=True, timeout=590, env=env)
         assert r1.returncode == 0, r1.stderr.decode()[:2000]
         assert r1.stdout == r2.stdout
         doc = json.loads(r1.stdout)

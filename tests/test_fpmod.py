@@ -10,7 +10,6 @@ from multloc.fpmod import (
     Morphism,
     canonical_invariants,
     direct_sum,
-    direct_sum_maps,
     factor_through_submodule,
     is_exact_pair,
     isomorphic,
@@ -242,7 +241,9 @@ class TestMorphisms:
     def test_direct_sum_maps(self):
         z2 = FPModule.from_invariants([2])
         z3 = FPModule.from_invariants([3])
-        f = direct_sum_maps([Morphism.identity(z2), Morphism.multiplication(z3, 2)])
+        # identity on Z/2 plus multiplication by 2 on Z/3, block-diagonally
+        z6 = direct_sum(z2, z3)
+        f = Morphism.make(z6, z6, [[1, 0], [0, 2]])
         assert f.is_well_defined()
         assert f.is_isomorphism()
 
@@ -252,6 +253,82 @@ class TestMorphisms:
         f = Morphism.make(a, b, [[2]])
         assert f.is_well_defined() and f.is_injective()
         assert f.cokernel().invariants() == (2,)
+
+
+@st.composite
+def well_defined_maps(draw):
+    """A map into a random module over Z or Z/N: either an isomorphism onto a
+    change of basis of its source, or an arbitrary matrix whose source
+    relations are combinations of the relations it must respect."""
+    modulus = draw(st.sampled_from([0, 0, 4, 6, 8, 12]))
+    h = draw(st.integers(min_value=1, max_value=3))
+    small = st.integers(min_value=-6, max_value=6)
+    rows = draw(st.lists(st.lists(small, min_size=h, max_size=h), max_size=3))
+    if draw(st.booleans()):
+        u = [[int(i == j) for j in range(h)] for i in range(h)]
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            i, j = draw(st.integers(0, h - 1)), draw(st.integers(0, h - 1))
+            k = draw(small)
+            if i != j:
+                u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+            else:
+                u[i] = [-a for a in u[i]]
+        scale = draw(st.sampled_from([1, 1, 1, -1, 2, 3, 5]))
+        source = FPModule.from_presentation(rows, gens=h, modulus=modulus)
+        target = FPModule.from_presentation(mat_mul(rows, u), gens=h, modulus=modulus)
+        return Morphism.make(source, target, [[scale * x for x in r] for r in u])
+    target = FPModule.from_presentation(rows, gens=h, modulus=modulus)
+    g = draw(st.integers(min_value=1, max_value=3))
+    matrix = draw(st.lists(st.lists(small, min_size=h, max_size=h), min_size=g, max_size=g))
+    allowed = relations_among(matrix, target)
+    source_rows = [[sum(c * r[j] for c, r in zip(coeffs, allowed)) for j in range(g)]
+                   for coeffs in draw(st.lists(st.lists(small, min_size=len(allowed),
+                                                        max_size=len(allowed)),
+                                               max_size=3))]
+    source = FPModule.from_presentation(source_rows, gens=g, modulus=modulus)
+    return Morphism.make(source, target, matrix)
+
+
+class TestHopfianIsomorphism:
+    @settings(max_examples=300, deadline=None)
+    @given(f=well_defined_maps())
+    def test_matches_kernel_route(self, f):
+        assert f.is_well_defined()
+        assert f.is_isomorphism() == (f.kernel()[0].is_zero() and f.is_surjective())
+
+    def test_equal_invariants_without_surjection(self):
+        z = FPModule.from_presentation([], gens=1)
+        assert not Morphism.multiplication(z, 2).is_isomorphism()
+        assert Morphism.multiplication(z, -1).is_isomorphism()
+        z9 = FPModule.from_invariants([9])
+        assert not Morphism.multiplication(z9, 3).is_isomorphism()
+        assert Morphism.multiplication(z9, 2).is_isomorphism()
+
+    def test_surjection_onto_a_smaller_module(self):
+        f = Morphism.make(FPModule.from_invariants([4]), FPModule.from_invariants([2]), [[1]])
+        assert f.is_surjective() and not f.is_isomorphism()
+
+
+class TestPreimageCache:
+    def test_returned_lists_cannot_corrupt_later_results(self):
+        m = FPModule.from_invariants([4, 6, 0])
+        f = Morphism.make(m, m, [[2, 0, 0], [0, 3, 0], [1, 0, 2]])
+        g = Morphism.multiplication(m, 2)
+
+        def results():
+            return f.kernel(), f.image(), is_exact_pair(g, f), is_exact_pair(f, f)
+
+        fresh = Morphism.make(m, m, f.mat())
+        expected = (fresh.kernel(), fresh.image(), is_exact_pair(g, fresh),
+                    is_exact_pair(fresh, fresh))
+        assert results() == expected
+        pre = f._preimage_lattice()
+        assert pre == fresh._preimage_lattice()
+        pre[0][0] += 7
+        pre.append([1, 1, 1])
+        f._preimage_lattice()[-1].clear()
+        assert results() == expected
+        assert f._preimage_lattice() == fresh._preimage_lattice()
 
 
 class TestRandomizedHomology:

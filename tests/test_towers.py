@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from multloc import towers
 from multloc.battery import GENERATOR_SETS
-from multloc.fpmod import FPModule, Morphism
+from multloc.fpmod import FPModule, Morphism, canonical_invariants, factor_through_submodule
 from multloc.intlinalg import mat_mul
 from multloc.towers import (
     MultSubsetSeq,
@@ -80,7 +80,7 @@ class TestTowers:
     def test_quotient_tower_z12(self):
         t = quotient_tower(z_mod(12), seq(2), 4)
         assert t.stage_invariants() == [(2,), (4,), (4,), (4,)]
-        assert t.transitions_surjective()
+        assert all(f.is_surjective() for f in t.transitions)
 
     def test_quotient_tower_free(self):
         t = quotient_tower(FPModule.from_presentation([], gens=1), seq(2), 3)
@@ -93,7 +93,8 @@ class TestTowers:
     def test_torsion_tower_z12(self):
         t = torsion_tower(z_mod(12), seq(2), 3)
         assert t.stage_invariants() == [(2,), (4,), (4,)]
-        assert t.check_coherent()
+        assert all(f.source == t.stages[k + 1] and f.target == t.stages[k]
+                   and f.is_well_defined() for k, f in enumerate(t.transitions))
 
     def test_torsion_tower_free(self):
         t = torsion_tower(FPModule.from_presentation([], gens=2), seq(2), 3)
@@ -448,6 +449,102 @@ class TestBisectedImageChains:
            depth=st.integers(min_value=1, max_value=14))
     def test_matches_quadratic_scan_sampled(self, inv, gens, depth):
         assert_same_chains(z_mod(*inv), MultSubsetSeq(generators=tuple(gens)), depth)
+
+
+def kernel_route_lim(tower):
+    """``tower_lim`` before lattice equality: the transition between stable
+    images factored through the lower carrier, then tested for an isomorphism
+    through its kernel and cokernel."""
+    n = tower.depth
+    w = tower.window()
+    stable_at = []
+    for stable, at in towers._stable_image_chains(tower):
+        if stable is None:
+            break
+        stable_at.append(at)
+    i_max = len(stable_at) - 1
+    if i_max < w:
+        raise NotStabilized("image chains not confirmed within depth",
+                            chains=[[list(s.invariants()) for s in tower.stages]])
+    carrier = towers._carriers(tower, n - 1)
+    subs = {}
+
+    def sub(i):
+        if i not in subs:
+            subs[i] = towers._submodule_on_rows(tower.stages[i], carrier[i])
+        return subs[i]
+
+    def induced(j):
+        rows = mat_mul(carrier[j + 1], tower.transitions[j].mat())
+        coeffs = factor_through_submodule(rows, carrier[j], tower.stages[j])
+        assert coeffs is not None, "stable image system is not closed under transitions"
+        return Morphism.make(sub(j + 1), sub(j), coeffs)
+
+    iso_down_to = i_max
+    for j in range(i_max - 1, -1, -1):
+        f = induced(j)
+        if not (f.kernel()[0].is_zero() and f.is_surjective()):
+            break
+        iso_down_to = j
+    if i_max - iso_down_to < w:
+        raise NotStabilized("stable images keep changing through the truncation",
+                            chains=[[canonical_invariants(list(sub(i).invariants()), 0)
+                                     for i in range(i_max + 1)]])
+    cert = towers.LimCertificate(stable_index=iso_down_to, verified_through=i_max,
+                                 image_stable_at=stable_at)
+    return towers.TowerLimit(module=sub(iso_down_to), carrier_rows=carrier[iso_down_to],
+                             stage_index=iso_down_to, certificate=cert)
+
+
+def lim_outcome(lim, tower):
+    try:
+        r = lim(tower)
+    except NotStabilized as exc:
+        return str(exc), exc.chains
+    return r.stage_index, r.certificate, r.module.invariants(), r.carrier_rows
+
+
+def assert_same_limits(module, s, depth):
+    for build in (quotient_tower, torsion_tower, constant_hom_tower):
+        tower = build(module, s, depth)
+        assert lim_outcome(kernel_route_lim, tower) == lim_outcome(tower_lim, tower), \
+            (module, s.generators, depth, build.__name__)
+
+
+class TestLatticeEqualityLimit:
+    """``tower_lim`` decides each level by comparing the relation lattices of
+    neighbouring stable images; the kernel and cokernel route must agree."""
+
+    @pytest.mark.parametrize("module", [z_mod(12), z_mod(8, 2), z_mod(0, 6),
+                                        FPModule(gens=2, relations=((2, 4),), modulus=8)])
+    def test_carriers_compose_exactly(self, module):
+        s = seq(2, 3)
+        for build in (quotient_tower, torsion_tower, constant_hom_tower):
+            tower = build(module, s, 7)
+            carrier = towers._carriers(tower, tower.depth - 1)
+            for j in range(tower.depth - 1):
+                assert carrier[j] == mat_mul(carrier[j + 1], tower.transitions[j].mat())
+                assert carrier[j] == tower.composite(j, tower.depth - 1)
+
+    def test_matches_kernel_route_on_battery_towers(self, shared_hnf):
+        for d in range(1, 65):
+            m = z_mod(d)
+            for gens in GENERATOR_SETS:
+                s = MultSubsetSeq(generators=gens)
+                assert_same_limits(m, s, adequate_depth(m, s))
+
+    @settings(max_examples=100, deadline=None)
+    @given(gens_count=st.integers(min_value=1, max_value=3),
+           modulus=st.sampled_from([0, 0, 4, 6, 8, 12]),
+           data=st.data(),
+           schedule=st.lists(st.sampled_from([-2, 1, 2, 3, 4, 5, 6, 10]),
+                             min_size=1, max_size=3),
+           depth=st.integers(min_value=1, max_value=14))
+    def test_matches_kernel_route_sampled(self, gens_count, modulus, data, schedule, depth):
+        rows = data.draw(st.lists(st.lists(st.integers(-8, 8), min_size=gens_count,
+                                           max_size=gens_count), max_size=3))
+        module = FPModule.from_presentation(rows, gens=gens_count, modulus=modulus)
+        assert_same_limits(module, MultSubsetSeq(generators=tuple(schedule)), depth)
 
 
 class TestKnownWrongAnswer:
