@@ -108,9 +108,25 @@ def _mod_to_doc(m: FPModule) -> dict:
             "relations": [list(r) for r in m.relations]}
 
 
-def _mod_from_doc(doc: dict) -> FPModule:
-    return FPModule.from_presentation([list(r) for r in doc["relations"]],
-                                      gens=doc["gens"], modulus=doc["modulus"])
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _mod_from_doc(doc, path: str) -> FPModule:
+    """Module from its document; ValueError naming ``path`` when its shape is
+    wrong."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: module must be an object")
+    for key in ("gens", "modulus"):
+        if not _is_int(doc.get(key)) or doc[key] < 0:
+            raise ValueError(f"{path}: {key} must be a non-negative integer")
+    rows = doc.get("relations")
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and len(r) == doc["gens"] and all(map(_is_int, r))
+            for r in rows):
+        raise ValueError(f"{path}: relations must be a list of integer lists "
+                         f"of width {doc['gens']}")
+    return FPModule.from_presentation(rows, gens=doc["gens"], modulus=doc["modulus"])
 
 
 def _node_to_doc(node: CertNode) -> dict:
@@ -137,7 +153,7 @@ def _node_from_doc(doc: dict, path: str) -> CertNode:
     if not isinstance(doc.get("kind"), str):
         raise ValueError(f"{path}: kind must be a string")
     level = doc.get("level")
-    if not isinstance(level, int) or isinstance(level, bool):
+    if not _is_int(level):
         raise ValueError(f"{path}: level must be an integer")
     children = doc.get("children", [])
     if not isinstance(children, list):
@@ -149,10 +165,13 @@ def _node_from_doc(doc: dict, path: str) -> CertNode:
     if doc.get("payload") is not None:
         payload = {}
         for key, val in doc["payload"].items():
+            where = f"{path}.payload.{key}"
             if key == "module":
-                payload[key] = _mod_from_doc(val)
+                payload[key] = _mod_from_doc(val, where)
             elif key == "stages":
-                payload[key] = [_mod_from_doc(s) for s in val]
+                if not isinstance(val, list):
+                    raise ValueError(f"{where}: stages must be a list")
+                payload[key] = [_mod_from_doc(s, f"{where}.{i}") for i, s in enumerate(val)]
             else:
                 payload[key] = val
     return CertNode(kind=doc["kind"], level=level,

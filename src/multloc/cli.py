@@ -17,6 +17,7 @@ from .certs import (
     LevelViolation,
     MalformedTree,
     PayloadMismatch,
+    _mod_from_doc,
     instantiate_and_check,
     orthogonality_battery,
     verify_certificate,
@@ -90,9 +91,9 @@ def _load_module(args) -> FPModule:
     if getattr(args, "presentation", None):
         with open(args.presentation) as fh:
             doc = json.load(fh)
-        return FPModule.from_presentation(
-            [list(r) for r in doc.get("relations", [])],
-            gens=doc["gens"], modulus=doc.get("modulus", args.modulus))
+        if isinstance(doc, dict):
+            doc = {"relations": [], "modulus": args.modulus, **doc}
+        return _mod_from_doc(doc, "presentation")
     return _parse_module(args.module, args.modulus)
 
 
@@ -212,9 +213,9 @@ def cmd_verify_cert(args) -> int:
         if args.tests:
             with open(args.tests) as fh:
                 specs = json.load(fh)
-            tests = [FPModule.from_presentation(
-                [list(r) for r in t["relations"]], gens=t["gens"],
-                modulus=t["modulus"]) for t in specs]
+            if not isinstance(specs, list):
+                raise ValueError("tests: must be a list of module presentations")
+            tests = [_mod_from_doc(t, f"tests.{i}") for i, t in enumerate(specs)]
             doc["orthogonality"] = orthogonality_battery(cert, tests)
             doc["rule_refs"].append(RULE_REFS[10])
             if not doc["orthogonality"]["pass"]:

@@ -13,9 +13,9 @@ exact and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .intlinalg import (
+    canonical_invariants,
     hnf_rows,
     lattice_member,
     left_nullspace,
@@ -27,26 +27,6 @@ from .intlinalg import (
 
 _HNF_CACHE: dict = {}
 _INV_CACHE: dict = {}
-
-
-def canonical_invariants(factors: list[int], rank: int = 0) -> tuple[int, ...]:
-    """Canonical invariant list: torsion d_1 | d_2 | ... (> 1), then 0 per free rank.
-
-    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), so pass i replaces each pair
-    (entry i, later entry) by its (gcd, lcm); after it, entry i divides every
-    later entry.  Nothing is factored.
-    """
-    chain = [d for d in factors if d not in (0, 1)]
-    for i in range(len(chain) - 1):
-        a = chain[i]
-        for j in range(i + 1, len(chain)):
-            if a == 1:
-                break
-            g = gcd(a, chain[j])
-            chain[j] = a // g * chain[j]
-            a = g
-        chain[i] = a
-    return tuple(d for d in chain if d != 1) + (0,) * rank
 
 
 def merge_invariants(blocks) -> tuple[int, ...]:
@@ -110,11 +90,13 @@ class FPModule:
                 rows.append(row)
         return rows
 
-    def relation_hnf(self) -> list[list[int]]:
+    def relation_hnf(self) -> tuple[tuple[int, ...], ...]:
+        """HNF rows of the relation lattice, shared by equal presentations
+        and so kept as tuples."""
         key = (self.gens, self.relations, self.modulus)
         cached = _HNF_CACHE.get(key)
         if cached is None:
-            cached = hnf_rows(self.relation_rows())
+            cached = tuple(map(tuple, hnf_rows(self.relation_rows())))
             _HNF_CACHE[key] = cached
         return cached
 
@@ -130,10 +112,8 @@ class FPModule:
         if not rows:
             result = (0,) * self.gens
         else:
-            res = smith_normal_form(rows)
-            nz = [d for d in res.factors if d != 0]
-            rank = self.gens - len(nz)
-            result = canonical_invariants(nz, rank)
+            nz = [d for d in smith_normal_form(rows) if d != 0]
+            result = canonical_invariants(nz, self.gens - len(nz))
         _INV_CACHE[key] = result
         return result
 

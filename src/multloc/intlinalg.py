@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: extended gcd, Hermite and Smith normal forms.
+"""Exact integer linear algebra: extended gcd, Hermite normal form, invariant
+factors by alternating HNF, row echelon kernels and solves.
 
 Matrices are lists of lists of Python ints (rows).  Everything here is
 exact; there is no floating point anywhere in the package.
@@ -6,7 +7,6 @@ exact; there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 
@@ -79,172 +79,43 @@ def determinant(a: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass
-class SNFResult:
-    """Smith normal form U*A*V = D with U, V unimodular.
+def canonical_invariants(factors: list[int], rank: int = 0) -> tuple[int, ...]:
+    """Canonical invariant list: torsion d_1 | d_2 | ... (> 1), then 0 per free rank.
 
-    ``factors`` is the canonical list of diagonal entries: nonnegative,
-    each dividing the next, padded with zeros up to min(shape).
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), so pass i replaces each pair
+    (entry i, later entry) by its (gcd, lcm); after it, entry i divides every
+    later entry.  Nothing is factored.
     """
-
-    U: list[list[int]]
-    D: list[list[int]]
-    V: list[list[int]]
-    factors: list[int]
-
-
-def smith_normal_form(a: list[list[int]]) -> SNFResult:
-    """Smith normal form of an arbitrary integer matrix.
-
-    Row operations are tracked in U, column operations in V, so that
-    U * A * V = D holds exactly with det(U), det(V) = +-1.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = mat_copy(a)
-    u = identity(rows)
-    v = identity(cols)
-
-    def row_op(i: int, j: int, q: int) -> None:
-        # row i -= q * row j
-        di, dj = d[i], d[j]
-        for k in range(cols):
-            di[k] -= q * dj[k]
-        ui, uj = u[i], u[j]
-        for k in range(rows):
-            ui[k] -= q * uj[k]
-
-    def col_op(i: int, j: int, q: int) -> None:
-        # col i -= q * col j
-        for r in range(rows):
-            d[r][i] -= q * d[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for r in range(rows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def row_gcd_transform(t: int, i: int) -> None:
-        # unimodular 2x2 transform on rows (t, i) sending (d[t][t], d[i][t])
-        # to (gcd, 0)
-        a_, b_ = d[t][t], d[i][t]
-        g, x, y = exgcd(a_, b_)
-        aa, bb = a_ // g, b_ // g
-        rt, ri = d[t], d[i]
-        d[t] = [x * rt[k] + y * ri[k] for k in range(cols)]
-        d[i] = [-bb * rt[k] + aa * ri[k] for k in range(cols)]
-        ut, ui = u[t], u[i]
-        u[t] = [x * ut[k] + y * ui[k] for k in range(rows)]
-        u[i] = [-bb * ut[k] + aa * ui[k] for k in range(rows)]
-
-    def col_gcd_transform(t: int, j: int) -> None:
-        a_, b_ = d[t][t], d[t][j]
-        g, x, y = exgcd(a_, b_)
-        aa, bb = a_ // g, b_ // g
-        for r in range(rows):
-            ct, cj = d[r][t], d[r][j]
-            d[r][t] = x * ct + y * cj
-            d[r][j] = -bb * ct + aa * cj
-        for r in range(cols):
-            ct, cj = v[r][t], v[r][j]
-            v[r][t] = x * ct + y * cj
-            v[r][j] = -bb * ct + aa * cj
-
-    n = min(rows, cols)
-    t = 0
-    while t < n:
-        # find pivot: smallest nonzero absolute value in the remaining block
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        # alternate gcd-clearing of column t and row t until both are clean;
-        # the pivot strictly divides its previous value whenever it changes.
-        # Entries are shear-reduced mod the pivot first, which keeps the 2x2
-        # transform coefficients (and hence U, V growth) small.
-        while True:
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    if q:
-                        row_op(i, t, q)
-                    if d[i][t] != 0:
-                        row_gcd_transform(t, i)
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    if q:
-                        col_op(j, t, q)
-                    if d[t][j] != 0:
-                        col_gcd_transform(t, j)
-            if all(d[i][t] == 0 for i in range(t + 1, rows)):
+    chain = [d for d in factors if d not in (0, 1)]
+    for i in range(len(chain) - 1):
+        a = chain[i]
+        for j in range(i + 1, len(chain)):
+            if a == 1:
                 break
-        t += 1
+            g = gcd(a, chain[j])
+            chain[j] = a // g * chain[j]
+            a = g
+        chain[i] = a
+    return tuple(d for d in chain if d != 1) + (0,) * rank
 
-    # enforce the divisibility chain d_1 | d_2 | ... by gcd-absorption
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n - 1):
-            x, y = d[k][k], d[k + 1][k + 1]
-            if x != 0 and y % x == 0:
-                continue
-            if x == 0 and y == 0:
-                continue
-            # bring y into row k via column op, re-clear the 2x2 block
-            col_op(k, k + 1, -1)  # col k += col k+1 (q = -1)
-            g, s_, t_ = exgcd(d[k][k], d[k + 1][k])
-            # row k := s_*row k + t_*row k+1 ; row k+1 adjusted to keep det
-            rk = d[k][:]
-            rk1 = d[k + 1][:]
-            x0, x1 = d[k][k], d[k + 1][k]
-            for j in range(cols):
-                d[k][j] = s_ * rk[j] + t_ * rk1[j]
-                d[k + 1][j] = -(x1 // g) * rk[j] + (x0 // g) * rk1[j]
-            uk = u[k][:]
-            uk1 = u[k + 1][:]
-            for j in range(rows):
-                u[k][j] = s_ * uk[j] + t_ * uk1[j]
-                u[k + 1][j] = -(x1 // g) * uk[j] + (x0 // g) * uk1[j]
-            # clear the off-diagonal garbage
-            for j in range(cols):
-                if j != k and d[k][j] != 0:
-                    q = d[k][j] // d[k][k]
-                    col_op(j, k, q)
-            for i in range(rows):
-                if i != k + 1 and d[i][k + 1] != 0 and d[k + 1][k + 1] != 0:
-                    q = d[i][k + 1] // d[k + 1][k + 1]
-                    row_op(i, k + 1, q)
-            changed = True
 
-    # normalize signs to nonnegative diagonal
-    for k in range(n):
-        if d[k][k] < 0:
-            for j in range(cols):
-                d[k][j] = -d[k][j]
-            for j in range(rows):
-                u[k][j] = -u[k][j]
+def smith_normal_form(a: list[list[int]]) -> list[int]:
+    """Invariant factors of an integer matrix: the diagonal of its Smith normal
+    form, nonnegative, each dividing the next, padded with zeros to min(shape).
 
-    factors = [d[k][k] for k in range(n)]
-    # move zeros to the end (they already are, but be safe)
-    nz = [f for f in factors if f != 0]
-    factors = nz + [0] * (len(factors) - len(nz))
-    return SNFResult(U=u, D=d, V=v, factors=factors)
+    Hermite forms of the matrix and of its transpose alternate until every row
+    has one nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).  Each
+    pass's first pivot divides the last one's, and once it divides its whole
+    row and column the canonical HNF keeps both clear, so the loop ends.  The
+    chain is then built from that diagonal by gcd and lcm.
+    """
+    m = hnf_rows(a)
+    while any(len(row) - row.count(0) > 1 for row in m):
+        m = hnf_rows([list(col) for col in zip(*m)])
+    diag = [max(row) for row in m]
+    chain = canonical_invariants(diag)
+    n = min(len(a), len(a[0])) if a else 0
+    return [1] * (len(diag) - len(chain)) + list(chain) + [0] * (n - len(diag))
 
 
 def hnf_rows(a: list[list[int]]) -> list[list[int]]:

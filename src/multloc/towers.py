@@ -541,7 +541,7 @@ class TelescopeComplex:
                             == mat_mul(self.two_term, self.homotopy),
             "homotopy_deg1": _mat_sub(ident, mat_mul(self.f1, self.g1))
                             == mat_mul(self.homotopy, self.two_term),
-            "invariant_factors": smith_normal_form(self.two_term).factors,
+            "invariant_factors": smith_normal_form(self.two_term),
         }
         out["invariants_ok"] = out["invariant_factors"] == [1] * (n - 1) + [abs(t)]
         out["all_ok"] = all(v for k, v in out.items()
@@ -625,7 +625,7 @@ def _telescope_dual_homology(schedule: tuple[int, ...], d: int, modulus: int,
         return _TEL_MEMO[key]
     n = len(schedule)
     if schedule not in _TEL_SNF_MEMO:
-        _TEL_SNF_MEMO[schedule] = smith_normal_form(dual).factors
+        _TEL_SNF_MEMO[schedule] = smith_normal_form(dual)
     diag = _TEL_SNF_MEMO[schedule]
 
     rows = [list(r) for r in dual]

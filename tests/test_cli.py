@@ -234,6 +234,95 @@ class TestVerifyCert:
         assert json.loads(out)["orthogonality"]["pass"]
 
 
+def _usage_error(code, out, err, where):
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and where in err
+
+
+class TestModulePayloads:
+    """One parser for certificate payloads, --presentation and --tests."""
+
+    def test_presentation_defaults(self, tmp_path, capsys):
+        path = tmp_path / "z12.json"
+        path.write_text(json.dumps({"gens": 1, "relations": [[12]]}))
+        code, out, _ = run_cli(["complete", "--presentation", str(path),
+                                "--generators", "2", "--depth", "8",
+                                "--format", "structured"], capsys)
+        assert code == 0
+        assert json.loads(out)["delta"]["delta_invariants"] == [4]
+
+    @pytest.mark.parametrize("command", [
+        ["complete", "--generators", "2"],
+        ["wc-check", "-m", "2"],
+    ])
+    @pytest.mark.parametrize("doc, where", [
+        ({"gens": 1, "relations": 7}, "presentation: relations"),
+        ({"gens": 1, "relations": [[1.5]]}, "presentation: relations"),
+        ({"gens": 1, "relations": [[True]]}, "presentation: relations"),
+        ({"gens": 2, "relations": [[3]]}, "presentation: relations"),
+        ({"gens": 1, "relations": [5]}, "presentation: relations"),
+        ({"gens": "1"}, "presentation: gens"),
+        ({"gens": -1}, "presentation: gens"),
+        ({"relations": [[4]]}, "presentation: gens"),
+        ({"gens": 1, "modulus": -4}, "presentation: modulus"),
+        ({"gens": 1, "modulus": False}, "presentation: modulus"),
+        ([[4]], "presentation: module"),
+    ])
+    def test_malformed_presentation(self, command, doc, where, tmp_path, capsys):
+        path = tmp_path / "pres.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(command + ["--presentation", str(path)], capsys)
+        _usage_error(code, out, err, where)
+
+    @staticmethod
+    def _cert_doc():
+        from multloc.certs import decompose_weakly_cotorsion
+        from multloc.fpmod import FPModule
+        return decompose_weakly_cotorsion(FPModule.from_invariants([8]), 2).to_document()
+
+    @pytest.mark.parametrize("module, where", [
+        ({"gens": 1, "modulus": 0, "relations": 5}, "root.payload.module: relations"),
+        ({"gens": 1, "modulus": 0, "relations": [[2.0]]}, "root.payload.module: relations"),
+        ({"gens": 1, "modulus": 0, "relations": [[2, 0]]}, "root.payload.module: relations"),
+        ({"gens": True, "modulus": 0, "relations": []}, "root.payload.module: gens"),
+        ({"gens": 1, "modulus": "8", "relations": []}, "root.payload.module: modulus"),
+        ({"gens": 1, "relations": [[8]]}, "root.payload.module: modulus"),
+        (8, "root.payload.module: module"),
+    ])
+    def test_malformed_payload_module(self, module, where, tmp_path, capsys):
+        doc = self._cert_doc()
+        doc["root"]["payload"]["module"] = module
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify-cert", str(path)], capsys)
+        _usage_error(code, out, err, where)
+
+    @pytest.mark.parametrize("stages, where", [
+        (3, "root.payload.stages: stages"),
+        ([{"gens": 1, "modulus": 0, "relations": [[1, 2]]}], "root.payload.stages.0: relations"),
+    ])
+    def test_malformed_payload_stages(self, stages, where, tmp_path, capsys):
+        doc = self._cert_doc()
+        doc["root"]["payload"]["stages"] = stages
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify-cert", str(path)], capsys)
+        _usage_error(code, out, err, where)
+
+    @pytest.mark.parametrize("tests, where", [
+        ({"gens": 1, "modulus": 12, "relations": [[4]]}, "tests: must be a list"),
+        ([{"gens": 1, "modulus": 12, "relations": [[4.0]]}], "tests.0: relations"),
+        ([{"gens": 1, "modulus": 12, "relations": [[4]]}, {"gens": 1}], "tests.1: modulus"),
+    ])
+    def test_malformed_tests(self, tests, where, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(self._cert_doc()))
+        tpath = tmp_path / "tests.json"
+        tpath.write_text(json.dumps(tests))
+        code, out, err = run_cli(["verify-cert", str(path), "--tests", str(tpath)], capsys)
+        _usage_error(code, out, err, where)
+
+
 class TestBatteryCLI:
     def test_quick_battery_deterministic_across_processes(self):
         cmd = [sys.executable, "-m", "multloc.cli", "battery", "--quick",

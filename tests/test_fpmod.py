@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
 from multloc.fpmod import (
     FPModule,
@@ -109,6 +111,36 @@ class TestInvariants:
         inv = FPModule.from_presentation(rows).invariants()
         assert all(b % a == 0 for a, b in zip(inv, inv[1:]))
         assert abs(determinant(rows)) == math.prod(inv)
+
+    @pytest.mark.parametrize("modulus, diag", [
+        (720, [1, 2, 2, 4, 6, 12, 24, 48, 60, 120, 360, 720]),
+        (360, [2, 3, 4, 6, 12, 1, 5, 10, 30, 360]),
+    ])
+    def test_mod_n_many_generators_match_sympy(self, modulus, diag):
+        # Z/N-module (+) Z/d_i presented on scrambled generators and relations
+        rng = random.Random(modulus)
+        g = len(diag)
+        rows = [[d if i == j else 0 for j in range(g)] for i, d in enumerate(diag)]
+        for _ in range(3 * g):
+            i, j = rng.sample(range(g), 2)
+            q = rng.randint(-3, 3)
+            for r in rows:
+                r[i] += q * r[j]
+        for _ in range(2 * g):
+            i, j = rng.sample(range(g), 2)
+            q = rng.randint(-2, 2)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        m = FPModule.from_presentation(rows, gens=g, modulus=modulus)
+        expected = tuple(abs(int(d)) for d in invariant_factors(
+            Matrix(m.relation_rows()), domain=ZZ) if abs(int(d)) != 1)
+        assert m.invariants() == expected == canonical_invariants(diag)
+
+    def test_relation_hnf_cannot_be_corrupted_by_a_caller(self):
+        # the HNF is cached per presentation; writing into the returned rows
+        # used to change element_reduce for every equal presentation
+        with pytest.raises(TypeError):
+            FPModule.from_invariants([4]).relation_hnf()[0][0] = 2
+        assert FPModule.from_invariants([4]).element_reduce([3]) == [3]
 
     def test_invariance_under_unimodular_shuffle(self):
         rng = random.Random(5)

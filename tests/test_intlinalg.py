@@ -39,37 +39,26 @@ def test_exgcd_basic():
 
 
 def test_snf_identity():
-    res = smith_normal_form([[1, 0], [0, 1]])
-    assert res.factors == [1, 1]
-    assert res.D == [[1, 0], [0, 1]]
+    assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
 
 
 def test_snf_diag_2_3():
     # hand-checkable: diag(2, 3) is equivalent to diag(1, 6)
-    res = smith_normal_form([[2, 0], [0, 3]])
-    assert res.factors == [1, 6]
+    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
 
 
 def test_snf_zero_matrix():
-    res = smith_normal_form([[0]])
-    assert res.factors == [0]
+    assert smith_normal_form([[0]]) == [0]
+
+
+def _sympy_factors(a):
+    return [abs(int(d)) for d in invariant_factors(Matrix(a), domain=ZZ)]
 
 
 def _check_snf_postconditions(a):
-    res = smith_normal_form(a)
-    rows, cols = len(a), len(a[0])
-    assert mat_mul(mat_mul(res.U, a), res.V) == res.D
-    assert abs(determinant(res.U)) == 1
-    assert abs(determinant(res.V)) == 1
-    # diagonal with divisibility chain
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert res.D[i][j] == 0
-    nz = [d for d in res.factors if d != 0]
-    for i in range(len(nz) - 1):
-        assert nz[i + 1] % nz[i] == 0
-    assert all(d >= 0 for d in res.factors)
+    factors = smith_normal_form(a)
+    assert factors == _sympy_factors(a)
+    assert len(factors) == min(len(a), len(a[0]))
 
 
 def test_snf_random_postconditions():
@@ -203,18 +192,16 @@ def test_row_echelon_postconditions(a):
     assert all(not any(row) for row in e[rank:])
 
 
-def _left_nullspace_by_snf(a):
-    """Left kernel read off the row transform of a Smith normal form."""
-    res = smith_normal_form(a)
-    return [res.U[i][:] for i in range(len(a)) if not any(res.D[i])]
-
-
 @settings(max_examples=150, deadline=None)
 @given(matrices())
-def test_left_nullspace_matches_snf_route(a):
+def test_left_nullspace_is_saturated_kernel(a):
+    # the Z-left-kernel is the saturated lattice of rank len(a) - rank(a):
+    # each row annihilates a, and the basis has only unit invariant factors
     null = left_nullspace(a)
     assert not any(x for row in mat_mul(null, a) for x in row)
-    assert hnf_rows(null) == hnf_rows(_left_nullspace_by_snf(a))
+    assert len(null) == len(a) - Matrix(a).rank()
+    if null:
+        assert _sympy_factors(null) == [1] * len(null)
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,5 +225,4 @@ def test_solve_left_exactly_on_lattice(a, coeffs, noise, in_lattice):
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_snf_factors_match_sympy(a):
-    expected = [abs(int(d)) for d in invariant_factors(Matrix(a), domain=ZZ)]
-    assert smith_normal_form(a).factors == expected
+    assert smith_normal_form(a) == _sympy_factors(a)
