@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .fpmod import (
     FPModule,
     Morphism,
-    canonical_invariants,
     direct_sum,
     is_exact_pair,
 )
@@ -112,6 +111,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_int_rows(rows, width: int | None = None) -> bool:
+    """A list of integer lists, each of length ``width`` when one is given."""
+    return isinstance(rows, list) and all(
+        isinstance(r, list) and (width is None or len(r) == width) and all(map(_is_int, r))
+        for r in rows)
+
+
 def _mod_from_doc(doc, path: str) -> FPModule:
     """Module from its document; ValueError naming ``path`` when its shape is
     wrong."""
@@ -121,9 +127,7 @@ def _mod_from_doc(doc, path: str) -> FPModule:
         if not _is_int(doc.get(key)) or doc[key] < 0:
             raise ValueError(f"{path}: {key} must be a non-negative integer")
     rows = doc.get("relations")
-    if not isinstance(rows, list) or not all(
-            isinstance(r, list) and len(r) == doc["gens"] and all(map(_is_int, r))
-            for r in rows):
+    if not _is_int_rows(rows, doc["gens"]):
         raise ValueError(f"{path}: relations must be a list of integer lists "
                          f"of width {doc['gens']}")
     return FPModule.from_presentation(rows, gens=doc["gens"], modulus=doc["modulus"])
@@ -161,6 +165,12 @@ def _node_from_doc(doc: dict, path: str) -> CertNode:
     for key in ("tag", "payload"):
         if doc.get(key) is not None and not isinstance(doc[key], dict):
             raise ValueError(f"{path}: {key} must be an object")
+    tag = doc.get("tag") or {}
+    if "s" in tag and not _is_int(tag["s"]):
+        raise ValueError(f"{path}.tag.s: must be an integer")
+    if "generators" in tag and not (isinstance(tag["generators"], list)
+                                    and all(map(_is_int, tag["generators"]))):
+        raise ValueError(f"{path}.tag.generators: must be a list of integers")
     payload = None
     if doc.get("payload") is not None:
         payload = {}
@@ -172,6 +182,12 @@ def _node_from_doc(doc: dict, path: str) -> CertNode:
                 if not isinstance(val, list):
                     raise ValueError(f"{where}: stages must be a list")
                 payload[key] = [_mod_from_doc(s, f"{where}.{i}") for i, s in enumerate(val)]
+            elif key in ("into", "retract", "inject", "project", "map") \
+                    and not _is_int_rows(val):
+                raise ValueError(f"{where}: must be a list of integer lists")
+            elif key == "transitions" and not (isinstance(val, list)
+                                               and all(map(_is_int_rows, val))):
+                raise ValueError(f"{where}: must be a list of integer matrices")
             else:
                 payload[key] = val
     return CertNode(kind=doc["kind"], level=level,

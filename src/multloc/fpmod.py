@@ -189,11 +189,6 @@ class Morphism:
         return Morphism.make(m, m, [[scalar if i == j else 0 for j in range(m.gens)]
                                     for i in range(m.gens)])
 
-    @staticmethod
-    def zero_map(source: FPModule, target: FPModule) -> "Morphism":
-        return Morphism.make(source, target,
-                             [[0] * target.gens for _ in range(source.gens)])
-
     def mat(self) -> list[list[int]]:
         return [list(r) for r in self.matrix]
 
@@ -335,12 +330,6 @@ def is_exact_pair(f: Morphism, g: Morphism) -> bool:
     img = f.mat()
     ker = g._preimage_lattice()
     return submodules_equal(img, ker, f.target)
-
-
-def short_exact(f: Morphism, g: Morphism) -> bool:
-    """Is 0 -> A --f--> B --g--> C -> 0 exact?"""
-    return (f.is_well_defined() and g.is_well_defined()
-            and f.is_injective() and g.is_surjective() and is_exact_pair(f, g))
 
 
 def isomorphic(a: FPModule, b: FPModule) -> bool:

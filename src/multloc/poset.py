@@ -43,13 +43,13 @@ class PrimePoset:
             raise ValueError("duplicate prime identifiers")
         for a, b in lt_pairs:
             if a not in pset or b not in pset:
-                raise ValueError(f"lt pair ({a}, {b}) mentions unknown prime")
+                raise ValueError(f"lt pair ({a!r}, {b!r}) mentions unknown prime")
             if a == b:
-                raise ValueError(f"lt is not irreflexive at {a}")
+                raise ValueError(f"lt is not irreflexive at {a!r}")
         closure = _transitive_closure(primes_t, lt_pairs)
         for a, b in closure:
             if (b, a) in closure:
-                raise ValueError(f"lt has a cycle through {a}, {b}")
+                raise ValueError(f"lt has a cycle through {a!r}, {b!r}")
         heights = _longest_chain_heights(primes_t, closure)
         return PrimePoset(primes=primes_t, lt=frozenset(closure), height=heights)
 
@@ -60,8 +60,18 @@ class PrimePoset:
 
     @staticmethod
     def from_document(doc: dict) -> "PrimePoset":
-        return PrimePoset.from_covers(list(doc["primes"]),
-                                      [tuple(c) for c in doc["covers"]])
+        """Parse {"primes": [...], "covers": [[lower, upper], ...]}; ValueError
+        naming the field when its shape is wrong."""
+        if not isinstance(doc, dict):
+            raise ValueError("poset document must be an object")
+        primes, covers = doc.get("primes"), doc.get("covers")
+        if not isinstance(primes, list) or not all(isinstance(p, str) for p in primes):
+            raise ValueError("primes: must be a list of strings")
+        if not isinstance(covers, list) or not all(
+                isinstance(c, list) and len(c) == 2 and all(isinstance(p, str) for p in c)
+                for c in covers):
+            raise ValueError("covers: must be a list of [lower, upper] string pairs")
+        return PrimePoset.from_covers(primes, [tuple(c) for c in covers])
 
     def dimension(self) -> int:
         return max(self.height.values(), default=0)
@@ -144,14 +154,6 @@ class AbstractElement:
 
     id: str
     locus: frozenset[str]
-
-    @staticmethod
-    def generic(poset: PrimePoset, target: str, id: str | None = None) -> "AbstractElement":
-        return AbstractElement(id=id or f"e[{target}]", locus=poset.up_closure(target))
-
-    def check_upward_closed(self, poset: PrimePoset) -> bool:
-        return all(q in self.locus
-                   for p in self.locus for q in poset.primes if poset.less(p, q))
 
 
 @dataclass(frozen=True)
@@ -502,23 +504,3 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
         exhaustive_choices_checked=checked,
     )
 
-
-def subsets_spectrum_equivalent(poset: PrimePoset, s: MultSubsetModel,
-                                t: MultSubsetModel) -> bool:
-    """Same intersection pattern on primes: the two localizations agree."""
-    sp = {p for p in poset.primes if s.intersects(p)}
-    tp = {p for p in poset.primes if t.intersects(p)}
-    return sp == tp
-
-
-def shrink_to_witnesses(poset: PrimePoset, s: MultSubsetModel) -> MultSubsetModel:
-    """One generator per intersected prime; spectrum-equivalent to the input."""
-    gens: list[AbstractElement] = []
-    used: set[str] = set()
-    for p in sorted(poset.primes):
-        if s.intersects(p):
-            g = next(g for g in s.generators if p in g.locus)
-            if g.id not in used:
-                used.add(g.id)
-                gens.append(g)
-    return MultSubsetModel(generators=tuple(gens))

@@ -6,7 +6,7 @@ S1 = nonzero constants, S2 = polynomials of content 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fpmod import FPModule
 
@@ -422,16 +422,6 @@ def projectivity_oracle_direct_summand(d: int, s: int) -> bool:
             if (x * y) % d == 1 % d:
                 return True
     return False
-
-
-def projectivity_idempotent_witness(d: int, s: int) -> int | None:
-    """An idempotent e in Z/s generating a copy of Z/d, when one exists."""
-    if s % d != 0:
-        raise NotADivisor(f"{d} does not divide {s}")
-    for e in range(s):
-        if (e * e) % s == e % s and s // math.gcd(e, s) == d:
-            return e
-    return None
 
 
 @dataclass

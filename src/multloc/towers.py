@@ -231,7 +231,6 @@ def constant_hom_tower(module: FPModule, seq: MultSubsetSeq,
 class LimCertificate:
     stable_index: int            # 0-based stage index of the returned carrier
     verified_through: int        # highest 0-based index with window-checked images
-    image_stable_at: list[int]   # per level, first source index giving the stable image
 
 
 @dataclass
@@ -251,56 +250,26 @@ def _carriers(tower: Tower, top: int) -> list[list[list[int]]]:
     return out
 
 
-def _stable_image_chains(tower: Tower, top: list[list[list[int]]] | None = None):
-    """Per level i, lazily: (stable lattice, first stage index giving it),
-    or (None, None) when the final window does not confirm the chain.
+def _confirmed_levels(tower: Tower, top: list[list[list[int]]] | None = None) -> int:
+    """Number of leading levels whose image chain the final window confirms.
     ``top`` may pass in ``_carriers(tower, depth - 1)`` when the caller has it.
 
     The composite images into a level form a decreasing lattice chain, so
-    two HNFs confirm it (the top image equals the image one window below)
-    and the first stage giving the stable image is found by an exponential
-    search from the level itself, then bisection: every composite from that
-    stage up gives the stable image, every lower one a larger lattice.
-    Lower composites are built only as far as the search reaches.  The
+    two HNFs confirm it: the image from the top stage equals the image from
+    one window below.  Counting stops at the first unconfirmed level.  The
     confirmation is only as good as the window; see ``Tower``.
     """
     n = tower.depth
     w = tower.window()
-    confirmable = max(n - w, 0)       # levels with a full window above them
-    if confirmable:
-        mats = [f.mat() for f in tower.transitions]
-        top = top if top is not None else _carriers(tower, n - 1)
-        below = _carriers(tower, n - 1 - w)
-    for i in range(confirmable):
+    if n <= w:
+        return 0
+    top = top if top is not None else _carriers(tower, n - 1)
+    below = _carriers(tower, n - 1 - w)
+    for i in range(n - w):
         rel = tower.stages[i].relation_rows()
-        stable = hnf_rows(top[i] + rel)
-        if hnf_rows(below[i] + rel) != stable:
-            yield None, None
-            continue
-        comps = [identity(tower.stages[i].gens)]
-
-        def is_stable(k: int) -> bool:
-            # composite from stage i + k, extended one stage up at a time
-            while len(comps) <= k:
-                comps.append(mat_mul(mats[i + len(comps) - 1], comps[-1]))
-            return hnf_rows(comps[k] + rel) == stable
-
-        lo, hi = 0, n - 1 - w - i
-        probe = 0
-        while probe < hi:
-            if is_stable(probe):
-                hi = probe
-                break
-            lo = probe + 1
-            probe = 2 * probe + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if is_stable(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        yield stable, i + lo
-    yield from [(None, None)] * (n - confirmable)
+        if hnf_rows(top[i] + rel) != hnf_rows(below[i] + rel):
+            return i
+    return n - w
 
 
 def _submodule_on_rows(stage: FPModule, rows: list[list[int]]) -> FPModule:
@@ -322,12 +291,7 @@ def tower_lim(tower: Tower) -> TowerLimit:
     n = tower.depth
     w = tower.window()
     carrier = _carriers(tower, n - 1) if n > w else None
-    stable_at = []
-    for stable, at in _stable_image_chains(tower, carrier):
-        if stable is None:
-            break
-        stable_at.append(at)
-    i_max = len(stable_at) - 1
+    i_max = _confirmed_levels(tower, carrier) - 1
     if i_max < w:
         stage_invs = [list(s.invariants()) for s in tower.stages]
         raise NotStabilized("image chains not confirmed within depth",
@@ -350,11 +314,7 @@ def tower_lim(tower: Tower) -> TowerLimit:
                      for i in range(i_max + 1)]])
 
     i0 = iso_down_to
-    cert = LimCertificate(
-        stable_index=i0,
-        verified_through=i_max,
-        image_stable_at=stable_at,
-    )
+    cert = LimCertificate(stable_index=i0, verified_through=i_max)
     return TowerLimit(module=sub(i0), carrier_rows=carrier[i0],
                       stage_index=i0, certificate=cert)
 
@@ -384,115 +344,17 @@ def tower_lim1(tower: Tower) -> Lim1Verdict:
     if all(s.order() is not None for s in tower.stages):
         return Lim1Verdict(verdict="zero", certificate_kind="finite_stages")
     n = tower.depth
-    for i, (stable, _) in zip(range(n - tower.window()), _stable_image_chains(tower)):
-        if stable is None:
-            # record the image invariants along the failing level
-            witness = []
-            for m in range(n - i):
-                sub = _submodule_on_rows(tower.stages[i],
-                                         tower.composite(i, i + m))
-                witness.append(list(sub.invariants()))
-            return Lim1Verdict(verdict="unknown", certificate_kind=None,
-                               witness_chain=witness)
+    i = _confirmed_levels(tower)
+    if i < n - tower.window():
+        # record the image invariants along the first unconfirmed level
+        witness = []
+        for m in range(n - i):
+            sub = _submodule_on_rows(tower.stages[i], tower.composite(i, i + m))
+            witness.append(list(sub.invariants()))
+        return Lim1Verdict(verdict="unknown", certificate_kind=None,
+                           witness_chain=witness)
     return Lim1Verdict(verdict="zero",
                        certificate_kind="mittag_leffler_within_depth")
-
-
-# ---------------------------------------------------------------------------
-# torsion submodule and divisibility
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Gamma:
-    """Maximal torsion part for the subset, with a bounding witness."""
-
-    carrier: FPModule
-    inclusion_rows: list[list[int]]
-    witness: int | None
-    stabilized_at: int
-
-    def to_document(self) -> dict:
-        return {"invariants": list(self.carrier.invariants()),
-                "witness": self.witness,
-                "stabilized_at": self.stabilized_at}
-
-
-def torsion_submodule(module: FPModule, seq: MultSubsetSeq,
-                      depth: int | None = None) -> Gamma:
-    """Union of the kernels of t_n, certified by a constant kernel window."""
-    _check_depth(depth)
-    depth = depth if depth is not None else adequate_depth(module, seq)
-    lattices = []
-    w = len(seq.generators)
-    for n in range(1, depth + 1):
-        f = Morphism.multiplication(module, seq.t(n))
-        lattices.append(hnf_rows(f._preimage_lattice() + module.relation_rows()))
-    if depth <= w or lattices[-1] != lattices[-1 - w]:
-        raise NotStabilized("kernel chain still grows at the truncation depth",
-                            chains=[lattices])
-    stable = lattices[-1]
-    n0 = 1 + next(k for k in range(depth) if lattices[k] == stable)
-    f = Morphism.multiplication(module, seq.t(n0))
-    ker, incl = f.kernel()
-    witness = seq.t(n0)
-    scaled = Morphism.make(ker, module, [[witness * x for x in row] for row in incl.mat()])
-    assert scaled.is_zero_morphism(), "witness must annihilate the torsion part"
-    return Gamma(carrier=ker, inclusion_rows=incl.mat(), witness=witness,
-                 stabilized_at=n0)
-
-
-@dataclass
-class DivisibilityReport:
-    generator_flags: list[tuple[int, bool]]
-    divisible: bool
-    h_divisible: bool
-    max_divisible_invariants: tuple[int, ...]
-    stabilized_at: int | None
-    note: str
-
-    def to_document(self) -> dict:
-        return {"generator_flags": [[g, ok] for g, ok in self.generator_flags],
-                "divisible": self.divisible,
-                "h_divisible": self.h_divisible,
-                "max_divisible_invariants": list(self.max_divisible_invariants),
-                "stabilized_at": self.stabilized_at,
-                "note": self.note}
-
-
-def divisibility_report(module: FPModule, seq: MultSubsetSeq,
-                        depth: int | None = None) -> DivisibilityReport:
-    """Per-generator surjectivity flags and the maximal divisible submodule."""
-    _check_depth(depth)
-    depth = depth if depth is not None else adequate_depth(module, seq)
-    if module.order() is None:
-        raise ValueError("divisibility report requires a finite module")
-    flags = []
-    for g in seq.generators:
-        flags.append((g, Morphism.multiplication(module, g).is_surjective()))
-    divisible = all(ok for _, ok in flags)
-
-    lattices = []
-    for n in range(1, depth + 1):
-        t = seq.t(n)
-        rows = [[t * x for x in row] for row in Morphism.identity(module).mat()]
-        lattices.append(hnf_rows(rows + module.relation_rows()))
-    w = len(seq.generators)
-    stable_at = None
-    if depth > w and lattices[-1] == lattices[-1 - w]:
-        stable_at = 1 + next(k for k in range(depth) if lattices[k] == lattices[-1])
-    rows = [[seq.t(stable_at or depth) * x for x in row]
-            for row in Morphism.identity(module).mat()]
-    sub = _submodule_on_rows(module, rows)
-    return DivisibilityReport(
-        generator_flags=flags,
-        divisible=divisible,
-        h_divisible=divisible,
-        max_divisible_invariants=sub.invariants(),
-        stabilized_at=stable_at,
-        note="h-divisibility equals divisibility for a countable subset; "
-             "recorded from that rule, not recomputed",
-    )
 
 
 # ---------------------------------------------------------------------------

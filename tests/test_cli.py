@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import multloc
 from multloc.cli import main
@@ -70,6 +73,23 @@ class TestDistinguish:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["distinguish", "/nonexistent.json"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("doc, where", [
+        ([1], "poset document"),
+        ({"primes": 3, "covers": []}, "primes"),
+        ({"primes": ["a", 2], "covers": []}, "primes"),
+        ({"covers": []}, "primes"),
+        ({"primes": ["a", "b"], "covers": [5]}, "covers"),
+        ({"primes": ["a", "b"], "covers": [["a"]]}, "covers"),
+        ({"primes": ["a", "b"], "covers": {"a": "b"}}, "covers"),
+        ({"primes": ["a\nb"], "covers": [["a\nb", "x"]]}, "unknown prime"),
+        ({"primes": ["a\nb"], "covers": [["a\nb", "a\nb"]]}, "irreflexive"),
+    ])
+    def test_malformed_poset(self, doc, where, tmp_path, capsys):
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["distinguish", str(path)], capsys)
+        _usage_error(code, out, err, where)
 
 
 class TestArtinian:
@@ -309,6 +329,32 @@ class TestModulePayloads:
         code, out, err = run_cli(["verify-cert", str(path)], capsys)
         _usage_error(code, out, err, where)
 
+    @pytest.mark.parametrize("key, value", [
+        ("map", 5), ("map", [["a"]]), ("map", [3]), ("into", "x"), ("retract", [[1.0]]),
+        ("inject", [[True]]), ("project", None), ("transitions", 7), ("transitions", [5]),
+        ("transitions", [[[1], ["b"]]]),
+    ])
+    def test_malformed_payload_map(self, key, value, tmp_path, capsys):
+        doc = self._cert_doc()
+        doc["root"]["payload"][key] = value
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify-cert", str(path)], capsys)
+        _usage_error(code, out, err, f"root.payload.{key}")
+
+    @pytest.mark.parametrize("key, value", [
+        ("s", "x"), ("s", 2.0), ("s", [2]), ("generators", 3), ("generators", ["2"]),
+    ])
+    def test_malformed_seed_tag(self, key, value, tmp_path, capsys):
+        doc = self._cert_doc()
+        seed = doc["root"]["children"][0]
+        assert seed["tag"]["kind"] == "QuotientRingModule"
+        seed["tag"][key] = value
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify-cert", str(path)], capsys)
+        _usage_error(code, out, err, f"root.0.tag.{key}")
+
     @pytest.mark.parametrize("tests, where", [
         ({"gens": 1, "modulus": 12, "relations": [[4]]}, "tests: must be a list"),
         ([{"gens": 1, "modulus": 12, "relations": [[4.0]]}], "tests.0: relations"),
@@ -321,6 +367,83 @@ class TestModulePayloads:
         tpath.write_text(json.dumps(tests))
         code, out, err = run_cli(["verify-cert", str(path), "--tests", str(tpath)], capsys)
         _usage_error(code, out, err, where)
+
+
+# JSON values that are never what the slot they replace asks for
+SCALARS = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+                    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+NOT_INT = st.one_of(SCALARS, st.lists(st.integers(), max_size=2))
+NOT_NATURAL = st.one_of(NOT_INT, st.integers(max_value=-1))
+NOT_ROWS = st.one_of(SCALARS, st.integers(), st.lists(st.integers(), min_size=1, max_size=3),
+                     st.lists(st.lists(NOT_INT, min_size=1, max_size=2), min_size=1, max_size=2))
+NOT_MATRICES = st.one_of(SCALARS, st.integers(), st.lists(NOT_ROWS, min_size=1, max_size=2))
+NOT_STR = st.one_of(st.none(), st.booleans(), st.integers(), st.lists(st.text(max_size=2),
+                                                                      max_size=2))
+NOT_LIST = st.one_of(SCALARS, st.integers())
+NOT_PAIR = st.one_of(NOT_LIST, st.lists(st.sampled_from(["a", "b"]), max_size=4)
+                     .filter(lambda c: len(c) != 2),
+                     st.lists(NOT_STR, min_size=2, max_size=2))
+
+
+@functools.cache
+def _fuzz_cert_doc() -> str:
+    from multloc.certs import decompose_weakly_cotorsion
+    from multloc.fpmod import FPModule
+    return json.dumps(decompose_weakly_cotorsion(FPModule.from_invariants([8]), 2).to_document())
+
+
+def _cert_case(where, key, value):
+    doc = json.loads(_fuzz_cert_doc())
+    slot = {"module": doc["root"]["payload"]["module"], "payload": doc["root"]["payload"],
+            "tag": doc["root"]["children"][0]["tag"]}[where]
+    slot[key] = value
+    return ["verify-cert"], doc
+
+
+def _poset_case(key, value):
+    doc = {"primes": ["a", "b"], "covers": [["a", "b"]]}
+    if key is None:
+        return ["distinguish"], value
+    doc[key] = value
+    return ["distinguish"], doc
+
+
+MALFORMED = st.one_of(
+    st.builds(_cert_case, st.just("module"), st.sampled_from(["gens", "modulus"]), NOT_NATURAL),
+    st.builds(_cert_case, st.just("module"), st.just("relations"), NOT_ROWS),
+    st.builds(_cert_case, st.just("payload"),
+              st.sampled_from(["into", "retract", "inject", "project", "map"]), NOT_ROWS),
+    st.builds(_cert_case, st.just("payload"), st.just("transitions"), NOT_MATRICES),
+    st.builds(_cert_case, st.just("tag"), st.just("s"), NOT_INT),
+    st.builds(_cert_case, st.just("tag"), st.just("generators"),
+              st.one_of(NOT_LIST, st.lists(NOT_INT, min_size=1, max_size=2))),
+    st.builds(_poset_case, st.none(), st.one_of(NOT_LIST, st.lists(st.integers(), max_size=2))),
+    st.builds(_poset_case, st.just("primes"),
+              st.one_of(NOT_LIST, st.lists(NOT_STR, min_size=1, max_size=2))),
+    st.builds(_poset_case, st.just("covers"),
+              st.one_of(NOT_LIST, st.lists(NOT_PAIR, min_size=1, max_size=2))),
+    st.builds(lambda key, value: (["complete", "--generators", "2", "--presentation"],
+                                  {"gens": 1, key: value}),
+              st.sampled_from(["gens", "modulus"]), NOT_NATURAL),
+    st.builds(lambda value: (["complete", "--generators", "2", "--presentation"],
+                             {"gens": 1, "relations": value}), NOT_ROWS),
+)
+
+
+class TestParserFuzz:
+    """Certificate, module and poset documents: every malformed value is a
+    usage error with one line on stderr, never a traceback."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=MALFORMED)
+    def test_malformed_documents_exit_2(self, case, tmp_path, capsys):
+        command, doc = case
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(command + [str(path)], capsys)
+        assert code == 2 and out == "", (doc, out)
+        assert len(err.splitlines()) == 1, err
 
 
 class TestBatteryCLI:

@@ -14,9 +14,7 @@ from multloc.poset import (
     build_pair_dim2,
     build_wave,
     mu,
-    shrink_to_witnesses,
     spectrum_of_R_Js,
-    subsets_spectrum_equivalent,
     verify_distinguishing,
     DistinguishingFamily,
 )
@@ -87,7 +85,8 @@ class TestAvoidance:
             target = rng.choice(poset.primes)
             forbidden = {q for q in poset.primes if not poset.leq(target, q)}
             e = avoidance_element(poset, target, forbidden)
-            assert e.check_upward_closed(poset)
+            assert all(q in e.locus for p in e.locus for q in poset.primes
+                       if poset.less(p, q))
             assert not (e.locus & forbidden)
 
 
@@ -335,53 +334,6 @@ class TestVerifier:
             rep = verify_distinguishing(poset, fam, exhaustive_budget=100000)
             assert rep.exhaustive_choices_checked > 0
             assert rep.passed()
-
-
-class TestSpectrumEquivalence:
-    def test_same_subset(self):
-        poset = chain_poset(1)
-        s, _ = build_pair_dim2(poset)
-        assert subsets_spectrum_equivalent(poset, s, s)
-
-    def test_different_generators_same_pattern(self):
-        from multloc.poset import AbstractElement
-        poset = chain_poset(1)
-        g1 = AbstractElement("a", frozenset({"c1"}))
-        g2 = AbstractElement("b", frozenset({"c1"}))
-        s = MultSubsetModel((g1,))
-        t = MultSubsetModel((g1, g2))
-        assert subsets_spectrum_equivalent(poset, s, t)
-
-    def test_distinct_patterns(self):
-        from multloc.poset import AbstractElement
-        poset = antichain_poset(2)
-        s = MultSubsetModel((AbstractElement("a", frozenset({"a0"})),))
-        t = MultSubsetModel((AbstractElement("b", frozenset({"a1"})),))
-        assert not subsets_spectrum_equivalent(poset, s, t)
-
-    def test_shrink(self):
-        from multloc.poset import AbstractElement
-        poset = antichain_poset(2)
-        gens = tuple(AbstractElement(f"g{i}", frozenset({"a0"})) for i in range(5))
-        s = MultSubsetModel(gens)
-        t = shrink_to_witnesses(poset, s)
-        assert len(t.generators) == 1
-        assert subsets_spectrum_equivalent(poset, s, t)
-
-    def test_shrink_empty(self):
-        poset = antichain_poset(2)
-        t = shrink_to_witnesses(poset, MultSubsetModel(()))
-        assert t.generators == ()
-
-    def test_shrink_two_primes(self):
-        rng = random.Random(9)
-        poset = random_ranked_poset(rng, 2, 8)
-        fam = build_mu_family(poset)
-        for s in fam.subsets:
-            t = shrink_to_witnesses(poset, s)
-            assert subsets_spectrum_equivalent(poset, s, t)
-            hit = sum(1 for p in poset.primes if s.intersects(p))
-            assert len(t.generators) <= hit
 
 
 class TestRandomCorpusInvariant:

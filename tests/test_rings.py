@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multloc.fpmod import FPModule
 from multloc.rings import (
@@ -17,7 +19,6 @@ from multloc.rings import (
     classify_S1_S2,
     content,
     is_projective_over_Z_mod_s,
-    projectivity_idempotent_witness,
     projectivity_oracle_direct_summand,
     strongly_flat_criterion_fg,
 )
@@ -154,8 +155,7 @@ class TestArtinianQuadruple:
 class TestProjectivity:
     def test_3_in_12(self):
         assert is_projective_over_Z_mod_s(3, 12) is True
-        e = projectivity_idempotent_witness(3, 12)
-        assert e is not None and (e * e) % 12 == e
+        assert projectivity_oracle_direct_summand(3, 12) is True
 
     def test_2_in_12(self):
         assert is_projective_over_Z_mod_s(2, 12) is False
@@ -175,14 +175,6 @@ class TestProjectivity:
                     continue
                 assert is_projective_over_Z_mod_s(d, s) == \
                     projectivity_oracle_direct_summand(d, s), (d, s)
-
-    def test_idempotent_exists_iff_projective(self):
-        for s in range(2, 40):
-            for d in range(1, s + 1):
-                if s % d:
-                    continue
-                has_e = projectivity_idempotent_witness(d, s) is not None
-                assert has_e == is_projective_over_Z_mod_s(d, s)
 
 
 class TestStronglyFlat:
@@ -207,3 +199,20 @@ class TestStronglyFlat:
         # Z/2 with m = 4: F/4F = Z/2 over Z/4 is not projective
         rep = strongly_flat_criterion_fg(FPModule.from_invariants([2]), 4)
         assert rep.quotient_projectivity[0] == (4, False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(inv=st.lists(st.integers(min_value=0, max_value=400), max_size=4),
+           m=st.integers(min_value=1, max_value=60),
+           depth=st.integers(min_value=1, max_value=4))
+    def test_matches_closed_form(self, inv, m, depth):
+        rep = strongly_flat_criterion_fg(FPModule.from_invariants(inv), m, depth)
+        torsion = [d for d in inv if d > 1]
+        assert rep.flat == (not torsion)
+        # the part of d coprime to m: divide out gcd(d, m^e) for e past log2(d)
+        assert rep.localized_projective == all(
+            d // math.gcd(d, m ** d.bit_length()) == 1 for d in torsion)
+        assert [s for s, _ in rep.quotient_projectivity] == \
+            [m ** k for k in range(1, depth + 1)]
+        for s, ok in rep.quotient_projectivity:
+            assert ok == all(is_projective_over_Z_mod_s(math.gcd(d, s), s) for d in torsion)
+        assert rep.criterion_holds == rep.flat

@@ -15,13 +15,11 @@ from multloc.towers import (
     adequate_depth,
     constant_hom_tower,
     delta_truncated,
-    divisibility_report,
     five_term_check,
     is_weakly_cotorsion_fg,
     quotient_tower,
     telescope_complex,
     telescope_homology_check,
-    torsion_submodule,
     torsion_tower,
     tower_lim,
     tower_lim1,
@@ -59,21 +57,6 @@ class TestSchedule:
             MultSubsetSeq(generators=())
         with pytest.raises(ValueError):
             MultSubsetSeq(generators=(0,))
-
-
-class TestTorsionSubmodule:
-    def test_z12_at_2(self):
-        g = torsion_submodule(z_mod(12), seq(2))
-        assert g.carrier.invariants() == (4,)
-        assert g.witness == 4
-
-    def test_free_module(self):
-        g = torsion_submodule(FPModule.from_presentation([], gens=1), seq(2))
-        assert g.carrier.is_zero()
-
-    def test_z9_at_2(self):
-        g = torsion_submodule(z_mod(9), seq(2))
-        assert g.carrier.is_zero()
 
 
 class TestTowers:
@@ -232,22 +215,6 @@ class TestDelta:
             delta_truncated(FPModule.from_presentation([], gens=1), seq(2))
 
 
-class TestDivisibility:
-    def test_z5_divisible_by_2(self):
-        rep = divisibility_report(z_mod(5), seq(2))
-        assert rep.divisible and rep.h_divisible
-
-    def test_z4_not_divisible(self):
-        rep = divisibility_report(z_mod(4), seq(2))
-        assert not rep.divisible
-        assert rep.max_divisible_invariants == ()
-
-    def test_z12_divisible_part(self):
-        rep = divisibility_report(z_mod(12), seq(2))
-        assert not rep.divisible
-        assert rep.max_divisible_invariants == (3,)
-
-
 class TestFiveTerm:
     def test_z8_at_2(self):
         rep = five_term_check(z_mod(8), seq(2))
@@ -333,7 +300,7 @@ class TestDepthValidation:
     def test_rejected(self, depth):
         m, s = z_mod(12), seq(2)
         for call in (quotient_tower, torsion_tower, constant_hom_tower, delta_truncated,
-                     five_term_check, torsion_submodule, divisibility_report):
+                     five_term_check):
             with pytest.raises(ValueError, match="depth"):
                 call(m, s, depth)
 
@@ -384,8 +351,9 @@ class TestFailureEvidence:
 
 
 def quadratic_image_chains(tower):
-    """The image-chain routine before bisection: one HNF per (level, source)
-    pair, then a scan for the first source giving the stable image."""
+    """Per level, whether the final window confirms its image chain, by a
+    scan: one HNF per (level, source) pair, composites built upwards from
+    the level itself."""
     n = tower.depth
     w = tower.window()
     mats = [f.mat() for f in tower.transitions]
@@ -398,11 +366,7 @@ def quadratic_image_chains(tower):
         for m in range(i + 1, n):
             comp = mat_mul(mats[m - 1], comp)
             lattices.append(towers.hnf_rows(comp + rel))
-        stable = stable_at = None
-        if len(lattices) >= w + 1 and lattices[-1] == lattices[-1 - w]:
-            stable = lattices[-1]
-            stable_at = i + next(k for k in range(len(lattices)) if lattices[k] == stable)
-        out.append((stable, stable_at))
+        out.append(len(lattices) >= w + 1 and lattices[-1] == lattices[-1 - w])
     return out
 
 
@@ -425,16 +389,20 @@ def shared_hnf(monkeypatch):
 def assert_same_chains(module, s, depth):
     for build in (quotient_tower, torsion_tower, constant_hom_tower):
         tower = build(module, s, depth)
-        assert quadratic_image_chains(tower) == list(towers._stable_image_chains(tower)), \
+        confirmed = quadratic_image_chains(tower) + [False]
+        assert confirmed.index(False) == towers._confirmed_levels(tower), \
             (module, s.generators, depth, build.__name__)
 
 
 class TestBisectedImageChains:
     def test_constant_window_is_not_a_certificate(self):
-        # the level-2 torsion chain is constant for 18 stages, then drops at 20
+        # the level-2 torsion chain is constant from stage 2 through 19 (18
+        # stages, six full windows of the period 3), then drops at stage 20
         t = torsion_tower(z_mod(64), seq(3, 5, 6), 31)
-        assert tower_lim(t).certificate.image_stable_at == \
-            [0, 1, 20, 20, 20, 23, 23, 23, 26, 26, 26]
+        rel = t.stages[2].relation_rows()
+        images = [towers.hnf_rows(t.composite(2, k) + rel) for k in range(2, 31)]
+        assert images == [[[1]]] * 18 + [[[2]]] * 11
+        assert towers._confirmed_levels(t) == 11
 
     def test_matches_quadratic_scan_on_battery_towers(self, shared_hnf):
         for d in range(1, 65):
@@ -457,12 +425,7 @@ def kernel_route_lim(tower):
     through its kernel and cokernel."""
     n = tower.depth
     w = tower.window()
-    stable_at = []
-    for stable, at in towers._stable_image_chains(tower):
-        if stable is None:
-            break
-        stable_at.append(at)
-    i_max = len(stable_at) - 1
+    i_max = towers._confirmed_levels(tower) - 1
     if i_max < w:
         raise NotStabilized("image chains not confirmed within depth",
                             chains=[[list(s.invariants()) for s in tower.stages]])
@@ -490,8 +453,7 @@ def kernel_route_lim(tower):
         raise NotStabilized("stable images keep changing through the truncation",
                             chains=[[canonical_invariants(list(sub(i).invariants()), 0)
                                      for i in range(i_max + 1)]])
-    cert = towers.LimCertificate(stable_index=iso_down_to, verified_through=i_max,
-                                 image_stable_at=stable_at)
+    cert = towers.LimCertificate(stable_index=iso_down_to, verified_through=i_max)
     return towers.TowerLimit(module=sub(iso_down_to), carrier_rows=carrier[iso_down_to],
                              stage_index=iso_down_to, certificate=cert)
 
