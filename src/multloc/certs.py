@@ -11,7 +11,6 @@ Z or Z/N), which the instantiation checker validates joint by joint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .fpmod import (
@@ -21,6 +20,7 @@ from .fpmod import (
     is_exact_pair,
 )
 from .ext import ext1, ext2
+from .intlinalg import _saturate_divisor, identity
 from .towers import (
     MultSubsetSeq,
     adequate_depth,
@@ -393,8 +393,7 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
             tag={"kind": "LocalizedRingModule", "generators": [m]},
             payload={"module": canon}))
     else:
-        ident = [[1 if i == j else 0 for j in range(canon.gens)]
-                 for i in range(canon.gens)]
+        ident = identity(canon.gens)
         root = CertNode(kind="Extension", level=1,
                         children=[div_seed, omega],
                         payload={"module": canon, "inject": div_rows,
@@ -428,19 +427,6 @@ def _omega_node_from_quotients(canon: FPModule, quo, n0: int,
                              "transitions": trans})
 
 
-def _saturate_divisor(d: int, n: int) -> int:
-    """Product of the full prime powers of n over the primes dividing d.
-
-    Peels from n every prime it shares with d by repeated gcds, so n is
-    never factored."""
-    m = n
-    g = math.gcd(m, d)
-    while g > 1:
-        m //= g
-        g = math.gcd(m, g)
-    return n // m
-
-
 def embed_two_obtainable(module: FPModule) -> Certificate:
     """Realize a Z/N-module as the kernel of a surjection between modules of
     the injective class: its injective envelope and the quotient by it."""
@@ -456,7 +442,7 @@ def embed_two_obtainable(module: FPModule) -> Certificate:
     inject = Morphism.make(canon, big, embed_rows)
     assert inject.is_well_defined() and inject.is_injective()
     quot = inject.cokernel()
-    ident = [[1 if i == j else 0 for j in range(big.gens)] for i in range(big.gens)]
+    ident = identity(big.gens)
 
     root = CertNode(
         kind="KernelOfSurjection", level=2,

@@ -12,21 +12,19 @@ exact and deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .intlinalg import (
     canonical_invariants,
     hnf_rows,
+    identity,
     lattice_member,
     left_nullspace,
     mat_mul,
     smith_normal_form,
     solve_left,
 )
-
-
-_HNF_CACHE: dict = {}
-_INV_CACHE: dict = {}
 
 
 def merge_invariants(blocks) -> tuple[int, ...]:
@@ -82,40 +80,18 @@ class FPModule:
     # -- lattice of relations ------------------------------------------------
 
     def relation_rows(self) -> list[list[int]]:
-        rows = [list(r) for r in self.relations]
-        if self.modulus:
-            for i in range(self.gens):
-                row = [0] * self.gens
-                row[i] = self.modulus
-                rows.append(row)
-        return rows
+        return _relation_rows(self.gens, self.relations, self.modulus)
 
     def relation_hnf(self) -> tuple[tuple[int, ...], ...]:
         """HNF rows of the relation lattice, shared by equal presentations
         and so kept as tuples."""
-        key = (self.gens, self.relations, self.modulus)
-        cached = _HNF_CACHE.get(key)
-        if cached is None:
-            cached = tuple(map(tuple, hnf_rows(self.relation_rows())))
-            _HNF_CACHE[key] = cached
-        return cached
+        return _relation_hnf(self.gens, self.relations, self.modulus)
 
     # -- structure -----------------------------------------------------------
 
     def invariants(self) -> tuple[int, ...]:
         """Cyclic decomposition: torsion orders in a divisibility chain, 0 = free."""
-        key = (self.gens, self.relations, self.modulus)
-        cached = _INV_CACHE.get(key)
-        if cached is not None:
-            return cached
-        rows = self.relation_rows()
-        if not rows:
-            result = (0,) * self.gens
-        else:
-            nz = [d for d in smith_normal_form(rows) if d != 0]
-            result = canonical_invariants(nz, self.gens - len(nz))
-        _INV_CACHE[key] = result
-        return result
+        return _invariants(self.gens, self.relations, self.modulus)
 
     def order(self) -> int | None:
         """Number of elements, or None when infinite."""
@@ -181,8 +157,7 @@ class Morphism:
 
     @staticmethod
     def identity(m: FPModule) -> "Morphism":
-        return Morphism.make(m, m, [[1 if i == j else 0 for j in range(m.gens)]
-                                    for i in range(m.gens)])
+        return Morphism.make(m, m, identity(m.gens))
 
     @staticmethod
     def multiplication(m: FPModule, scalar: int) -> "Morphism":
@@ -270,6 +245,30 @@ class Morphism:
         """A surjection between isomorphic finitely generated modules is
         injective (they are Hopfian: Vasconcelos, Trans. AMS 138, 1969)."""
         return self.is_surjective() and isomorphic(self.source, self.target)
+
+
+def _relation_rows(gens: int, relations, modulus: int) -> list[list[int]]:
+    rows = [list(r) for r in relations]
+    if modulus:
+        for i in range(gens):
+            row = [0] * gens
+            row[i] = modulus
+            rows.append(row)
+    return rows
+
+
+@functools.cache
+def _relation_hnf(gens: int, relations, modulus: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, hnf_rows(_relation_rows(gens, relations, modulus))))
+
+
+@functools.cache
+def _invariants(gens: int, relations, modulus: int) -> tuple[int, ...]:
+    rows = _relation_rows(gens, relations, modulus)
+    if not rows:
+        return (0,) * gens
+    nz = [d for d in smith_normal_form(rows) if d != 0]
+    return canonical_invariants(nz, gens - len(nz))
 
 
 def direct_sum(*mods: FPModule) -> FPModule:

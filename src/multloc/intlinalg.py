@@ -99,6 +99,19 @@ def canonical_invariants(factors: list[int], rank: int = 0) -> tuple[int, ...]:
     return tuple(d for d in chain if d != 1) + (0,) * rank
 
 
+def _saturate_divisor(d: int, n: int) -> int:
+    """Product of the full prime powers of n over the primes dividing d.
+
+    Peels from n every prime it shares with d by repeated gcds, so n is
+    never factored."""
+    m = n
+    g = gcd(m, d)
+    while g > 1:
+        m //= g
+        g = gcd(m, g)
+    return n // m
+
+
 def smith_normal_form(a: list[list[int]]) -> list[int]:
     """Invariant factors of an integer matrix: the diagonal of its Smith normal
     form, nonnegative, each dividing the next, padded with zeros to min(shape).

@@ -112,9 +112,6 @@ def random_certificate(rng: random.Random, modulus: int, ann: int,
                         tag={"kind": "QuotientRingModule", "s": ann},
                         payload={"module": mod})
 
-    def ident(m: FPModule):
-        return [[1 if i == j else 0 for j in range(m.gens)] for i in range(m.gens)]
-
     def inc_rows(part: FPModule, total: FPModule, offset: int):
         rows = [[0] * total.gens for _ in range(part.gens)]
         for i in range(part.gens):

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .fpmod import FPModule
+from .intlinalg import _saturate_divisor
 
 
 class ZeroPolynomial(Exception):
@@ -468,7 +469,7 @@ def strongly_flat_criterion_fg(F: FPModule, m: int, depth: int = 3) -> StronglyF
                 ok = False
         quotients.append((s, ok))
 
-    localized = all(_strip_primes_of(d, m) == 1 for d in torsion)
+    localized = all(_saturate_divisor(m, d) == d for d in torsion)
     criterion = flat and localized and all(ok for _, ok in quotients)
     return StronglyFlatReport(
         invariants=inv,
@@ -477,15 +478,3 @@ def strongly_flat_criterion_fg(F: FPModule, m: int, depth: int = 3) -> StronglyF
         localized_projective=localized,
         criterion_holds=criterion,
     )
-
-
-def _strip_primes_of(d: int, m: int) -> int:
-    """Remove from d every prime factor it shares with m."""
-    if m == 1:
-        return d
-    g = math.gcd(d, m)
-    while g > 1:
-        while d % g == 0:
-            d //= g
-        g = math.gcd(d, m)
-    return d

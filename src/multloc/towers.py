@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from .fpmod import (
     FPModule,
     Morphism,
+    _invariants,
+    _relation_hnf,
     canonical_invariants,
     factor_through_submodule,
     merge_invariants,
@@ -66,9 +68,6 @@ class MultSubsetSeq:
             out *= self.s(k)
         return out
 
-    def key(self):
-        return (self.generators, self.modulus)
-
 
 def _check_depth(depth: int | None) -> None:
     if depth is not None and depth < 1:
@@ -112,8 +111,8 @@ def adequate_depth(module: FPModule, seq: MultSubsetSeq,
 class Tower:
     """Stages M_1 .. M_N with transitions M_{n+1} -> M_n.
 
-    ``stage_inclusions`` (when present) realize each stage inside a common
-    ambient module, e.g. torsion stages inside the module itself.
+    ``stage_inclusions`` (torsion towers only) realize each stage inside the
+    module itself.
     ``period`` is the schedule period for towers built from a generator
     schedule; the stability window spans one full period.  A chain that is
     constant across one period is constant forever only once the stages
@@ -125,7 +124,6 @@ class Tower:
 
     stages: list[FPModule]
     transitions: list[Morphism]
-    label: str = ""
     t_values: list[int] = field(default_factory=list)
     stage_inclusions: list[Morphism] | None = None
     period: int | None = None
@@ -141,8 +139,7 @@ class Tower:
         """Matrix of the composite stages[from_index] -> stages[to_index]."""
         if from_index < to_index:
             raise ValueError("composite runs downwards")
-        mat = [[1 if i == j else 0 for j in range(self.stages[from_index].gens)]
-               for i in range(self.stages[from_index].gens)]
+        mat = identity(self.stages[from_index].gens)
         for m in range(from_index - 1, to_index - 1, -1):
             mat = mat_mul(mat, self.transitions[m].mat())
         return mat
@@ -166,16 +163,9 @@ def quotient_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DE
         stages.append(FPModule.from_presentation(rows, gens=module.gens,
                                                  modulus=module.modulus))
         tvals.append(t)
-    transitions = [Morphism.make(stages[k + 1], stages[k],
-                                 [[1 if i == j else 0 for j in range(module.gens)]
-                                  for i in range(module.gens)])
+    transitions = [Morphism.make(stages[k + 1], stages[k], identity(module.gens))
                    for k in range(depth - 1)]
-    inclusions = [Morphism.make(module, st,
-                                [[1 if i == j else 0 for j in range(module.gens)]
-                                 for i in range(module.gens)])
-                  for st in stages]
-    return Tower(stages=stages, transitions=transitions, label="quotient",
-                 t_values=tvals, stage_inclusions=inclusions,
+    return Tower(stages=stages, transitions=transitions, t_values=tvals,
                  period=len(seq.generators))
 
 
@@ -200,7 +190,7 @@ def torsion_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DEP
         if coeffs is None:
             raise AssertionError("torsion transition failed to factor")
         transitions.append(Morphism.make(src, tgt, coeffs))
-    return Tower(stages=stages, transitions=transitions, label="torsion",
+    return Tower(stages=stages, transitions=transitions,
                  t_values=tvals, stage_inclusions=inclusions,
                  period=len(seq.generators))
 
@@ -216,10 +206,9 @@ def constant_hom_tower(module: FPModule, seq: MultSubsetSeq,
     stages = [module for _ in range(depth)]
     transitions = [Morphism.multiplication(module, seq.s(k + 2))
                    for k in range(depth - 1)]
-    inclusions = [Morphism.identity(module) for _ in range(depth)]
-    return Tower(stages=stages, transitions=transitions, label="constant",
+    return Tower(stages=stages, transitions=transitions,
                  t_values=[seq.t(n) for n in range(1, depth + 1)],
-                 stage_inclusions=inclusions, period=len(seq.generators))
+                 period=len(seq.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +379,7 @@ class TelescopeComplex:
         """Check unimodularity, both chain-map squares, the retraction
         f o g = id, and both homotopy identities for g o f ~ id."""
         n, t = self.n, self.companion
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        ident = identity(n)
         out = {
             "substitution_unimodular": abs(determinant(self.differential)) == 1,
             "f_chain_map": mat_mul(self.two_term, self.f1)
@@ -427,14 +416,7 @@ def telescope_complex(seq: MultSubsetSeq, n: int) -> TelescopeComplex:
         if i >= 1:
             differential[i][i - 1] = -s[i - 1]
 
-    # row convention: x_c maps to -s_{c+1} y_{c+1} + y_c... concretely
-    # two_term[c][r] is the y_{r+1}-coefficient of the image of x_c
-    two_term = [[0] * n for _ in range(n)]
-    for c in range(n):
-        two_term[c][c] = -s[c]
-        if c >= 1:
-            two_term[c][c - 1] = 1
-
+    two_term = _two_term(s)
     f0 = [[1 if c == 0 else 0] for c in range(n)]
     f1 = [[-_prod(s[r + 1:])] for r in range(n)]
     g0 = [[seq.t(c) for c in range(n)]]
@@ -444,6 +426,18 @@ def telescope_complex(seq: MultSubsetSeq, n: int) -> TelescopeComplex:
     return TelescopeComplex(n=n, schedule=tuple(s), companion=t_n,
                             differential=differential, two_term=two_term,
                             f0=f0, f1=f1, g0=g0, g1=g1, homotopy=homotopy)
+
+
+def _two_term(s) -> list[list[int]]:
+    """Row convention: x_c maps to -s_{c+1} y_{c+1} + y_c... concretely
+    two_term[c][r] is the y_{r+1}-coefficient of the image of x_c."""
+    n = len(s)
+    two_term = [[0] * n for _ in range(n)]
+    for c in range(n):
+        two_term[c][c] = -s[c]
+        if c >= 1:
+            two_term[c][c - 1] = 1
+    return two_term
 
 
 def _prod(xs) -> int:
@@ -469,12 +463,18 @@ class TelescopeHomologyReport:
                 "pass": self.passed()}
 
 
-_TEL_MEMO: dict = {}
-_TEL_SNF_MEMO: dict = {}
+def _dual(schedule: tuple[int, ...]) -> list[list[int]]:
+    """The row-convention dual of the two-term matrix."""
+    return [list(col) for col in zip(*_two_term(schedule))]
 
 
-def _telescope_dual_homology(schedule: tuple[int, ...], d: int, modulus: int,
-                             dual: list[list[int]]):
+@functools.cache
+def _dual_factors(schedule: tuple[int, ...]) -> list[int]:
+    return smith_normal_form(_dual(schedule))
+
+
+@functools.cache
+def _telescope_dual_homology(schedule: tuple[int, ...], d: int, modulus: int):
     """Homology of the dual two-term matrix on (Z/d)^n (or Z^n for d = 0).
 
     H0 comes from the stacked presentation [dual; d*I]; H1 uses the Smith
@@ -482,15 +482,8 @@ def _telescope_dual_homology(schedule: tuple[int, ...], d: int, modulus: int,
     invertible, so the kernel is the sum of the kernels of the diagonal
     entries.
     """
-    key = (schedule, d, modulus)
-    if key in _TEL_MEMO:
-        return _TEL_MEMO[key]
     n = len(schedule)
-    if schedule not in _TEL_SNF_MEMO:
-        _TEL_SNF_MEMO[schedule] = smith_normal_form(dual)
-    diag = _TEL_SNF_MEMO[schedule]
-
-    rows = [list(r) for r in dual]
+    rows = _dual(schedule)
     if d:
         for i in range(n):
             row = [0] * n
@@ -499,10 +492,9 @@ def _telescope_dual_homology(schedule: tuple[int, ...], d: int, modulus: int,
     h0 = FPModule.from_presentation(rows, gens=n, modulus=modulus).invariants()
 
     # x acts on Z/d with kernel Z/gcd(x, d); on Z with kernel Z if x = 0, else 0
-    h1 = merge_invariants([(math.gcd(x, d),) for x in diag if d or x == 0])
-    out = (h0, h1)
-    _TEL_MEMO[key] = out
-    return out
+    h1 = merge_invariants([(math.gcd(x, d),) for x in _dual_factors(schedule)
+                           if d or x == 0])
+    return h0, h1
 
 
 def telescope_homology_check(seq: MultSubsetSeq, n: int,
@@ -513,10 +505,8 @@ def telescope_homology_check(seq: MultSubsetSeq, n: int,
     each cyclic factor of M (stacked-presentation SNF and toolkit kernel).
     Direct route: M/t_nM and the t_n-torsion from the multiplication map.
     """
-    tc = telescope_complex(seq, n)
-    dual = [list(col) for col in zip(*tc.two_term)]   # row-convention dual map
-
-    blocks = [_telescope_dual_homology(tc.schedule, d, module.modulus, dual)
+    schedule = telescope_complex(seq, n).schedule
+    blocks = [_telescope_dual_homology(schedule, d, module.modulus)
               for d in module.invariants()]
     h0_engine = merge_invariants(cok for cok, _ in blocks)
     h1_engine = merge_invariants(ker for _, ker in blocks)
@@ -562,7 +552,7 @@ def delta_truncated(module: FPModule, seq: MultSubsetSeq,
     quotient tower keeps growing at depth.
     """
     _check_depth(depth)
-    blocks = [_unwrap(_cyclic_completion(d, module.modulus, seq, depth).delta)
+    blocks = [_unwrap(_complete_cyclic(d, module.modulus, seq, depth).delta)
               for d in module.invariants()]
     if not blocks:
         zero = Lim1Verdict(verdict="zero", certificate_kind="finite_stages")
@@ -643,9 +633,7 @@ def _five_term_assemble(module: FPModule, seq: MultSubsetSeq, tor: Tower, con: T
     if ok_struct:
         iota = Morphism.make(l1, l2, iota_coeffs)
     ev = Morphism.make(l2, module, [[t_star * x for x in row] for row in con_rows])
-    pi = Morphism.make(module, lam,
-                       [[1 if i == j else 0 for j in range(lam.gens)]
-                        for i in range(module.gens)])
+    pi = Morphism.make(module, lam, identity(module.gens))
     ext = pi.cokernel()
 
     injective_start = ok_struct and iota.is_well_defined() and iota.is_injective()
@@ -679,7 +667,7 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
     if module.order() is None:
         raise ValueError("five-term check requires a finite module")
     inv = module.invariants()
-    blocks = [_unwrap(_cyclic_completion(d, module.modulus, seq, depth).five_term)
+    blocks = [_unwrap(_complete_cyclic(d, module.modulus, seq, depth).five_term)
               for d in inv]
     if not blocks:
         zero = Lim1Verdict(verdict="zero", certificate_kind="finite_stages")
@@ -743,18 +731,7 @@ class _CyclicCompletion:
     five_term: dict | _Failure | None      # None for a free factor
 
 
-_COMPLETION_MEMO: dict = {}
-
-
-def _cyclic_completion(d: int, modulus: int, seq: MultSubsetSeq,
-                       depth: int | None) -> _CyclicCompletion:
-    key = (d, modulus, seq.key(), depth)
-    record = _COMPLETION_MEMO.get(key)
-    if record is None:
-        record = _COMPLETION_MEMO[key] = _complete_cyclic(d, modulus, seq, depth)
-    return record
-
-
+@functools.cache
 def _complete_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
                      depth: int | None) -> _CyclicCompletion:
     """Each tower built once, each limit taken once.  Delta needs the
@@ -783,6 +760,15 @@ def _complete_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
     failure = next((lim for lim in lims if isinstance(lim, _Failure)), None)
     five_term = failure or _five_term_assemble(module, seq, tor, con, quo, lims, verdict)
     return _CyclicCompletion(delta=delta, five_term=five_term)
+
+
+def clear_caches() -> None:
+    """Empty every cross-call memo of the package.  Each holds a pure
+    function of its arguments, so this changes no answer, only the work
+    the next calls do."""
+    for memo in (_relation_hnf, _invariants, _dual_factors, _telescope_dual_homology,
+                 _complete_cyclic):
+        memo.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,74 @@
+"""The one memo mechanism: every cross-call memo in ``src/multloc`` is a
+``functools.cache`` that ``towers.clear_caches`` empties, and the battery
+run empties them before its first pass."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import multloc
+from multloc import battery, towers
+from multloc.fpmod import FPModule
+from multloc.towers import MultSubsetSeq, clear_caches
+
+SRC = Path(multloc.__file__).resolve().parent
+
+
+def module_memos() -> list:
+    """Every module-level function of the package that carries a cache."""
+    memos = {}
+    for info in pkgutil.iter_modules(multloc.__path__):
+        module = importlib.import_module(f"multloc.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                memos[id(value)] = value
+    return list(memos.values())
+
+
+def test_clear_caches_empties_every_memo():
+    module = FPModule.from_invariants([4, 12])
+    towers.five_term_check(module, MultSubsetSeq(generators=(2, 3)))
+    towers.telescope_homology_check(MultSubsetSeq(generators=(2, 3)), 4, module)
+    memos = module_memos()
+    assert memos
+    assert all(memo.cache_info().currsize > 0 for memo in memos)
+    clear_caches()
+    assert {memo.__qualname__: memo.cache_info().currsize for memo in memos} == {
+        memo.__qualname__: 0 for memo in memos}
+
+
+def test_run_battery_clears_before_its_first_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(battery, "clear_caches", lambda: calls.append("clear"))
+
+    def one_pass(seed, quick=False):
+        calls.append("pass")
+        return [{"criterion": 1, "pass": True, "details": {}, "_elapsed": 0.0}]
+
+    monkeypatch.setattr(battery, "run_criteria_1_to_10", one_pass)
+    doc, _ = battery.run_battery(7, quick=True)
+    assert calls == ["clear", "pass", "pass"]
+    assert doc["all_pass"]
+
+
+EMPTY_CALLS = {"dict", "list", "set"}
+
+
+def empty_container(node) -> bool:
+    if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+        return not (getattr(node, "keys", None) or getattr(node, "elts", None))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in EMPTY_CALLS and not node.args and not node.keywords)
+
+
+def test_no_module_level_memo_globals():
+    """A module-level name bound to an empty container is a memo (or a
+    registry) outside the one mechanism."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if empty_container(node.value):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

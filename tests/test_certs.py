@@ -10,7 +10,6 @@ from multloc.certs import (
     NotWeaklyCotorsion,
     PayloadMismatch,
     PreconditionFailed,
-    _saturate_divisor,
     decompose_weakly_cotorsion,
     embed_two_obtainable,
     instantiate_and_check,
@@ -18,6 +17,7 @@ from multloc.certs import (
     verify_certificate,
 )
 from multloc.fpmod import FPModule
+from multloc.intlinalg import _saturate_divisor
 from multloc.randomgen import coprime_split, projective_test_modules, random_certificate
 
 

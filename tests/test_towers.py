@@ -314,8 +314,8 @@ class TestFailureEvidence:
     image chains are not confirmed, so Delta succeeds and five-term fails."""
 
     @pytest.fixture(autouse=True)
-    def fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(towers, "_COMPLETION_MEMO", {})
+    def fresh_memo(self):
+        towers.clear_caches()
 
     def check_delta(self):
         rep = delta_truncated(z_mod(8), seq(2), 5)
