@@ -28,7 +28,8 @@ from .fpmod import (
     relations_among,
     submodules_equal,
 )
-from .intlinalg import determinant, hnf_rows, identity, mat_mul, smith_normal_form
+from .intlinalg import (determinant, hnf_rows, identity, lattice_member, mat_mul,
+                        smith_normal_form)
 
 DEFAULT_DEPTH = 12
 STABLE_WINDOW = 2
@@ -148,13 +149,21 @@ class Tower:
         return [s.invariants() for s in self.stages]
 
 
+def _partial_products(seq: MultSubsetSeq, depth: int) -> list[int]:
+    """t_1 .. t_depth, each one step of a running product."""
+    out, t = [], 1
+    for n in range(1, depth + 1):
+        t *= seq.s(n)
+        out.append(t)
+    return out
+
+
 def quotient_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DEPTH) -> Tower:
     """Stages M/t_n M with the canonical (identity-on-generators) surjections."""
     _check_depth(depth)
     stages = []
-    tvals = []
-    for n in range(1, depth + 1):
-        t = seq.t(n)
+    tvals = _partial_products(seq, depth)
+    for t in tvals:
         rows = [list(r) for r in module.relations]
         for i in range(module.gens):
             row = [0] * module.gens
@@ -162,7 +171,6 @@ def quotient_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DE
             rows.append(row)
         stages.append(FPModule.from_presentation(rows, gens=module.gens,
                                                  modulus=module.modulus))
-        tvals.append(t)
     transitions = [Morphism.make(stages[k + 1], stages[k], identity(module.gens))
                    for k in range(depth - 1)]
     return Tower(stages=stages, transitions=transitions, t_values=tvals,
@@ -174,13 +182,11 @@ def torsion_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DEP
     _check_depth(depth)
     stages: list[FPModule] = []
     inclusions: list[Morphism] = []
-    tvals = []
-    for n in range(1, depth + 1):
-        t = seq.t(n)
+    tvals = _partial_products(seq, depth)
+    for t in tvals:
         ker, incl = Morphism.multiplication(module, t).kernel()
         stages.append(ker)
         inclusions.append(incl)
-        tvals.append(t)
     transitions = []
     for k in range(depth - 1):
         mult = seq.s(k + 2)
@@ -207,7 +213,7 @@ def constant_hom_tower(module: FPModule, seq: MultSubsetSeq,
     transitions = [Morphism.multiplication(module, seq.s(k + 2))
                    for k in range(depth - 1)]
     return Tower(stages=stages, transitions=transitions,
-                 t_values=[seq.t(n) for n in range(1, depth + 1)],
+                 t_values=_partial_products(seq, depth),
                  period=len(seq.generators))
 
 
@@ -243,9 +249,12 @@ def _confirmed_levels(tower: Tower, top: list[list[list[int]]] | None = None) ->
     """Number of leading levels whose image chain the final window confirms.
     ``top`` may pass in ``_carriers(tower, depth - 1)`` when the caller has it.
 
-    The composite images into a level form a decreasing lattice chain, so
-    two HNFs confirm it: the image from the top stage equals the image from
-    one window below.  Counting stops at the first unconfirmed level.  The
+    Level i is confirmed when the image from the top stage equals the image
+    from one window below.  ``top[i]`` is the composite from the top down to
+    that stage times ``below[i]``, so the image from the top always lies in
+    the image from below, and the two are equal exactly when every row of
+    ``below[i]`` is in the lattice of ``top[i]`` plus the relations: one HNF
+    per level.  Counting stops at the first unconfirmed level.  The
     confirmation is only as good as the window; see ``Tower``.
     """
     n = tower.depth
@@ -255,8 +264,8 @@ def _confirmed_levels(tower: Tower, top: list[list[list[int]]] | None = None) ->
     top = top if top is not None else _carriers(tower, n - 1)
     below = _carriers(tower, n - 1 - w)
     for i in range(n - w):
-        rel = tower.stages[i].relation_rows()
-        if hnf_rows(top[i] + rel) != hnf_rows(below[i] + rel):
+        lattice = hnf_rows(top[i] + tower.stages[i].relation_rows())
+        if not all(lattice_member(lattice, row) for row in below[i]):
             return i
     return n - w
 
@@ -418,10 +427,10 @@ def telescope_complex(seq: MultSubsetSeq, n: int) -> TelescopeComplex:
 
     two_term = _two_term(s)
     f0 = [[1 if c == 0 else 0] for c in range(n)]
-    f1 = [[-_prod(s[r + 1:])] for r in range(n)]
+    f1 = [[-math.prod(s[r + 1:])] for r in range(n)]
     g0 = [[seq.t(c) for c in range(n)]]
     g1 = [[-1 if r == n - 1 else 0 for r in range(n)]]
-    homotopy = [[_prod(s[r + 1: c]) if r < c else 0 for c in range(n)]
+    homotopy = [[math.prod(s[r + 1: c]) if r < c else 0 for c in range(n)]
                 for r in range(n)]
     return TelescopeComplex(n=n, schedule=tuple(s), companion=t_n,
                             differential=differential, two_term=two_term,
@@ -438,13 +447,6 @@ def _two_term(s) -> list[list[int]]:
         if c >= 1:
             two_term[c][c - 1] = 1
     return two_term
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 @dataclass
@@ -474,26 +476,19 @@ def _dual_factors(schedule: tuple[int, ...]) -> list[int]:
 
 
 @functools.cache
-def _telescope_dual_homology(schedule: tuple[int, ...], d: int, modulus: int):
+def _telescope_dual_homology(schedule: tuple[int, ...], d: int):
     """Homology of the dual two-term matrix on (Z/d)^n (or Z^n for d = 0).
 
-    H0 comes from the stacked presentation [dual; d*I]; H1 uses the Smith
-    factors of the matrix itself: modulo d the unimodular transforms stay
-    invertible, so the kernel is the sum of the kernels of the diagonal
-    entries.
+    Both groups come from the Smith factors of the matrix itself: modulo d
+    the unimodular transforms stay invertible, so cokernel and kernel are
+    the sums of those of the diagonal entries (Cohen, GTM 138, section 2.4).
+    A module over Z/N has every d dividing N, so N adds nothing.
     """
-    n = len(schedule)
-    rows = _dual(schedule)
-    if d:
-        for i in range(n):
-            row = [0] * n
-            row[i] = d
-            rows.append(row)
-    h0 = FPModule.from_presentation(rows, gens=n, modulus=modulus).invariants()
-
-    # x acts on Z/d with kernel Z/gcd(x, d); on Z with kernel Z if x = 0, else 0
-    h1 = merge_invariants([(math.gcd(x, d),) for x in _dual_factors(schedule)
-                           if d or x == 0])
+    factors = _dual_factors(schedule)
+    # x acts on Z/d with cokernel and kernel Z/gcd(x, d); on Z (d = 0) with
+    # cokernel Z/x (free when x = 0) and kernel Z if x = 0, else 0
+    h0 = merge_invariants([(math.gcd(x, d),) for x in factors])
+    h1 = merge_invariants([(math.gcd(x, d),) for x in factors if d or x == 0])
     return h0, h1
 
 
@@ -501,18 +496,18 @@ def telescope_homology_check(seq: MultSubsetSeq, n: int,
                              module: FPModule) -> TelescopeHomologyReport:
     """Homology of the dualized telescope against quotient and torsion of M.
 
-    Engine route: cokernel/kernel of the dual two-term matrix acting on
-    each cyclic factor of M (stacked-presentation SNF and toolkit kernel).
+    Engine route: cokernel and kernel of the dual two-term matrix acting on
+    each cyclic factor of M, both read off the matrix's Smith factors.
     Direct route: M/t_nM and the t_n-torsion from the multiplication map.
     """
-    schedule = telescope_complex(seq, n).schedule
-    blocks = [_telescope_dual_homology(schedule, d, module.modulus)
-              for d in module.invariants()]
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    schedule = tuple(seq.s(k) for k in range(1, n + 1))
+    blocks = [_telescope_dual_homology(schedule, d) for d in module.invariants()]
     h0_engine = merge_invariants(cok for cok, _ in blocks)
     h1_engine = merge_invariants(ker for _, ker in blocks)
 
-    t = seq.t(n)
-    mul = Morphism.multiplication(module, t)
+    mul = Morphism.multiplication(module, math.prod(schedule))
     h0_direct = mul.cokernel().invariants()
     h1_direct = mul.kernel()[0].invariants()
     return TelescopeHomologyReport(h0_engine=h0_engine, h1_engine=h1_engine,
@@ -611,8 +606,8 @@ class FiveTermReport:
                 "stable_index": self.stable_index}
 
 
-def _five_term_assemble(module: FPModule, seq: MultSubsetSeq, tor: Tower, con: Tower,
-                        quo: Tower, lims: list[TowerLimit], verdict: Lim1Verdict) -> dict:
+def _five_term_assemble(module: FPModule, tor: Tower, con: Tower, quo: Tower,
+                        lims: list[TowerLimit], verdict: Lim1Verdict) -> dict:
     """One cyclic factor's five-term block from its towers and their limits
     (torsion, constant, quotient)."""
     n_star = max(lim.stage_index for lim in lims)
@@ -623,7 +618,7 @@ def _five_term_assemble(module: FPModule, seq: MultSubsetSeq, tor: Tower, con: T
     l1 = _submodule_on_rows(tor.stages[n_star], tor_rows)
     l2 = _submodule_on_rows(con.stages[n_star], con_rows)
     lam = quo.stages[n_star]
-    t_star = seq.t(n_star + 1)
+    t_star = quo.t_values[n_star]
 
     # iota: torsion-limit carrier into the constant-limit carrier, through
     # the ambient module
@@ -758,7 +753,7 @@ def _complete_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
     con = constant_hom_tower(module, seq, depth)
     lims = [_limit(tor), _limit(con), lim_quo]
     failure = next((lim for lim in lims if isinstance(lim, _Failure)), None)
-    five_term = failure or _five_term_assemble(module, seq, tor, con, quo, lims, verdict)
+    five_term = failure or _five_term_assemble(module, tor, con, quo, lims, verdict)
     return _CyclicCompletion(delta=delta, five_term=five_term)
 
 

@@ -1,14 +1,18 @@
+import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multloc import towers
-from multloc.battery import GENERATOR_SETS
-from multloc.fpmod import FPModule, Morphism, canonical_invariants, factor_through_submodule
+from multloc.battery import GENERATOR_SETS, abelian_groups_upto, criterion_5
+from multloc.fpmod import (FPModule, Morphism, canonical_invariants, factor_through_submodule,
+                           merge_invariants)
 from multloc.intlinalg import mat_mul
 from multloc.towers import (
+    DEFAULT_DEPTH,
     MultSubsetSeq,
     NotStabilized,
     Tower,
@@ -517,3 +521,143 @@ class TestKnownWrongAnswer:
         m, s = z_mod(64), seq(3, 5, 6)
         assert adequate_depth(m, s) == 31
         assert five_term_check(m, s).hom_loc == ()
+
+
+def stacked_dual_homology(schedule, d, modulus):
+    """The telescope engine's homology before both groups came from the Smith
+    factors: H0 from the stacked presentation [dual; d*I] and its SNF."""
+    n = len(schedule)
+    rows = towers._dual(schedule)
+    if d:
+        rows += [[d if j == i else 0 for j in range(n)] for i in range(n)]
+    h0 = FPModule.from_presentation(rows, gens=n, modulus=modulus).invariants()
+    h1 = merge_invariants([(math.gcd(x, d),) for x in towers._dual_factors(schedule)
+                           if d or x == 0])
+    return h0, h1
+
+
+def battery_schedules(max_n=8):
+    for gens in GENERATOR_SETS:
+        s = MultSubsetSeq(generators=gens)
+        for n in range(1, max_n + 1):
+            yield tuple(s.s(k) for k in range(1, n + 1))
+
+
+class TestTelescopeSmithRoute:
+    """H0 and H1 of the dual telescope both come from its Smith factors; the
+    stacked-presentation route and the closed form Z/gcd(d, t_n) agree."""
+
+    def test_matches_stacked_presentation_over_z(self):
+        for schedule in set(battery_schedules()):
+            t_n = math.prod(schedule)
+            for d in range(65):
+                h0, h1 = towers._telescope_dual_homology(schedule, d)
+                assert (h0, h1) == stacked_dual_homology(schedule, d, 0), (schedule, d)
+                assert h0 == merge_invariants([(math.gcd(d, t_n),)])
+                assert h1 == (merge_invariants([(math.gcd(d, t_n),)]) if d else ())
+
+    @pytest.mark.parametrize("modulus", [12, 36, 64])
+    def test_matches_stacked_presentation_over_z_mod_n(self, modulus):
+        divisors = [d for d in range(2, modulus + 1) if modulus % d == 0]
+        for schedule in set(battery_schedules()):
+            for d in divisors:
+                assert (towers._telescope_dual_homology(schedule, d)
+                        == stacked_dual_homology(schedule, d, modulus)), (schedule, d)
+        for gens in GENERATOR_SETS:
+            for d in divisors:
+                module = FPModule.from_invariants([d, modulus], modulus=modulus)
+                for n in range(1, 9):
+                    assert telescope_homology_check(seq(*gens), n, module).passed()
+
+    def test_n_zero_rejected(self):
+        with pytest.raises(ValueError):
+            telescope_homology_check(seq(2), 0, z_mod(4))
+
+    def test_no_complex_built_per_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("telescope_homology_check built a TelescopeComplex")
+
+        monkeypatch.setattr(towers, "telescope_complex", refuse)
+        towers.clear_caches()
+        assert telescope_homology_check(seq(2, 3), 4, z_mod(12, 0)).passed()
+        assert criterion_5(groups=[(4,), (2, 6)])["pass"]
+
+
+def two_hnf_confirmed_levels(tower, top=None):
+    """``_confirmed_levels`` before the inclusion argument: the HNFs of the
+    images from the top and from one window below, compared."""
+    n = tower.depth
+    w = tower.window()
+    if n <= w:
+        return 0
+    top = top if top is not None else towers._carriers(tower, n - 1)
+    below = towers._carriers(tower, n - 1 - w)
+    for i in range(n - w):
+        rel = tower.stages[i].relation_rows()
+        if towers.hnf_rows(top[i] + rel) != towers.hnf_rows(below[i] + rel):
+            return i
+    return n - w
+
+
+def confirmation_outcomes(tower):
+    lim1 = tower_lim1(tower)
+    return (towers._confirmed_levels(tower), lim_outcome(tower_lim, tower),
+            (lim1.verdict, lim1.certificate_kind, lim1.witness_chain))
+
+
+def two_hnf_route():
+    return mock.patch.object(towers, "_confirmed_levels", two_hnf_confirmed_levels)
+
+
+def assert_same_confirmation(tower, label):
+    new = confirmation_outcomes(tower)
+    with two_hnf_route():
+        old = confirmation_outcomes(tower)
+    assert new == old, label
+
+
+class TestOneHnfConfirmation:
+    """One HNF per level confirms exactly the levels two HNFs did, so the
+    limits and their certificates stay the same."""
+
+    def test_battery_cyclic_factors(self, shared_hnf):
+        factors = sorted({d for g in abelian_groups_upto(24)
+                          for d in FPModule.from_invariants(list(g)).invariants()})
+        for d in factors:
+            m = z_mod(d)
+            for gens in GENERATOR_SETS:
+                s = MultSubsetSeq(generators=gens)
+                depth = adequate_depth(m, s)
+                for build in (quotient_tower, torsion_tower, constant_hom_tower):
+                    assert_same_confirmation(build(m, s, depth), (d, gens, build.__name__))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 10])
+    def test_free_tower_of_weakly_cotorsion_report(self, m):
+        free = FPModule.from_presentation([], gens=1)
+        assert_same_confirmation(quotient_tower(free, seq(m), DEFAULT_DEPTH), m)
+        report = weakly_cotorsion_report(free, m)
+        with two_hnf_route():
+            assert weakly_cotorsion_report(free, m) == report
+
+    def test_late_drop_z64(self):
+        # the level-2 torsion chain is constant through stage 19 and drops at 20
+        m, s = z_mod(64), seq(3, 5, 6)
+        for build in (quotient_tower, torsion_tower, constant_hom_tower):
+            assert_same_confirmation(build(m, s, 31), build.__name__)
+        assert two_hnf_confirmed_levels(torsion_tower(m, s, 31)) == 11
+
+    @settings(max_examples=100, deadline=None)
+    @given(gens_count=st.integers(min_value=1, max_value=3),
+           modulus=st.sampled_from([0, 0, 4, 6, 8, 12]),
+           data=st.data(),
+           schedule=st.lists(st.sampled_from([-2, 1, 2, 3, 4, 5, 6, 10]),
+                             min_size=1, max_size=3),
+           depth=st.integers(min_value=1, max_value=14))
+    def test_sampled_presentations(self, gens_count, modulus, data, schedule, depth):
+        # several generators, so the confirmation tests several rows per level
+        rows = data.draw(st.lists(st.lists(st.integers(-8, 8), min_size=gens_count,
+                                           max_size=gens_count), max_size=3))
+        module = FPModule.from_presentation(rows, gens=gens_count, modulus=modulus)
+        s = MultSubsetSeq(generators=tuple(schedule))
+        for build in (quotient_tower, torsion_tower, constant_hom_tower):
+            assert_same_confirmation(build(module, s, depth), (rows, modulus, build.__name__))
