@@ -501,29 +501,22 @@ def criterion_10(seed: int, runs: int = 200) -> dict:
 
     oracle_mismatches = []
     pairs_checked = 0
-    pool_z = [(2,), (3,), (4,), (2, 2), (6,), (8,), (2, 4), (12,), (3, 3), (16,)]
-    for a_inv in pool_z:
-        for b_inv in pool_z:
-            if math.prod(a_inv) * math.prod(b_inv) > 64:
-                continue
-            pairs_checked += 1
-            engine = ext1_order(FPModule.from_invariants(list(a_inv)),
-                                FPModule.from_invariants(list(b_inv)))
-            if engine != ext1_order_oracle(list(a_inv), list(b_inv)):
-                oracle_mismatches.append({"ring": 0, "a": list(a_inv),
-                                          "b": list(b_inv)})
+    # (ring, pool): Z (ring 0) first, then Z/n with the divisors of n
+    rings = [(0, [(2,), (3,), (4,), (2, 2), (6,), (8,), (2, 4), (12,), (3, 3), (16,)])]
     for n in (4, 6, 8, 9, 12, 16, 18, 24, 36):
         divs = [d for d in range(2, n + 1) if n % d == 0]
-        pool = [(d,) for d in divs] + [(d, e) for d in divs for e in divs if d <= e]
+        rings.append((n, [(d,) for d in divs]
+                      + [(d, e) for d in divs for e in divs if d <= e]))
+    for ring, pool in rings:
         for a_inv in pool:
             for b_inv in pool:
                 if math.prod(a_inv) * math.prod(b_inv) > 64:
                     continue
                 pairs_checked += 1
-                engine = ext1_order(FPModule.from_invariants(list(a_inv), modulus=n),
-                                    FPModule.from_invariants(list(b_inv), modulus=n))
-                if engine != ext1_order_oracle(list(a_inv), list(b_inv), modulus=n):
-                    oracle_mismatches.append({"ring": n, "a": list(a_inv),
+                engine = ext1_order(FPModule.from_invariants(list(a_inv), modulus=ring),
+                                    FPModule.from_invariants(list(b_inv), modulus=ring))
+                if engine != ext1_order_oracle(list(a_inv), list(b_inv), modulus=ring):
+                    oracle_mismatches.append({"ring": ring, "a": list(a_inv),
                                               "b": list(b_inv)})
 
     elapsed = time.perf_counter() - t0

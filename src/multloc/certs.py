@@ -380,7 +380,7 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
     div = _submodule_on_rows(canon, div_rows)
     lam = quo.stages[n0]
 
-    omega = _omega_node_from_quotients(canon, quo, n0, seq)
+    omega = omega_from_quotient_tower(quo, min(n0 + 1, quo.depth - 1), m)
     div_seed = CertNode(kind="Seed", level=1,
                         tag={"kind": "LocalizedRingModule", "generators": [m]},
                         payload={"module": div})
@@ -405,26 +405,20 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
     return cert
 
 
-def _omega_node_from_quotients(canon: FPModule, quo, n0: int,
-                               seq: MultSubsetSeq) -> CertNode:
-    top = min(n0 + 1, quo.depth - 1)
-    stages = [quo.stages[i] for i in range(top + 1)]
-    trans = [quo.transitions[i].mat() for i in range(top)]
+def omega_from_quotient_tower(quo, top: int, s: int) -> CertNode:
+    """Omega-iterated extension over stages 0..top of the quotient tower of
+    the schedule (s,): seeds of stage 0 and of each transition kernel, each
+    tagged QuotientRingModule with s."""
+    stages = quo.stages[:top + 1]
+    pieces = [stages[0]] + [f.kernel()[0] for f in quo.transitions[:top]]
     children = [CertNode(kind="Seed", level=1,
-                         tag={"kind": "QuotientRingModule", "s": seq.t(1)},
+                         tag={"kind": "QuotientRingModule", "s": s},
                          payload={"module": FPModule.from_invariants(
-                             stages[0].invariants(), modulus=canon.modulus)})]
-    for i in range(top):
-        f = Morphism.make(stages[i + 1], stages[i], trans[i])
-        ker_inv = f.kernel()[0].invariants()
-        children.append(CertNode(
-            kind="Seed", level=1,
-            tag={"kind": "QuotientRingModule", "s": seq.s(i + 2)},
-            payload={"module": FPModule.from_invariants(ker_inv,
-                                                        modulus=canon.modulus)}))
+                             piece.invariants(), modulus=piece.modulus)})
+                for piece in pieces]
     return CertNode(kind="OmegaIteratedExtension", level=1, children=children,
                     payload={"module": stages[-1], "stages": stages,
-                             "transitions": trans})
+                             "transitions": [f.mat() for f in quo.transitions[:top]]})
 
 
 def embed_two_obtainable(module: FPModule) -> Certificate:

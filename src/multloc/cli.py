@@ -17,6 +17,7 @@ from .certs import (
     LevelViolation,
     MalformedTree,
     PayloadMismatch,
+    PreconditionFailed,
     _mod_from_doc,
     instantiate_and_check,
     orthogonality_battery,
@@ -139,11 +140,12 @@ def cmd_artinian(args) -> int:
         base = BasePID()
         s = Poly(base, tuple(_parse_coeffs(args.s)))
         t = Poly(base, tuple(_parse_coeffs(args.t)))
-    else:
-        p = int(args.base.split(":", 1)[1])
-        base = BasePID(p=p)
+    elif args.base.startswith("gfp:"):
+        base = BasePID(p=int(args.base[len("gfp:"):]))
         s = Poly(base, tuple(tuple(_parse_coeffs(c)) for c in args.s.split(";")))
         t = Poly(base, tuple(tuple(_parse_coeffs(c)) for c in args.t.split(";")))
+    else:
+        raise ValueError(f"--base must be int or gfp:P, got {args.base!r}")
     report = artinian_quadruple_check(s, t, factor_bound=args.factor_bound)
     doc = report.to_document()
     doc["rule_refs"] = [RULE_REFS[4]]
@@ -153,8 +155,7 @@ def cmd_artinian(args) -> int:
 
 def cmd_complete(args) -> int:
     module = _load_module(args)
-    seq = MultSubsetSeq(generators=tuple(_parse_coeffs(args.generators)),
-                        modulus=args.modulus)
+    seq = MultSubsetSeq(generators=tuple(_parse_coeffs(args.generators)))
     tower = quotient_tower(module, seq, args.depth)
     doc = {"stages": [list(inv) for inv in tower.stage_invariants()],
            "t_values": tower.t_values,
@@ -172,8 +173,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_telescope(args) -> int:
-    seq = MultSubsetSeq(generators=tuple(_parse_coeffs(args.generators)),
-                        modulus=args.modulus)
+    seq = MultSubsetSeq(generators=tuple(_parse_coeffs(args.generators)))
     tc = telescope_complex(seq, args.n)
     doc = {"n": tc.n, "schedule": list(tc.schedule), "companion": tc.companion,
            "differential": tc.differential, "two_term": tc.two_term,
@@ -223,7 +223,7 @@ def cmd_verify_cert(args) -> int:
                 return FAIL
         _emit(doc, args.format)
         return PASS
-    except (MalformedTree, LevelViolation, PayloadMismatch) as exc:
+    except (MalformedTree, LevelViolation, PayloadMismatch, PreconditionFailed) as exc:
         doc["error"] = {"kind": type(exc).__name__, "message": str(exc)}
         _emit(doc, args.format)
         return FAIL

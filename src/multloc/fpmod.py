@@ -105,35 +105,6 @@ class FPModule:
     def is_zero(self) -> bool:
         return self.invariants() == ()
 
-    def element_reduce(self, x: list[int]) -> list[int]:
-        """Canonical representative of x modulo the relation lattice."""
-        basis = self.relation_hnf()
-        v = list(x)
-        for row in basis:
-            lead = next(j for j in range(self.gens) if row[j] != 0)
-            q = v[lead] // row[lead]
-            if q:
-                v = [v[j] - q * row[j] for j in range(self.gens)]
-        return v
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """All elements as reduced vectors (finite modules only)."""
-        if self.order() is None:
-            raise ValueError("module is infinite")
-        seen: set[tuple[int, ...]] = set()
-        frontier = [tuple([0] * self.gens)]
-        seen.add(frontier[0])
-        while frontier:
-            cur = frontier.pop()
-            for i in range(self.gens):
-                nxt = list(cur)
-                nxt[i] += 1
-                red = tuple(self.element_reduce(nxt))
-                if red not in seen:
-                    seen.add(red)
-                    frontier.append(red)
-        return sorted(seen)
-
 
 @dataclass(frozen=True)
 class Morphism:

@@ -93,8 +93,8 @@ def random_certificate(rng: random.Random, modulus: int, ann: int,
     split middles, kernels of surjections use coordinate projections, and
     omega nodes are short quotient towers with computed kernels.
     """
-    from .certs import CertNode, Certificate, verify_certificate
-    from .fpmod import FPModule, Morphism, direct_sum
+    from .certs import CertNode, Certificate, omega_from_quotient_tower, verify_certificate
+    from .fpmod import FPModule, direct_sum
     from .towers import MultSubsetSeq, quotient_tower
 
     divisors = [d for d in _divisors(ann)]
@@ -186,20 +186,9 @@ def random_certificate(rng: random.Random, modulus: int, ann: int,
                                                       kernel_mod.gens)})
         # OmegaIteratedExtension: a short quotient tower of a random module
         base = rand_module()
-        seq = MultSubsetSeq(generators=(ann,), modulus=modulus)
         levels = rng.randint(2, 4)
-        quo = quotient_tower(base, seq, levels)
-        stages = quo.stages
-        trans = [f.mat() for f in quo.transitions]
-        kids = [seed(FPModule.from_invariants(list(stages[0].invariants()),
-                                              modulus=modulus))]
-        for i in range(levels - 1):
-            f = Morphism.make(stages[i + 1], stages[i], trans[i])
-            kids.append(seed(FPModule.from_invariants(
-                list(f.kernel()[0].invariants()), modulus=modulus)))
-        return CertNode(kind="OmegaIteratedExtension", level=1, children=kids,
-                        payload={"module": stages[-1], "stages": stages,
-                                 "transitions": trans})
+        quo = quotient_tower(base, MultSubsetSeq(generators=(ann,)), levels)
+        return omega_from_quotient_tower(quo, levels - 1, ann)
 
     cert = Certificate(root=build(depth))
     verify_certificate(cert)

@@ -6,8 +6,8 @@ recurs infinitely often; t_n is the product of the first n scheduled
 elements (t_0 = 1).  Inverse limits of truncated towers are computed as
 eventual stable images, checked by a stability window spanning one full
 schedule period (a certificate only once the stages stop growing; see
-Tower); limits that the truncation cannot confirm raise NotStabilized,
-and lim^1 is only ever reported as Zero-with-certificate or Unknown.
+Tower); limits that the truncation cannot confirm raise NotStabilized.
+lim^1 is only taken of towers of finite modules, where it is zero.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .intlinalg import (determinant, hnf_rows, identity, lattice_member, mat_mul
                         smith_normal_form)
 
 DEFAULT_DEPTH = 12
-STABLE_WINDOW = 2
 
 
 class NotStabilized(Exception):
@@ -45,10 +44,10 @@ class NotStabilized(Exception):
 
 @dataclass(frozen=True)
 class MultSubsetSeq:
-    """Multiplicative subset of Z (modulus 0) or Z/N given by generators."""
+    """Multiplicative subset given by nonzero integer generators; it acts
+    on modules over Z and over Z/N alike."""
 
     generators: tuple[int, ...]
-    modulus: int = 0
 
     def __post_init__(self):
         if not self.generators:
@@ -114,23 +113,23 @@ class Tower:
 
     ``stage_inclusions`` (torsion towers only) realize each stage inside the
     module itself.
-    ``period`` is the schedule period for towers built from a generator
-    schedule; the stability window spans one full period.  A chain that is
-    constant across one period is constant forever only once the stages
-    have stopped growing (the module's p-exponents are exhausted): from
-    then on one more period multiplies by the same product.  Before that a
-    constant window proves nothing: for Z/64 with schedule (3, 5, 6) the
-    level-2 torsion chain stays constant for 18 stages and drops at stage 20.
+    ``period`` is the schedule period; the stability window spans one full
+    period.  A chain that is constant across one period is constant forever
+    only once the stages have stopped growing (the module's p-exponents are
+    exhausted): from then on one more period multiplies by the same
+    product.  Before that a constant window proves nothing: for Z/64 with
+    schedule (3, 5, 6) the level-2 torsion chain stays constant for 18
+    stages and drops at stage 20.
     """
 
     stages: list[FPModule]
     transitions: list[Morphism]
+    period: int
     t_values: list[int] = field(default_factory=list)
     stage_inclusions: list[Morphism] | None = None
-    period: int | None = None
 
     def window(self) -> int:
-        return self.period if self.period else STABLE_WINDOW - 1
+        return self.period
 
     @property
     def depth(self) -> int:
@@ -232,7 +231,6 @@ class LimCertificate:
 class TowerLimit:
     module: FPModule
     carrier_rows: list[list[int]]     # generators of the stable image inside the stage
-    stage_index: int
     certificate: LimCertificate
 
 
@@ -245,9 +243,9 @@ def _carriers(tower: Tower, top: int) -> list[list[list[int]]]:
     return out
 
 
-def _confirmed_levels(tower: Tower, top: list[list[list[int]]] | None = None) -> int:
-    """Number of leading levels whose image chain the final window confirms.
-    ``top`` may pass in ``_carriers(tower, depth - 1)`` when the caller has it.
+def _confirmed_levels(tower: Tower, top: list[list[list[int]]]) -> int:
+    """Number of leading levels whose image chain the final window confirms;
+    ``top`` is ``_carriers(tower, depth - 1)``.
 
     Level i is confirmed when the image from the top stage equals the image
     from one window below.  ``top[i]`` is the composite from the top down to
@@ -261,7 +259,6 @@ def _confirmed_levels(tower: Tower, top: list[list[list[int]]] | None = None) ->
     w = tower.window()
     if n <= w:
         return 0
-    top = top if top is not None else _carriers(tower, n - 1)
     below = _carriers(tower, n - 1 - w)
     for i in range(n - w):
         lattice = hnf_rows(top[i] + tower.stages[i].relation_rows())
@@ -284,11 +281,10 @@ def tower_lim(tower: Tower) -> TowerLimit:
     stable images is the identity on generators with L_{i+1} inside L_i:
     an isomorphism exactly when L_{i+1} = L_i, i.e. when the canonical
     relation HNFs agree.  The limit is certified once those transitions are
-    isomorphisms over a window of at least STABLE_WINDOW consecutive levels.
+    isomorphisms over at least one window of consecutive levels.
     """
-    n = tower.depth
     w = tower.window()
-    carrier = _carriers(tower, n - 1) if n > w else None
+    carrier = _carriers(tower, tower.depth - 1)
     i_max = _confirmed_levels(tower, carrier) - 1
     if i_max < w:
         stage_invs = [list(s.invariants()) for s in tower.stages]
@@ -313,15 +309,13 @@ def tower_lim(tower: Tower) -> TowerLimit:
 
     i0 = iso_down_to
     cert = LimCertificate(stable_index=i0, verified_through=i_max)
-    return TowerLimit(module=sub(i0), carrier_rows=carrier[i0],
-                      stage_index=i0, certificate=cert)
+    return TowerLimit(module=sub(i0), carrier_rows=carrier[i0], certificate=cert)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lim1Verdict:
-    verdict: str                  # "zero" or "unknown"
-    certificate_kind: str | None  # "finite_stages" or "mittag_leffler_within_depth"
-    witness_chain: list | None = None
+    verdict: str                  # always "zero"
+    certificate_kind: str         # always "finite_stages"
 
     def is_zero(self) -> bool:
         return self.verdict == "zero"
@@ -329,30 +323,21 @@ class Lim1Verdict:
     def to_document(self) -> dict:
         return {"verdict": self.verdict,
                 "certificate": self.certificate_kind,
-                "witness_chain": self.witness_chain}
+                "witness_chain": None}
+
+
+FINITE_STAGES = Lim1Verdict(verdict="zero", certificate_kind="finite_stages")
 
 
 def tower_lim1(tower: Tower) -> Lim1Verdict:
-    """Mittag-Leffler style verdict: Zero with a certificate, or Unknown.
-
-    Towers of finite modules are always Zero: each image chain lives in a
-    finite module, so it must stabilize.  Otherwise every image chain must
-    show a stable window within the truncation.
+    """lim^1 of a tower of finite modules, which is zero: every image chain
+    lives in a finite module and so stabilizes, making the tower
+    Mittag-Leffler (Weibel, An Introduction to Homological Algebra,
+    Prop. 3.5.7).  Raises ValueError for a tower with an infinite stage.
     """
-    if all(s.order() is not None for s in tower.stages):
-        return Lim1Verdict(verdict="zero", certificate_kind="finite_stages")
-    n = tower.depth
-    i = _confirmed_levels(tower)
-    if i < n - tower.window():
-        # record the image invariants along the first unconfirmed level
-        witness = []
-        for m in range(n - i):
-            sub = _submodule_on_rows(tower.stages[i], tower.composite(i, i + m))
-            witness.append(list(sub.invariants()))
-        return Lim1Verdict(verdict="unknown", certificate_kind=None,
-                           witness_chain=witness)
-    return Lim1Verdict(verdict="zero",
-                       certificate_kind="mittag_leffler_within_depth")
+    if any(s.order() is None for s in tower.stages):
+        raise ValueError("lim^1 is only certified for towers of finite modules")
+    return FINITE_STAGES
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +509,14 @@ class DeltaReport:
     lim1: Lim1Verdict
     lambda_invariants: tuple[int, ...]
     lambda_stable_index: int
-    delta_invariants: tuple[int, ...] | None
+    delta_invariants: tuple[int, ...]
     delta_equals_lambda: bool
 
     def to_document(self) -> dict:
         return {"lim1": self.lim1.to_document(),
                 "lambda_invariants": list(self.lambda_invariants),
                 "lambda_stable_index": self.lambda_stable_index,
-                "delta_invariants": (list(self.delta_invariants)
-                                     if self.delta_invariants is not None else None),
+                "delta_invariants": list(self.delta_invariants),
                 "delta_equals_lambda": self.delta_equals_lambda}
 
 
@@ -541,35 +525,22 @@ def delta_truncated(module: FPModule, seq: MultSubsetSeq,
     """Contramodule reflector as (lim^1 of torsion tower, lim of quotient tower).
 
     Computed per cyclic factor and merged (all carriers are additive in the
-    module).  When the lim^1 verdict is Zero with a certificate, the
-    reflector agrees with the completion and the concrete module is the
-    stable quotient stage.  Raises NotStabilized when some factor's
-    quotient tower keeps growing at depth.
+    module).  The torsion tower of a finitely generated module has finite
+    stages, so lim^1 vanishes, the reflector agrees with the completion,
+    and the concrete module is the stable quotient stage.  Raises
+    NotStabilized when some factor's quotient tower keeps growing at depth.
     """
     _check_depth(depth)
     blocks = [_unwrap(_complete_cyclic(d, module.modulus, seq, depth).delta)
               for d in module.invariants()]
-    if not blocks:
-        zero = Lim1Verdict(verdict="zero", certificate_kind="finite_stages")
-        return DeltaReport(lim1=zero, lambda_invariants=(), lambda_stable_index=0,
-                           delta_invariants=(), delta_equals_lambda=True)
     lam_inv = merge_invariants(b.lambda_invariants for b in blocks)
-    lim1 = _merge_lim1([b.lim1 for b in blocks])
     return DeltaReport(
-        lim1=lim1,
+        lim1=FINITE_STAGES,
         lambda_invariants=lam_inv,
-        lambda_stable_index=max(b.lambda_stable_index for b in blocks),
-        delta_invariants=lam_inv if lim1.is_zero() else None,
-        delta_equals_lambda=lim1.is_zero(),
+        lambda_stable_index=max((b.lambda_stable_index for b in blocks), default=0),
+        delta_invariants=lam_inv,
+        delta_equals_lambda=True,
     )
-
-
-def _merge_lim1(verdicts: list[Lim1Verdict]) -> Lim1Verdict:
-    zero = all(v.is_zero() for v in verdicts)
-    kinds = {v.certificate_kind for v in verdicts}
-    return Lim1Verdict(verdict="zero" if zero else "unknown",
-                       certificate_kind=(kinds.pop() if zero and len(kinds) == 1
-                                         else ("finite_stages" if zero else None)))
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +560,6 @@ class FiveTermReport:
     injective_start: bool
     lim1: Lim1Verdict
     stable_index: int
-    blocks: list[dict] = field(default_factory=list)
 
     def exact_everywhere(self) -> bool:
         return (self.injective_start and self.exact_at_hom_loc
@@ -607,10 +577,10 @@ class FiveTermReport:
 
 
 def _five_term_assemble(module: FPModule, tor: Tower, con: Tower, quo: Tower,
-                        lims: list[TowerLimit], verdict: Lim1Verdict) -> dict:
+                        lims: list[TowerLimit]) -> dict:
     """One cyclic factor's five-term block from its towers and their limits
     (torsion, constant, quotient)."""
-    n_star = max(lim.stage_index for lim in lims)
+    n_star = max(lim.certificate.stable_index for lim in lims)
 
     # realize every carrier at the common stage index
     tor_rows = tor.composite(n_star, tor.depth - 1)
@@ -645,7 +615,6 @@ def _five_term_assemble(module: FPModule, tor: Tower, con: Tower, quo: Tower,
         "injective_start": injective_start,
         "exact_at_l2": exact_at_l2,
         "exact_at_module": exact_at_module,
-        "lim1": verdict,
         "stable_index": n_star,
     }
 
@@ -661,15 +630,8 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
     _check_depth(depth)
     if module.order() is None:
         raise ValueError("five-term check requires a finite module")
-    inv = module.invariants()
     blocks = [_unwrap(_complete_cyclic(d, module.modulus, seq, depth).five_term)
-              for d in inv]
-    if not blocks:
-        zero = Lim1Verdict(verdict="zero", certificate_kind="finite_stages")
-        return FiveTermReport(hom_loc_mod_r=(), hom_loc=(), module_invariants=(),
-                              delta_invariants=(), ext_invariants=(),
-                              exact_at_hom_loc=True, exact_at_module=True,
-                              injective_start=True, lim1=zero, stable_index=0)
+              for d in module.invariants()]
 
     def merge(key):
         return merge_invariants(b[key] for b in blocks)
@@ -683,10 +645,8 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
         exact_at_hom_loc=all(b["exact_at_l2"] for b in blocks),
         exact_at_module=all(b["exact_at_module"] for b in blocks),
         injective_start=all(b["injective_start"] for b in blocks),
-        lim1=_merge_lim1([b["lim1"] for b in blocks]),
-        stable_index=max(b["stable_index"] for b in blocks),
-        blocks=[{k: (list(v) if isinstance(v, tuple) else v)
-                 for k, v in b.items() if k != "lim1"} for b in blocks],
+        lim1=FINITE_STAGES,
+        stable_index=max((b["stable_index"] for b in blocks), default=0),
     )
 
 
@@ -743,17 +703,15 @@ def _complete_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
         delta = lim_quo
     else:
         lam_inv = lim_quo.module.invariants()
-        zero = verdict.is_zero()
         delta = DeltaReport(lim1=verdict, lambda_invariants=lam_inv,
-                            lambda_stable_index=lim_quo.stage_index,
-                            delta_invariants=lam_inv if zero else None,
-                            delta_equals_lambda=zero)
+                            lambda_stable_index=lim_quo.certificate.stable_index,
+                            delta_invariants=lam_inv, delta_equals_lambda=True)
     if d == 0:
         return _CyclicCompletion(delta=delta, five_term=None)
     con = constant_hom_tower(module, seq, depth)
     lims = [_limit(tor), _limit(con), lim_quo]
     failure = next((lim for lim in lims if isinstance(lim, _Failure)), None)
-    five_term = failure or _five_term_assemble(module, tor, con, quo, lims, verdict)
+    five_term = failure or _five_term_assemble(module, tor, con, quo, lims)
     return _CyclicCompletion(delta=delta, five_term=five_term)
 
 

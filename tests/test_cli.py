@@ -115,6 +115,20 @@ class TestArtinian:
         assert code == 0
         assert json.loads(out)["verdict"] is True
 
+    def test_unknown_base(self, capsys):
+        code, out, err = run_cli(["artinian", "--base", "foo", "--s", "1", "--t", "1,1"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "--base" in err
+
+    def test_large_prime_base(self, capsys):
+        # a 19-digit prime: primality must not take trial division
+        code, out, _ = run_cli(["artinian", "--base", "gfp:1000000000000000003",
+                                "--s", "1,1", "--t", "1;1", "--format", "structured"],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["verdict"] is True
+
 
 class TestComplete:
     def test_z12_by_2(self, capsys):
@@ -252,6 +266,20 @@ class TestVerifyCert:
                                 "--format", "structured"], capsys)
         assert code == 0
         assert json.loads(out)["orthogonality"]["pass"]
+
+    def test_orthogonality_precondition_failure(self, tmp_path, capsys):
+        # Z/2 over Z/8 has a nonzero first extension group against the seed Z/4
+        from multloc.certs import embed_two_obtainable
+        from multloc.fpmod import FPModule
+        cert = embed_two_obtainable(FPModule.from_invariants([2], modulus=8))
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert.to_document()))
+        tpath = tmp_path / "tests.json"
+        tpath.write_text(json.dumps([{"gens": 1, "modulus": 8, "relations": [[2]]}]))
+        code, out, err = run_cli(["verify-cert", str(path), "--tests", str(tpath),
+                                  "--format", "structured"], capsys)
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"]["kind"] == "PreconditionFailed"
 
 
 def _usage_error(code, out, err, where):

@@ -20,8 +20,27 @@ from multloc.rings import (
     content,
     is_projective_over_Z_mod_s,
     projectivity_oracle_direct_summand,
+    _is_prime,
     strongly_flat_criterion_fg,
 )
+
+
+def trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        assert [n for n in range(-3, 10 ** 5) if _is_prime(n)] == \
+            [n for n in range(-3, 10 ** 5) if trial_division_prime(n)]
+
+    def test_nineteen_digit_values(self):
+        assert not _is_prime(3825123056546413051)
+        assert _is_prime(1000000000000000003)
+
+    def test_beyond_exact_bound_rejected(self):
+        with pytest.raises(ValueError, match="only decided below"):
+            BasePID(p=3317044064679887385961981)
 
 
 class TestContent:

@@ -31,8 +31,8 @@ from multloc.towers import (
 )
 
 
-def seq(*gens, modulus=0):
-    return MultSubsetSeq(generators=tuple(gens), modulus=modulus)
+def seq(*gens):
+    return MultSubsetSeq(generators=tuple(gens))
 
 
 def z_mod(*factors):
@@ -105,7 +105,7 @@ class TestTowerLim:
         m = z_mod(3)
         stages = [m] * 6
         trans = [Morphism.identity(m) for _ in range(5)]
-        lim = tower_lim(Tower(stages=stages, transitions=trans))
+        lim = tower_lim(Tower(stages=stages, transitions=trans, period=1))
         assert lim.module.invariants() == (3,)
 
     def test_growing_not_stabilized(self):
@@ -132,7 +132,7 @@ class TestTowerLim:
             mapped = mat_mul(rows[i + 1], t.transitions[i].mat())
             coeffs = factor_through_submodule(mapped, rows[i], t.stages[i])
             trans.append(Morphism.make(stages[k + 1], stages[k], coeffs))
-        lim2 = tower_lim(Tower(stages=stages, transitions=trans))
+        lim2 = tower_lim(Tower(stages=stages, transitions=trans, period=1))
         assert lim2.module.invariants() == lim.module.invariants()
 
 
@@ -145,15 +145,13 @@ class TestTowerLim1:
 
     def test_constant_identity_zero(self):
         m = z_mod(3)
-        t = Tower(stages=[m] * 6, transitions=[Morphism.identity(m)] * 5)
+        t = Tower(stages=[m] * 6, transitions=[Morphism.identity(m)] * 5, period=1)
         assert tower_lim1(t).is_zero()
 
-    def test_shrinking_unknown(self):
+    def test_infinite_stage_rejected(self):
         free = FPModule.from_presentation([], gens=1)
-        t = constant_hom_tower(free, seq(2), 8)
-        v = tower_lim1(t)
-        assert v.verdict == "unknown"
-        assert v.witness_chain is not None
+        with pytest.raises(ValueError, match="finite"):
+            tower_lim1(constant_hom_tower(free, seq(2), 8))
 
 
 class TestTelescope:
@@ -217,6 +215,18 @@ class TestDelta:
     def test_free_part_not_stabilized(self):
         with pytest.raises(NotStabilized):
             delta_truncated(FPModule.from_presentation([], gens=1), seq(2))
+
+    @pytest.mark.parametrize("modulus", [0, 12])
+    def test_zero_module_documents(self, modulus):
+        lim1 = {"verdict": "zero", "certificate": "finite_stages", "witness_chain": None}
+        zero, s = FPModule.zero(modulus), seq(2, 3)
+        assert delta_truncated(zero, s).to_document() == {
+            "lim1": lim1, "lambda_invariants": [], "lambda_stable_index": 0,
+            "delta_invariants": [], "delta_equals_lambda": True}
+        assert five_term_check(zero, s).to_document() == {
+            "hom_from_localization_quotient": [], "hom_from_localization": [],
+            "module": [], "delta": [], "ext": [], "exact": True, "lim1": lim1,
+            "stable_index": 0}
 
 
 class TestFiveTerm:
@@ -390,11 +400,15 @@ def shared_hnf(monkeypatch):
     monkeypatch.setattr(towers, "hnf_rows", cached)
 
 
+def confirmed_levels(tower):
+    return towers._confirmed_levels(tower, towers._carriers(tower, tower.depth - 1))
+
+
 def assert_same_chains(module, s, depth):
     for build in (quotient_tower, torsion_tower, constant_hom_tower):
         tower = build(module, s, depth)
         confirmed = quadratic_image_chains(tower) + [False]
-        assert confirmed.index(False) == towers._confirmed_levels(tower), \
+        assert confirmed.index(False) == confirmed_levels(tower), \
             (module, s.generators, depth, build.__name__)
 
 
@@ -406,7 +420,7 @@ class TestBisectedImageChains:
         rel = t.stages[2].relation_rows()
         images = [towers.hnf_rows(t.composite(2, k) + rel) for k in range(2, 31)]
         assert images == [[[1]]] * 18 + [[[2]]] * 11
-        assert towers._confirmed_levels(t) == 11
+        assert confirmed_levels(t) == 11
 
     def test_matches_quadratic_scan_on_battery_towers(self, shared_hnf):
         for d in range(1, 65):
@@ -429,11 +443,11 @@ def kernel_route_lim(tower):
     through its kernel and cokernel."""
     n = tower.depth
     w = tower.window()
-    i_max = towers._confirmed_levels(tower) - 1
+    carrier = towers._carriers(tower, n - 1)
+    i_max = towers._confirmed_levels(tower, carrier) - 1
     if i_max < w:
         raise NotStabilized("image chains not confirmed within depth",
                             chains=[[list(s.invariants()) for s in tower.stages]])
-    carrier = towers._carriers(tower, n - 1)
     subs = {}
 
     def sub(i):
@@ -459,7 +473,7 @@ def kernel_route_lim(tower):
                                      for i in range(i_max + 1)]])
     cert = towers.LimCertificate(stable_index=iso_down_to, verified_through=i_max)
     return towers.TowerLimit(module=sub(iso_down_to), carrier_rows=carrier[iso_down_to],
-                             stage_index=iso_down_to, certificate=cert)
+                             certificate=cert)
 
 
 def lim_outcome(lim, tower):
@@ -467,7 +481,7 @@ def lim_outcome(lim, tower):
         r = lim(tower)
     except NotStabilized as exc:
         return str(exc), exc.chains
-    return r.stage_index, r.certificate, r.module.invariants(), r.carrier_rows
+    return r.certificate, r.module.invariants(), r.carrier_rows
 
 
 def assert_same_limits(module, s, depth):
@@ -583,14 +597,13 @@ class TestTelescopeSmithRoute:
         assert criterion_5(groups=[(4,), (2, 6)])["pass"]
 
 
-def two_hnf_confirmed_levels(tower, top=None):
+def two_hnf_confirmed_levels(tower, top):
     """``_confirmed_levels`` before the inclusion argument: the HNFs of the
     images from the top and from one window below, compared."""
     n = tower.depth
     w = tower.window()
     if n <= w:
         return 0
-    top = top if top is not None else towers._carriers(tower, n - 1)
     below = towers._carriers(tower, n - 1 - w)
     for i in range(n - w):
         rel = tower.stages[i].relation_rows()
@@ -600,9 +613,7 @@ def two_hnf_confirmed_levels(tower, top=None):
 
 
 def confirmation_outcomes(tower):
-    lim1 = tower_lim1(tower)
-    return (towers._confirmed_levels(tower), lim_outcome(tower_lim, tower),
-            (lim1.verdict, lim1.certificate_kind, lim1.witness_chain))
+    return confirmed_levels(tower), lim_outcome(tower_lim, tower)
 
 
 def two_hnf_route():
@@ -644,7 +655,8 @@ class TestOneHnfConfirmation:
         m, s = z_mod(64), seq(3, 5, 6)
         for build in (quotient_tower, torsion_tower, constant_hom_tower):
             assert_same_confirmation(build(m, s, 31), build.__name__)
-        assert two_hnf_confirmed_levels(torsion_tower(m, s, 31)) == 11
+        t = torsion_tower(m, s, 31)
+        assert two_hnf_confirmed_levels(t, towers._carriers(t, t.depth - 1)) == 11
 
     @settings(max_examples=100, deadline=None)
     @given(gens_count=st.integers(min_value=1, max_value=3),
