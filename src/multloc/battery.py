@@ -28,7 +28,7 @@ from .certs import (
     verify_certificate,
 )
 from .ext import ext1_order, ext1_order_oracle
-from .fpmod import FPModule
+from .fpmod import FPModule, merge_invariants
 from .poset import build_mu_family, build_pair_dim2, mu, verify_distinguishing
 from .randomgen import (
     antichain_poset,
@@ -49,6 +49,7 @@ from .rings import (
 from .towers import (
     MultSubsetSeq,
     clear_caches,
+    cyclic_completion_oracle,
     delta_truncated,
     five_term_check,
     is_weakly_cotorsion_fg,
@@ -245,6 +246,14 @@ def criterion_5(groups=None) -> dict:
             "_elapsed": elapsed}
 
 
+def _completion_oracle(module: FPModule, gens: tuple[int, ...]) -> dict:
+    """The closed-form five-term terms of a finite module, merged over its
+    cyclic factors."""
+    blocks = [cyclic_completion_oracle(d, gens) for d in module.invariants()]
+    return {key: merge_invariants(b[key] for b in blocks)
+            for key in ("l1", "l2", "lambda", "ext")}
+
+
 def criterion_6(groups=None) -> dict:
     t0 = time.perf_counter()
     groups = groups if groups is not None else abelian_groups_upto(64)
@@ -256,11 +265,15 @@ def criterion_6(groups=None) -> dict:
             seq = MultSubsetSeq(generators=gens)
             delta = delta_truncated(module, seq)
             five = five_term_check(module, seq)
+            oracle = _completion_oracle(module, gens)
             checks += 1
-            ok = (delta.lim1.is_zero() and delta.lim1.certificate_kind is not None
-                  and delta.delta_equals_lambda
-                  and five.exact_everywhere() and five.lim1.is_zero()
-                  and five.delta_invariants == delta.lambda_invariants)
+            ok = (delta.lim1.is_zero() and five.lim1.is_zero()
+                  and five.exact_everywhere()
+                  and five.hom_loc_mod_r == oracle["l1"]
+                  and five.hom_loc == oracle["l2"]
+                  and delta.lambda_invariants == oracle["lambda"]
+                  and five.delta_invariants == oracle["lambda"]
+                  and five.ext_invariants == oracle["ext"])
             if not ok:
                 failures.append({"group": list(g), "generators": list(gens)})
     elapsed = time.perf_counter() - t0
@@ -279,9 +292,9 @@ def criterion_7(groups=None) -> dict:
         for m in (2, 3, 6, 10):
             seq = MultSubsetSeq(generators=(m,))
             decided = is_weakly_cotorsion_fg(module, m)
-            oracle = five_term_check(module, seq).ext_invariants == ()
+            ext = five_term_check(module, seq).ext_invariants
             checks += 1
-            if not (decided and oracle):
+            if not (decided and ext == _completion_oracle(module, (m,))["ext"]):
                 failures.append({"group": list(g), "m": m})
     free_cases = [(0,), (0, 6), (0, 0)]
     for inv in free_cases:

@@ -23,7 +23,7 @@ from .ext import ext1, ext2
 from .intlinalg import _saturate_divisor, identity
 from .towers import (
     MultSubsetSeq,
-    adequate_depth,
+    certified_depth,
     is_weakly_cotorsion_fg,
     quotient_tower,
     tower_lim,
@@ -361,7 +361,6 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
     if module.order() is None:
         raise NotWeaklyCotorsion("decomposition requires a finite module")
     seq = MultSubsetSeq(generators=(m,))
-    depth = depth if depth is not None else adequate_depth(module, seq)
     canon = FPModule.from_invariants(module.invariants(), modulus=module.modulus)
 
     if canon.is_zero():
@@ -370,6 +369,9 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
                         payload={"module": canon})
         return Certificate(root=seed)
 
+    # the quotient tower of a sum stabilizes where its slowest factor does
+    depth = depth if depth is not None else max(
+        certified_depth(d, seq) for d in canon.invariants())
     quo = quotient_tower(canon, seq, depth)
     lim = tower_lim(quo)
     n0 = lim.certificate.stable_index

@@ -28,8 +28,8 @@ from .fpmod import (
     relations_among,
     submodules_equal,
 )
-from .intlinalg import (determinant, hnf_rows, identity, lattice_member, mat_mul,
-                        smith_normal_form)
+from .intlinalg import (_saturate_divisor, determinant, hnf_rows, identity, lattice_member,
+                        mat_mul, smith_normal_form)
 
 DEFAULT_DEPTH = 12
 
@@ -74,32 +74,69 @@ def _check_depth(depth: int | None) -> None:
         raise ValueError(f"depth must be at least 1, got {depth}")
 
 
-def adequate_depth(module: FPModule, seq: MultSubsetSeq,
-                   minimum: int = DEFAULT_DEPTH) -> int:
-    """Depth at which every tower of this module is certain to stabilize.
+def certified_depth(d: int, seq: MultSubsetSeq) -> int:
+    """Least depth at which every tower of Z/d certifies its limit and the
+    five-term carriers are verified where they are realized.
 
-    A cyclic factor of order d needs its p-exponents exhausted; round-robin
-    delivers each generator once per cycle, so the exponent count plus a
-    period-sized certification window (plus slack) is always enough.
+    k is the schedule period, d_S the largest divisor of d built from primes
+    dividing some generator (gcd peeling, no factoring), and step(a) the
+    least n >= a with gcd(d, t_n / t_a) = d_S, found by a running product
+    modulo d; n0 = step(0).  The depth is
+
+        max(n0 + 2k, step(max(n0, k + 1)) + k),
+
+    which equals max(n0 + 2k, step(n0) + k, step(k + 1) + k, 2k + 1)
+    because step is monotone and step(a) >= a; it is 2k + 1 when d_S = 1.
+    Stage i of each tower belongs to t_{i+1}, and a = v_p(d).
+
+    - Quotient tower, stages Z/gcd(d, t_{i+1}): a run of k + 1 equal stages
+      means one full period leaves gcd(d, t) unchanged, which happens
+      exactly once t saturates d_S.  So the only plateau the window accepts
+      is the true one, from stage max(n0 - 1, 0) on, and certifying it
+      needs the top confirmed level N - k - 1 to lie k above it:
+      N >= n0 + 2k.
+    - Torsion and constant towers: the image of level j from level m has
+      p-part p^max(0, a - v_p(t_{m+1} / t_{j+1})) once t_{m+1} saturates d
+      (always, for the constant tower); before that the torsion image is
+      all of p^v_p(t_{j+1}).  With t_{N-k} saturated, a window of one
+      period therefore confirms level j exactly when t_{N-k} / t_{j+1}
+      saturates d_S, i.e. step(j + 1) <= N - k, and every confirmed image
+      is the same (zero, resp. Z/(d/d_S)), so the limit sits at stage 0.
+      The iso window needs levels 0..k confirmed (N >= step(k + 1) + k),
+      and the five-term assembly realizes its carriers at n_star = n0 - 1,
+      which must be confirmed too (N >= step(n0) + k).
+
+    One stage fewer breaks the condition that set the maximum (the
+    quotient window, or the confirmation of level k or n_star), so no
+    smaller depth certifies the five-term block.
+
+    A free factor (d = 0) never stabilizes; it gets max(DEFAULT_DEPTH,
+    3k + 4) stages of evidence.
     """
-    max_exp = 0
-    for d in module.invariants():
-        if d <= 1:
-            continue
-        m = d
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                max_exp = max(max_exp, e)
-            p += 1
-        if m > 1:
-            max_exp = max(max_exp, 1)
-    period = len(seq.generators)
-    return max(minimum, period * (max_exp + 3) + 4)
+    k = len(seq.generators)
+    if d == 0:
+        return max(DEFAULT_DEPTH, 3 * k + 4)
+    d_s = _saturate_divisor(math.prod(seq.generators), d)
+
+    def step(a: int) -> int:
+        n, r = a, 1
+        while math.gcd(d, r) != d_s:
+            n += 1
+            r = r * seq.s(n) % d
+        return n
+
+    n0 = step(0)
+    return max(n0 + 2 * k, step(max(n0, k + 1)) + k)
+
+
+def cyclic_completion_oracle(d: int, generators) -> dict:
+    """Closed form of the five-term terms of Z/d, d > 0, by gcd peeling
+    alone: Hom(S^-1 R / R, Z/d) = 0 (a divisible group has no nonzero map
+    into a finite one), Hom(S^-1 R, Z/d) = Z/(d/d_S), the completion
+    Lambda = Delta = Z/d_S, and Ext = 0."""
+    d_s = _saturate_divisor(math.prod(generators), d)
+    return {"l1": (), "l2": canonical_invariants([d // d_s]),
+            "lambda": canonical_invariants([d_s]), "ext": ()}
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +156,9 @@ class Tower:
     exhausted): from then on one more period multiplies by the same
     product.  Before that a constant window proves nothing: for Z/64 with
     schedule (3, 5, 6) the level-2 torsion chain stays constant for 18
-    stages and drops at stage 20.
+    stages and drops at stage 20.  ``certified_depth`` gives, from gcds
+    alone, the least depth at which the window of a cyclic factor's towers
+    lies past that point wherever the limits are read (39 in this example).
     """
 
     stages: list[FPModule]
@@ -579,8 +618,15 @@ class FiveTermReport:
 def _five_term_assemble(module: FPModule, tor: Tower, con: Tower, quo: Tower,
                         lims: list[TowerLimit]) -> dict:
     """One cyclic factor's five-term block from its towers and their limits
-    (torsion, constant, quotient)."""
+    (torsion, constant, quotient), or a failure when the common stage index
+    lies above what some limit verified: a carrier realized there would not
+    be its limit's, and the terms read off it could be wrong."""
     n_star = max(lim.certificate.stable_index for lim in lims)
+    verified = [lim.certificate.verified_through for lim in lims]
+    if n_star > min(verified):
+        return _Failure(f"carriers are realized at stage {n_star} but the torsion, "
+                        f"constant and quotient limits are verified through {verified}",
+                        [verified])
 
     # realize every carrier at the common stage index
     tor_rows = tor.composite(n_star, tor.depth - 1)
@@ -625,7 +671,11 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
 
     The module is decomposed into cyclic factors (the sequence is additive
     and all carriers are block-diagonal), each factor is checked at its own
-    stable index, and the terms are merged canonically.
+    stable index, and the terms are merged canonically.  Without ``depth``
+    each factor's towers are built to its ``certified_depth``, where every
+    limit certifies and the carriers are verified at the stage that
+    realizes them.  An explicit ``depth`` too small for that raises
+    NotStabilized rather than returning terms read off unverified carriers.
     """
     _check_depth(depth)
     if module.order() is None:
@@ -692,9 +742,19 @@ def _complete_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
     """Each tower built once, each limit taken once.  Delta needs the
     quotient limit and the torsion lim^1; the five-term block also needs the
     torsion and constant limits and fails with the first of torsion,
-    constant, quotient that does not stabilize."""
+    constant, quotient that does not stabilize, or when the carriers'
+    common stage lies above what a limit verified.
+
+    The default depth is ``certified_depth(d, seq)``: the quotient plateau
+    starts at n_star = n0 - 1 and is certified once the depth reaches
+    n0 + 2k; the torsion and constant limits sit at stage 0 and are
+    verified through level j once step(j + 1) + k stages exist, so levels
+    0..max(n_star, k) are verified at step(max(n0, k + 1)) + k.  Hence both
+    Delta and the five-term block succeed there; see ``certified_depth``
+    for the notation and the image formulas.
+    """
     module = FPModule.from_invariants([d], modulus=modulus)
-    depth = depth if depth is not None else adequate_depth(module, seq)
+    depth = depth if depth is not None else certified_depth(d, seq)
     quo = quotient_tower(module, seq, depth)
     tor = torsion_tower(module, seq, depth)
     lim_quo = _limit(quo)

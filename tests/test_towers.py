@@ -16,8 +16,9 @@ from multloc.towers import (
     MultSubsetSeq,
     NotStabilized,
     Tower,
-    adequate_depth,
+    certified_depth,
     constant_hom_tower,
+    cyclic_completion_oracle,
     delta_truncated,
     five_term_check,
     is_weakly_cotorsion_fg,
@@ -295,18 +296,73 @@ class TestWeaklyCotorsion:
         assert weakly_cotorsion_report(free, 1)["oracle_agrees"]
 
 
-class TestAdequateDepth:
+def saturation_step(d, gens, a):
+    """Least n >= a with gcd(d, t_n / t_a) = d_S, from the exact partial
+    products and the primes of d_S found by trial division."""
+    s = MultSubsetSeq(generators=tuple(gens))
+    primes = [p for p in range(2, d + 1) if d % p == 0
+              and all(p % q for q in range(2, p)) and math.prod(gens) % p == 0]
+    d_s = math.prod(p ** _valuation(d, p) for p in primes)
+    n = a
+    while math.gcd(d, s.t(n) // s.t(a)) != d_s:
+        n += 1
+    return n
+
+
+def _valuation(d, p):
+    return 0 if d % p else 1 + _valuation(d // p, p)
+
+
+def depth_by_formula(d, gens):
+    k = len(gens)
+    n0 = saturation_step(d, gens, 0)
+    return max(n0 + 2 * k, saturation_step(d, gens, n0) + k,
+               saturation_step(d, gens, k + 1) + k, 2 * k + 1)
+
+
+class TestCertifiedDepth:
     def test_worst_case_certifies(self):
-        # the deepest battery case: full 2-exponent with the 4-generator set
+        # the deepest battery case: full 2-exponent with the 4-generator set;
+        # 2 divides t_n to the sixth power from n0 = 12 on, and once more
+        # six factors of 2 past it at step(12) = 24
         m = z_mod(64)
         s = seq(2, 3, 5, 6)
-        assert adequate_depth(m, s) > 4 * 6 + 4
+        assert certified_depth(64, s) == 24 + 4
         rep = five_term_check(m, s)
         assert rep.exact_everywhere()
         assert rep.delta_invariants == (64,)
 
-    def test_default_floor(self):
-        assert adequate_depth(z_mod(2), seq(2)) == 12
+    def test_free_factor_floor(self):
+        assert certified_depth(0, seq(2)) == DEFAULT_DEPTH
+        assert certified_depth(0, seq(2, 3, 5, 6)) == 3 * 4 + 4
+
+    def test_nothing_inverted_needs_one_window_above_two_periods(self):
+        assert certified_depth(5, seq(2, 3)) == 5
+        assert certified_depth(7, seq(1, -1)) == 5
+
+    def test_matches_the_four_term_formula(self):
+        for d in range(1, 65):
+            for gens in GENERATOR_SETS + [(-2,), (1, 3), (-1, 4), (10, -3)]:
+                assert certified_depth(d, seq(*gens)) == depth_by_formula(d, gens), (d, gens)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(min_value=2, max_value=200),
+           gens=st.lists(st.sampled_from([-6, -2, -1, 1, 2, 3, 4, 5, 6, 9, 10, 12, 35]),
+                         min_size=1, max_size=4))
+    def test_guard_holds_at_depth_and_fails_one_below(self, d, gens):
+        s = MultSubsetSeq(generators=tuple(gens))
+        depth = certified_depth(d, s)
+        m = z_mod(d)
+        lims = [tower_lim(build(m, s, depth))
+                for build in (torsion_tower, constant_hom_tower, quotient_tower)]
+        n_star = max(lim.certificate.stable_index for lim in lims)
+        assert n_star <= min(lim.certificate.verified_through for lim in lims)
+        rep = five_term_check(m, s)
+        oracle = cyclic_completion_oracle(d, gens)
+        assert (rep.hom_loc_mod_r, rep.hom_loc, rep.delta_invariants, rep.ext_invariants) \
+            == (oracle["l1"], oracle["l2"], oracle["lambda"], oracle["ext"])
+        with pytest.raises(NotStabilized):
+            five_term_check(m, s, depth - 1)
 
 
 class TestDepthValidation:
@@ -427,7 +483,7 @@ class TestBisectedImageChains:
             m = z_mod(d)
             for gens in GENERATOR_SETS:
                 s = MultSubsetSeq(generators=gens)
-                assert_same_chains(m, s, adequate_depth(m, s))
+                assert_same_chains(m, s, certified_depth(d, s))
 
     @settings(max_examples=40, deadline=None)
     @given(inv=st.lists(st.sampled_from([0, 2, 3, 4, 6, 8, 9, 12, 16]), min_size=1, max_size=2),
@@ -511,7 +567,7 @@ class TestLatticeEqualityLimit:
             m = z_mod(d)
             for gens in GENERATOR_SETS:
                 s = MultSubsetSeq(generators=gens)
-                assert_same_limits(m, s, adequate_depth(m, s))
+                assert_same_limits(m, s, certified_depth(d, s))
 
     @settings(max_examples=100, deadline=None)
     @given(gens_count=st.integers(min_value=1, max_value=3),
@@ -528,13 +584,46 @@ class TestLatticeEqualityLimit:
 
 
 class TestKnownWrongAnswer:
-    @pytest.mark.xfail(strict=True, reason="carriers are realized at n_star = 17, but the "
-                       "constant tower's limit is only verified through level 10")
+    """Z/64 at (3, 5, 6): the quotient plateau starts at n_star = 17, and
+    the constant tower's limit is verified through level 10 at depth 31."""
+
     def test_z64_hom_from_localization(self):
         # 2 is inverted, so nothing nonzero maps from the localization into Z/64
         m, s = z_mod(64), seq(3, 5, 6)
-        assert adequate_depth(m, s) == 31
+        assert certified_depth(64, s) == 39
         assert five_term_check(m, s).hom_loc == ()
+
+    def test_unverified_carriers_are_not_read(self):
+        with pytest.raises(NotStabilized, match="carriers are realized at stage 17"):
+            five_term_check(z_mod(64), seq(3, 5, 6), depth=31)
+        # Delta reads only the quotient limit, which is certified there
+        assert delta_truncated(z_mod(64), seq(3, 5, 6), 31).lambda_invariants == (64,)
+
+
+class TestCompletionOracle:
+    """Criterion 6 compares the engine with this oracle on its full corpus
+    (``test_acceptance.py``); here the modules over Z/N."""
+
+    def test_closed_form(self):
+        assert cyclic_completion_oracle(12, (2,)) == {"l1": (), "l2": (3,),
+                                                      "lambda": (4,), "ext": ()}
+        assert cyclic_completion_oracle(7, (-1, 2)) == {"l1": (), "l2": (7,),
+                                                        "lambda": (), "ext": ()}
+        assert cyclic_completion_oracle(30, (-6, 35)) == {"l1": (), "l2": (),
+                                                          "lambda": (30,), "ext": ()}
+
+    def test_engine_agrees_on_cyclic_modules_over_z_mod_n(self):
+        signed = [(-2,), (1,), (-1, 2), (1, 3), (10, -3), (4, 9)]
+        for n in range(2, 129):
+            for d in (d for d in range(2, n + 1) if n % d == 0):
+                m = FPModule.from_invariants([d], modulus=n)
+                for gens in GENERATOR_SETS + signed:
+                    rep = five_term_check(m, seq(*gens))
+                    oracle = cyclic_completion_oracle(d, gens)
+                    assert (rep.hom_loc_mod_r, rep.hom_loc, rep.delta_invariants,
+                            rep.ext_invariants) == (oracle["l1"], oracle["l2"],
+                                                    oracle["lambda"], oracle["ext"]), \
+                        (n, d, gens)
 
 
 def stacked_dual_homology(schedule, d, modulus):
@@ -638,7 +727,7 @@ class TestOneHnfConfirmation:
             m = z_mod(d)
             for gens in GENERATOR_SETS:
                 s = MultSubsetSeq(generators=gens)
-                depth = adequate_depth(m, s)
+                depth = certified_depth(d, s)
                 for build in (quotient_tower, torsion_tower, constant_hom_tower):
                     assert_same_confirmation(build(m, s, depth), (d, gens, build.__name__))
 
