@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: extended gcd, Hermite normal form, invariant
+"""Exact integer linear algebra: one row elimination loop, which gives the
+Hermite normal form and the row echelon form with its transform; invariant
 factors by alternating HNF, row echelon kernels and solves.
 
 Matrices are lists of lists of Python ints (rows).  Everything here is
@@ -8,21 +9,6 @@ exact; there is no floating point anywhere in the package.
 from __future__ import annotations
 
 from math import gcd
-
-
-def exgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def identity(n: int) -> list[list[int]]:
@@ -48,35 +34,6 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
                 for j in range(cols):
                     acc[j] += aik * brow[j]
     return out
-
-
-def mat_copy(a: list[list[int]]) -> list[list[int]]:
-    return [row[:] for row in a]
-
-
-def determinant(a: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = mat_copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def canonical_invariants(factors: list[int], rank: int = 0) -> tuple[int, ...]:
@@ -140,37 +97,16 @@ def hnf_rows(a: list[list[int]]) -> list[list[int]]:
     """
     if not a:
         return []
-    rows = [row[:] for row in a if any(row)]
-    cols = len(a[0])
-    basis: list[list[int]] = []
-    for col in range(cols):
-        # select rows whose leading support starts here
-        pool = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
-        if not pool:
-            rows = rest
-            continue
-        piv = pool[0][:]
-        for r in pool[1:]:
-            g, x, y = exgcd(piv[col], r[col])
-            pc, rc = piv[col], r[col]
-            new_piv = [x * piv[j] + y * r[j] for j in range(cols)]
-            new_r = [-(rc // g) * piv[j] + (pc // g) * r[j] for j in range(cols)]
-            piv = new_piv
-            if any(new_r):
-                rest.append(new_r)
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        rows = rest
+    basis = [row[:] for row in a if any(row)]
+    pivots = _eliminate(basis, len(a[0]))
+    del basis[len(pivots):]
     # reduce above-pivot entries bottom-up: each row against the already
     # reduced rows below it, in ascending pivot order, so no later step
     # disturbs an entry that was reduced earlier
-    leads = [next(j for j in range(cols) if row[j] != 0) for row in basis]
     for k in range(len(basis) - 2, -1, -1):
         row = basis[k]
         for i in range(k + 1, len(basis)):
-            q = row[leads[i]] // basis[i][leads[i]]
+            q = row[pivots[i]] // basis[i][pivots[i]]
             if q:
                 row = [x - q * y for x, y in zip(row, basis[i])]
         basis[k] = row
@@ -190,46 +126,60 @@ def lattice_member(basis_hnf: list[list[int]], x: list[int]) -> bool:
     return not any(v)
 
 
+def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
+    """Bring the first ``cols`` columns of ``rows`` to row echelon form in
+    place and return the pivot columns.
+
+    Row k's pivot is positive and sits in column ``pivots[k]``; the rows from
+    ``len(pivots)`` on are zero in the first ``cols`` columns.  Only whole
+    rows are combined, so columns past ``cols`` record the transform.  Each
+    column is cleared by repeated division by its smallest entry, which keeps
+    the entries small (Cohen, GTM 138, section 2.4).
+    """
+    n = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == n:
+            break
+        live = [i for i in range(r, n) if rows[i][c]]
+        if not live:
+            continue
+        while True:
+            p = min(live, key=lambda i: abs(rows[i][c]))
+            prow = rows[p]
+            pv = prow[c]
+            rest = []
+            for i in live:
+                if i != p:
+                    row = rows[i]
+                    q = row[c] // pv
+                    row = rows[i] = [x - q * y for x, y in zip(row, prow)]
+                    if row[c]:
+                        rest.append(i)
+            if not rest:
+                break
+            live = rest + [p]
+        rows[p] = rows[r]
+        rows[r] = prow if pv > 0 else [-x for x in prow]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def row_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """Row echelon form with its transform: (E, U, pivots) with U * a = E.
 
     U is unimodular, E is in row echelon form with positive pivots, and
     ``pivots[k]`` is the column of row k's pivot; the rows of E from
     ``len(pivots)`` on are zero, so the matching rows of U span the left
-    kernel of ``a`` (Cohen, GTM 138, section 2.4).  Each column is cleared by
-    repeated division by its smallest entry, which keeps U's entries small.
+    kernel of ``a``.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     # each row carries its row of U behind it, so one operation updates both
     aug = [row[:] + [1 if i == j else 0 for j in range(rows)] for i, row in enumerate(a)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        live = [i for i in range(r, rows) if aug[i][c]]
-        if not live:
-            continue
-        while True:
-            p = min(live, key=lambda i: abs(aug[i][c]))
-            prow = aug[p]
-            pv = prow[c]
-            rest = []
-            for i in live:
-                if i != p:
-                    row = aug[i]
-                    q = row[c] // pv
-                    row = aug[i] = [x - q * y for x, y in zip(row, prow)]
-                    if row[c]:
-                        rest.append(i)
-            if not rest:
-                break
-            live = rest + [p]
-        aug[p] = aug[r]
-        aug[r] = prow if pv > 0 else [-x for x in prow]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    pivots = _eliminate(aug, cols)
     return [row[:cols] for row in aug], [row[cols:] for row in aug], pivots
 
 

@@ -28,7 +28,7 @@ from .fpmod import (
     relations_among,
     submodules_equal,
 )
-from .intlinalg import (_saturate_divisor, determinant, hnf_rows, identity, lattice_member,
+from .intlinalg import (_saturate_divisor, hnf_rows, identity, lattice_member,
                         mat_mul, smith_normal_form)
 
 DEFAULT_DEPTH = 12
@@ -414,7 +414,7 @@ class TelescopeComplex:
         n, t = self.n, self.companion
         ident = identity(n)
         out = {
-            "substitution_unimodular": abs(determinant(self.differential)) == 1,
+            "substitution_unimodular": hnf_rows(self.differential) == ident,
             "f_chain_map": mat_mul(self.two_term, self.f1)
                             == [[t * x for x in row] for row in self.f0],
             "g_chain_map": mat_mul(self.g0, self.two_term)

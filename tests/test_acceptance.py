@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from multloc import battery as battery_module
 from multloc.battery import RULE_REFS, run_battery
 
 
@@ -104,6 +105,48 @@ def test_criterion_11_determinism(battery):
     # the whole structured document is serializable and stable under key sort
     blob = json.dumps(battery, sort_keys=True)
     assert json.loads(blob) == battery
+
+
+def _criterion_11_after(monkeypatch, change):
+    """Criterion 11 of a battery whose second pass is the first with
+    ``change`` applied to it."""
+    passes = []
+
+    def fake_pass(seed, quick=False):
+        results = [{"criterion": 1, "pass": True, "_elapsed": 1e-4,
+                    "details": {"listed": [0, 1, 2, 4, 6], "closed_form_to_100": True,
+                                "under_1ms": True}},
+                   {"criterion": 5, "pass": True, "_elapsed": 1.0,
+                    "details": {"checks": 96, "failures": [], "under_10s": True}}]
+        if passes:
+            change(results)
+        passes.append(results)
+        return results
+
+    monkeypatch.setattr(battery_module, "run_criteria_1_to_10", fake_pass)
+    doc, _ = run_battery(seed=42, quick=True)
+    assert len(passes) == 2
+    return doc["criteria"][-1]
+
+
+def _stall(results):
+    # what a host stall does to criterion 1: its gate fails, and so its pass
+    results[0]["details"]["under_1ms"] = False
+    results[0]["pass"] = False
+
+
+def _wrong_value(results):
+    results[1]["details"]["checks"] = 95
+
+
+def test_criterion_11_ignores_a_flipped_wall_clock_flag(monkeypatch):
+    crit = _criterion_11_after(monkeypatch, _stall)
+    assert crit["pass"] and crit["details"]["identical"]
+
+
+def test_criterion_11_fails_on_any_other_detail(monkeypatch):
+    crit = _criterion_11_after(monkeypatch, _wrong_value)
+    assert not crit["pass"] and not crit["details"]["identical"]
 
 
 def test_all_pass_flag(battery):

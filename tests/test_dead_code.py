@@ -12,8 +12,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 ALLOWED = {
-    "ext.hom_count_oracle": "enumeration oracle, the test reference for Hom",
-    "ext.middle_terms_oracle": "enumeration oracle, the test reference for Ext^1",
     "rings.strongly_flat_criterion_fg": "the paper's title notion, kept as API",
 }
 

@@ -1,14 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, ZZ
-from sympy.matrices.normalforms import invariant_factors
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from multloc.intlinalg import (
-    determinant,
-    exgcd,
     hnf_rows,
     lattice_member,
     left_nullspace,
@@ -27,15 +25,6 @@ def matrices(draw, max_rows=6, max_cols=6):
     c = draw(st.integers(min_value=1, max_value=max_cols))
     return draw(st.lists(st.lists(small_ints, min_size=c, max_size=c),
                          min_size=r, max_size=r))
-
-
-def test_exgcd_basic():
-    for a, b in [(0, 0), (0, 5), (5, 0), (12, 18), (-12, 18), (7, -3), (-4, -6)]:
-        g, x, y = exgcd(a, b)
-        assert g >= 0
-        assert x * a + y * b == g
-        import math
-        assert g == math.gcd(a, b)
 
 
 def test_snf_identity():
@@ -120,27 +109,6 @@ def test_solve_left():
     assert solve_left(a, [1, 0]) is None
 
 
-def test_determinant():
-    assert determinant([[2, 0], [0, 3]]) == 6
-    assert determinant([[0, 1], [1, 0]]) == -1
-    assert determinant([[1, 2], [2, 4]]) == 0
-    rng = random.Random(7)
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        # compare against cofactor expansion
-        def cof(m):
-            k = len(m)
-            if k == 1:
-                return m[0][0]
-            tot = 0
-            for j in range(k):
-                minor = [row[:j] + row[j + 1:] for row in m[1:]]
-                tot += (-1) ** j * m[0][j] * cof(minor)
-            return tot
-        assert determinant(a) == cof(a)
-
-
 def _is_reduced_echelon(basis):
     leads = []
     for row in basis:
@@ -158,6 +126,28 @@ def test_hnf_reduced_above_every_pivot():
     a = [[1, 0, -3], [0, 1, -2], [1, 1, 0]]
     assert hnf_rows(a) == [[1, 0, 2], [0, 1, 3], [0, 0, 5]]
     assert hnf_rows([[1, 0, 2], [0, 1, 3], [0, 0, 5]]) == hnf_rows(a)
+    # reducing the top row against the last pivot before the middle one
+    # leaves the 2 that subtracting the middle row puts above the last pivot
+    assert hnf_rows([[1, -2, 0], [0, -1, -1], [0, 0, 2]]) == [[1, 0, 0], [0, 1, 1],
+                                                             [0, 0, 2]]
+
+
+def _sympy_hnf_rows(a):
+    # sympy's Hermite form is Cohen's column form (pivots at the bottom right,
+    # reduced to the right of each pivot); on the column-reversed transpose,
+    # reversed back, it is the row form hnf_rows computes
+    h = hermite_normal_form(Matrix(a)[:, ::-1].T)
+    return [[int(x) for x in row] for row in h[::-1, ::-1].T.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.booleans(), st.integers(min_value=2, max_value=30))
+def test_hnf_matches_sympy(a, stacked, n):
+    # stacked N*I rows give the full-rank lattices relation matrices over Z/N have
+    if stacked:
+        a = a + [[n if i == j else 0 for j in range(len(a[0]))] for i in range(len(a[0]))]
+    assume(any(map(any, a)))
+    assert hnf_rows(a) == _sympy_hnf_rows(a)
 
 
 @settings(max_examples=150, deadline=None)
@@ -182,7 +172,7 @@ def test_hnf_invariant_under_unimodular_rows(a, rng):
 def test_row_echelon_postconditions(a):
     e, u, pivots = row_echelon(a)
     assert mat_mul(u, a) == e
-    assert abs(determinant(u)) == 1
+    assert abs(Matrix(u).det()) == 1
     rank = len(pivots)
     assert pivots == sorted(set(pivots))
     for k, c in enumerate(pivots):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from unittest import mock
@@ -172,6 +173,16 @@ class TestTelescope:
         tc = telescope_complex(seq(2), 3)
         assert tc.differential[1][0] == -2 and tc.differential[2][1] == -2
         assert tc.verify_witnesses()["all_ok"]
+
+    def test_substitution_unimodular_reads_the_differential(self):
+        tc = telescope_complex(seq(2), 2)
+        # det 2: a 2 on the diagonal makes the substitution not invertible over Z
+        doubled = dataclasses.replace(tc, differential=[[1, 0], [-2, 2]])
+        assert not doubled.verify_witnesses()["substitution_unimodular"]
+        assert not doubled.verify_witnesses()["all_ok"]
+        # det 1 but not triangular
+        unimodular = dataclasses.replace(tc, differential=[[3, 1], [2, 1]])
+        assert unimodular.verify_witnesses()["substitution_unimodular"]
 
     def test_witnesses_random(self):
         rng = random.Random(77)
