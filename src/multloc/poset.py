@@ -1,16 +1,18 @@
 """Finite ranked models of prime spectra and distinguishing multiplicative subsets.
 
-A PrimePoset records the strict containment order on a finite set of
-prime-ideal labels together with height labels (longest chain below).
-Ring elements are modeled generically: an element chosen inside a prime p
-lies in exactly the primes containing p, so prime avoidance succeeds
-whenever no forbidden prime contains the target.  This makes the
-constructions below total, while the verifier only ever looks at
-intersection patterns and is independent of the element model.
+A PrimePoset records the containment order on a finite set of prime-ideal
+labels as up-sets (for each prime, the primes containing it) together with
+height labels (longest chain below).  Ring elements are modeled
+generically: an element chosen inside a prime p lies in exactly the primes
+containing p, its up-set, so prime avoidance succeeds whenever no
+forbidden prime contains the target.  This makes the constructions below
+total, while the verifier only ever looks at intersection patterns and is
+independent of the element model.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -29,34 +31,52 @@ class BadChoice(Exception):
 
 @dataclass(frozen=True)
 class PrimePoset:
-    """Strict containment order on prime labels, with validated heights."""
+    """Containment order on prime labels, kept as up-sets, with validated heights.
+
+    ``up[p]`` holds the primes containing p, p included; it is also the
+    locus of a generic element of p.  ``height[p]`` is the length of the
+    longest chain below p.  Two posets are equal when they have the same
+    primes and the same order.
+    """
 
     primes: tuple[str, ...]
-    lt: frozenset[tuple[str, str]]
+    up: dict[str, frozenset[str]] = field(hash=False)
     height: dict[str, int] = field(compare=False)
 
     @staticmethod
-    def from_lt(primes: list[str], lt_pairs: set[tuple[str, str]]) -> "PrimePoset":
+    def from_lt(primes: list[str], lt_pairs: Iterable[tuple[str, str]]) -> "PrimePoset":
+        """Order generated by ``lt_pairs``.  Pairs are checked in the order
+        given and a cycle is named by its first prime in ``primes``, so an
+        error names the same culprit in every process."""
         primes_t = tuple(primes)
-        pset = set(primes_t)
-        if len(pset) != len(primes_t):
+        if len(set(primes_t)) != len(primes_t):
             raise ValueError("duplicate prime identifiers")
+        succ: dict[str, set[str]] = {p: set() for p in primes_t}
         for a, b in lt_pairs:
-            if a not in pset or b not in pset:
+            if a not in succ or b not in succ:
                 raise ValueError(f"lt pair ({a!r}, {b!r}) mentions unknown prime")
             if a == b:
                 raise ValueError(f"lt is not irreflexive at {a!r}")
-        closure = _transitive_closure(primes_t, lt_pairs)
-        for a, b in closure:
-            if (b, a) in closure:
-                raise ValueError(f"lt has a cycle through {a!r}, {b!r}")
-        heights = _longest_chain_heights(primes_t, closure)
-        return PrimePoset(primes=primes_t, lt=frozenset(closure), height=heights)
+            succ[a].add(b)
+        up = {}
+        for p in primes_t:
+            above: set[str] = set()
+            stack = list(succ[p])
+            while stack:
+                q = stack.pop()
+                if q not in above:
+                    above.add(q)
+                    stack.extend(succ[q])
+            if p in above:
+                raise ValueError(f"lt has a cycle through {p!r}")
+            above.add(p)
+            up[p] = frozenset(above)
+        return PrimePoset(primes_t, up, _heights(primes_t, up))
 
     @staticmethod
     def from_covers(primes: list[str], covers: list[tuple[str, str]]) -> "PrimePoset":
         """Build from cover pairs [lower, upper]; the order is the transitive closure."""
-        return PrimePoset.from_lt(primes, set((a, b) for a, b in covers))
+        return PrimePoset.from_lt(primes, covers)
 
     @staticmethod
     def from_document(doc: dict) -> "PrimePoset":
@@ -77,75 +97,47 @@ class PrimePoset:
         return max(self.height.values(), default=0)
 
     def less(self, a: str, b: str) -> bool:
-        return (a, b) in self.lt
-
-    def leq(self, a: str, b: str) -> bool:
-        return a == b or (a, b) in self.lt
-
-    def up_closure(self, p: str) -> frozenset[str]:
-        return frozenset(q for q in self.primes if self.leq(p, q))
+        return a != b and b in self.up.get(a, ())
 
     def primes_of_height(self, h: int) -> list[str]:
         return [p for p in self.primes if self.height[p] == h]
 
     def comparable_pairs(self) -> list[tuple[str, str]]:
         """All pairs (p, q) with p strictly contained in q."""
-        return [(a, b) for (a, b) in sorted(self.lt)]
+        return sorted((p, q) for p in self.primes for q in self.up[p] if q != p)
 
     def canonical_order(self) -> list[str]:
         """Ascending height, then identifier: the default enumeration."""
         return sorted(self.primes, key=lambda p: (self.height[p], p))
 
     def restrict(self, keep: set[str]) -> "PrimePoset":
-        """Induced subposet with heights recomputed inside the subset."""
-        sub = [p for p in self.primes if p in keep]
-        lt = {(a, b) for (a, b) in self.lt if a in keep and b in keep}
-        return PrimePoset.from_lt(sub, lt)
+        """Induced subposet with heights recomputed inside the subset.
+
+        The restriction of a closed, acyclic order is closed and acyclic,
+        so the up-sets are only cut down to ``keep``.
+        """
+        primes = tuple(p for p in self.primes if p in keep)
+        up = {p: self.up[p].intersection(keep) for p in primes}
+        return PrimePoset(primes, up, _heights(primes, up))
 
     def to_document(self) -> dict:
-        covers = _covers_of(self.primes, self.lt)
-        return {"primes": list(self.primes), "covers": [list(c) for c in sorted(covers)]}
+        covers = []
+        for p in self.primes:
+            above = self.up[p] - {p}
+            covers += [[p, q] for q in above
+                       if not any(q in self.up[r] for r in above if r != q)]
+        return {"primes": list(self.primes), "covers": sorted(covers)}
 
 
-def _transitive_closure(primes, pairs):
-    adj = {p: set() for p in primes}
-    for a, b in pairs:
-        adj[a].add(b)
-    closure = set()
-    for p in primes:
-        seen = set()
-        stack = list(adj[p])
-        while stack:
-            q = stack.pop()
-            if q in seen:
-                continue
-            seen.add(q)
-            stack.extend(adj[q])
-        for q in seen:
-            closure.add((p, q))
-    return closure
-
-
-def _longest_chain_heights(primes, closure):
-    below = {p: [q for q in primes if (q, p) in closure] for p in primes}
-    heights: dict[str, int] = {}
-
-    def h(p):
-        if p not in heights:
-            heights[p] = 1 + max((h(q) for q in below[p]), default=-1)
-        return heights[p]
-
-    for p in primes:
-        h(p)
-    return heights
-
-
-def _covers_of(primes, lt):
-    covers = []
-    for a, b in lt:
-        if not any((a, c) in lt and (c, b) in lt for c in primes):
-            covers.append((a, b))
-    return covers
+def _heights(primes, up):
+    """Longest chain below each prime.  A prime's up-set is strictly larger
+    than that of every prime above it, so larger up-sets are final first."""
+    height = dict.fromkeys(primes, 0)
+    for p in sorted(primes, key=lambda p: -len(up[p])):
+        for q in up[p]:
+            if q != p and height[q] <= height[p]:
+                height[q] = height[p] + 1
+    return height
 
 
 @dataclass(frozen=True)
@@ -196,12 +188,7 @@ def mu(d: int) -> int:
     """Number of subsets used in dimension d: d + (d-2) + (d-4) + ... (terms >= 1)."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    total = 0
-    k = d
-    while k >= 1:
-        total += k
-        k -= 2
-    return total
+    return sum(range(d, 0, -2))
 
 
 def avoidance_element(poset: PrimePoset, target: str, forbidden: set[str],
@@ -211,10 +198,10 @@ def avoidance_element(poset: PrimePoset, target: str, forbidden: set[str],
     Raises AvoidanceImpossible when some forbidden prime contains the target
     (then every element of the target lies in it).
     """
-    if target not in poset.height:
+    if target not in poset.up:
         raise ValueError(f"unknown prime {target}")
-    locus = poset.up_closure(target)
-    bad = locus & frozenset(forbidden)
+    locus = poset.up[target]
+    bad = locus.intersection(forbidden)
     if bad:
         raise AvoidanceImpossible(
             f"forbidden prime(s) {sorted(bad)} contain the target {target}")
@@ -225,20 +212,15 @@ def build_one_dimensional(poset: PrimePoset) -> MultSubsetModel:
     """One generator inside every height-1 prime, avoiding all minimal primes."""
     if poset.dimension() != 1:
         raise DimensionMismatch(f"dimension {poset.dimension()} != 1")
-    minimal = set(poset.primes_of_height(0))
-    gens = []
-    for p in sorted(poset.primes_of_height(1)):
-        gens.append(avoidance_element(poset, p, minimal, id=f"s[{p}]"))
-    return MultSubsetModel(generators=tuple(gens))
+    return _height1_subset(poset, "s")
 
 
-def _height1_tail(poset: PrimePoset) -> MultSubsetModel:
-    """The odd-dimension tail: distinguish height-1 primes from minimal ones."""
+def _height1_subset(poset: PrimePoset, prefix: str) -> MultSubsetModel:
+    """Distinguish height-1 primes from minimal ones; also the odd-dimension tail."""
     minimal = set(poset.primes_of_height(0))
-    gens = []
-    for p in sorted(poset.primes_of_height(1)):
-        gens.append(avoidance_element(poset, p, minimal, id=f"tail[{p}]"))
-    return MultSubsetModel(generators=tuple(gens))
+    return MultSubsetModel(tuple(
+        avoidance_element(poset, p, minimal, id=f"{prefix}[{p}]")
+        for p in sorted(poset.primes_of_height(1))))
 
 
 def build_pair_dim2(poset: PrimePoset, order: list[str] | None = None
@@ -249,45 +231,34 @@ def build_pair_dim2(poset: PrimePoset, order: list[str] | None = None
     invariants: minimal primes meet neither set, height-1 primes meet at
     most one, and every new element avoids the other set's height-1
     "U-primes" and all minimal primes (automatic in the generic model,
-    asserted here).
+    asserted here).  Hit sets and avoided primes are kept as they grow.
     """
     if poset.dimension() > 2:
         raise DimensionMismatch(f"dimension {poset.dimension()} > 2")
     order = list(order) if order is not None else poset.canonical_order()
     _check_order(poset, order)
-    minimal = set(poset.primes_of_height(0))
-    s_gens: list[AbstractElement] = []
-    t_gens: list[AbstractElement] = []
+    minimal = poset.primes_of_height(0)
+    gens: tuple[list[AbstractElement], ...] = ([], [])
+    hit: tuple[set[str], ...] = (set(), set())
+    # per set: minimal primes plus the height-1 primes the other set meets
+    avoid = (set(minimal), set(minimal))
 
-    def u_primes(gens: list[AbstractElement]) -> set[str]:
-        hits: set[str] = set()
-        for g in gens:
-            hits.update(g.locus)
-        return {p for p in hits if poset.height[p] == 1}
-
-    def meets(gens: list[AbstractElement], p: str) -> bool:
-        return any(p in g.locus for g in gens)
+    def grow(k: int, p: str, step: int) -> None:
+        e = avoidance_element(poset, p, avoid[k], id=f"{'ST'[k]}[{step}:{p}]")
+        gens[k].append(e)
+        hit[k].update(e.locus)
+        avoid[1 - k].update(q for q in e.locus if poset.height[q] == 1)
 
     for step, p in enumerate(order):
         h = poset.height[p]
-        if h == 0:
-            continue
-        if h == 1:
-            if meets(s_gens, p) or meets(t_gens, p):
-                continue
-            e = avoidance_element(poset, p, minimal | u_primes(t_gens),
-                                  id=f"S[{step}:{p}]")
-            s_gens.append(e)
-        else:
-            if not meets(s_gens, p):
-                e = avoidance_element(poset, p, minimal | u_primes(t_gens),
-                                      id=f"S[{step}:{p}]")
-                s_gens.append(e)
-            if not meets(t_gens, p):
-                e = avoidance_element(poset, p, minimal | u_primes(s_gens),
-                                      id=f"T[{step}:{p}]")
-                t_gens.append(e)
-    return MultSubsetModel(tuple(s_gens)), MultSubsetModel(tuple(t_gens))
+        if h == 1 and p not in hit[0] and p not in hit[1]:
+            grow(0, p, step)
+        elif h == 2:
+            if p not in hit[0]:
+                grow(0, p, step)
+            if p not in hit[1]:
+                grow(1, p, step)
+    return MultSubsetModel(tuple(gens[0])), MultSubsetModel(tuple(gens[1]))
 
 
 def build_wave(poset: PrimePoset, l: int, order: list[str] | None = None
@@ -301,6 +272,10 @@ def build_wave(poset: PrimePoset, l: int, order: list[str] | None = None
     prime of height <= l-1 (saturated: already meeting height-many sets),
     which the generic element model grants automatically.  The induction
     stops as soon as every height-l/l-1 prime is saturated.
+
+    Meeting counts only grow, so ``missing`` (sets a prime still has to
+    meet) and the ``forbidden`` set are kept as they change, and the first
+    unsaturated target only moves forward.
     """
     if l < 2:
         raise DimensionMismatch(f"wave level l={l} must be >= 2")
@@ -309,30 +284,25 @@ def build_wave(poset: PrimePoset, l: int, order: list[str] | None = None
     order = list(order) if order is not None else poset.canonical_order()
     _check_order(poset, order)
 
-    targets = [p for p in order if poset.height[p] in (l - 1, l)]
     gens: list[list[AbstractElement]] = [[] for _ in range(l)]
-    meet_count = {p: 0 for p in poset.primes}
-    meets_set = [{p: False for p in poset.primes} for _ in range(l)]
-
-    def saturated(p: str) -> bool:
-        return meet_count[p] >= min(poset.height[p], l)
-
+    hit: list[set[str]] = [set() for _ in range(l)]
+    missing = {p: min(h, l) for p, h in poset.height.items()}
+    forbidden = set(poset.primes_of_height(0))
     step = 0
-    while True:
-        target = next((p for p in targets if not saturated(p)), None)
-        if target is None:
-            break
-        k = next(i for i in range(l) if not meets_set[i][target])
-        forbidden = {p for p in poset.primes
-                     if poset.height[p] <= l - 1 and saturated(p)}
-        e = avoidance_element(poset, target, forbidden,
-                              id=f"W{l}.{k}[{step}:{target}]")
-        gens[k].append(e)
-        for q in e.locus:
-            if not meets_set[k][q]:
-                meets_set[k][q] = True
-                meet_count[q] += 1
-        step += 1
+    for target in order:
+        if poset.height[target] not in (l - 1, l):
+            continue
+        while missing[target] > 0:
+            k = next(i for i in range(l) if target not in hit[i])
+            e = avoidance_element(poset, target, forbidden,
+                                  id=f"W{l}.{k}[{step}:{target}]")
+            gens[k].append(e)
+            for q in e.locus - hit[k]:
+                missing[q] -= 1
+                if missing[q] == 0 and poset.height[q] < l:
+                    forbidden.add(q)
+            hit[k].update(e.locus)
+            step += 1
 
     return [MultSubsetModel(tuple(g)) for g in gens]
 
@@ -352,7 +322,7 @@ def build_mu_family(poset: PrimePoset, order: list[str] | None = None
         subsets.extend(build_wave(poset, level, order))
         level -= 2
     if d % 2 == 1:
-        subsets.append(_height1_tail(poset))
+        subsets.append(_height1_subset(poset, "tail"))
     fam = DistinguishingFamily(subsets=tuple(subsets), dimension=d)
     assert fam.count == mu(d)
     return fam
@@ -381,13 +351,8 @@ def spectrum_of_R_Js(poset: PrimePoset, family: DistinguishingFamily,
             raise BadChoice(f"missing element choice for index {k}")
         if s[k] not in family.subsets[k].generators:
             raise BadChoice(f"chosen element for index {k} is not a generator")
-    hits = [sub.hit_set() for sub in family.subsets]
-    keep = set()
-    for p in poset.primes:
-        if any(p in hits[j] for j in J):
-            continue
-        if all(p in s[k].locus for k in complement):
-            keep.add(p)
+    keep = set(poset.primes).difference(*(family.subsets[j].hit_set() for j in J))
+    keep.intersection_update(*(s[k].locus for k in complement))
     return poset.restrict(keep)
 
 
@@ -435,36 +400,24 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
     """
     hits = [sub.hit_set() for sub in family.subsets]
     m = family.count
+    miss = {p: frozenset(j for j in range(m) if p not in hits[j]) for p in poset.primes}
 
     witnesses: dict[tuple[str, str], int] = {}
     failures: list[tuple[str, str]] = []
-    for p, q in poset.comparable_pairs():
-        w = next((j for j in range(m) if p not in hits[j] and q in hits[j]), None)
-        if w is None:
-            failures.append((p, q))
-        else:
-            witnesses[(p, q)] = w
-    pairwise_ok = not failures
-
     anti_failures: list[dict] = []
     for p, q in poset.comparable_pairs():
-        miss_p = frozenset(j for j in range(m) if p not in hits[j])
-        miss_q = frozenset(j for j in range(m) if q not in hits[j])
-        if miss_p != miss_q:
+        w = miss[p] - miss[q]
+        if w:
+            witnesses[(p, q)] = min(w)
+        else:
+            failures.append((p, q))
+        if miss[p] != miss[q]:
             continue
-        J = set(miss_q)
-        s_choice: dict[int, AbstractElement] = {}
-        ok = True
-        for k in range(m):
-            if k in J:
-                continue
-            gen = next((g for g in family.subsets[k].generators if p in g.locus), None)
-            if gen is None:
-                ok = False
-                break
-            s_choice[k] = gen
-        if not ok:
-            continue
+        # k outside J = miss[p] means p lies in subset k's hit set, so some
+        # generator of subset k contains p
+        J = miss[q]
+        s_choice = {k: next(g for g in family.subsets[k].generators if p in g.locus)
+                    for k in range(m) if k not in J}
         sub = spectrum_of_R_Js(poset, family, J, s_choice)
         if sub.less(p, q):
             anti_failures.append({
@@ -472,6 +425,7 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
                 "s": {k: g.id for k, g in s_choice.items()},
                 "pair": [p, q],
             })
+    pairwise_ok = not failures
 
     checked = 0
     sizes = [len(sub.generators) + 1 for sub in family.subsets]

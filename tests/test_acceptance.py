@@ -5,6 +5,7 @@ output); the battery itself runs once per session at full scale with the
 fixed seed 42.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -151,3 +152,23 @@ def test_criterion_11_fails_on_any_other_detail(monkeypatch):
 
 def test_all_pass_flag(battery):
     assert battery["all_pass"]
+
+
+# sha256 of the seed-42 criteria without the wall-clock flags, so a host
+# stall cannot fail these; a change that alters the battery document on
+# purpose updates the pin and says why
+PINNED_FULL = "3ef29250d5ea6e09d2f288c43680bc35aa5695c26dfb3fcc2ab770156acbf52c"
+PINNED_QUICK = "2915bf01387cb2059f7efd75c61564fde9bca47d6da9eaa85d174392697618df"
+
+
+def _digest(doc):
+    return hashlib.sha256(battery_module._without_gates(doc["criteria"]).encode()).hexdigest()
+
+
+def test_full_document_pinned(battery):
+    assert _digest(battery) == PINNED_FULL
+
+
+def test_quick_document_pinned():
+    doc, _ = run_battery(seed=42, quick=True)
+    assert _digest(doc) == PINNED_QUICK

@@ -1,8 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multloc import poset as poset_module
+from multloc.battery import poset_corpus
 
 from multloc.poset import (
+    AbstractElement,
     AvoidanceImpossible,
     BadChoice,
     DimensionMismatch,
@@ -50,6 +60,41 @@ class TestPoset:
         with pytest.raises(ValueError):
             PrimePoset.from_covers(["a", "b"], [("a", "b"), ("b", "a")])
 
+    @pytest.mark.parametrize("primes, covers, first", [
+        (["a", "b"], [("a", "b"), ("b", "a")], "a"),
+        (["b", "a"], [("a", "b"), ("b", "a")], "b"),
+        (["x", "a", "b"], [("x", "a"), ("a", "b"), ("b", "a")], "a"),
+        (["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], "a"),
+        (["c", "b", "a"], [("a", "b"), ("b", "c"), ("c", "a")], "c"),
+        (["z", "a", "b", "c"], [("z", "a"), ("a", "b"), ("b", "c"), ("c", "a")], "a"),
+    ])
+    def test_cycle_names_first_prime_on_it(self, primes, covers, first):
+        with pytest.raises(ValueError) as err:
+            PrimePoset.from_covers(primes, covers)
+        assert str(err.value) == f"lt has a cycle through {first!r}"
+
+    def test_first_bad_cover_named(self):
+        with pytest.raises(ValueError, match=r"\('a', 'x'\) mentions unknown prime"):
+            PrimePoset.from_covers(["a", "b"], [("a", "x"), ("b", "y"), ("a", "a")])
+
+    def test_errors_independent_of_hash_seed(self):
+        code = ("from multloc.poset import PrimePoset\n"
+                "for covers in ([('a', 'b'), ('b', 'c'), ('c', 'a')],\n"
+                "               [('a', 'x'), ('b', 'y'), ('a', 'a')]):\n"
+                "    try:\n"
+                "        PrimePoset.from_covers(['a', 'b', 'c'], covers)\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            outs.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                    capture_output=True, text=True).stdout)
+        assert outs == {"lt has a cycle through 'a'\n"
+                        "lt pair ('a', 'x') mentions unknown prime\n"}
+
     def test_skip_edges_do_not_change_heights(self):
         p = PrimePoset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
         assert p.height == {"a": 0, "b": 1, "c": 2}
@@ -58,7 +103,7 @@ class TestPoset:
         p = diamond_poset()
         doc = p.to_document()
         q = PrimePoset.from_document(doc)
-        assert q.lt == p.lt
+        assert q == p
         assert q.height == p.height
 
 
@@ -83,7 +128,7 @@ class TestAvoidance:
         for _ in range(20):
             poset = random_ranked_poset(rng, rng.randint(1, 3))
             target = rng.choice(poset.primes)
-            forbidden = {q for q in poset.primes if not poset.leq(target, q)}
+            forbidden = {q for q in poset.primes if q not in poset.up[target]}
             e = avoidance_element(poset, target, forbidden)
             assert all(q in e.locus for p in e.locus for q in poset.primes
                        if poset.less(p, q))
@@ -345,3 +390,283 @@ class TestRandomCorpusInvariant:
             fam = build_mu_family(poset)
             rep = verify_distinguishing(poset, fam)
             assert rep.passed(), (d, poset.to_document())
+
+
+# ---------------------------------------------------------------------------
+# up-sets against brute force, and the builders and verifier against the
+# scanning versions they replaced
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ranked_posets(draw):
+    """Levels of primes; each prime above level 0 covers one or two primes of
+    the level below and may reach further down, so heights are the levels."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    names = [[f"l{lv}.{i}" for i in range(n)] for lv, n in enumerate(sizes)]
+    covers = set()
+    for lv in range(1, len(names)):
+        for node in names[lv]:
+            parents = draw(st.lists(st.sampled_from(names[lv - 1]), min_size=1,
+                                    max_size=2, unique=True))
+            covers.update((par, node) for par in parents)
+            if lv >= 2 and draw(st.booleans()):
+                low = draw(st.sampled_from(names[draw(st.integers(0, lv - 2))]))
+                covers.add((low, node))
+    primes = draw(st.permutations([p for row in names for p in row]))
+    return PrimePoset.from_covers(primes, sorted(covers))
+
+
+@st.composite
+def dag_posets(draw):
+    """Any acyclic relation: edges go forward in a drawn linear order."""
+    n = draw(st.integers(0, 9))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] < e[1]), max_size=20)) if n > 1 else []
+    primes = draw(st.permutations([f"p{i}" for i in range(n)]))
+    return PrimePoset.from_covers(primes, [(f"p{a}", f"p{b}") for a, b in edges])
+
+
+def brute_order(poset):
+    """Strict order, heights and covers recomputed from the document's covers."""
+    doc = poset.to_document()
+    below = {p: set() for p in poset.primes}
+    for a, b in doc["covers"]:
+        below[b].add(a)
+    changed = True
+    while changed:
+        changed = False
+        for b in poset.primes:
+            grown = below[b].union(*(below[a] for a in below[b]))
+            if grown != below[b]:
+                below[b], changed = grown, True
+    pairs = sorted((a, b) for b in poset.primes for a in below[b])
+    heights = {}
+
+    def h(p):
+        if p not in heights:
+            heights[p] = 1 + max((h(q) for q in below[p]), default=-1)
+        return heights[p]
+
+    covers = sorted([a, b] for a, b in pairs
+                    if not any(a in below[c] and c in below[b] for c in poset.primes))
+    return pairs, {p: h(p) for p in poset.primes}, covers
+
+
+def brute_up(primes, covers):
+    """Reachability over the given covers, plus the prime itself."""
+    up = {}
+    for p in primes:
+        seen, frontier = {p}, [p]
+        while frontier:
+            a = frontier.pop()
+            for x, y in covers:
+                if x == a and y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        up[p] = frozenset(seen)
+    return up
+
+
+def quick_corpus():
+    return [p for ps in poset_corpus(42, 10).values() for p in ps]
+
+
+def scanning_build_wave(poset, l):
+    """The wave builder that recomputes ``forbidden`` and the first unsaturated
+    target by scanning every prime on each step."""
+    order = poset.canonical_order()
+    targets = [p for p in order if poset.height[p] in (l - 1, l)]
+    gens = [[] for _ in range(l)]
+    meet_count = {p: 0 for p in poset.primes}
+    meets_set = [{p: False for p in poset.primes} for _ in range(l)]
+
+    def saturated(p):
+        return meet_count[p] >= min(poset.height[p], l)
+
+    step = 0
+    while True:
+        target = next((p for p in targets if not saturated(p)), None)
+        if target is None:
+            break
+        k = next(i for i in range(l) if not meets_set[i][target])
+        forbidden = {p for p in poset.primes
+                     if poset.height[p] <= l - 1 and saturated(p)}
+        e = poset_module.avoidance_element(poset, target, forbidden,
+                                           id=f"W{l}.{k}[{step}:{target}]")
+        gens[k].append(e)
+        for q in e.locus:
+            if not meets_set[k][q]:
+                meets_set[k][q] = True
+                meet_count[q] += 1
+        step += 1
+    return [MultSubsetModel(tuple(g)) for g in gens]
+
+
+def two_loop_verify(poset, family, exhaustive_budget=512):
+    """The verifier that rebuilds both miss-sets for every comparable pair."""
+    hits = [sub.hit_set() for sub in family.subsets]
+    m = family.count
+    witnesses, failures = {}, []
+    for p, q in poset.comparable_pairs():
+        w = next((j for j in range(m) if p not in hits[j] and q in hits[j]), None)
+        if w is None:
+            failures.append((p, q))
+        else:
+            witnesses[(p, q)] = w
+    anti_failures = []
+    for p, q in poset.comparable_pairs():
+        miss_p = frozenset(j for j in range(m) if p not in hits[j])
+        miss_q = frozenset(j for j in range(m) if q not in hits[j])
+        if miss_p != miss_q:
+            continue
+        J = set(miss_q)
+        s_choice = {}
+        for k in range(m):
+            if k not in J:
+                s_choice[k] = next(g for g in family.subsets[k].generators
+                                   if p in g.locus)
+        sub = spectrum_of_R_Js(poset, family, J, s_choice)
+        if sub.less(p, q):
+            anti_failures.append({"J": sorted(J),
+                                  "s": {k: g.id for k, g in s_choice.items()},
+                                  "pair": [p, q]})
+    checked = 0
+    total = 1
+    for sub in family.subsets:
+        total *= len(sub.generators) + 1
+    if total <= exhaustive_budget:
+        options = [list(sub.generators) + [None] for sub in family.subsets]
+        for combo in product(*options):
+            J = {k for k, g in enumerate(combo) if g is None}
+            s_choice = {k: g for k, g in enumerate(combo) if g is not None}
+            sub = spectrum_of_R_Js(poset, family, J, s_choice)
+            checked += 1
+            for p, q in sub.comparable_pairs():
+                rec = {"J": sorted(J), "s": {k: g.id for k, g in s_choice.items()},
+                       "pair": [p, q]}
+                if rec not in anti_failures:
+                    anti_failures.append(rec)
+    pairwise_ok, antichain_ok = not failures, not anti_failures
+    return poset_module.DistinguishReport(
+        pairwise_ok=pairwise_ok, pairwise_witnesses=witnesses,
+        pairwise_failures=failures, antichain_ok=antichain_ok,
+        antichain_failures=anti_failures, agreement=pairwise_ok == antichain_ok,
+        exhaustive_choices_checked=checked)
+
+
+def random_locus_family(poset, rng):
+    """A family of random, usually not up-closed, loci: most such families fail."""
+    subsets = []
+    for k in range(rng.randint(0, 4)):
+        gens = tuple(AbstractElement(id=f"r{k}.{i}", locus=frozenset(
+            rng.sample(poset.primes, rng.randint(0, len(poset.primes)))))
+            for i in range(rng.randint(0, 3)))
+        subsets.append(MultSubsetModel(gens))
+    return DistinguishingFamily(tuple(subsets), poset.dimension())
+
+
+def generators(subsets):
+    return [[(g.id, sorted(g.locus)) for g in sub.generators] for sub in subsets]
+
+
+def check_order(poset):
+    pairs, heights, covers = brute_order(poset)
+    assert poset.up == brute_up(poset.primes, covers)
+    assert poset.comparable_pairs() == pairs
+    assert poset.height == heights
+    assert poset.to_document()["covers"] == covers
+    assert PrimePoset.from_document(poset.to_document()) == poset
+
+
+def check_restrict(poset, keep):
+    sub = poset.restrict(keep)
+    rebuilt = PrimePoset.from_lt([p for p in poset.primes if p in keep],
+                                 {(a, b) for a, b in poset.comparable_pairs()
+                                  if a in keep and b in keep})
+    assert sub == rebuilt
+    assert sub.primes == rebuilt.primes
+    assert sub.comparable_pairs() == rebuilt.comparable_pairs()
+    assert sub.height == rebuilt.height
+
+
+def check_waves(poset, monkeypatch):
+    """Same generators, and the same ``forbidden`` set at every step."""
+    calls = []
+    avoid = poset_module.avoidance_element
+
+    def spy(poset, target, forbidden, id=None):
+        calls.append((id, frozenset(forbidden)))
+        return avoid(poset, target, forbidden, id)
+
+    monkeypatch.setattr(poset_module, "avoidance_element", spy)
+    for l in range(2, poset.dimension() + 1):
+        new = build_wave(poset, l)
+        new_calls = calls[:]
+        calls.clear()
+        assert generators(new) == generators(scanning_build_wave(poset, l))
+        assert new_calls == calls
+        calls.clear()
+
+
+class TestUpSets:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(ranked_posets(), dag_posets()))
+    def test_order_matches_brute_force(self, poset):
+        check_order(poset)
+
+    def test_order_on_quick_corpus(self):
+        for poset in quick_corpus():
+            check_order(poset)
+
+    def test_hashable_and_equal_by_order(self):
+        a = PrimePoset.from_covers(["x", "y", "z"], [("x", "y"), ("y", "z")])
+        b = PrimePoset.from_covers(["x", "y", "z"], [("y", "z"), ("x", "z"), ("x", "y")])
+        c = PrimePoset.from_covers(["x", "y", "z"], [("x", "y")])
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert len({a, b, c}) == 2
+
+
+class TestRestrictWithoutReclosing:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(ranked_posets(), dag_posets()), st.randoms(use_true_random=False))
+    def test_restrict_equals_reclosed(self, poset, rng):
+        check_restrict(poset, set(rng.sample(poset.primes, rng.randint(0, len(poset.primes)))))
+
+    def test_restrict_on_quick_corpus(self):
+        rng = random.Random(13)
+        for poset in quick_corpus():
+            check_restrict(poset, {p for p in poset.primes if rng.random() < 0.6})
+
+
+class TestAgainstScanningVersions:
+    @settings(max_examples=100, deadline=None)
+    @given(ranked_posets())
+    def test_wave_matches_scanning_builder(self, poset):
+        with pytest.MonkeyPatch.context() as mp:
+            check_waves(poset, mp)
+
+    def test_wave_on_quick_corpus(self, monkeypatch):
+        for poset in quick_corpus():
+            check_waves(poset, monkeypatch)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ranked_posets(), st.randoms(use_true_random=False))
+    def test_verifier_matches_two_loop_version(self, poset, rng):
+        fam = build_mu_family(poset)
+        assert (verify_distinguishing(poset, fam).to_document()
+                == two_loop_verify(poset, fam).to_document())
+        fam = random_locus_family(poset, rng)
+        assert (verify_distinguishing(poset, fam).to_document()
+                == two_loop_verify(poset, fam).to_document())
+
+    def test_verifier_on_quick_corpus(self):
+        rng = random.Random(21)
+        failing = 0
+        for poset in quick_corpus():
+            for fam in (build_mu_family(poset), random_locus_family(poset, rng)):
+                doc = verify_distinguishing(poset, fam).to_document()
+                assert doc == two_loop_verify(poset, fam).to_document()
+                failing += not doc["pass"]
+        assert failing > 0
