@@ -1,17 +1,21 @@
 """The acceptance battery: one callable per criterion, a deterministic
 runner, and the corpus generators shared with the command line front end.
 
-Structured output holds no timings, which are returned separately for
-display, but criteria 1, 2, 4, 5 and 8 record whether they beat a
-wall-clock gate (``under_1ms``, ``under_5s``, ``under_2s``, ``under_10s``,
-``under_5s``).  Identical seeds therefore give byte-identical documents
-unless a stall of the host flips one of those flags.  Criterion 11 compares
-its two passes without those flags: a stall in the first pass fails only
-its own gate, and one in the second pass fails nothing.
+Each criterion body returns ``(ok, details)``; the ``_criterion`` harness
+on the line above it times the body and builds the result.  Structured
+output holds no timings, which are returned separately for display, but
+criteria 1, 2, 4, 5 and 8 record whether they beat a wall-clock gate
+(``under_1ms``, ``under_5s``, ``under_2s``, ``under_10s``, ``under_5s``),
+each declared once, on its criterion's harness line.  Identical seeds
+therefore give byte-identical documents unless a stall of the host flips
+one of those flags.  Criterion 11 compares its two passes without those
+flags: a stall in the first pass fails only its own gate, and one in the
+second pass fails nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -33,6 +37,7 @@ from .ext import ext1_order, ext1_order_oracle
 from .fpmod import FPModule, merge_invariants
 from .poset import build_mu_family, build_pair_dim2, mu, verify_distinguishing
 from .randomgen import (
+    _divisors,
     antichain_poset,
     chain_poset,
     coprime_split,
@@ -128,21 +133,38 @@ def poset_corpus(seed: int, per_dimension: int):
 # ---------------------------------------------------------------------------
 
 
-def criterion_1() -> dict:
-    t0 = time.perf_counter()
+def _criterion(number: int, gate: tuple[str, float] | None = None):
+    """Decorator for a criterion body that returns ``(ok, details)``: times
+    the body and builds the result.  A ``gate`` ``(flag, bound)`` sets
+    ``details[flag]`` to whether the body took under ``bound`` seconds and
+    fails the criterion if not.  The clock is read here, so its window holds
+    the body alone and nothing a caller does after the body returns."""
+    def harness(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> dict:
+            t0 = time.perf_counter()
+            ok, details = body(*args, **kwargs)
+            elapsed = time.perf_counter() - t0
+            if gate:
+                flag, bound = gate
+                details[flag] = elapsed < bound
+                ok = ok and details[flag]
+            return {"criterion": number, "pass": ok, "details": details,
+                    "_elapsed": elapsed}
+        return run
+    return harness
+
+
+@_criterion(1, gate=("under_1ms", 1e-3))
+def criterion_1():
     listed = [mu(d) for d in range(5)]
     closed_form = all(mu(d) == (d + 1) ** 2 // 4 for d in range(101))
-    elapsed = time.perf_counter() - t0
-    ok = listed == [0, 1, 2, 4, 6] and closed_form and elapsed < 1e-3
-    return {"criterion": 1, "pass": ok,
-            "details": {"listed": listed, "closed_form_to_100": closed_form,
-                        "under_1ms": elapsed < 1e-3},
-            "_elapsed": elapsed}
+    return (listed == [0, 1, 2, 4, 6] and closed_form,
+            {"listed": listed, "closed_form_to_100": closed_form})
 
 
-def criterion_2(seed: int, per_dimension: int = 100, corpus=None) -> dict:
-    t0 = time.perf_counter()
-    corpus = corpus or poset_corpus(seed, per_dimension)
+@_criterion(2, gate=("under_5s", 5.0))
+def criterion_2(corpus):
     runs = 0
     failures = []
     for d, posets in corpus.items():
@@ -155,17 +177,11 @@ def criterion_2(seed: int, per_dimension: int = 100, corpus=None) -> dict:
             rep = verify_distinguishing(poset, fam)
             if not (rep.passed() and rep.agreement):
                 failures.append({"dimension": d, "index": idx, "why": "verify"})
-    elapsed = time.perf_counter() - t0
-    ok = not failures and elapsed < 5.0
-    return {"criterion": 2, "pass": ok,
-            "details": {"runs": runs, "failures": failures,
-                        "under_5s": elapsed < 5.0},
-            "_elapsed": elapsed}
+    return not failures, {"runs": runs, "failures": failures}
 
 
-def criterion_3(seed: int, per_dimension: int = 100, corpus=None) -> dict:
-    t0 = time.perf_counter()
-    corpus = corpus or poset_corpus(seed, per_dimension)
+@_criterion(3)
+def criterion_3(seed: int, corpus):
     posets = list(corpus.get(1, ())) + list(corpus.get(2, ()))
     posets += [diamond_poset(), chain_poset(1), chain_poset(2), antichain_poset(5)]
     rng = random.Random(f"{seed}:dim2-extra")
@@ -182,15 +198,12 @@ def criterion_3(seed: int, per_dimension: int = 100, corpus=None) -> dict:
             if hits != poset.height[p]:
                 failures.append({"index": idx, "prime": p,
                                  "hits": hits, "height": poset.height[p]})
-    elapsed = time.perf_counter() - t0
-    return {"criterion": 3, "pass": not failures,
-            "details": {"posets": len(posets), "primes_checked": checked,
-                        "failures": failures},
-            "_elapsed": elapsed}
+    return not failures, {"posets": len(posets), "primes_checked": checked,
+                          "failures": failures}
 
 
-def criterion_4() -> dict:
-    t0 = time.perf_counter()
+@_criterion(4, gate=("under_2s", 2.0))
+def criterion_4():
     s_values = [2, 3, 4, 6, 12]
     primes = [p for p in range(2, 50) if all(p % q for q in range(2, p))]
     for p in primes:
@@ -215,19 +228,13 @@ def criterion_4() -> dict:
             artinian_quadruple_check(Poly.over_z([3]), Poly.over_z(tc))
         except NotInS2:
             rejected += 1
-    elapsed = time.perf_counter() - t0
-    ok = (not failures and rejected == len(bad_polys) and elapsed < 2.0)
-    return {"criterion": 4, "pass": ok,
-            "details": {"grid_size": len(s_values) * len(t_polys),
-                        "passes": passes, "failures": failures,
-                        "content_rejections": rejected,
-                        "under_2s": elapsed < 2.0},
-            "_elapsed": elapsed}
+    return (not failures and rejected == len(bad_polys),
+            {"grid_size": len(s_values) * len(t_polys), "passes": passes,
+             "failures": failures, "content_rejections": rejected})
 
 
-def criterion_5(groups=None) -> dict:
-    t0 = time.perf_counter()
-    groups = groups if groups is not None else abelian_groups_upto(64)
+@_criterion(5, gate=("under_10s", 10.0))
+def criterion_5(groups):
     failures = []
     checks = 0
     for g in groups:
@@ -240,12 +247,7 @@ def criterion_5(groups=None) -> dict:
                 if not rep.passed():
                     failures.append({"group": list(g), "generators": list(gens),
                                      "n": n, "report": rep.to_document()})
-    elapsed = time.perf_counter() - t0
-    ok = not failures and elapsed < 10.0
-    return {"criterion": 5, "pass": ok,
-            "details": {"checks": checks, "failures": failures,
-                        "under_10s": elapsed < 10.0},
-            "_elapsed": elapsed}
+    return not failures, {"checks": checks, "failures": failures}
 
 
 def _completion_oracle(module: FPModule, gens: tuple[int, ...]) -> dict:
@@ -256,9 +258,8 @@ def _completion_oracle(module: FPModule, gens: tuple[int, ...]) -> dict:
             for key in ("l1", "l2", "lambda", "ext")}
 
 
-def criterion_6(groups=None) -> dict:
-    t0 = time.perf_counter()
-    groups = groups if groups is not None else abelian_groups_upto(64)
+@_criterion(6)
+def criterion_6(groups):
     failures = []
     checks = 0
     for g in groups:
@@ -277,15 +278,11 @@ def criterion_6(groups=None) -> dict:
                   and five.ext_invariants == oracle["ext"])
             if not ok:
                 failures.append({"group": list(g), "generators": list(gens)})
-    elapsed = time.perf_counter() - t0
-    return {"criterion": 6, "pass": not failures,
-            "details": {"checks": checks, "failures": failures},
-            "_elapsed": elapsed}
+    return not failures, {"checks": checks, "failures": failures}
 
 
-def criterion_7(groups=None) -> dict:
-    t0 = time.perf_counter()
-    groups = groups if groups is not None else abelian_groups_upto(64)
+@_criterion(7)
+def criterion_7(groups):
     failures = []
     checks = 0
     for g in groups:
@@ -306,14 +303,11 @@ def criterion_7(groups=None) -> dict:
             if rep["decision"] or not rep["oracle_agrees"] or \
                     not rep.get("free_part_growth"):
                 failures.append({"group": list(inv), "m": m})
-    elapsed = time.perf_counter() - t0
-    return {"criterion": 7, "pass": not failures,
-            "details": {"checks": checks, "failures": failures},
-            "_elapsed": elapsed}
+    return not failures, {"checks": checks, "failures": failures}
 
 
-def criterion_8() -> dict:
-    t0 = time.perf_counter()
+@_criterion(8, gate=("under_5s", 5.0))
+def criterion_8():
     mismatches = []
     checked = 0
     for s in range(1, 61):
@@ -324,18 +318,13 @@ def criterion_8() -> dict:
             if is_projective_over_Z_mod_s(d, s) != \
                     projectivity_oracle_direct_summand(d, s):
                 mismatches.append({"d": d, "s": s})
-    elapsed = time.perf_counter() - t0
-    ok = not mismatches and elapsed < 5.0
-    return {"criterion": 8, "pass": ok,
-            "details": {"pairs": checked, "mismatches": mismatches,
-                        "under_5s": elapsed < 5.0},
-            "_elapsed": elapsed}
+    return not mismatches, {"pairs": checked, "mismatches": mismatches}
 
 
-def _embed_corpus(max_modulus: int = 36):
+def _embed_corpus(max_modulus: int):
     out = []
     for n in range(2, max_modulus + 1):
-        divs = [d for d in range(2, n + 1) if n % d == 0]
+        divs = _divisors(n)
         for d in divs:
             out.append((n, (d,)))
         for i, d in enumerate(divs):
@@ -363,33 +352,28 @@ def _mutate_level(cert_doc: dict, rng: random.Random, embed_class: bool):
 
 def _growth_factor(node: dict, is_root: bool) -> int | None:
     """A cyclic order whose addition to the node module must be rejected."""
-    mod = node["payload"]["module"]
-    n = mod["modulus"]
+    n = node["payload"]["module"]["modulus"]
     tag = node.get("tag") or {}
-    if node["kind"] == "Seed":
-        kind = tag.get("kind")
-        if kind in ("LocalizedRingModule", "AlmostCotorsionLocalized"):
-            gens = tag.get("generators") or []
-            if not gens:
-                return None
-            g = gens[0]
-            if n == 0:
-                return abs(g) if abs(g) > 1 else None
-            e = math.gcd(abs(g), n)
-            return e if e > 1 else None
-        if kind in ("QuotientRingModule", "AlmostCotorsionQuotient"):
-            s = abs(tag.get("s", 0))
-            if n == 0:
-                return s + 1 if s >= 1 else None
-            for e in range(2, n + 1):
-                if n % e == 0 and s % e != 0:
-                    return e
+    is_seed = node["kind"] == "Seed"
+    kind = tag.get("kind") if is_seed else None
+    if kind in ("LocalizedRingModule", "AlmostCotorsionLocalized"):
+        gens = tag.get("generators") or []
+        if not gens:
             return None
-        # opaque tag: only a parent's shape check can catch the growth
-        if is_root:
-            return None
-        return 2 if n == 0 else next(e for e in range(2, n + 1) if n % e == 0)
-    return 2 if n == 0 else next(e for e in range(2, n + 1) if n % e == 0)
+        g = gens[0]
+        if n == 0:
+            return abs(g) if abs(g) > 1 else None
+        e = math.gcd(abs(g), n)
+        return e if e > 1 else None
+    if kind in ("QuotientRingModule", "AlmostCotorsionQuotient"):
+        s = abs(tag.get("s", 0))
+        if n == 0:
+            return s + 1 if s >= 1 else None
+        return next((e for e in _divisors(n) if s % e), None)
+    # opaque seed tag: only a parent's shape check can catch the growth
+    if is_seed and is_root:
+        return None
+    return 2 if n == 0 else _divisors(n)[0]
 
 
 def _mutate_payload(cert_doc: dict, rng: random.Random):
@@ -427,16 +411,13 @@ def _check_mutation(doc: dict, expected) -> bool:
         instantiate_and_check(cert)
     except expected:
         return True
-    except (MalformedTree, LevelViolation, PayloadMismatch):
-        return False
     except Exception:
         return False
     return False
 
 
-def criterion_9(seed: int, groups=None, quick: bool = False) -> dict:
-    t0 = time.perf_counter()
-    groups = groups if groups is not None else abelian_groups_upto(64)
+@_criterion(9)
+def criterion_9(seed: int, groups, quick: bool):
     failures = []
 
     decompose_certs = []
@@ -487,18 +468,15 @@ def criterion_9(seed: int, groups=None, quick: bool = False) -> dict:
         if accepted:
             failures.append({"kind": f"mutations-{label}", "accepted": accepted})
 
-    elapsed = time.perf_counter() - t0
-    return {"criterion": 9, "pass": not failures,
-            "details": {"decompose_certs": len(decompose_certs),
-                        "embed_certs": len(embed_certs),
-                        "mutations_per_class": 50,
-                        "failures": failures,
-                        "mutation_failures": mutation_fails},
-            "_elapsed": elapsed}
+    return not failures, {"decompose_certs": len(decompose_certs),
+                          "embed_certs": len(embed_certs),
+                          "mutations_per_class": 50,
+                          "failures": failures,
+                          "mutation_failures": mutation_fails}
 
 
-def criterion_10(seed: int, runs: int = 200) -> dict:
-    t0 = time.perf_counter()
+@_criterion(10)
+def criterion_10(seed: int, runs: int):
     rng = random.Random(f"{seed}:orthogonality")
     failures = []
     for i in range(runs):
@@ -518,7 +496,7 @@ def criterion_10(seed: int, runs: int = 200) -> dict:
     # (ring, pool): Z (ring 0) first, then Z/n with the divisors of n
     rings = [(0, [(2,), (3,), (4,), (2, 2), (6,), (8,), (2, 4), (12,), (3, 3), (16,)])]
     for n in (4, 6, 8, 9, 12, 16, 18, 24, 36):
-        divs = [d for d in range(2, n + 1) if n % d == 0]
+        divs = _divisors(n)
         rings.append((n, [(d,) for d in divs]
                       + [(d, e) for d in divs for e in divs if d <= e]))
     for ring, pool in rings:
@@ -533,13 +511,9 @@ def criterion_10(seed: int, runs: int = 200) -> dict:
                     oracle_mismatches.append({"ring": ring, "a": list(a_inv),
                                               "b": list(b_inv)})
 
-    elapsed = time.perf_counter() - t0
-    ok = not failures and not oracle_mismatches
-    return {"criterion": 10, "pass": ok,
-            "details": {"runs": runs, "failures": failures,
-                        "oracle_pairs": pairs_checked,
-                        "oracle_mismatches": oracle_mismatches},
-            "_elapsed": elapsed}
+    return (not failures and not oracle_mismatches,
+            {"runs": runs, "failures": failures, "oracle_pairs": pairs_checked,
+             "oracle_mismatches": oracle_mismatches})
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +525,15 @@ def _strip_timing(results: list[dict]) -> list[dict]:
     return [{k: v for k, v in r.items() if not k.startswith("_")} for r in results]
 
 
-def run_criteria_1_to_10(seed: int, quick: bool = False) -> list[dict]:
-    per_dim = 10 if quick else 100
+def run_criteria_1_to_10(seed: int, quick: bool) -> list[dict]:
+    """One pass over criteria 1-10, each called through its module global
+    name, so a wrapper rebound there runs."""
     groups = abelian_groups_upto(24 if quick else 64)
-    corpus = poset_corpus(seed, per_dim)
+    corpus = poset_corpus(seed, 10 if quick else 100)
     return [
         criterion_1(),
-        criterion_2(seed, per_dim, corpus=corpus),
-        criterion_3(seed, per_dim, corpus=corpus),
+        criterion_2(corpus),
+        criterion_3(seed, corpus),
         criterion_4(),
         criterion_5(groups=groups),
         criterion_6(groups=groups),

@@ -13,6 +13,7 @@ exact and deterministic.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from .intlinalg import (
@@ -141,17 +142,11 @@ class Morphism:
     def is_well_defined(self) -> bool:
         """Every source relation must map into the target relation lattice."""
         tgt = self.target.relation_hnf()
-        for rel in self.source.relations:
-            img = [sum(rel[i] * self.matrix[i][j] for i in range(self.source.gens))
-                   for j in range(self.target.gens)]
-            if not lattice_member(tgt, img):
-                return False
-        if self.source.modulus:
-            for i in range(self.source.gens):
-                img = [self.source.modulus * x for x in self.matrix[i]]
-                if not lattice_member(tgt, img):
-                    return False
-        return True
+        cols = list(zip(*self.matrix))
+        # without source generators every relation (an empty row) maps to 0
+        return not self.source.gens or all(
+            lattice_member(tgt, [sum(map(operator.mul, rel, col)) for col in cols])
+            for rel in self.source.relation_rows())
 
     def compose(self, then: "Morphism") -> "Morphism":
         if self.target.gens != then.source.gens:

@@ -186,10 +186,15 @@ class BasePID:
 
 
 def _monic_polys(p: int, deg: int):
-    """All monic polynomials of the given degree over F_p, ascending."""
-    from itertools import product as iproduct
-    for lower in iproduct(range(p), repeat=deg):
-        yield tuple(lower) + (1,)
+    """All monic polynomials of the given degree over F_p, ascending: the
+    k-th one takes its lower coefficients from the base-p digits of k, most
+    significant first, so nothing of size p is built."""
+    for k in range(p ** deg):
+        digits = []
+        for _ in range(deg):
+            k, c = divmod(k, p)
+            digits.append(c)
+        yield tuple(reversed(digits)) + (1,)
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -479,15 +484,10 @@ def strongly_flat_criterion_fg(F: FPModule, m: int, depth: int = 3) -> StronglyF
     quotients: list[tuple[int, bool]] = []
     for k in range(1, depth + 1):
         s = m ** k
-        if s == 1:
-            quotients.append((1, True))
-            continue
-        ok = True
-        for d in torsion:
-            g = math.gcd(d, s)
-            if g > 1 and math.gcd(g, s // g) != 1:
-                ok = False
-        quotients.append((s, ok))
+        # F/sF is the sum of the Z/gcd(d, s) over the invariant factors d; a
+        # free one (d = 0) gives Z/s, which is projective
+        quotients.append((s, all(is_projective_over_Z_mod_s(math.gcd(d, s), s)
+                                 for d in torsion)))
 
     localized = all(_saturate_divisor(m, d) == d for d in torsion)
     criterion = flat and localized and all(ok for _, ok in quotients)

@@ -6,12 +6,15 @@ fixed seed 42.
 """
 
 import hashlib
+import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from multloc import battery as battery_module
 from multloc.battery import RULE_REFS, run_battery
+from multloc.randomgen import chain_poset
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,53 @@ def test_criterion_11_ignores_a_flipped_wall_clock_flag(monkeypatch):
 def test_criterion_11_fails_on_any_other_detail(monkeypatch):
     crit = _criterion_11_after(monkeypatch, _wrong_value)
     assert not crit["pass"] and not crit["details"]["identical"]
+
+
+def _clock(monkeypatch, step):
+    """Give the battery a clock that advances ``step`` seconds per reading."""
+    ticks = itertools.count(step=step)
+    monkeypatch.setattr(battery_module, "time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks)))
+
+
+# each gated criterion on a tiny input, with its flag
+GATED = {
+    1: ("under_1ms", lambda: battery_module.criterion_1()),
+    2: ("under_5s", lambda: battery_module.criterion_2({1: [chain_poset(1)]})),
+    4: ("under_2s", lambda: battery_module.criterion_4()),
+    5: ("under_10s", lambda: battery_module.criterion_5(groups=[(2,)])),
+    8: ("under_5s", lambda: battery_module.criterion_8()),
+}
+
+
+@pytest.mark.parametrize("k", sorted(GATED))
+def test_gate_fails_its_own_criterion_past_its_bound(monkeypatch, k):
+    flag, run = GATED[k]
+    _clock(monkeypatch, 0.0)
+    crit = run()
+    assert crit["criterion"] == k and crit["pass"] and crit["details"][flag]
+    _clock(monkeypatch, 100.0)
+    crit = run()
+    assert crit["details"][flag] is False and crit["pass"] is False
+
+
+def test_ungated_criterion_passes_a_slow_clock(monkeypatch):
+    _clock(monkeypatch, 100.0)
+    crit = battery_module.criterion_3(42, {1: [chain_poset(1)]})
+    assert crit["pass"] and crit["_elapsed"] == 100.0
+    assert not any(k.startswith("under_") for k in crit["details"])
+
+
+def test_runner_calls_criteria_through_module_globals(monkeypatch):
+    calls = []
+    for k in range(1, 11):
+        def spy(*args, k=k, **kwargs):
+            calls.append(k)
+            return {"criterion": k, "pass": True, "details": {}, "_elapsed": 0.0}
+        monkeypatch.setattr(battery_module, f"criterion_{k}", spy)
+    results = battery_module.run_criteria_1_to_10(42, quick=True)
+    assert calls == list(range(1, 11))
+    assert [r["criterion"] for r in results] == calls
 
 
 def test_all_pass_flag(battery):

@@ -179,6 +179,13 @@ class TestMorphisms:
         assert not Morphism.make(z2, z4, [[1]]).is_well_defined()
         # Z/2 -> Z/4 by 2 is
         assert Morphism.make(z2, z4, [[2]]).is_well_defined()
+        # the relation 4 * x of a free Z/4-module must map into 8Z in Z/8
+        free_z4 = FPModule(gens=1, modulus=4)
+        z8 = FPModule.from_invariants([8], modulus=8)
+        assert not Morphism.make(free_z4, z8, [[1]]).is_well_defined()
+        assert Morphism.make(free_z4, z8, [[2]]).is_well_defined()
+        # a source without generators, here with one empty relation row
+        assert Morphism.make(FPModule(gens=0, relations=((),)), z2, []).is_well_defined()
 
     def test_kernel_cokernel_of_multiplication(self):
         z12 = FPModule.from_invariants([12])

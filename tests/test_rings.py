@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -21,6 +22,7 @@ from multloc.rings import (
     is_projective_over_Z_mod_s,
     projectivity_oracle_direct_summand,
     _is_prime,
+    _monic_polys,
     strongly_flat_criterion_fg,
 )
 
@@ -125,6 +127,17 @@ class TestBaseFactor:
         assert sorted(fac) == [((0, 1), 1), ((1, 1), 1)]
         # irreducible t^2 + t + 1
         assert base.factor((1, 1, 1)) == [((1, 1, 1), 1)]
+
+    def test_monic_polys_in_product_order(self):
+        for p in (2, 3, 5, 7):
+            for deg in (1, 2, 3):
+                assert list(_monic_polys(p, deg)) == [
+                    lower + (1,) for lower in itertools.product(range(p), repeat=deg)]
+
+    def test_gfp_bound_over_a_large_field(self):
+        # the candidates of a field too large to list still run into the bound
+        with pytest.raises(FactorizationBound):
+            BasePID(p=10 ** 18 + 3).factor((1, 0, 1), bound=1000)
 
 
 class TestArtinianQuadruple:
