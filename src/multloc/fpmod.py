@@ -25,6 +25,7 @@ from .intlinalg import (
     mat_mul,
     smith_normal_form,
     solve_left,
+    zeros,
 )
 
 
@@ -116,11 +117,11 @@ class Morphism:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        m = [list(r) for r in self.matrix]
-        if len(m) != self.source.gens:
+        if len(self.matrix) != self.source.gens:
             raise ValueError("matrix row count must equal source generator count")
-        for row in m:
-            if len(row) != self.target.gens:
+        width = self.target.gens
+        for row in self.matrix:
+            if len(row) != width:
                 raise ValueError("matrix width must equal target generator count")
 
     @staticmethod
@@ -151,6 +152,10 @@ class Morphism:
     def compose(self, then: "Morphism") -> "Morphism":
         if self.target.gens != then.source.gens:
             raise ValueError("composition mismatch")
+        if not then.source.gens:
+            # through a module without generators: mat_mul cannot see the width
+            return Morphism.make(self.source, then.target,
+                                 zeros(self.source.gens, then.target.gens))
         return Morphism.make(self.source, then.target, mat_mul(self.mat(), then.mat()))
 
     def equals(self, other: "Morphism") -> bool:
@@ -259,7 +264,7 @@ def relations_among(rows: list[list[int]], ambient: FPModule) -> list[list[int]]
     vectors c with c * rows in the relation lattice of ``ambient``."""
     if not rows:
         return []
-    return [v[: len(rows)] for v in left_nullspace(rows + ambient.relation_rows())]
+    return left_nullspace(rows, ambient.relation_rows())
 
 
 def factor_through_submodule(vectors: list[list[int]], sub_gens: list[list[int]],
@@ -267,16 +272,10 @@ def factor_through_submodule(vectors: list[list[int]], sub_gens: list[list[int]]
     """Express each vector as a combination of sub_gens modulo ambient relations.
 
     Returns the coefficient matrix, or None if some vector is outside the
-    submodule spanned by sub_gens (plus relations).
+    submodule spanned by sub_gens (plus relations).  All vectors are solved
+    from one echelon form of sub_gens over the relations.
     """
-    stacked = sub_gens + ambient.relation_rows()
-    out = []
-    for v in vectors:
-        sol = solve_left(stacked, v)
-        if sol is None:
-            return None
-        out.append(sol[: len(sub_gens)])
-    return out
+    return solve_left(sub_gens, vectors, ambient.relation_rows())
 
 
 def submodules_equal(a_rows: list[list[int]], b_rows: list[list[int]],

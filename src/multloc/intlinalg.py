@@ -1,6 +1,10 @@
 """Exact integer linear algebra: one row elimination loop, which gives the
 Hermite normal form and the row echelon form with its transform; invariant
-factors by alternating HNF, row echelon kernels and solves.
+factors by alternating HNF; left kernels and solves modulo a lattice.
+
+Kernels and solves eliminate a matrix stacked over the lattice rows with a
+transform only as wide as the matrix has rows, since nothing reads the
+lattice part, and all right-hand sides of a solve share one echelon form.
 
 Matrices are lists of lists of Python ints (rows).  Everything here is
 exact; there is no floating point anywhere in the package.
@@ -8,6 +12,7 @@ exact; there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
 
 
@@ -131,10 +136,12 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
     place and return the pivot columns.
 
     Row k's pivot is positive and sits in column ``pivots[k]``; the rows from
-    ``len(pivots)`` on are zero in the first ``cols`` columns.  Only whole
-    rows are combined, so columns past ``cols`` record the transform.  Each
-    column is cleared by repeated division by its smallest entry, which keeps
-    the entries small (Cohen, GTM 138, section 2.4).
+    ``len(pivots)`` on are zero in the first ``cols`` columns.  Row operations
+    act on all columns, so columns past ``cols`` record the transform; since
+    the rows still being eliminated are zero before the current column, each
+    operation rewrites only the tail from that column on.  Each column is
+    cleared by repeated division by its smallest entry, which keeps the
+    entries small (Cohen, GTM 138, section 2.4).
     """
     n = len(rows)
     pivots: list[int] = []
@@ -146,57 +153,77 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
         if not live:
             continue
         while True:
-            p = min(live, key=lambda i: abs(rows[i][c]))
+            # the first live row with the smallest entry in column c
+            sizes = [abs(rows[i][c]) for i in live]
+            p = live[sizes.index(min(sizes))]
             prow = rows[p]
             pv = prow[c]
+            ptail = prow[c:]
             rest = []
             for i in live:
                 if i != p:
                     row = rows[i]
                     q = row[c] // pv
-                    row = rows[i] = [x - q * y for x, y in zip(row, prow)]
+                    row[c:] = [x - q * y for x, y in zip(row[c:], ptail)]
                     if row[c]:
                         rest.append(i)
             if not rest:
                 break
             live = rest + [p]
+        if pv < 0:
+            prow[c:] = [-x for x in ptail]
         rows[p] = rows[r]
-        rows[r] = prow if pv > 0 else [-x for x in prow]
+        rows[r] = prow
         pivots.append(c)
         r += 1
     return pivots
 
 
-def row_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Row echelon form with its transform: (E, U, pivots) with U * a = E.
+def _echelon(a: list[list[int]],
+             lattice: Sequence[list[int]]) -> tuple[list[list[int]], int, list[int]]:
+    """Row echelon form of ``a`` stacked over ``lattice``, with its transform.
 
-    U is unimodular, E is in row echelon form with positive pivots, and
-    ``pivots[k]`` is the column of row k's pivot; the rows of E from
-    ``len(pivots)`` on are zero, so the matching rows of U span the left
-    kernel of ``a``.
+    Eliminates ``[a | I ; lattice | 0]`` with ``I`` of size m = len(a) and
+    returns (rows, cols, pivots): ``row[:cols]`` is an echelon row (positive
+    pivot in column ``pivots[k]`` for row k, zero rows from ``len(pivots)``
+    on) and ``row[cols:]``, m wide, is a transform t with t * a equal to the
+    echelon row modulo the row lattice of ``lattice``.  Only the first m
+    transform columns are carried because no caller reads the lattice part.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    # each row carries its row of U behind it, so one operation updates both
-    aug = [row[:] + [1 if i == j else 0 for j in range(rows)] for i, row in enumerate(a)]
-    pivots = _eliminate(aug, cols)
-    return [row[:cols] for row in aug], [row[cols:] for row in aug], pivots
+    m = len(a)
+    cols = len(a[0]) if a else len(lattice[0]) if lattice else 0
+    rows = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a)]
+    rows += [list(row) + [0] * m for row in lattice]
+    return rows, cols, _eliminate(rows, cols)
 
 
-def left_nullspace(a: list[list[int]]) -> list[list[int]]:
-    """Basis (rows) of {v : v * a = 0} over the integers."""
-    _, u, pivots = row_echelon(a)
-    return u[len(pivots):]
+def left_nullspace(a: list[list[int]], lattice: Sequence[list[int]] = ()) -> list[list[int]]:
+    """Rows spanning {v : v * a in the row lattice of ``lattice``}; with no
+    lattice they are a basis of the integer left kernel of ``a``.
+
+    They are the transform rows past the rank, carried only len(a) wide.
+    """
+    rows, cols, pivots = _echelon(a, lattice)
+    return [row[cols:] for row in rows[len(pivots):]]
 
 
-def solve_left(a: list[list[int]], x: list[int]) -> list[int] | None:
-    """Solve v * a = x over the integers; None if no solution."""
-    e, u, pivots = row_echelon(a)
-    # w * E = x by forward substitution on the pivots, then v = w * U; a
-    # remainder left in rest means x is not in the row lattice of a
-    rest, v = list(x), [0] * len(a)
-    for k, c in enumerate(pivots):
-        q = rest[c] // e[k][c]
-        rest = [y - q * z for y, z in zip(rest, e[k])]
-        v = [y + q * z for y, z in zip(v, u[k])]
-    return None if any(rest) else v
+def solve_left(a: list[list[int]], xs: list[list[int]],
+               lattice: Sequence[list[int]] = ()) -> list[list[int]] | None:
+    """Solve v * a = x modulo the row lattice of ``lattice`` for every x in
+    ``xs``, all from one echelon form with a transform len(a) wide; None if
+    some x has no solution."""
+    rows, _, pivots = _echelon(a, lattice)
+    out = []
+    for x in xs:
+        # forward substitution on the pivots of [x | 0]: the first len(x)
+        # entries keep what is left of x, the rest accumulate -v
+        n = len(x)
+        t = list(x) + [0] * len(a)
+        for k, c in enumerate(pivots):
+            q = t[c] // rows[k][c]
+            if q:
+                t = [y - q * z for y, z in zip(t, rows[k])]
+        if any(t[:n]):
+            return None
+        out.append([-y for y in t[n:]])
+    return out

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from multloc.battery import _embed_corpus, abelian_groups_upto
 from multloc.certs import (
     CertNode,
     Certificate,
@@ -154,6 +157,15 @@ class TestInstantiate:
         with pytest.raises(PayloadMismatch):
             instantiate_and_check(Certificate(root=bad))
 
+    def test_direct_summand_of_a_zero_child_is_a_mismatch(self):
+        # Z/2 cannot be a summand of 0: the composite through the child is the
+        # zero map, which is not the identity
+        root = CertNode(kind="DirectSummand", level=1, children=[seed([])],
+                        payload={"module": FPModule.from_invariants([2]),
+                                 "into": [[]], "retract": []})
+        with pytest.raises(PayloadMismatch, match="does not split"):
+            instantiate_and_check(Certificate(root=root))
+
     def test_roundtrip_serialization(self):
         cert = decompose_weakly_cotorsion(FPModule.from_invariants([12]), 2)
         doc = cert.to_document()
@@ -299,3 +311,30 @@ def test_saturate_divisor_64_bit_modulus():
     assert _saturate_divisor(6, n) == 2
     assert _saturate_divisor(5, n) == 1
     assert _saturate_divisor(0, n) == n
+
+
+# sha256 of json.dumps(documents, sort_keys=True).  The decompose documents
+# carry kernel presentations and torsion transitions, so a change of basis in
+# the linear algebra beneath them changes their bytes; the embed documents are
+# built from invariant factors and stacked cokernel presentations, so theirs
+# pin the invariants and the presentation layout.
+DECOMPOSE_DOCS_SHA256 = "6e6c47ac88deecfeb16415adb8f2d18e3df79f0efb02a153c25be21cd3ad6029"
+EMBED_DOCS_SHA256 = "e3d6d2feb515b945804fe568b0f2a0140998a739882c998f0f3a8223d7796f68"
+
+
+def _sha256(docs) -> str:
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+def test_decompose_documents_are_pinned():
+    docs = [decompose_weakly_cotorsion(FPModule.from_invariants(list(g)), m).to_document()
+            for g in abelian_groups_upto(64) for m in (2, 3, 6)]
+    assert len(docs) == 348
+    assert _sha256(docs) == DECOMPOSE_DOCS_SHA256
+
+
+def test_embed_documents_are_pinned():
+    docs = [embed_two_obtainable(FPModule.from_invariants(list(inv), modulus=n)).to_document()
+            for n, inv in _embed_corpus(36)]
+    assert len(docs) == 514
+    assert _sha256(docs) == EMBED_DOCS_SHA256

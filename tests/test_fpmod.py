@@ -249,6 +249,14 @@ class TestMorphisms:
         assert (coeffs[0][0] * 4 - 8) % 12 == 0
         assert factor_through_submodule([[2]], sub, z12) is None
 
+    def test_compose_through_the_zero_module(self):
+        z2 = FPModule.from_invariants([2])
+        zero = FPModule.zero()
+        f = Morphism.make(z2, zero, [[]]).compose(Morphism.make(zero, z2, []))
+        assert f.source == z2 and f.target == z2
+        assert f.matrix == ((0,),)
+        assert f.is_zero_morphism()
+
     def test_relations_among(self):
         z12 = FPModule.from_invariants([12])
         assert relations_among([], z12) == []

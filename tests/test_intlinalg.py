@@ -7,11 +7,11 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from multloc.intlinalg import (
+    _echelon,
     hnf_rows,
     lattice_member,
     left_nullspace,
     mat_mul,
-    row_echelon,
     smith_normal_form,
     solve_left,
 )
@@ -103,10 +103,14 @@ def test_left_nullspace():
 
 def test_solve_left():
     a = [[2, 0], [0, 3]]
-    v = solve_left(a, [4, 3])
-    assert v is not None
-    assert [sum(v[i] * a[i][j] for i in range(2)) for j in range(2)] == [4, 3]
-    assert solve_left(a, [1, 0]) is None
+    sols = solve_left(a, [[4, 3], [0, -6]])
+    assert sols is not None
+    for v, x in zip(sols, [[4, 3], [0, -6]]):
+        assert [sum(v[i] * a[i][j] for i in range(2)) for j in range(2)] == x
+    assert solve_left(a, [[4, 3], [1, 0]]) is None
+    # modulo the lattice 5Z^2, 1 = 3 * 2 - 5 makes (1, 0) reachable
+    v, = solve_left(a, [[1, 0]], lattice=[[5, 0], [0, 5]])
+    assert (2 * v[0] - 1) % 5 == 0 and 3 * v[1] % 5 == 0
 
 
 def _is_reduced_echelon(basis):
@@ -167,19 +171,44 @@ def test_hnf_invariant_under_unimodular_rows(a, rng):
     assert hnf_rows(b) == basis
 
 
+@st.composite
+def lattices(draw, cols):
+    """No rows, or N*I (N from 2 to 12) with up to two more rows."""
+    if draw(st.booleans()):
+        return []
+    n = draw(st.integers(min_value=2, max_value=12))
+    extra = draw(st.lists(st.lists(small_ints, min_size=cols, max_size=cols), max_size=2))
+    return [[n if i == j else 0 for j in range(cols)] for i in range(cols)] + extra
+
+
+@st.composite
+def matrices_over_lattices(draw):
+    a = draw(matrices())
+    return a, draw(lattices(len(a[0])))
+
+
 @settings(max_examples=150, deadline=None)
-@given(matrices())
-def test_row_echelon_postconditions(a):
-    e, u, pivots = row_echelon(a)
-    assert mat_mul(u, a) == e
-    assert abs(Matrix(u).det()) == 1
+@given(matrices_over_lattices())
+def test_row_echelon_postconditions(case):
+    a, lattice = case
+    rows, cols, pivots = _echelon(a, lattice)
+    e = [row[:cols] for row in rows]
+    u = [row[cols:] for row in rows]
+    assert len(rows) == len(a) + len(lattice)
+    assert all(len(t) == len(a) for t in u)
     rank = len(pivots)
     assert pivots == sorted(set(pivots))
     for k, c in enumerate(pivots):
         assert e[k][c] > 0
         assert all(x == 0 for x in e[k][:c])
-        assert all(e[i][c] == 0 for i in range(k + 1, len(a)))
+        assert all(e[i][c] == 0 for i in range(k + 1, len(rows)))
     assert all(not any(row) for row in e[rank:])
+    # each transform row maps a onto its echelon row modulo the lattice
+    span = hnf_rows(lattice) if lattice else []
+    for t, row in zip(mat_mul(u, a), e):
+        assert lattice_member(span, [x - y for x, y in zip(row, t)])
+    if not lattice:
+        assert abs(Matrix(u).det()) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -204,7 +233,8 @@ def test_solve_left_exactly_on_lattice(a, coeffs, noise, in_lattice):
         x = [sum(c * row[j] for c, row in zip(coeffs, a)) for j in range(cols)]
     else:
         x = noise[:cols]
-    v = solve_left(a, x)
+    sols = solve_left(a, [x])
+    v = sols[0] if sols is not None else None
     member = lattice_member(hnf_rows(a), x)
     assert (v is not None) == member
     if v is not None:
@@ -216,3 +246,86 @@ def test_solve_left_exactly_on_lattice(a, coeffs, noise, in_lattice):
 @given(matrices())
 def test_snf_factors_match_sympy(a):
     assert smith_normal_form(a) == _sympy_factors(a)
+
+
+# The route that left_nullspace and solve_left replaced, kept as the
+# reference: stack the lattice under a, eliminate [a ; lattice | I] with the
+# full identity and whole-row operations, keep the first len(a) transform
+# columns, and solve one vector per elimination.
+def _reference_echelon(a):
+    n = len(a)
+    cols = len(a[0]) if n else 0
+    rows = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+    pivots, r = [], 0
+    for c in range(cols):
+        if r == n:
+            break
+        live = [i for i in range(r, n) if rows[i][c]]
+        if not live:
+            continue
+        while True:
+            p = min(live, key=lambda i: abs(rows[i][c]))
+            prow = rows[p]
+            pv = prow[c]
+            rest = []
+            for i in live:
+                if i != p:
+                    q = rows[i][c] // pv
+                    rows[i] = [x - q * y for x, y in zip(rows[i], prow)]
+                    if rows[i][c]:
+                        rest.append(i)
+            if not rest:
+                break
+            live = rest + [p]
+        rows[p] = rows[r]
+        rows[r] = prow if pv > 0 else [-x for x in prow]
+        pivots.append(c)
+        r += 1
+    return [row[:cols] for row in rows], [row[cols:] for row in rows], pivots
+
+
+def _reference_left_nullspace(a, lattice):
+    _, u, pivots = _reference_echelon(a + lattice)
+    return [v[:len(a)] for v in u[len(pivots):]]
+
+
+def _reference_solve(a, xs, lattice):
+    out = []
+    for x in xs:
+        e, u, pivots = _reference_echelon(a + lattice)
+        rest, v = list(x), [0] * len(a + lattice)
+        for k, c in enumerate(pivots):
+            q = rest[c] // e[k][c]
+            rest = [y - q * z for y, z in zip(rest, e[k])]
+            v = [y + q * z for y, z in zip(v, u[k])]
+        if any(rest):
+            return None
+        out.append(v[:len(a)])
+    return out
+
+
+@st.composite
+def systems(draw):
+    """(a, xs, lattice): xs mostly combinations of a and the lattice rows,
+    with noise added to some entries so that some systems have no solution."""
+    a, lattice = draw(matrices_over_lattices())
+    cols = len(a[0])
+    gens = a + lattice
+    xs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        coeffs = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                               min_size=len(gens), max_size=len(gens)))
+        x = [sum(c * row[j] for c, row in zip(coeffs, gens)) for j in range(cols)]
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            j = draw(st.integers(min_value=0, max_value=cols - 1))
+            x[j] += draw(st.integers(min_value=1, max_value=3))
+        xs.append(x)
+    return a, xs, lattice
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_narrow_transform_matches_the_full_width_route(case):
+    a, xs, lattice = case
+    assert left_nullspace(a, lattice) == _reference_left_nullspace(a, lattice)
+    assert solve_left(a, xs, lattice) == _reference_solve(a, xs, lattice)
