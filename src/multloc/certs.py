@@ -350,6 +350,16 @@ def _check_seed_tag(node: CertNode, mod: FPModule, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _checked(cert: Certificate, level: int) -> Certificate:
+    """A built certificate, once it verifies at ``level`` and its payloads
+    check; raises LevelViolation or PayloadMismatch otherwise."""
+    found = verify_certificate(cert)
+    if found != level:
+        raise LevelViolation("root", f"built certificate has level {found}, not {level}")
+    instantiate_and_check(cert)
+    return cert
+
+
 def decompose_weakly_cotorsion(module: FPModule, m: int,
                                depth: int | None = None) -> Certificate:
     """Certificate for a finite module over Z with the subset generated by m:
@@ -402,9 +412,7 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
                                  "project": ident})
         cert = Certificate(root=root)
 
-    assert verify_certificate(cert) == 1
-    instantiate_and_check(cert)
-    return cert
+    return _checked(cert, 1)
 
 
 def omega_from_quotient_tower(quo, top: int, s: int) -> CertNode:
@@ -451,10 +459,7 @@ def embed_two_obtainable(module: FPModule) -> Certificate:
                      payload={"module": quot}),
         ],
         payload={"module": canon, "map": ident})
-    cert = Certificate(root=root)
-    assert verify_certificate(cert) == 2
-    instantiate_and_check(cert)
-    return cert
+    return _checked(Certificate(root=root), 2)
 
 
 # ---------------------------------------------------------------------------

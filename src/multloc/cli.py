@@ -79,11 +79,20 @@ def _render_text(doc: dict, indent: int = 0) -> None:
 
 
 def _parse_module(spec: str, modulus: int) -> FPModule:
-    """Module literal: comma-separated invariant factors, 0 for a free summand."""
+    """Module literal: comma-separated invariant factors, 0 for a free summand.
+
+    Over Z/N (a positive ``modulus``) each nonzero factor must divide N, since
+    Z/d over Z/N is Z/gcd(d, N) and any other d would answer for a different
+    module."""
     spec = spec.strip()
     if not spec:
         return FPModule.zero(modulus)
     factors = [int(x) for x in spec.split(",")]
+    for d in factors:
+        if d < 0:
+            raise ValueError(f"--module: factor {d} is negative")
+        if modulus > 0 and d and modulus % d:
+            raise ValueError(f"--module: factor {d} does not divide --modulus {modulus}")
     return FPModule.from_invariants(factors, modulus=modulus)
 
 

@@ -20,6 +20,7 @@ from .intlinalg import (
     canonical_invariants,
     hnf_rows,
     identity,
+    lattice_coordinates,
     lattice_member,
     left_nullspace,
     mat_mul,
@@ -182,9 +183,20 @@ class Morphism:
         return [list(r) for r in pre]
 
     def kernel(self) -> tuple[FPModule, "Morphism"]:
-        """Kernel as (module, inclusion into source)."""
+        """Kernel as (module, inclusion into source), for a well-defined map.
+
+        ker f = P / R, with P the preimage lattice and R the source relation
+        lattice, which P contains exactly when the map is well defined.  The
+        generators are the HNF rows of P, and the relations are the exact
+        coordinates of the source's relation rows (N*I included) in that
+        basis.  Raises ValueError when some source relation is outside P,
+        i.e. the map is not well defined.
+        """
         pre = self._preimage_lattice()
-        ker = FPModule.from_presentation(relations_among(pre, self.source), gens=len(pre),
+        relations = [lattice_coordinates(pre, row) for row in self.source.relation_rows()]
+        if None in relations:
+            raise ValueError("the kernel needs a well-defined map")
+        ker = FPModule.from_presentation(relations, gens=len(pre),
                                          modulus=self.source.modulus)
         return ker, Morphism.make(ker, self.source, pre)
 
@@ -202,8 +214,10 @@ class Morphism:
                                           modulus=self.target.modulus)
 
     def is_injective(self) -> bool:
-        ker, _ = self.kernel()
-        return ker.is_zero()
+        """For a well-defined map, ker f = P / R is zero exactly when the
+        preimage lattice P equals the source relation lattice R, and their
+        HNFs are canonical."""
+        return self._preimage_lattice() == list(map(list, self.source.relation_hnf()))
 
     def is_surjective(self) -> bool:
         return self.cokernel().is_zero()

@@ -5,6 +5,9 @@ factors by alternating HNF; left kernels and solves modulo a lattice.
 Kernels and solves eliminate a matrix stacked over the lattice rows with a
 transform only as wide as the matrix has rows, since nothing reads the
 lattice part, and all right-hand sides of a solve share one echelon form.
+A vector's coordinates in an echelon basis it is known to lie in come from
+forward substitution alone, with no elimination: membership tests, kernel
+presentations and tower transitions read them that way.
 
 Matrices are lists of lists of Python ints (rows).  Everything here is
 exact; there is no floating point anywhere in the package.
@@ -118,17 +121,34 @@ def hnf_rows(a: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-def lattice_member(basis_hnf: list[list[int]], x: list[int]) -> bool:
-    """Is x in the row lattice given by an hnf_rows basis?"""
-    v = x[:]
-    cols = len(x)
-    for row in basis_hnf:
-        lead = next(j for j in range(cols) if row[j] != 0)
-        if v[lead] % row[lead] == 0:
-            q = v[lead] // row[lead]
-            if q:
-                v = [v[j] - q * row[j] for j in range(cols)]
-    return not any(v)
+def lattice_coordinates(basis: list[list[int]], x: list[int]) -> list[int] | None:
+    """The coordinates c with c * basis = x, or None when x is not in the row
+    lattice of ``basis``.
+
+    ``basis`` is any echelon basis: no zero rows, each row's first nonzero
+    entry right of the row above's (hnf_rows, or the echelon rows of
+    ``_echelon``).  Only the first len(x) columns are read.  Forward
+    substitution fixes each coordinate by one exact division at its row's
+    leading entry (Cohen, GTM 138, section 2.4).
+    """
+    v = list(x)
+    coords = []
+    lead = 0
+    for row in basis:
+        while not row[lead]:
+            lead += 1
+        q, rem = divmod(v[lead], row[lead])
+        if rem:
+            return None
+        if q:
+            v = [y - q * z for y, z in zip(v, row)]
+        coords.append(q)
+    return None if any(v) else coords
+
+
+def lattice_member(basis: list[list[int]], x: list[int]) -> bool:
+    """Is x in the row lattice of ``basis``, any echelon basis?"""
+    return lattice_coordinates(basis, x) is not None
 
 
 def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
@@ -141,7 +161,8 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
     the rows still being eliminated are zero before the current column, each
     operation rewrites only the tail from that column on.  Each column is
     cleared by repeated division by its smallest entry, which keeps the
-    entries small (Cohen, GTM 138, section 2.4).
+    entries small (Cohen, GTM 138, section 2.4), and is left as soon as one
+    live (nonzero) row remains in it.
     """
     n = len(rows)
     pivots: list[int] = []
@@ -149,29 +170,45 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
     for c in range(cols):
         if r == n:
             break
-        live = [i for i in range(r, n) if rows[i][c]]
-        if not live:
+        # the live rows (nonzero in column c) and the first one of least size
+        live = []
+        p, small = -1, 0
+        for i in range(r, n):
+            x = rows[i][c]
+            if x:
+                live.append(i)
+                if x < 0:
+                    x = -x
+                if p < 0 or x < small:
+                    p, small = i, x
+        if p < 0:
             continue
-        while True:
-            # the first live row with the smallest entry in column c
-            sizes = [abs(rows[i][c]) for i in live]
-            p = live[sizes.index(min(sizes))]
+        while len(live) > 1:
+            # reduce the other live rows by row p; their remainders are all
+            # smaller than it, so the next pivot is the first least of them
             prow = rows[p]
             pv = prow[c]
             ptail = prow[c:]
             rest = []
+            nxt = p
             for i in live:
                 if i != p:
                     row = rows[i]
                     q = row[c] // pv
                     row[c:] = [x - q * y for x, y in zip(row[c:], ptail)]
-                    if row[c]:
+                    x = row[c]
+                    if x:
                         rest.append(i)
-            if not rest:
-                break
-            live = rest + [p]
-        if pv < 0:
-            prow[c:] = [-x for x in ptail]
+                        if x < 0:
+                            x = -x
+                        if x < small:
+                            nxt, small = i, x
+            rest.append(p)
+            live = rest
+            p = nxt
+        prow = rows[p]
+        if prow[c] < 0:
+            prow[c:] = [-x for x in prow[c:]]
         rows[p] = rows[r]
         rows[r] = prow
         pivots.append(c)

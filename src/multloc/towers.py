@@ -28,8 +28,8 @@ from .fpmod import (
     relations_among,
     submodules_equal,
 )
-from .intlinalg import (_saturate_divisor, hnf_rows, identity, lattice_member,
-                        mat_mul, smith_normal_form)
+from .intlinalg import (_echelon, _saturate_divisor, hnf_rows, identity,
+                        lattice_coordinates, lattice_member, mat_mul, smith_normal_form)
 
 DEFAULT_DEPTH = 12
 
@@ -216,7 +216,13 @@ def quotient_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DE
 
 
 def torsion_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DEPTH) -> Tower:
-    """Stages ker(t_n : M -> M) with transition 'multiply by s_{n+1}'."""
+    """Stages ker(t_n : M -> M) with transition 'multiply by s_{n+1}'.
+
+    Stage k is generated by the HNF rows of P_k = {x : x * t_{k+1} in R}, R
+    the relation lattice of M, and those rows are its inclusion into M.  For
+    x in P_{k+1}, s_{k+2} * x lies in P_k itself (not just modulo R), so each
+    transition is read off as exact coordinates in that HNF basis.
+    """
     _check_depth(depth)
     stages: list[FPModule] = []
     inclusions: list[Morphism] = []
@@ -228,12 +234,12 @@ def torsion_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DEP
     transitions = []
     for k in range(depth - 1):
         mult = seq.s(k + 2)
-        src, tgt = stages[k + 1], stages[k]
-        rows = [[mult * x for x in row] for row in inclusions[k + 1].mat()]
-        coeffs = factor_through_submodule(rows, inclusions[k].mat(), module)
-        if coeffs is None:
+        basis = inclusions[k].matrix
+        coeffs = [lattice_coordinates(basis, [mult * x for x in row])
+                  for row in inclusions[k + 1].matrix]
+        if None in coeffs:
             raise AssertionError("torsion transition failed to factor")
-        transitions.append(Morphism.make(src, tgt, coeffs))
+        transitions.append(Morphism.make(stages[k + 1], stages[k], coeffs))
     return Tower(stages=stages, transitions=transitions,
                  t_values=tvals, stage_inclusions=inclusions,
                  period=len(seq.generators))
@@ -282,17 +288,32 @@ def _carriers(tower: Tower, top: int) -> list[list[list[int]]]:
     return out
 
 
-def _confirmed_levels(tower: Tower, top: list[list[list[int]]]) -> int:
+def _level_echelons(tower: Tower, carrier: list[list[list[int]]]):
+    """Per level i, the echelon of ``[carrier[i] | I ; relations of stage i | 0]``
+    (``intlinalg._echelon``), computed on first use and kept only by the
+    returned function.  Its echelon rows are a basis of the image of the top
+    stage plus the relations, and its transform rows past the rank span the
+    relations among the carrier rows."""
+    @functools.cache
+    def level(i: int):
+        return _echelon(carrier[i], tower.stages[i].relation_rows())
+
+    return level
+
+
+def _confirmed_levels(tower: Tower, level) -> int:
     """Number of leading levels whose image chain the final window confirms;
-    ``top`` is ``_carriers(tower, depth - 1)``.
+    ``level`` is ``_level_echelons(tower, _carriers(tower, depth - 1))``.
 
     Level i is confirmed when the image from the top stage equals the image
-    from one window below.  ``top[i]`` is the composite from the top down to
-    that stage times ``below[i]``, so the image from the top always lies in
-    the image from below, and the two are equal exactly when every row of
-    ``below[i]`` is in the lattice of ``top[i]`` plus the relations: one HNF
-    per level.  Counting stops at the first unconfirmed level.  The
-    confirmation is only as good as the window; see ``Tower``.
+    from one window below.  The top carrier at level i is the composite from
+    the top stage down to stage depth - 1 - w times ``below[i]``, so the
+    image from the top always lies in the image from below, and the two are
+    equal exactly when every row of ``below[i]`` is in the lattice of the
+    top carrier plus the relations.  Membership is tested on level i's echelon
+    rows, which ``lattice_member`` accepts as they are (any echelon basis
+    will do), so no HNF is taken.  Counting stops at the first unconfirmed
+    level.  The confirmation is only as good as the window; see ``Tower``.
     """
     n = tower.depth
     w = tower.window()
@@ -300,8 +321,9 @@ def _confirmed_levels(tower: Tower, top: list[list[list[int]]]) -> int:
         return 0
     below = _carriers(tower, n - 1 - w)
     for i in range(n - w):
-        lattice = hnf_rows(top[i] + tower.stages[i].relation_rows())
-        if not all(lattice_member(lattice, row) for row in below[i]):
+        rows, _, pivots = level(i)
+        basis = rows[:len(pivots)]
+        if not all(lattice_member(basis, row) for row in below[i]):
             return i
     return n - w
 
@@ -321,10 +343,16 @@ def tower_lim(tower: Tower) -> TowerLimit:
     an isomorphism exactly when L_{i+1} = L_i, i.e. when the canonical
     relation HNFs agree.  The limit is certified once those transitions are
     isomorphisms over at least one window of consecutive levels.
+
+    Each level is eliminated once, by ``_level_echelons``, for the length of
+    this call: its echelon rows confirm the level's image chain and its
+    transform rows past the rank are L_i's generators, the rows
+    ``_submodule_on_rows`` would give.
     """
     w = tower.window()
     carrier = _carriers(tower, tower.depth - 1)
-    i_max = _confirmed_levels(tower, carrier) - 1
+    level = _level_echelons(tower, carrier)
+    i_max = _confirmed_levels(tower, level) - 1
     if i_max < w:
         stage_invs = [list(s.invariants()) for s in tower.stages]
         raise NotStabilized("image chains not confirmed within depth",
@@ -332,7 +360,10 @@ def tower_lim(tower: Tower) -> TowerLimit:
 
     @functools.cache
     def sub(i: int) -> FPModule:
-        return _submodule_on_rows(tower.stages[i], carrier[i])
+        rows, cols, pivots = level(i)
+        return FPModule.from_presentation([row[cols:] for row in rows[len(pivots):]],
+                                          gens=len(carrier[i]),
+                                          modulus=tower.stages[i].modulus)
 
     iso_down_to = i_max
     for j in range(i_max - 1, -1, -1):

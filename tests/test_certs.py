@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from multloc import battery, certs
 from multloc.battery import _embed_corpus, abelian_groups_upto
 from multloc.certs import (
     CertNode,
@@ -338,3 +343,44 @@ def test_embed_documents_are_pinned():
             for n, inv in _embed_corpus(36)]
     assert len(docs) == 514
     assert _sha256(docs) == EMBED_DOCS_SHA256
+
+
+class TestBuildersCheckWhatTheyReturn:
+    """The builders verify and instantiate each certificate before returning
+    it, with an explicit check that ``python -O`` keeps; criterion 9 relies
+    on that and does not repeat the checks."""
+
+    def test_wrong_level_raises(self, monkeypatch):
+        monkeypatch.setattr(certs, "verify_certificate", lambda cert: 3)
+        with pytest.raises(LevelViolation, match="level 3, not 1"):
+            decompose_weakly_cotorsion(FPModule.from_invariants([12]), 2)
+        with pytest.raises(LevelViolation, match="level 3, not 2"):
+            embed_two_obtainable(FPModule.from_invariants([2], modulus=4))
+
+    def test_check_kept_under_optimization(self):
+        script = ("from multloc import certs\n"
+                  "from multloc.fpmod import FPModule\n"
+                  "certs.verify_certificate = lambda cert: 3\n"
+                  "try:\n"
+                  "    certs.embed_two_obtainable(FPModule.from_invariants([2], modulus=4))\n"
+                  "except certs.LevelViolation:\n"
+                  "    print('raised')\n")
+        src = str(Path(certs.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "raised", out.stderr
+
+    def test_criterion_9_records_a_builder_failure(self, monkeypatch):
+        def failing_on_z2_over_z4(module):
+            if (module.modulus, module.invariants()) == (4, (2,)):
+                raise PayloadMismatch("root", "built wrongly")
+            return embed_two_obtainable(module)
+
+        monkeypatch.setattr(battery, "embed_two_obtainable", failing_on_z2_over_z4)
+        result = battery.criterion_9(42, groups=[(2,), (4,)], quick=True)
+        assert not result["pass"]
+        assert result["details"]["failures"] == [
+            {"kind": "embed", "modulus": 4, "inv": [2],
+             "error": "PayloadMismatch('root: built wrongly')"}]
+        assert result["details"]["decompose_certs"] == 6

@@ -197,6 +197,37 @@ class TestWcCheck:
         assert doc["free_part_growth"][0] == [2]
 
 
+class TestModuleLiteral:
+    """A --module factor must be nonnegative and, over Z/N, divide N;
+    otherwise the command would answer for a different module."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["complete", "--module", "12", "--modulus", "8", "--generators", "2"],
+         "factor 12 does not divide --modulus 8"),
+        (["complete", "--module", "2,5", "--modulus", "12", "--generators", "2"],
+         "factor 5 does not divide --modulus 12"),
+        (["telescope", "--module", "4", "--modulus", "6", "--generators", "2", "-n", "2"],
+         "factor 4 does not divide --modulus 6"),
+        (["complete", "--module=-4", "--generators", "2"], "factor -4 is negative"),
+        (["telescope", "--module=-10", "--generators", "2", "-n", "2"],
+         "factor -10 is negative"),
+        (["wc-check", "--module=-36", "-m", "2"], "factor -36 is negative"),
+    ])
+    def test_rejected_with_one_line(self, args, message, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
+
+    def test_free_summand_and_divisors_over_z_mod_n(self, capsys):
+        code, out, _ = run_cli(["complete", "--module", "4,0", "--modulus", "8",
+                                "--generators", "2", "--format", "structured"], capsys)
+        assert code == 0
+        assert json.loads(out)["delta"]["lambda_invariants"] == [4, 8]
+        assert run_cli(["complete", "--module", "4,3", "--modulus", "12",
+                        "--generators", "2"], capsys)[0] == 0
+
+
 class TestVerifyCert:
     def test_valid_certificate(self, tmp_path, capsys):
         from multloc.certs import decompose_weakly_cotorsion

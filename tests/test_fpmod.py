@@ -400,3 +400,85 @@ class TestRandomizedHomology:
             img, _ = f.image()
             assert ker.order() * img.order() == src.order()
             assert img.order() * f.cokernel().order() == tgt.order()
+
+
+def stacked_kernel(f: Morphism):
+    """``Morphism.kernel`` before exact coordinates: the kernel's relations
+    are the relations among the preimage HNF rows modulo the source, found
+    by a second stacked elimination."""
+    pre = f._preimage_lattice()
+    ker = FPModule.from_presentation(relations_among(pre, f.source), gens=len(pre),
+                                     modulus=f.source.modulus)
+    return ker, Morphism.make(ker, f.source, pre)
+
+
+@st.composite
+def maps_over_z_mod_n(draw):
+    """A well-defined map out of a random module over Z/N: multiplication by
+    a scalar, or the projection onto a quotient by further rows."""
+    modulus = draw(st.sampled_from([2, 4, 6, 8, 12, 30, 64, 360, 2 ** 61 - 1]))
+    g = draw(st.integers(min_value=1, max_value=3))
+    entries = st.integers(min_value=-modulus, max_value=modulus)
+    rows = draw(st.lists(st.lists(entries, min_size=g, max_size=g), max_size=3))
+    m = FPModule.from_presentation(rows, gens=g, modulus=modulus)
+    if draw(st.booleans()):
+        return Morphism.multiplication(m, draw(st.integers(min_value=-12, max_value=12)))
+    extra = draw(st.lists(st.lists(entries, min_size=g, max_size=g), min_size=1,
+                          max_size=2))
+    quotient = FPModule.from_presentation(rows + extra, gens=g, modulus=modulus)
+    return Morphism.make(m, quotient, [[int(i == j) for j in range(g)] for i in range(g)])
+
+
+def assert_kernel_routes_agree(f: Morphism):
+    assert f.is_well_defined()
+    ker, incl = f.kernel()
+    old, old_incl = stacked_kernel(f)
+    assert ker.gens == old.gens and ker.modulus == old.modulus
+    assert ker.relation_hnf() == old.relation_hnf()
+    assert ker.invariants() == old.invariants()
+    assert incl.matrix == old_incl.matrix
+    assert incl.is_well_defined()
+    assert f.is_injective() == old.is_zero()
+
+
+class TestKernelByCoordinates:
+    """``kernel`` presents ker f = P/R by the coordinates of R's rows in the
+    preimage HNF basis, and ``is_injective`` compares P with R; both agree
+    with the stacked-elimination route on well-defined maps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=well_defined_maps())
+    def test_well_defined_maps(self, f):
+        assert_kernel_routes_agree(f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=maps_over_z_mod_n())
+    def test_maps_over_z_mod_n(self, f):
+        assert_kernel_routes_agree(f)
+
+    def test_modulus_rows_are_relations(self):
+        # over Z/8 the kernel of x2 on Z/8 is Z/2: its one relation is the
+        # coordinate of the modulus row 8 in the basis 4 of the preimage
+        z8 = FPModule(gens=1, modulus=8)
+        ker, incl = Morphism.multiplication(z8, 2).kernel()
+        assert incl.matrix == ((4,),)
+        assert ker.relations == ((2,),)
+        assert ker.invariants() == (2,)
+
+    def test_map_that_is_not_well_defined(self):
+        # 1 in Z/4 cannot go to 1 in Z/8: the relation 4 leaves the preimage
+        f = Morphism.make(FPModule.from_invariants([4]), FPModule.from_invariants([8]), [[1]])
+        assert not f.is_well_defined()
+        with pytest.raises(ValueError, match="well-defined"):
+            f.kernel()
+
+    def test_injectivity_by_lattice_equality(self):
+        z12 = FPModule.from_invariants([12])
+        assert not Morphism.multiplication(z12, 2).is_injective()
+        assert Morphism.multiplication(z12, 5).is_injective()
+        z = FPModule.from_presentation([], gens=2)
+        assert Morphism.make(z, z, [[1, 1], [0, 2]]).is_injective()
+        assert not Morphism.make(z, z, [[1, 1], [2, 2]]).is_injective()
+        zero = FPModule.zero()
+        assert Morphism.make(zero, z12, []).is_injective()
+        assert not Morphism.make(z12, zero, [[]]).is_injective()

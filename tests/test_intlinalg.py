@@ -9,6 +9,7 @@ from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 from multloc.intlinalg import (
     _echelon,
     hnf_rows,
+    lattice_coordinates,
     lattice_member,
     left_nullspace,
     mat_mul,
@@ -329,3 +330,48 @@ def test_narrow_transform_matches_the_full_width_route(case):
     a, xs, lattice = case
     assert left_nullspace(a, lattice) == _reference_left_nullspace(a, lattice)
     assert solve_left(a, xs, lattice) == _reference_solve(a, xs, lattice)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_elimination_does_the_reference_row_operations(a):
+    # the pivot is found without per-iteration lists and a column is left
+    # once one live row is left; the rows and pivots stay those of the loop
+    # that rebuilt both lists on every pass
+    rows, cols, pivots = _echelon(a, ())
+    e, u, ref_pivots = _reference_echelon(a)
+    assert pivots == ref_pivots
+    assert [row[:cols] for row in rows] == e
+    assert [row[cols:] for row in rows] == u
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_lattice_coordinates_on_echelon_bases(case):
+    # on the HNF and on the raw echelon rows (transform columns included,
+    # which are not read) the coordinates rebuild x exactly, and exist
+    # exactly when the solve finds a solution
+    a, xs, lattice = case
+    rows, cols, pivots = _echelon(a, lattice)
+    echelon = rows[:len(pivots)]
+    hnf = hnf_rows(a + lattice)
+    for x in xs:
+        solvable = solve_left(a, [x], lattice) is not None
+        for basis in (hnf, echelon):
+            coords = lattice_coordinates(basis, x)
+            assert (coords is not None) == solvable == lattice_member(basis, x)
+            if coords is not None:
+                assert len(coords) == len(basis)
+                assert [sum(c * row[j] for c, row in zip(coords, basis))
+                        for j in range(cols)] == x
+
+
+def test_lattice_coordinates_by_hand():
+    basis = hnf_rows([[2, 0], [0, 3]])
+    assert lattice_coordinates(basis, [4, -3]) == [2, -1]
+    assert lattice_coordinates(basis, [1, 0]) is None
+    assert lattice_coordinates(basis, [0, 4]) is None
+    # a non-pivot column that substitution cannot clear
+    assert lattice_coordinates([[0, 2, 4]], [1, 2, 4]) is None
+    assert lattice_coordinates([], [0, 0]) == []
+    assert lattice_coordinates([], [0, 1]) is None

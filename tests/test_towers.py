@@ -11,7 +11,7 @@ from multloc import towers
 from multloc.battery import GENERATOR_SETS, abelian_groups_upto, criterion_5
 from multloc.fpmod import (FPModule, Morphism, canonical_invariants, factor_through_submodule,
                            merge_invariants)
-from multloc.intlinalg import mat_mul
+from multloc.intlinalg import lattice_member, mat_mul
 from multloc.towers import (
     DEFAULT_DEPTH,
     MultSubsetSeq,
@@ -453,8 +453,9 @@ def quadratic_image_chains(tower):
 
 @pytest.fixture
 def shared_hnf(monkeypatch):
-    """Both chain routines take HNFs of the same composites; computing each
-    once keeps the exhaustive comparison fast without changing any result."""
+    """The HNF oracles take HNFs of the same composites many times; computing
+    each once keeps the exhaustive comparisons fast without changing any
+    result."""
     cache = {}
     compute = towers.hnf_rows
 
@@ -468,7 +469,8 @@ def shared_hnf(monkeypatch):
 
 
 def confirmed_levels(tower):
-    return towers._confirmed_levels(tower, towers._carriers(tower, tower.depth - 1))
+    carrier = towers._carriers(tower, tower.depth - 1)
+    return towers._confirmed_levels(tower, towers._level_echelons(tower, carrier))
 
 
 def assert_same_chains(module, s, depth):
@@ -511,7 +513,7 @@ def kernel_route_lim(tower):
     n = tower.depth
     w = tower.window()
     carrier = towers._carriers(tower, n - 1)
-    i_max = towers._confirmed_levels(tower, carrier) - 1
+    i_max = towers._confirmed_levels(tower, towers._level_echelons(tower, carrier)) - 1
     if i_max < w:
         raise NotStabilized("image chains not confirmed within depth",
                             chains=[[list(s.invariants()) for s in tower.stages]])
@@ -717,7 +719,11 @@ def confirmation_outcomes(tower):
 
 
 def two_hnf_route():
-    return mock.patch.object(towers, "_confirmed_levels", two_hnf_confirmed_levels)
+    # the oracle reads the top carriers itself, in place of the level echelons
+    return mock.patch.object(
+        towers, "_confirmed_levels",
+        lambda tower, level: two_hnf_confirmed_levels(
+            tower, towers._carriers(tower, tower.depth - 1)))
 
 
 def assert_same_confirmation(tower, label):
@@ -773,3 +779,114 @@ class TestOneHnfConfirmation:
         s = MultSubsetSeq(generators=tuple(schedule))
         for build in (quotient_tower, torsion_tower, constant_hom_tower):
             assert_same_confirmation(build(module, s, depth), (rows, modulus, build.__name__))
+
+
+def hnf_level_lim(tower):
+    """``tower_lim`` before one echelon per level: an HNF of each level's top
+    carrier plus the relations confirms the level, and a second elimination
+    (``_submodule_on_rows``) presents each stable image."""
+    n = tower.depth
+    w = tower.window()
+    carrier = towers._carriers(tower, n - 1)
+    confirmed = 0
+    if n > w:
+        below = towers._carriers(tower, n - 1 - w)
+        confirmed = n - w
+        for i in range(n - w):
+            lattice = towers.hnf_rows(carrier[i] + tower.stages[i].relation_rows())
+            if not all(lattice_member(lattice, row) for row in below[i]):
+                confirmed = i
+                break
+    i_max = confirmed - 1
+    if i_max < w:
+        raise NotStabilized("image chains not confirmed within depth",
+                            chains=[[list(s.invariants()) for s in tower.stages]])
+    sub = [towers._submodule_on_rows(tower.stages[i], carrier[i]) for i in range(i_max + 1)]
+    iso_down_to = i_max
+    for j in range(i_max - 1, -1, -1):
+        if sub[j + 1].relation_hnf() != sub[j].relation_hnf():
+            break
+        iso_down_to = j
+    if i_max - iso_down_to < w:
+        raise NotStabilized("stable images keep changing through the truncation",
+                            chains=[[canonical_invariants(list(m.invariants()), 0)
+                                     for m in sub]])
+    cert = towers.LimCertificate(stable_index=iso_down_to, verified_through=i_max)
+    return towers.TowerLimit(module=sub[iso_down_to], carrier_rows=carrier[iso_down_to],
+                             certificate=cert)
+
+
+def limit_summary(lim, tower):
+    try:
+        r = lim(tower)
+    except NotStabilized as exc:
+        return str(exc), exc.chains
+    return (r.certificate, r.module.relation_hnf(), r.module.invariants(), r.carrier_rows)
+
+
+def solved_torsion_transitions(module, s, tower):
+    """Torsion transitions before exact coordinates: s_{k+2} times the
+    inclusion rows of stage k + 1, solved modulo the relations of the module
+    on the inclusion rows of stage k."""
+    out = []
+    for k in range(tower.depth - 1):
+        rows = [[s.s(k + 2) * x for x in row] for row in tower.stage_inclusions[k + 1].mat()]
+        coeffs = factor_through_submodule(rows, tower.stage_inclusions[k].mat(), module)
+        assert coeffs is not None
+        out.append(Morphism.make(tower.stages[k + 1], tower.stages[k], coeffs))
+    return out
+
+
+def assert_echelon_routes_agree(module, s, depth):
+    for build in (quotient_tower, torsion_tower, constant_hom_tower):
+        tower = build(module, s, depth)
+        assert limit_summary(tower_lim, tower) == limit_summary(hnf_level_lim, tower), \
+            (module, s.generators, depth, build.__name__)
+    tor = torsion_tower(module, s, depth)
+    for k, (new, old) in enumerate(zip(tor.transitions,
+                                       solved_torsion_transitions(module, s, tor))):
+        assert new.is_well_defined(), (module, s.generators, k)
+        assert new.equals(old), (module, s.generators, k)
+
+
+class TestOneEchelonPerLevel:
+    """``tower_lim`` confirms each level on the echelon rows of one
+    elimination and reads the stable image's relations off its transform;
+    torsion transitions are exact coordinates in the lower stage's HNF
+    inclusion rows.  Both agree with the routes they replaced."""
+
+    def test_battery_cyclic_factors(self, shared_hnf):
+        for d in range(1, 65):
+            for gens in GENERATOR_SETS:
+                s = MultSubsetSeq(generators=gens)
+                assert_echelon_routes_agree(z_mod(d), s, certified_depth(d, s))
+
+    def test_z64_late_drop(self):
+        assert_echelon_routes_agree(z_mod(64), seq(3, 5, 6), 31)
+        assert_echelon_routes_agree(z_mod(64), seq(3, 5, 6), 39)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gens_count=st.integers(min_value=1, max_value=3),
+           data=st.data(),
+           schedule=st.lists(st.sampled_from([-2, 1, 2, 3, 4, 5, 6, 10]),
+                             min_size=1, max_size=3),
+           depth=st.integers(min_value=1, max_value=14))
+    def test_sampled_presentations_over_z(self, gens_count, data, schedule, depth):
+        rows = data.draw(st.lists(st.lists(st.integers(-8, 8), min_size=gens_count,
+                                           max_size=gens_count), max_size=3))
+        module = FPModule.from_presentation(rows, gens=gens_count)
+        assert_echelon_routes_agree(module, MultSubsetSeq(generators=tuple(schedule)), depth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gens_count=st.integers(min_value=1, max_value=3),
+           modulus=st.sampled_from([2, 4, 6, 8, 12, 36, 64, 360]),
+           data=st.data(),
+           schedule=st.lists(st.sampled_from([-2, 1, 2, 3, 4, 5, 6, 10]),
+                             min_size=1, max_size=3),
+           depth=st.integers(min_value=1, max_value=14))
+    def test_sampled_modules_over_z_mod_n(self, gens_count, modulus, data, schedule, depth):
+        rows = data.draw(st.lists(st.lists(st.integers(-modulus, modulus),
+                                           min_size=gens_count, max_size=gens_count),
+                                  max_size=3))
+        module = FPModule.from_presentation(rows, gens=gens_count, modulus=modulus)
+        assert_echelon_routes_agree(module, MultSubsetSeq(generators=tuple(schedule)), depth)
