@@ -2,13 +2,16 @@
 
 Commands: mu, distinguish, artinian, complete, telescope, wc-check,
 verify-cert, battery.  Exit codes: 0 all checks pass, 1 a verification
-failed (a report is still emitted), 2 usage or input errors.
+failed (a report is still emitted), 2 usage or input errors, 141 (128 +
+SIGPIPE, as the shell reports a program that SIGPIPE ended) when the reader
+of stdout went away before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .battery import RULE_REFS, run_battery
@@ -53,7 +56,7 @@ from .towers import (
     weakly_cotorsion_report,
 )
 
-PASS, FAIL, USAGE = 0, 1, 2
+PASS, FAIL, USAGE, BROKEN_PIPE = 0, 1, 2, 141
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -330,6 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        # flush here, so a reader that has gone shows up inside this try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot fail too (the SIGPIPE note in the signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
+
+
+def _dispatch(argv) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

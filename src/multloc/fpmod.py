@@ -7,7 +7,12 @@ is an integer matrix F acting by x -> x * F.
 
 All submodule bookkeeping happens through row lattices in the ambient
 generator space, so kernels, images, cokernels and exactness checks are
-exact and deterministic.
+exact and deterministic.  Each morphism eliminates its stacked matrix
+[F | I ; S | 0] once, with S the target's relation rows; the echelon form
+gives both the cokernel's relation HNF and the HNF of the preimage lattice,
+from which the kernel, the image and injectivity are read.  The modules that
+``cokernel`` and ``image`` return carry that HNF, and invariants start their
+Smith passes from a module's relation HNF.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ import operator
 from dataclasses import dataclass
 
 from .intlinalg import (
+    _diagonalize,
+    _eliminate,
+    _reduce_above_pivots,
     canonical_invariants,
     hnf_rows,
     identity,
@@ -24,7 +32,6 @@ from .intlinalg import (
     lattice_member,
     left_nullspace,
     mat_mul,
-    smith_normal_form,
     solve_left,
     zeros,
 )
@@ -87,14 +94,23 @@ class FPModule:
 
     def relation_hnf(self) -> tuple[tuple[int, ...], ...]:
         """HNF rows of the relation lattice, shared by equal presentations
-        and so kept as tuples."""
-        return _relation_hnf(self.gens, self.relations, self.modulus)
+        and so kept as tuples.
+
+        A module returned by ``Morphism.cokernel`` or ``Morphism.image``
+        holds the HNF its morphism computed, as an instance attribute that
+        is not a dataclass field (equality and hashing ignore it); any other
+        module computes it from its presentation."""
+        hnf = self.__dict__.get("_hnf")
+        return _relation_hnf(self.gens, self.relations, self.modulus) if hnf is None else hnf
 
     # -- structure -----------------------------------------------------------
 
     def invariants(self) -> tuple[int, ...]:
-        """Cyclic decomposition: torsion orders in a divisibility chain, 0 = free."""
-        return _invariants(self.gens, self.relations, self.modulus)
+        """Cyclic decomposition: torsion orders in a divisibility chain, 0 = free.
+
+        Keyed by the canonical relation HNF, so every presentation of one
+        lattice shares the answer, and the Smith passes start from that HNF."""
+        return _invariants(self.gens, self.relation_hnf())
 
     def order(self) -> int | None:
         """Number of elements, or None when infinite."""
@@ -171,28 +187,51 @@ class Morphism:
 
     # -- homological toolkit -------------------------------------------------
 
+    def _hermite_forms(self) -> tuple[tuple[tuple[int, ...], ...],
+                                      tuple[tuple[int, ...], ...]]:
+        """(cokernel relation HNF, preimage HNF), both from one elimination
+        of [F | I_g ; S | 0] over all h + g columns, kept on the instance.
+
+        F is the g x h matrix and S the target's relation rows (N*I
+        included).  The rows with a pivot in the first h columns are an
+        echelon basis of the row lattice of [F ; S]: reduced above their
+        pivots on those columns, they are the cokernel's relation HNF.  The
+        other rows are zero there, and their transform parts are an echelon
+        basis of the preimage lattice {x in Z^g : x*F in the row lattice of
+        S}: reduced on that part, they are its HNF (Cohen, GTM 138,
+        section 2.4).
+        """
+        forms = self.__dict__.get("_forms")
+        if forms is None:
+            h, g = self.target.gens, self.source.gens
+            rows = [list(row) + [int(i == j) for j in range(g)]
+                    for i, row in enumerate(self.matrix)]
+            rows += [row + [0] * g for row in self.target.relation_rows()]
+            pivots = _eliminate(rows, h + g)
+            r = sum(c < h for c in pivots)
+            coker = _reduce_above_pivots([row[:h] for row in rows[:r]], pivots[:r])
+            pre = _reduce_above_pivots([row[h:] for row in rows[r:len(pivots)]],
+                                       [c - h for c in pivots[r:]])
+            forms = (tuple(map(tuple, coker)), tuple(map(tuple, pre)))
+            object.__setattr__(self, "_forms", forms)
+        return forms
+
     def _preimage_lattice(self) -> list[list[int]]:
         """HNF rows spanning {x in Z^g : x*F lies in the target relation
-        lattice}, as fresh lists; kernel, image and exactness checks share
-        one computation, kept on the instance as tuples."""
-        pre = self.__dict__.get("_preimage")
-        if pre is None:
-            rows = relations_among(self.mat(), self.target)
-            pre = tuple(map(tuple, hnf_rows(rows))) if rows else ()
-            object.__setattr__(self, "_preimage", pre)
-        return [list(r) for r in pre]
+        lattice}, as fresh lists (``_hermite_forms``)."""
+        return [list(r) for r in self._hermite_forms()[1]]
 
     def kernel(self) -> tuple[FPModule, "Morphism"]:
         """Kernel as (module, inclusion into source), for a well-defined map.
 
         ker f = P / R, with P the preimage lattice and R the source relation
         lattice, which P contains exactly when the map is well defined.  The
-        generators are the HNF rows of P, and the relations are the exact
-        coordinates of the source's relation rows (N*I included) in that
-        basis.  Raises ValueError when some source relation is outside P,
-        i.e. the map is not well defined.
+        generators are the rows of P's HNF (``_hermite_forms``), and the
+        relations are the exact coordinates of the source's relation rows
+        (N*I included) in that basis.  Raises ValueError when some source
+        relation is outside P, i.e. the map is not well defined.
         """
-        pre = self._preimage_lattice()
+        pre = self._hermite_forms()[1]
         relations = [lattice_coordinates(pre, row) for row in self.source.relation_rows()]
         if None in relations:
             raise ValueError("the kernel needs a well-defined map")
@@ -201,23 +240,33 @@ class Morphism:
         return ker, Morphism.make(ker, self.source, pre)
 
     def image(self) -> tuple[FPModule, "Morphism"]:
-        """Image as (module presented on the source generators, inclusion into target)."""
-        pre = self._preimage_lattice()
+        """Image as (module presented on the source generators, inclusion into
+        target).  Its relations are the preimage HNF (``_hermite_forms``),
+        which contains N*Z^g over Z/N and so is also its relation HNF; the
+        module carries it."""
+        pre = self._hermite_forms()[1]
         img = FPModule.from_presentation(pre, gens=self.source.gens,
                                          modulus=self.target.modulus)
+        object.__setattr__(img, "_hnf", pre)
         incl = Morphism.make(img, self.target, self.mat())
         return img, incl
 
     def cokernel(self) -> FPModule:
+        """Cokernel, presented on the target generators by the map's rows and
+        the target's relations.  It carries the relation HNF of
+        ``_hermite_forms``, so its invariants need no elimination of their
+        own before the Smith passes."""
         rows = self.mat() + [list(r) for r in self.target.relations]
-        return FPModule.from_presentation(rows, gens=self.target.gens,
-                                          modulus=self.target.modulus)
+        coker = FPModule.from_presentation(rows, gens=self.target.gens,
+                                           modulus=self.target.modulus)
+        object.__setattr__(coker, "_hnf", self._hermite_forms()[0])
+        return coker
 
     def is_injective(self) -> bool:
         """For a well-defined map, ker f = P / R is zero exactly when the
         preimage lattice P equals the source relation lattice R, and their
-        HNFs are canonical."""
-        return self._preimage_lattice() == list(map(list, self.source.relation_hnf()))
+        HNFs are canonical; P's comes from ``_hermite_forms``."""
+        return self._hermite_forms()[1] == self.source.relation_hnf()
 
     def is_surjective(self) -> bool:
         return self.cokernel().is_zero()
@@ -248,12 +297,9 @@ def _relation_hnf(gens: int, relations, modulus: int) -> tuple[tuple[int, ...], 
 
 
 @functools.cache
-def _invariants(gens: int, relations, modulus: int) -> tuple[int, ...]:
-    rows = _relation_rows(gens, relations, modulus)
-    if not rows:
-        return (0,) * gens
-    nz = [d for d in smith_normal_form(rows) if d != 0]
-    return canonical_invariants(nz, gens - len(nz))
+def _invariants(gens: int, hnf: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    diag = _diagonalize(hnf)
+    return canonical_invariants(diag, gens - len(diag))
 
 
 def direct_sum(*mods: FPModule) -> FPModule:

@@ -2,6 +2,13 @@
 Hermite normal form and the row echelon form with its transform; invariant
 factors by alternating HNF; left kernels and solves modulo a lattice.
 
+Each canonical form is one pass over the output of the pass before it: the
+HNF reduces above the pivots of an echelon form (``_reduce_above_pivots``),
+and the invariant factors alternate transposed HNFs starting from an HNF
+(``_diagonalize``).  A caller that already holds an echelon form or an HNF
+starts from it: ``fpmod`` eliminates a morphism's stacked matrix once and
+reads both its cokernel HNF and its preimage HNF from that echelon form.
+
 Kernels and solves eliminate a matrix stacked over the lattice rows with a
 transform only as wide as the matrix has rows, since nothing reads the
 lattice part, and all right-hand sides of a solve share one echelon form.
@@ -81,19 +88,29 @@ def smith_normal_form(a: list[list[int]]) -> list[int]:
     """Invariant factors of an integer matrix: the diagonal of its Smith normal
     form, nonnegative, each dividing the next, padded with zeros to min(shape).
 
-    Hermite forms of the matrix and of its transpose alternate until every row
-    has one nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).  Each
-    pass's first pivot divides the last one's, and once it divides its whole
-    row and column the canonical HNF keeps both clear, so the loop ends.  The
-    chain is then built from that diagonal by gcd and lcm.
+    The Smith passes of ``_diagonalize`` start from ``hnf_rows(a)``, and the
+    chain is then built from their diagonal by gcd and lcm.
     """
-    m = hnf_rows(a)
-    while any(len(row) - row.count(0) > 1 for row in m):
-        m = hnf_rows([list(col) for col in zip(*m)])
-    diag = [max(row) for row in m]
+    diag = _diagonalize(hnf_rows(a))
     chain = canonical_invariants(diag)
     n = min(len(a), len(a[0])) if a else 0
     return [1] * (len(diag) - len(chain)) + list(chain) + [0] * (n - len(diag))
+
+
+def _diagonalize(hnf: Sequence[Sequence[int]]) -> list[int]:
+    """The nonzero diagonal entries that alternating Hermite forms reach from
+    ``hnf``, the HNF of a matrix, one per unit of its rank; not yet a
+    divisibility chain.
+
+    Hermite forms of the transpose and of the matrix alternate until every
+    row has one nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+    Each pass's first pivot divides the last one's, and once it divides its
+    whole row and column the canonical HNF keeps both clear, so the loop ends.
+    """
+    m = hnf
+    while any(len(row) - row.count(0) > 1 for row in m):
+        m = hnf_rows([list(col) for col in zip(*m)])
+    return [max(row) for row in m]
 
 
 def hnf_rows(a: list[list[int]]) -> list[list[int]]:
@@ -101,13 +118,22 @@ def hnf_rows(a: list[list[int]]) -> list[list[int]]:
 
     Returns an echelon basis (no zero rows): pivots positive, entries
     above each pivot reduced into [0, pivot).  Two integer matrices span
-    the same row lattice iff their hnf_rows agree.
+    the same row lattice iff their hnf_rows agree.  It is ``_eliminate``
+    followed by ``_reduce_above_pivots``.
     """
     if not a:
         return []
     basis = [row[:] for row in a if any(row)]
     pivots = _eliminate(basis, len(a[0]))
     del basis[len(pivots):]
+    return _reduce_above_pivots(basis, pivots)
+
+
+def _reduce_above_pivots(basis: list[list[int]], pivots: list[int]) -> list[list[int]]:
+    """The HNF of an echelon basis: row k has its positive pivot in column
+    ``pivots[k]``, and the entries above each pivot are brought into
+    [0, pivot).  The rows are replaced in place, and ``basis`` is returned.
+    """
     # reduce above-pivot entries bottom-up: each row against the already
     # reduced rows below it, in ascending pivot order, so no later step
     # disturbs an entry that was reduced earlier

@@ -94,6 +94,23 @@ def test_criterion_09_certificate_calculus(battery):
     assert crit["pass"]
 
 
+def test_criterion_09_fails_without_certificates_to_mutate(monkeypatch):
+    # when every builder call of a class fails there is nothing to mutate:
+    # the criterion fails with the builder errors instead of raising
+    def broken(module):
+        raise RuntimeError("builder down")
+    monkeypatch.setattr(battery_module, "embed_two_obtainable", broken)
+    crit = battery_module.criterion_9(42, groups=[(2,), (4,)], quick=True)
+    assert not crit["pass"]
+    kinds = [f["kind"] for f in crit["details"]["failures"]]
+    assert crit["details"]["embed_certs"] == 0
+    assert kinds.count("embed") == len(battery_module._embed_corpus(18))
+    assert {"kind": "mutations-embed", "skipped": "no certificate built"} in \
+        crit["details"]["failures"]
+    assert crit["details"]["decompose_certs"] == 6
+    assert not [m for m in crit["details"]["mutation_failures"] if m["class"] == "decompose"]
+
+
 def test_criterion_10_orthogonality_soundness(battery):
     crit = _criterion(battery, 10)
     assert crit["details"]["runs"] == 200

@@ -10,13 +10,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import multloc
-from multloc.cli import main
+from multloc.cli import BROKEN_PIPE, main
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def child_env():
+    """Environment for a ``python -m multloc.cli`` child that imports the
+    same package as this process, also when only pytest's ``pythonpath``
+    setting put it on the path."""
+    src = str(Path(multloc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestMu:
@@ -509,11 +518,7 @@ class TestBatteryCLI:
     def test_quick_battery_deterministic_across_processes(self):
         cmd = [sys.executable, "-m", "multloc.cli", "battery", "--quick",
                "--seed", "42", "--format", "structured"]
-        # the child imports the same package as this process, also when only
-        # pytest's ``pythonpath`` setting put it on the path
-        src = str(Path(multloc.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
+        env = child_env()
         r1 = subprocess.run(cmd, capture_output=True, timeout=590, env=env)
         r2 = subprocess.run(cmd, capture_output=True, timeout=590, env=env)
         assert r1.returncode == 0, r1.stderr.decode()[:2000]
@@ -527,3 +532,22 @@ class TestBatteryCLI:
         assert r1.stdout == r2.stdout, f"criteria whose entries differ: {differing}"
         assert doc["all_pass"]
         assert doc["rule_refs"]["2"]
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("args", [
+        ["mu", "3"],
+        ["telescope", "--generators", "2,3", "-n", "2", "--module", "10",
+         "--format", "structured"],
+    ])
+    def test_reader_gone_before_the_first_write(self, args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run([sys.executable, "-m", "multloc.cli", *args],
+                               stdout=write_end, stderr=subprocess.PIPE,
+                               timeout=120, env=child_env())
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in r.stderr.decode(), r.stderr.decode()[:2000]
+        assert r.returncode == BROKEN_PIPE

@@ -19,7 +19,15 @@ from multloc.fpmod import (
     relations_among,
     submodules_equal,
 )
-from multloc.intlinalg import hnf_rows, lattice_member, mat_mul
+from multloc import fpmod, intlinalg
+from multloc.intlinalg import (
+    hnf_rows,
+    lattice_member,
+    left_nullspace,
+    mat_mul,
+    smith_normal_form,
+)
+from multloc.towers import clear_caches
 
 
 def short_exact(f: Morphism, g: Morphism) -> bool:
@@ -482,3 +490,145 @@ class TestKernelByCoordinates:
         zero = FPModule.zero()
         assert Morphism.make(zero, z12, []).is_injective()
         assert not Morphism.make(z12, zero, [[]]).is_injective()
+
+
+# The routes that one elimination per morphism replaced, kept as the
+# reference: the cokernel's relation HNF eliminated the stacked rows on its
+# own, the preimage was the left kernel modulo the target put into HNF, and
+# invariants ran a Smith normal form of the relation rows.
+
+def reference_cokernel_hnf(f: Morphism) -> list[list[int]]:
+    return hnf_rows(f.mat() + f.target.relation_rows())
+
+
+def reference_preimage(f: Morphism) -> list[list[int]]:
+    rows = left_nullspace(f.mat(), f.target.relation_rows()) if f.source.gens else []
+    return hnf_rows(rows)
+
+
+def reference_invariants(m: FPModule) -> tuple[int, ...]:
+    rows = m.relation_rows()
+    if not rows:
+        return (0,) * m.gens
+    nz = [d for d in smith_normal_form(rows) if d != 0]
+    return canonical_invariants(nz, m.gens - len(nz))
+
+
+def as_tuples(rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def any_maps(draw):
+    """A matrix between random modules over Z or over Z/N (N up to
+    2^61 - 1), well defined or not; either side may have no generators, and
+    rows of the matrix may be zero."""
+    modulus = draw(st.sampled_from([0, 0, 0, 2, 6, 12, 360, 2 ** 61 - 1]))
+    g = draw(st.integers(min_value=0, max_value=4))
+    h = draw(st.integers(min_value=0, max_value=4))
+    bound = modulus or 9
+    entries = st.integers(min_value=-bound, max_value=bound)
+    sparse = st.one_of(st.just(0), entries)
+
+    def rows(width, **size):
+        return draw(st.lists(st.lists(sparse, min_size=width, max_size=width), **size))
+
+    source = FPModule.from_presentation(rows(g, max_size=3), gens=g, modulus=modulus)
+    target = FPModule.from_presentation(rows(h, max_size=3), gens=h, modulus=modulus)
+    return Morphism.make(source, target, rows(h, min_size=g, max_size=g))
+
+
+def assert_forms_match_reference(f: Morphism):
+    coker = f.cokernel()
+    assert coker.relation_hnf() == as_tuples(reference_cokernel_hnf(f))
+    pre = reference_preimage(f)
+    assert f._preimage_lattice() == pre
+    img, incl = f.image()
+    assert img.relation_hnf() == as_tuples(pre)
+    assert incl.matrix == f.matrix
+    # the carried HNF is not a field: a fresh module with the same
+    # presentation is equal, hashes alike and computes the same HNF
+    for m in (coker, img):
+        fresh = FPModule(gens=m.gens, relations=m.relations, modulus=m.modulus)
+        assert m == fresh and hash(m) == hash(fresh)
+        assert fresh.relation_hnf() == m.relation_hnf()
+        assert m.invariants() == reference_invariants(fresh)
+    for m in (f.source, f.target):
+        assert m.invariants() == reference_invariants(m)
+    if f.is_well_defined():
+        ker, _ = f.kernel()
+        assert ker.invariants() == reference_invariants(ker)
+        assert f.is_injective() == (pre == hnf_rows(f.source.relation_rows()))
+    else:
+        with pytest.raises(ValueError, match="well-defined"):
+            f.kernel()
+
+
+class TestOneEliminationPerMorphism:
+    """The cokernel HNF, the preimage HNF and the invariants read from one
+    elimination per morphism agree with the routes it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(f=any_maps())
+    def test_any_maps(self, f):
+        assert_forms_match_reference(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=well_defined_maps())
+    def test_well_defined_maps(self, f):
+        assert_forms_match_reference(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=maps_over_z_mod_n())
+    def test_maps_over_z_mod_n(self, f):
+        assert_forms_match_reference(f)
+
+    def test_edge_shapes(self):
+        z6 = FPModule.from_invariants([6])
+        zero = FPModule.zero()
+        free2 = FPModule.from_presentation([], gens=2)
+        big = 2 ** 61 - 1
+        maps = [
+            Morphism.make(zero, z6, []),                       # no source generators
+            Morphism.make(z6, zero, [[]]),                     # no target generators
+            Morphism.make(zero, zero, []),
+            Morphism.make(free2, z6, [[0], [0]]),              # zero rows only
+            Morphism.make(free2, free2, [[0, 0], [2, 4]]),     # one zero row
+            Morphism.make(FPModule(gens=2, modulus=big), FPModule(gens=1, modulus=big),
+                          [[big - 1], [3]]),
+            Morphism.make(FPModule.from_invariants([4]), FPModule.from_invariants([8]),
+                          [[1]]),                              # not well defined
+        ]
+        for f in maps:
+            assert_forms_match_reference(f)
+        assert maps[0].cokernel().relation_hnf() == ((6,),)
+        assert maps[1].image()[0].relation_hnf() == ((1,),)
+        assert maps[4]._preimage_lattice() == [[1, 0]]
+
+    def test_image_carries_the_preimage_over_z_mod_n(self):
+        # over Z/8 the preimage of x2 on Z/8 is 4Z, whose HNF row (4) the
+        # image carries; its stored relation 4 is the same lattice with 8Z
+        f = Morphism.multiplication(FPModule(gens=1, modulus=8), 2)
+        img, _ = f.image()
+        assert img.relation_hnf() == ((4,),) and img.invariants() == (4,)
+        assert f.cokernel().relation_hnf() == ((2,),)
+
+    def test_one_elimination_for_the_morphisms_own_lattices(self, monkeypatch):
+        clear_caches()
+        m = FPModule.from_invariants([4, 6, 0], modulus=0)
+        f = Morphism.make(m, FPModule.from_invariants([12, 0]), [[3, 0], [2, 0], [1, 5]])
+        f.source.relation_hnf()     # the source's own lattice, not the map's
+        calls = []
+        real = intlinalg._eliminate
+
+        def spy(rows, cols):
+            calls.append(cols)
+            return real(rows, cols)
+
+        monkeypatch.setattr(intlinalg, "_eliminate", spy)
+        monkeypatch.setattr(fpmod, "_eliminate", spy)
+        f.cokernel().relation_hnf()
+        f.kernel()
+        f.image()[0].relation_hnf()
+        f.is_injective()
+        assert calls == [2 + 3]
