@@ -20,14 +20,13 @@ from .fpmod import (
     is_exact_pair,
 )
 from .ext import ext1, ext2
-from .intlinalg import _saturate_divisor, identity
+from .intlinalg import _saturate_divisor, identity, left_nullspace
 from .towers import (
     MultSubsetSeq,
     certified_depth,
     is_weakly_cotorsion_fg,
     quotient_tower,
     tower_lim,
-    _submodule_on_rows,
 )
 
 
@@ -389,7 +388,8 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
 
     div_rows = [[t_star * (1 if i == j else 0) for j in range(canon.gens)]
                 for i in range(canon.gens)]
-    div = _submodule_on_rows(canon, div_rows)
+    div = FPModule.from_presentation(left_nullspace(div_rows, canon.relation_rows()),
+                                     gens=canon.gens, modulus=canon.modulus)
     lam = quo.stages[n0]
 
     omega = omega_from_quotient_tower(quo, min(n0 + 1, quo.depth - 1), m)

@@ -3,8 +3,9 @@
 Engine route: over Z, the classical invariant-factor formula; over Z/N,
 the periodic free resolution of each cyclic factor
 (... -> Z/N --N/d--> Z/N --d--> Z/N -> Z/d -> 0), so
-Ext^1(Z/d, B) = ker(N/d on B) / dB and Ext^2(Z/d, B) = ker(d on B) / (N/d)B,
-computed with the presentation toolkit.
+Ext^1(Z/d, B) = ker(N/d on B) / dB and Ext^2(Z/d, B) = ker(d on B) / (N/d)B.
+Each quotient is presented on the kernel's own generators: the kernel's
+relations plus the coordinates of the image rows in its basis.
 
 Oracle route: extensions of A by B are classified by lifting the diagonal
 relations of A into B; the class group is enumerated elementwise, with no
@@ -16,19 +17,8 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from .fpmod import (FPModule, Morphism, factor_through_submodule, merge_invariants,
-                    relations_among)
-
-
-def _quotient_invariants(big_rows, small_rows, ambient: FPModule) -> tuple[int, ...]:
-    """Invariants of (span big_rows) / (span small_rows) inside ambient."""
-    if not big_rows:
-        return ()
-    coeffs = factor_through_submodule(small_rows, big_rows, ambient)
-    if coeffs is None:
-        raise ValueError("small submodule does not sit inside the big one")
-    pres = relations_among(big_rows, ambient) + coeffs
-    return FPModule.from_presentation(pres, gens=len(big_rows)).invariants()
+from .fpmod import FPModule, Morphism, merge_invariants
+from .intlinalg import lattice_coordinates
 
 
 def ext1(a: FPModule, b: FPModule) -> tuple[int, ...]:
@@ -58,10 +48,18 @@ def ext2(a: FPModule, b: FPModule) -> tuple[int, ...]:
 
 
 def _resolution_step(b: FPModule, kill: int, scale: int) -> tuple[int, ...]:
-    """Invariants of ker(kill on B) / scale*B."""
-    _, incl = Morphism.multiplication(b, kill).kernel()
-    image_rows = [[scale * x for x in row] for row in Morphism.identity(b).mat()]
-    return _quotient_invariants(incl.mat(), image_rows, b)
+    """Invariants of ker(kill on B) / scale*B over Z/N, where kill * scale = N.
+
+    The kernel is P / R, presented on the rows of P's HNF (its inclusion's
+    matrix).  Since kill * scale = N, kill sends scale*e_i to N*e_i, which
+    lies in R, so scale*e_i lies in P and has exact coordinates in that
+    basis; with the kernel's own relations they present the quotient.
+    """
+    ker, incl = Morphism.multiplication(b, kill).kernel()
+    image = [lattice_coordinates(incl.matrix, [scale * (i == j) for j in range(b.gens)])
+             for i in range(b.gens)]
+    return FPModule.from_presentation(list(ker.relations) + image, gens=ker.gens,
+                                      modulus=ker.modulus).invariants()
 
 
 def ext1_order(a: FPModule, b: FPModule) -> int:

@@ -10,7 +10,9 @@ generator space, so kernels, images, cokernels and exactness checks are
 exact and deterministic.  Each morphism eliminates its stacked matrix
 [F | I ; S | 0] once, with S the target's relation rows; the echelon form
 gives both the cokernel's relation HNF and the HNF of the preimage lattice,
-from which the kernel, the image and injectivity are read.  The modules that
+from which the kernel, the image and injectivity are read.  Exactness of a
+pair compares the first form of one map with the second form of the next,
+so it eliminates nothing the two maps do not already hold.  The modules that
 ``cokernel`` and ``image`` return carry that HNF, and invariants start their
 Smith passes from a module's relation HNF.
 """
@@ -30,7 +32,6 @@ from .intlinalg import (
     identity,
     lattice_coordinates,
     lattice_member,
-    left_nullspace,
     mat_mul,
     solve_left,
     zeros,
@@ -216,11 +217,6 @@ class Morphism:
             object.__setattr__(self, "_forms", forms)
         return forms
 
-    def _preimage_lattice(self) -> list[list[int]]:
-        """HNF rows spanning {x in Z^g : x*F lies in the target relation
-        lattice}, as fresh lists (``_hermite_forms``)."""
-        return [list(r) for r in self._hermite_forms()[1]]
-
     def kernel(self) -> tuple[FPModule, "Morphism"]:
         """Kernel as (module, inclusion into source), for a well-defined map.
 
@@ -319,14 +315,6 @@ def direct_sum(*mods: FPModule) -> FPModule:
     return FPModule.from_presentation(rows, gens=gens, modulus=modulus)
 
 
-def relations_among(rows: list[list[int]], ambient: FPModule) -> list[list[int]]:
-    """Rows spanning the relations among ``rows`` in ``ambient``: the coefficient
-    vectors c with c * rows in the relation lattice of ``ambient``."""
-    if not rows:
-        return []
-    return left_nullspace(rows, ambient.relation_rows())
-
-
 def factor_through_submodule(vectors: list[list[int]], sub_gens: list[list[int]],
                              ambient: FPModule) -> list[list[int]] | None:
     """Express each vector as a combination of sub_gens modulo ambient relations.
@@ -338,22 +326,19 @@ def factor_through_submodule(vectors: list[list[int]], sub_gens: list[list[int]]
     return solve_left(sub_gens, vectors, ambient.relation_rows())
 
 
-def submodules_equal(a_rows: list[list[int]], b_rows: list[list[int]],
-                     ambient: FPModule) -> bool:
-    """Equality of submodules of ``ambient`` spanned by the given row sets."""
-    rel = ambient.relation_rows()
-    la = hnf_rows(a_rows + rel)
-    lb = hnf_rows(b_rows + rel)
-    return la == lb
-
-
 def is_exact_pair(f: Morphism, g: Morphism) -> bool:
-    """Exactness of  . --f--> M --g--> .  at M (image of f equals kernel of g)."""
+    """Exactness of  . --f--> M --g--> .  at M (image of f equals kernel of g),
+    for a well-defined g.
+
+    f's cokernel relation HNF is the HNF of im f plus M's relation lattice R,
+    and g's preimage HNF is the HNF of P_g = {x : x*G lies in the target's
+    relation lattice}, with ker g = P_g / R.  Both are canonical, so the pair
+    is exact exactly when they are equal (``_hermite_forms``).  When g is not
+    well defined, P_g misses some relation of M and the answer is False.
+    """
     if f.target.gens != g.source.gens:
         raise ValueError("maps are not composable around a joint")
-    img = f.mat()
-    ker = g._preimage_lattice()
-    return submodules_equal(img, ker, f.target)
+    return f._hermite_forms()[0] == g._hermite_forms()[1]
 
 
 def isomorphic(a: FPModule, b: FPModule) -> bool:

@@ -8,9 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fpmod import FPModule
-from .intlinalg import _saturate_divisor
-
 
 class ZeroPolynomial(Exception):
     pass
@@ -448,53 +445,3 @@ def projectivity_oracle_direct_summand(d: int, s: int) -> bool:
             if (x * y) % d == 1 % d:
                 return True
     return False
-
-
-@dataclass
-class StronglyFlatReport:
-    invariants: tuple[int, ...]
-    flat: bool
-    quotient_projectivity: list[tuple[int, bool]]
-    localized_projective: bool
-    criterion_holds: bool
-
-    def to_document(self) -> dict:
-        return {
-            "invariants": list(self.invariants),
-            "flat": self.flat,
-            "quotient_projectivity": [[s, ok] for s, ok in self.quotient_projectivity],
-            "localized_projective": self.localized_projective,
-            "criterion_holds": self.criterion_holds,
-        }
-
-
-def strongly_flat_criterion_fg(F: FPModule, m: int, depth: int = 3) -> StronglyFlatReport:
-    """Criterion report for a finitely generated module over Z and S = <m>.
-
-    Checks flatness (= torsion-freeness = all invariant factors zero),
-    projectivity of F/sF over Z/s for s = m, m^2, ..., m^depth, and
-    freeness of the localization F[1/m].
-    """
-    if m <= 0:
-        raise ValueError("m must be positive")
-    inv = F.invariants()
-    torsion = [d for d in inv if d > 0]
-    flat = not torsion
-
-    quotients: list[tuple[int, bool]] = []
-    for k in range(1, depth + 1):
-        s = m ** k
-        # F/sF is the sum of the Z/gcd(d, s) over the invariant factors d; a
-        # free one (d = 0) gives Z/s, which is projective
-        quotients.append((s, all(is_projective_over_Z_mod_s(math.gcd(d, s), s)
-                                 for d in torsion)))
-
-    localized = all(_saturate_divisor(m, d) == d for d in torsion)
-    criterion = flat and localized and all(ok for _, ok in quotients)
-    return StronglyFlatReport(
-        invariants=inv,
-        flat=flat,
-        quotient_projectivity=quotients,
-        localized_projective=localized,
-        criterion_holds=criterion,
-    )

@@ -24,9 +24,8 @@ from .fpmod import (
     _relation_hnf,
     canonical_invariants,
     factor_through_submodule,
+    is_exact_pair,
     merge_invariants,
-    relations_among,
-    submodules_equal,
 )
 from .intlinalg import (_echelon, _saturate_divisor, hnf_rows, identity,
                         lattice_coordinates, lattice_member, mat_mul, smith_normal_form)
@@ -328,11 +327,6 @@ def _confirmed_levels(tower: Tower, level) -> int:
     return n - w
 
 
-def _submodule_on_rows(stage: FPModule, rows: list[list[int]]) -> FPModule:
-    return FPModule.from_presentation(relations_among(rows, stage), gens=len(rows),
-                                      modulus=stage.modulus)
-
-
 def tower_lim(tower: Tower) -> TowerLimit:
     """Inverse limit of the truncated tower via eventual stable images.
 
@@ -346,8 +340,10 @@ def tower_lim(tower: Tower) -> TowerLimit:
 
     Each level is eliminated once, by ``_level_echelons``, for the length of
     this call: its echelon rows confirm the level's image chain and its
-    transform rows past the rank are L_i's generators, the rows
-    ``_submodule_on_rows`` would give.
+    transform rows past the rank generate L_i, which presents the stable
+    image.  Every level from ``stable_index`` through ``verified_through``
+    has the same lattice L_i, so the returned module presents the stable
+    image at each of them.
     """
     w = tower.window()
     carrier = _carriers(tower, tower.depth - 1)
@@ -651,7 +647,13 @@ def _five_term_assemble(module: FPModule, tor: Tower, con: Tower, quo: Tower,
     """One cyclic factor's five-term block from its towers and their limits
     (torsion, constant, quotient), or a failure when the common stage index
     lies above what some limit verified: a carrier realized there would not
-    be its limit's, and the terms read off it could be wrong."""
+    be its limit's, and the terms read off it could be wrong.
+
+    Otherwise n_star lies between each limit's ``stable_index`` and its
+    ``verified_through``, where ``tower_lim`` has proved the relation lattice
+    among the carrier rows constant.  So L1 and L2 are the torsion and
+    constant limits' own modules, presented on the carrier rows realized at
+    n_star, and need no elimination of their own."""
     n_star = max(lim.certificate.stable_index for lim in lims)
     verified = [lim.certificate.verified_through for lim in lims]
     if n_star > min(verified):
@@ -662,8 +664,7 @@ def _five_term_assemble(module: FPModule, tor: Tower, con: Tower, quo: Tower,
     # realize every carrier at the common stage index
     tor_rows = tor.composite(n_star, tor.depth - 1)
     con_rows = con.composite(n_star, con.depth - 1)
-    l1 = _submodule_on_rows(tor.stages[n_star], tor_rows)
-    l2 = _submodule_on_rows(con.stages[n_star], con_rows)
+    l1, l2 = lims[0].module, lims[1].module
     lam = quo.stages[n_star]
     t_star = quo.t_values[n_star]
 
@@ -679,9 +680,8 @@ def _five_term_assemble(module: FPModule, tor: Tower, con: Tower, quo: Tower,
     ext = pi.cokernel()
 
     injective_start = ok_struct and iota.is_well_defined() and iota.is_injective()
-    exact_at_l2 = ok_struct and submodules_equal(
-        iota.mat(), ev._preimage_lattice(), l2)
-    exact_at_module = submodules_equal(ev.mat(), pi._preimage_lattice(), module)
+    exact_at_l2 = ok_struct and is_exact_pair(iota, ev)
+    exact_at_module = is_exact_pair(ev, pi)
 
     return {
         "l1": l1.invariants(),

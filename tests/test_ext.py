@@ -3,7 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multloc import intlinalg
 from multloc.ext import (
     _FiniteGroup,
     _unit_vectors,
@@ -13,6 +16,7 @@ from multloc.ext import (
     ext2,
 )
 from multloc.fpmod import FPModule
+from reference_routes import ext_by_quotients
 
 
 # ---------------------------------------------------------------------------
@@ -165,3 +169,71 @@ class TestOracleAgreement:
     def test_explicit_nonsplit_middle(self):
         mids = middle_terms_oracle([2], [2], modulus=4)
         assert (4,) in mids and (2, 2) in mids
+
+
+# ---------------------------------------------------------------------------
+# the quotient of each resolution step, presented on the kernel's generators
+# ---------------------------------------------------------------------------
+
+
+RINGS = [2, 4, 6, 8, 9, 12, 16, 30, 36, 64, 360, 2 ** 61 - 1]
+
+
+def divisors(n):
+    return [1, n] if n > 360 else [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def modules_over_z_mod_n(draw):
+    """A over Z/N as a sum of cyclic factors, and B over the same ring by
+    a random presentation on up to three generators (possibly none)."""
+    n = draw(st.sampled_from(RINGS))
+    a = zn(draw(st.lists(st.sampled_from(divisors(n)), max_size=3)), n)
+    g = draw(st.integers(min_value=0, max_value=3))
+    entries = st.integers(min_value=-n, max_value=n)
+    rows = draw(st.lists(st.lists(entries, min_size=g, max_size=g), max_size=3))
+    return a, FPModule.from_presentation(rows, gens=g, modulus=n)
+
+
+class TestResolutionStepFromKernel:
+    """Each step presents ker(kill)/scale*B by the kernel's relations plus
+    the coordinates of scale*e_i; it agrees with solving the image rows in
+    the kernel's generators and taking the relations among them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=modules_over_z_mod_n())
+    def test_matches_quotient_route(self, pair):
+        a, b = pair
+        assert ext1(a, b) == ext_by_quotients(a, b, 1)
+        assert ext2(a, b) == ext_by_quotients(a, b, 2)
+        order = b.order()
+        if order <= 256:
+            assert ext1_order(a, b) == ext1_order_oracle(list(a.invariants()),
+                                                         list(b.invariants()),
+                                                         modulus=a.modulus)
+
+    def test_kernel_relations_are_kept(self):
+        # over Z/8, x2 kills all of Z/2, whose relation 2 survives in the
+        # quotient by 4*(Z/2) = 0; the coordinate 4 alone would give Z/4
+        b = zn([2], 8)
+        assert ext1(zn([4], 8), b) == (2,) == ext_by_quotients(zn([4], 8), b, 1)
+        assert ext1_order_oracle([4], [2], modulus=8) == 2
+
+    def test_no_generators(self):
+        zero = FPModule(gens=0, modulus=12)
+        assert ext1(zn([2, 6], 12), zero) == ext2(zn([2, 6], 12), zero) == ()
+
+    def test_no_left_kernel_or_solve(self, monkeypatch):
+        # the step's only elimination is its kernel morphism's Hermite form
+        calls = []
+        real = intlinalg._echelon
+
+        def spy(a, lattice=()):
+            calls.append(len(a))
+            return real(a, lattice)
+
+        monkeypatch.setattr(intlinalg, "_echelon", spy)
+        assert ext1(zn([2, 4], 8), zn([2, 8], 8)) == (2, 2)
+        assert ext2(zn([2, 4], 8), zn([2, 8], 8)) == (2, 2)
+        assert calls == []
+        assert ext1_order_oracle([2, 4], [2, 8], modulus=8) == 4

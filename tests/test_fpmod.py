@@ -16,8 +16,6 @@ from multloc.fpmod import (
     is_exact_pair,
     isomorphic,
     merge_invariants,
-    relations_among,
-    submodules_equal,
 )
 from multloc import fpmod, intlinalg
 from multloc.intlinalg import (
@@ -28,6 +26,12 @@ from multloc.intlinalg import (
     smith_normal_form,
 )
 from multloc.towers import clear_caches
+from reference_routes import (
+    exact_by_submodules,
+    preimage_lattice,
+    relations_among,
+    submodules_equal,
+)
 
 
 def short_exact(f: Morphism, g: Morphism) -> bool:
@@ -375,13 +379,13 @@ class TestPreimageCache:
         expected = (fresh.kernel(), fresh.image(), is_exact_pair(g, fresh),
                     is_exact_pair(fresh, fresh))
         assert results() == expected
-        pre = f._preimage_lattice()
-        assert pre == fresh._preimage_lattice()
+        pre = preimage_lattice(f)
+        assert pre == preimage_lattice(fresh)
         pre[0][0] += 7
         pre.append([1, 1, 1])
-        f._preimage_lattice()[-1].clear()
+        preimage_lattice(f)[-1].clear()
         assert results() == expected
-        assert f._preimage_lattice() == fresh._preimage_lattice()
+        assert preimage_lattice(f) == preimage_lattice(fresh)
 
 
 class TestRandomizedHomology:
@@ -414,7 +418,7 @@ def stacked_kernel(f: Morphism):
     """``Morphism.kernel`` before exact coordinates: the kernel's relations
     are the relations among the preimage HNF rows modulo the source, found
     by a second stacked elimination."""
-    pre = f._preimage_lattice()
+    pre = preimage_lattice(f)
     ker = FPModule.from_presentation(relations_among(pre, f.source), gens=len(pre),
                                      modulus=f.source.modulus)
     return ker, Morphism.make(ker, f.source, pre)
@@ -542,7 +546,7 @@ def assert_forms_match_reference(f: Morphism):
     coker = f.cokernel()
     assert coker.relation_hnf() == as_tuples(reference_cokernel_hnf(f))
     pre = reference_preimage(f)
-    assert f._preimage_lattice() == pre
+    assert preimage_lattice(f) == pre
     img, incl = f.image()
     assert img.relation_hnf() == as_tuples(pre)
     assert incl.matrix == f.matrix
@@ -603,7 +607,7 @@ class TestOneEliminationPerMorphism:
             assert_forms_match_reference(f)
         assert maps[0].cokernel().relation_hnf() == ((6,),)
         assert maps[1].image()[0].relation_hnf() == ((1,),)
-        assert maps[4]._preimage_lattice() == [[1, 0]]
+        assert preimage_lattice(maps[4]) == [[1, 0]]
 
     def test_image_carries_the_preimage_over_z_mod_n(self):
         # over Z/8 the preimage of x2 on Z/8 is 4Z, whose HNF row (4) the
@@ -632,3 +636,107 @@ class TestOneEliminationPerMorphism:
         f.image()[0].relation_hnf()
         f.is_injective()
         assert calls == [2 + 3]
+
+
+@st.composite
+def composable_pairs(draw):
+    """Maps A --f--> M --g--> C over Z or over Z/N (N up to 2^61 - 1) with g
+    well defined, any of the three modules possibly without generators.  M's
+    relations are combinations of the relations among g's rows in C, and A
+    is free.  f's rows are those relations, which span ker g over M's
+    generators, plus combinations of them (exact), combinations of them
+    only, or arbitrary rows."""
+    modulus = draw(st.sampled_from([0, 0, 0, 2, 6, 12, 360, 2 ** 61 - 1]))
+    g_gens = draw(st.integers(min_value=0, max_value=3))
+    h = draw(st.integers(min_value=0, max_value=3))
+    bound = modulus or 9
+    entries = st.one_of(st.just(0), st.integers(min_value=-bound, max_value=bound))
+    small = st.integers(min_value=-4, max_value=4)
+
+    def rows(width, **size):
+        return draw(st.lists(st.lists(entries, min_size=width, max_size=width), **size))
+
+    def combinations(basis, count):
+        width = len(basis[0]) if basis else 0
+        return [[sum(c * r[j] for c, r in zip(coeffs, basis)) for j in range(width)]
+                for coeffs in draw(st.lists(st.lists(small, min_size=len(basis),
+                                                     max_size=len(basis)),
+                                            min_size=count, max_size=count))]
+
+    target = FPModule.from_presentation(rows(h, max_size=3), gens=h, modulus=modulus)
+    matrix = rows(h, min_size=g_gens, max_size=g_gens)
+    pre = relations_among(matrix, target)
+    middle_rows = combinations(pre, draw(st.integers(0, 3))) if pre else []
+    middle = FPModule.from_presentation(middle_rows, gens=g_gens, modulus=modulus)
+    g = Morphism.make(middle, target, matrix)
+    kind = draw(st.sampled_from(["exact", "inside", "any"]))
+    count = draw(st.integers(0, 3))
+    if kind == "exact":
+        f_rows = pre + (combinations(pre, count) if pre else [])
+    elif kind == "inside":
+        f_rows = combinations(pre, count) if pre else []
+    else:
+        f_rows = rows(g_gens, min_size=count, max_size=count)
+    source = FPModule.from_presentation([], gens=len(f_rows), modulus=modulus)
+    return Morphism.make(source, middle, f_rows), g, kind
+
+
+class TestExactnessFromHeldForms:
+    """``is_exact_pair`` compares f's cokernel form with g's preimage form;
+    for a well-defined g it agrees with re-eliminating both submodules."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pair=composable_pairs())
+    def test_matches_submodule_route(self, pair):
+        f, g, kind = pair
+        assert f.is_well_defined() and g.is_well_defined()
+        assert is_exact_pair(f, g) == exact_by_submodules(f, g)
+        if kind == "exact":
+            assert is_exact_pair(f, g)
+        if kind == "inside":
+            assert f.compose(g).is_zero_morphism()
+
+    def test_exact_at_a_joint_without_generators(self):
+        z6 = FPModule.from_invariants([6])
+        zero = FPModule.zero()
+        into, out_of = Morphism.make(z6, zero, [[]]), Morphism.make(zero, z6, [])
+        assert is_exact_pair(into, out_of)
+        assert is_exact_pair(Morphism.make(zero, zero, []), Morphism.make(zero, zero, []))
+        # on Z/6, exact at the middle: 0 then 1, and 1 then 0; not 0 then 0,
+        # nor 1 then 1
+        zero_map, ident = Morphism.make(z6, z6, [[0]]), Morphism.identity(z6)
+        assert is_exact_pair(zero_map, ident) and is_exact_pair(ident, zero_map)
+        assert not is_exact_pair(zero_map, zero_map)
+        assert not is_exact_pair(ident, ident)
+
+    def test_map_that_is_not_well_defined(self):
+        # 1 in Z/2 cannot go to 1 in Z/4: the preimage 4Z of g misses the
+        # relation 2 of Z/2, so no image can equal it, whereas the image of
+        # f = 0 plus the relations of Z/2 equals that preimage plus them
+        z, z2, z4 = FPModule.from_presentation([], gens=1), FPModule.from_invariants([2]), \
+            FPModule.from_invariants([4])
+        f = Morphism.make(z, z2, [[0]])
+        g = Morphism.make(z2, z4, [[1]])
+        assert f.is_well_defined() and not g.is_well_defined()
+        assert exact_by_submodules(f, g)
+        assert not is_exact_pair(f, g)
+
+    def test_no_elimination_once_both_forms_are_held(self, monkeypatch):
+        m = FPModule.from_invariants([4, 6, 0])
+        f = Morphism.make(m, m, [[2, 0, 0], [0, 3, 0], [1, 0, 2]])
+        g = Morphism.multiplication(m, 2)
+        expected = [exact_by_submodules(f, g), exact_by_submodules(g, f),
+                    exact_by_submodules(f, f)]
+        f._hermite_forms()
+        g._hermite_forms()
+        calls = []
+        real = intlinalg._eliminate
+
+        def spy(rows, cols):
+            calls.append(cols)
+            return real(rows, cols)
+
+        monkeypatch.setattr(intlinalg, "_eliminate", spy)
+        monkeypatch.setattr(fpmod, "_eliminate", spy)
+        assert [is_exact_pair(f, g), is_exact_pair(g, f), is_exact_pair(f, f)] == expected
+        assert calls == []

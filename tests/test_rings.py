@@ -3,10 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from multloc.fpmod import FPModule
 from multloc.rings import (
     ArtinianQuadrupleReport,
     BasePID,
@@ -23,7 +20,6 @@ from multloc.rings import (
     projectivity_oracle_direct_summand,
     _is_prime,
     _monic_polys,
-    strongly_flat_criterion_fg,
 )
 
 
@@ -207,44 +203,3 @@ class TestProjectivity:
                     continue
                 assert is_projective_over_Z_mod_s(d, s) == \
                     projectivity_oracle_direct_summand(d, s), (d, s)
-
-
-class TestStronglyFlat:
-    def test_free_module(self):
-        rep = strongly_flat_criterion_fg(FPModule.from_presentation([], gens=2), 2)
-        assert rep.criterion_holds
-        assert rep.flat
-
-    def test_torsion_fails_flatness(self):
-        rep = strongly_flat_criterion_fg(FPModule.from_invariants([2]), 2)
-        assert not rep.flat
-        assert not rep.criterion_holds
-
-    def test_mixed_module(self):
-        # Z + Z/3 with m = 2: not flat, but F/2F is projective over Z/2
-        rep = strongly_flat_criterion_fg(FPModule.from_invariants([0, 3]), 2)
-        assert not rep.flat
-        assert rep.quotient_projectivity[0] == (2, True)
-        assert not rep.criterion_holds
-
-    def test_nonprojective_quotient_detected(self):
-        # Z/2 with m = 4: F/4F = Z/2 over Z/4 is not projective
-        rep = strongly_flat_criterion_fg(FPModule.from_invariants([2]), 4)
-        assert rep.quotient_projectivity[0] == (4, False)
-
-    @settings(max_examples=200, deadline=None)
-    @given(inv=st.lists(st.integers(min_value=0, max_value=400), max_size=4),
-           m=st.integers(min_value=1, max_value=60),
-           depth=st.integers(min_value=1, max_value=4))
-    def test_matches_closed_form(self, inv, m, depth):
-        rep = strongly_flat_criterion_fg(FPModule.from_invariants(inv), m, depth)
-        torsion = [d for d in inv if d > 1]
-        assert rep.flat == (not torsion)
-        # the part of d coprime to m: divide out gcd(d, m^e) for e past log2(d)
-        assert rep.localized_projective == all(
-            d // math.gcd(d, m ** d.bit_length()) == 1 for d in torsion)
-        assert [s for s, _ in rep.quotient_projectivity] == \
-            [m ** k for k in range(1, depth + 1)]
-        for s, ok in rep.quotient_projectivity:
-            assert ok == all(is_projective_over_Z_mod_s(math.gcd(d, s), s) for d in torsion)
-        assert rep.criterion_holds == rep.flat

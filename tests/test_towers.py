@@ -31,6 +31,7 @@ from multloc.towers import (
     tower_lim1,
     weakly_cotorsion_report,
 )
+from reference_routes import five_term_by_submodules, submodule_on_rows
 
 
 def seq(*gens):
@@ -123,10 +124,9 @@ class TestTowerLim:
         hi = lim.certificate.verified_through
         stages = []
         rows = {}
-        from multloc.towers import _submodule_on_rows
         for i in range(n0, hi + 1):
             rows[i] = t.composite(i, t.depth - 1)
-            stages.append(_submodule_on_rows(t.stages[i], rows[i]))
+            stages.append(submodule_on_rows(t.stages[i], rows[i]))
         from multloc.fpmod import factor_through_submodule
         trans = []
         for k in range(len(stages) - 1):
@@ -521,7 +521,7 @@ def kernel_route_lim(tower):
 
     def sub(i):
         if i not in subs:
-            subs[i] = towers._submodule_on_rows(tower.stages[i], carrier[i])
+            subs[i] = submodule_on_rows(tower.stages[i], carrier[i])
         return subs[i]
 
     def induced(j):
@@ -594,6 +594,56 @@ class TestLatticeEqualityLimit:
                                            max_size=gens_count), max_size=3))
         module = FPModule.from_presentation(rows, gens=gens_count, modulus=modulus)
         assert_same_limits(module, MultSubsetSeq(generators=tuple(schedule)), depth)
+
+
+def compare_five_term_routes(d, modulus, s, depth) -> bool:
+    """Assert that the five-term block of Z/d read from the limits' own
+    modules agrees with the one whose L1 and L2 re-eliminate the relations
+    among the carrier rows at the common stage index, and so do the
+    lattices; False when no block exists at this depth."""
+    module = FPModule.from_invariants([d], modulus=modulus)
+    tor, con, quo = (build(module, s, depth)
+                     for build in (torsion_tower, constant_hom_tower, quotient_tower))
+    lims = [towers._limit(t) for t in (tor, con, quo)]
+    if any(isinstance(lim, towers._Failure) for lim in lims):
+        return False
+    block = towers._five_term_assemble(module, tor, con, quo, lims)
+    if isinstance(block, towers._Failure):
+        assert "carriers are realized" in block.message
+        return False
+    label = (d, modulus, s.generators, depth)
+    assert block == five_term_by_submodules(module, tor, con, quo, lims), label
+    n_star = block["stable_index"]
+    for tower, lim in ((tor, lims[0]), (con, lims[1])):
+        rows = tower.composite(n_star, tower.depth - 1)
+        assert lim.module.relation_hnf() == \
+            submodule_on_rows(tower.stages[n_star], rows).relation_hnf(), label
+    return True
+
+
+class TestFiveTermCarriersFromLimits:
+    """L1 and L2 are the torsion and constant limits' own modules, and the
+    exactness flags compare the maps' held Hermite forms."""
+
+    def test_battery_cyclic_factors_at_certified_depth(self):
+        for d in range(2, 65):
+            for gens in GENERATOR_SETS:
+                s = MultSubsetSeq(generators=gens)
+                assert compare_five_term_routes(d, 0, s, certified_depth(d, s))
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(min_value=2, max_value=64),
+           multiple=st.sampled_from([0, 0, 1, 2, 3]),
+           gens=st.sampled_from(GENERATOR_SETS),
+           depth=st.integers(min_value=1, max_value=40))
+    def test_explicit_depths(self, d, multiple, gens, depth):
+        compare_five_term_routes(d, multiple * d, MultSubsetSeq(generators=gens), depth)
+
+    def test_z64_below_and_at_certified_depth(self):
+        # the constant limit is verified through level 10 at depth 31 and the
+        # common stage index is 17, so no block is read off those carriers
+        assert not compare_five_term_routes(64, 0, seq(3, 5, 6), 31)
+        assert compare_five_term_routes(64, 0, seq(3, 5, 6), 39)
 
 
 class TestKnownWrongAnswer:
@@ -784,7 +834,7 @@ class TestOneHnfConfirmation:
 def hnf_level_lim(tower):
     """``tower_lim`` before one echelon per level: an HNF of each level's top
     carrier plus the relations confirms the level, and a second elimination
-    (``_submodule_on_rows``) presents each stable image."""
+    (``submodule_on_rows``) presents each stable image."""
     n = tower.depth
     w = tower.window()
     carrier = towers._carriers(tower, n - 1)
@@ -801,7 +851,7 @@ def hnf_level_lim(tower):
     if i_max < w:
         raise NotStabilized("image chains not confirmed within depth",
                             chains=[[list(s.invariants()) for s in tower.stages]])
-    sub = [towers._submodule_on_rows(tower.stages[i], carrier[i]) for i in range(i_max + 1)]
+    sub = [submodule_on_rows(tower.stages[i], carrier[i]) for i in range(i_max + 1)]
     iso_down_to = i_max
     for j in range(i_max - 1, -1, -1):
         if sub[j + 1].relation_hnf() != sub[j].relation_hnf():
