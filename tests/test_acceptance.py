@@ -5,9 +5,13 @@ output); the battery itself runs once per session at full scale with the
 fixed seed 42.
 """
 
+import contextlib
 import hashlib
 import itertools
 import json
+import os
+import signal
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -129,9 +133,9 @@ def test_criterion_11_determinism(battery):
 
 
 def _criterion_11_after(monkeypatch, change):
-    """Criterion 11 of a battery whose second pass is the first with
-    ``change`` applied to it."""
-    passes = []
+    """Criterion 11 and its time, of a battery whose second pass, in the
+    forked child, is the first with ``change`` applied to it."""
+    parent_pid = os.getpid()
 
     def fake_pass(seed, quick=False):
         results = [{"criterion": 1, "pass": True, "_elapsed": 1e-4,
@@ -139,15 +143,34 @@ def _criterion_11_after(monkeypatch, change):
                                 "under_1ms": True}},
                    {"criterion": 5, "pass": True, "_elapsed": 1.0,
                     "details": {"checks": 96, "failures": [], "under_10s": True}}]
-        if passes:
+        if os.getpid() != parent_pid:
             change(results)
-        passes.append(results)
         return results
 
     monkeypatch.setattr(battery_module, "run_criteria_1_to_10", fake_pass)
-    doc, _ = run_battery(seed=42, quick=True)
-    assert len(passes) == 2
-    return doc["criteria"][-1]
+    with _deadline(60):
+        doc, timings = run_battery(seed=42, quick=True)
+    _assert_no_child_left()
+    return doc["criteria"][-1], timings[-1]
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in this process if the block runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _stall(results):
@@ -160,14 +183,55 @@ def _wrong_value(results):
     results[1]["details"]["checks"] = 95
 
 
+def _raise(results):
+    raise RuntimeError("second pass down")
+
+
+def _exit_status_3(results):
+    # the child writes the same text as the first pass, then exits with 3
+    exit_now = os._exit
+    os._exit = lambda code: exit_now(3)
+
+
 def test_criterion_11_ignores_a_flipped_wall_clock_flag(monkeypatch):
-    crit = _criterion_11_after(monkeypatch, _stall)
+    crit, _ = _criterion_11_after(monkeypatch, _stall)
     assert crit["pass"] and crit["details"]["identical"]
 
 
 def test_criterion_11_fails_on_any_other_detail(monkeypatch):
-    crit = _criterion_11_after(monkeypatch, _wrong_value)
+    crit, _ = _criterion_11_after(monkeypatch, _wrong_value)
     assert not crit["pass"] and not crit["details"]["identical"]
+
+
+def test_criterion_11_fails_on_an_injected_nondeterminism(monkeypatch):
+    crit, _ = _criterion_11_after(
+        monkeypatch, lambda results: results[0]["details"].update(pid=os.getpid()))
+    assert not crit["pass"] and not crit["details"]["identical"]
+
+
+@pytest.mark.parametrize("change", [_raise, _exit_status_3])
+def test_criterion_11_fails_when_the_child_does_not_exit_cleanly(monkeypatch, change):
+    crit, _ = _criterion_11_after(monkeypatch, change)
+    assert not crit["pass"] and not crit["details"]["identical"]
+
+
+def test_criterion_11_times_its_wait_for_the_child(monkeypatch):
+    crit, seconds = _criterion_11_after(monkeypatch, lambda results: time.sleep(0.3))
+    assert crit["pass"] and seconds >= 0.2
+
+
+def test_a_raise_in_the_first_pass_propagates_and_leaves_no_child(monkeypatch):
+    parent_pid = os.getpid()
+
+    def fake_pass(seed, quick=False):
+        if os.getpid() == parent_pid:
+            raise RuntimeError("first pass down")
+        time.sleep(60)     # the parent must not wait for this
+
+    monkeypatch.setattr(battery_module, "run_criteria_1_to_10", fake_pass)
+    with _deadline(30), pytest.raises(RuntimeError, match="first pass down"):
+        run_battery(seed=42, quick=True)
+    _assert_no_child_left()
 
 
 def _clock(monkeypatch, step):

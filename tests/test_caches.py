@@ -26,10 +26,14 @@ def module_memos() -> list:
     return list(memos.values())
 
 
-def test_clear_caches_empties_every_memo():
+def fill_memos():
     module = FPModule.from_invariants([4, 12])
     towers.five_term_check(module, MultSubsetSeq(generators=(2, 3)))
     towers.telescope_homology_check(MultSubsetSeq(generators=(2, 3)), 4, module)
+
+
+def test_clear_caches_empties_every_memo():
+    fill_memos()
     memos = module_memos()
     assert memos
     assert all(memo.cache_info().currsize > 0 for memo in memos)
@@ -39,16 +43,22 @@ def test_clear_caches_empties_every_memo():
 
 
 def test_run_battery_clears_before_its_first_pass(monkeypatch):
-    calls = []
-    monkeypatch.setattr(battery, "clear_caches", lambda: calls.append("clear"))
+    """Both passes, this process's and the forked child's, start from empty
+    memos, though each pass fills them."""
+    memos = module_memos()
+    fill_memos()
 
     def one_pass(seed, quick=False):
-        calls.append("pass")
-        return [{"criterion": 1, "pass": True, "details": {}, "_elapsed": 0.0}]
+        sizes = {memo.__qualname__: memo.cache_info().currsize for memo in memos}
+        fill_memos()
+        return [{"criterion": 1, "pass": True, "details": {"memo_sizes": sizes},
+                 "_elapsed": 0.0}]
 
     monkeypatch.setattr(battery, "run_criteria_1_to_10", one_pass)
     doc, _ = battery.run_battery(7, quick=True)
-    assert calls == ["clear", "pass", "pass"]
+    first, determinism = doc["criteria"]
+    assert determinism["details"]["identical"]
+    assert set(first["details"]["memo_sizes"].values()) == {0}
     assert doc["all_pass"]
 
 
