@@ -163,7 +163,7 @@ def _criterion(number: int, gate: tuple[str, float] | None = None):
 @_criterion(1, gate=("under_1ms", 1e-3))
 def criterion_1():
     listed = [mu(d) for d in range(5)]
-    closed_form = all(mu(d) == (d + 1) ** 2 // 4 for d in range(101))
+    closed_form = all(mu(d) == sum(range(d, 0, -2)) for d in range(101))
     return (listed == [0, 1, 2, 4, 6] and closed_form,
             {"listed": listed, "closed_form_to_100": closed_form})
 

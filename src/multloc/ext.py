@@ -5,7 +5,9 @@ the periodic free resolution of each cyclic factor
 (... -> Z/N --N/d--> Z/N --d--> Z/N -> Z/d -> 0), so
 Ext^1(Z/d, B) = ker(N/d on B) / dB and Ext^2(Z/d, B) = ker(d on B) / (N/d)B.
 Each quotient is presented on the kernel's own generators: the kernel's
-relations plus the coordinates of the image rows in its basis.
+relations plus the coordinates of the image rows in its basis.  A step is a
+function of (B, kill, scale) alone, and certificate checks ask for the same
+steps many times over, so each is computed once per ``towers.clear_caches``.
 
 Oracle route: extensions of A by B are classified by lifting the diagonal
 relations of A into B; the class group is enumerated elementwise, with no
@@ -14,6 +16,7 @@ matrix normal forms involved.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import product
 
@@ -47,6 +50,7 @@ def ext2(a: FPModule, b: FPModule) -> tuple[int, ...]:
                             for d in a.invariants() if d != n)
 
 
+@functools.cache
 def _resolution_step(b: FPModule, kill: int, scale: int) -> tuple[int, ...]:
     """Invariants of ker(kill on B) / scale*B over Z/N, where kill * scale = N.
 

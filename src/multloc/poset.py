@@ -7,7 +7,9 @@ generically: an element chosen inside a prime p lies in exactly the primes
 containing p, its up-set, so prime avoidance succeeds whenever no
 forbidden prime contains the target.  This makes the constructions below
 total, while the verifier only ever looks at intersection patterns and is
-independent of the element model.
+independent of the element model.  For the length of one call the verifier
+numbers the primes as bits, so its sets are ints; a PrimePoset keeps its
+up-sets as frozensets, its one representation of the order.
 """
 
 from __future__ import annotations
@@ -102,10 +104,6 @@ class PrimePoset:
     def primes_of_height(self, h: int) -> list[str]:
         return [p for p in self.primes if self.height[p] == h]
 
-    def comparable_pairs(self) -> list[tuple[str, str]]:
-        """All pairs (p, q) with p strictly contained in q."""
-        return sorted((p, q) for p in self.primes for q in self.up[p] if q != p)
-
     def canonical_order(self) -> list[str]:
         """Ascending height, then identifier: the default enumeration."""
         return sorted(self.primes, key=lambda p: (self.height[p], p))
@@ -185,10 +183,11 @@ class DistinguishingFamily:
 
 
 def mu(d: int) -> int:
-    """Number of subsets used in dimension d: d + (d-2) + (d-4) + ... (terms >= 1)."""
+    """Number of subsets used in dimension d: d + (d-2) + (d-4) + ... (terms >= 1),
+    which sums to floor((d+1)^2 / 4)."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return sum(range(d, 0, -2))
+    return (d + 1) ** 2 // 4
 
 
 def avoidance_element(poset: PrimePoset, target: str, forbidden: set[str],
@@ -397,34 +396,54 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
         canonical choice per pair is complete.  On top of that, all (J, s)
         choices are enumerated outright while their number stays within
         ``exhaustive_budget``.
+
+    Within the call each prime is a bit, assigned in label order, so sets of
+    primes and of subset indices are ints and ascending bits are ascending
+    labels.  A choice keeps the AND of its chosen loci and the complements
+    of its inverted hit sets; restriction keeps the order, so the pairs that
+    survive it are the comparable pairs with both ends kept.
     """
-    hits = [sub.hit_set() for sub in family.subsets]
+    labels = sorted(poset.primes)
+    bit = {p: 1 << i for i, p in enumerate(labels)}
+    masks: dict[frozenset[str], int] = {}
+
+    def mask(primes: frozenset[str]) -> int:
+        # generator loci are the poset's own up-set objects, so each distinct
+        # set is converted once; labels outside the poset play no part
+        if primes not in masks:
+            masks[primes] = sum(bit[p] for p in primes if p in bit)
+        return masks[primes]
+
+    above = [mask(poset.up[p]) ^ bit[p] for p in labels]
+    hits = [mask(sub.hit_set()) for sub in family.subsets]
     m = family.count
-    miss = {p: frozenset(j for j in range(m) if p not in hits[j]) for p in poset.primes}
+    miss = [sum(1 << j for j in range(m) if not hits[j] & b) for b in bit.values()]
 
     witnesses: dict[tuple[str, str], int] = {}
     failures: list[tuple[str, str]] = []
     anti_failures: list[dict] = []
-    for p, q in poset.comparable_pairs():
-        w = miss[p] - miss[q]
-        if w:
-            witnesses[(p, q)] = min(w)
-        else:
-            failures.append((p, q))
-        if miss[p] != miss[q]:
-            continue
-        # k outside J = miss[p] means p lies in subset k's hit set, so some
-        # generator of subset k contains p
-        J = miss[q]
-        s_choice = {k: next(g for g in family.subsets[k].generators if p in g.locus)
-                    for k in range(m) if k not in J}
-        sub = spectrum_of_R_Js(poset, family, J, s_choice)
-        if sub.less(p, q):
-            anti_failures.append({
-                "J": sorted(J),
-                "s": {k: g.id for k, g in s_choice.items()},
-                "pair": [p, q],
-            })
+    for i, p in enumerate(labels):
+        for j in _bits(above[i]):
+            q = labels[j]
+            w = miss[i] & ~miss[j]
+            if w:
+                witnesses[(p, q)] = (w & -w).bit_length() - 1
+            else:
+                failures.append((p, q))
+            if miss[i] != miss[j]:
+                continue
+            # k outside J = miss[p] means p lies in subset k's hit set, so
+            # some generator of subset k contains p
+            J = set(_bits(miss[j]))
+            s_choice = {k: next(g for g in family.subsets[k].generators if p in g.locus)
+                        for k in range(m) if k not in J}
+            sub = spectrum_of_R_Js(poset, family, J, s_choice)
+            if sub.less(p, q):
+                anti_failures.append({
+                    "J": sorted(J),
+                    "s": {k: g.id for k, g in s_choice.items()},
+                    "pair": [p, q],
+                })
     pairwise_ok = not failures
 
     checked = 0
@@ -435,17 +454,21 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
         if total > exhaustive_budget:
             break
     if total <= exhaustive_budget:
-        gen_options = [list(sub.generators) + [None] for sub in family.subsets]
-        for combo in product(*gen_options):
-            J = {k for k, g in enumerate(combo) if g is None}
-            s_choice = {k: g for k, g in enumerate(combo) if g is not None}
-            sub = spectrum_of_R_Js(poset, family, J, s_choice)
+        everything = (1 << len(labels)) - 1
+        options = [[(mask(g.locus), g) for g in sub.generators] + [(everything & ~hit, None)]
+                   for sub, hit in zip(family.subsets, hits)]
+        for combo in product(*options):
+            keep = everything
+            for locus, _ in combo:
+                keep &= locus
             checked += 1
-            for p, q in sub.comparable_pairs():
-                rec = {"J": sorted(J), "s": {k: g.id for k, g in s_choice.items()},
-                       "pair": [p, q]}
-                if rec not in anti_failures:
-                    anti_failures.append(rec)
+            for i in _bits(keep):
+                for j in _bits(above[i] & keep):
+                    rec = {"J": [k for k, (_, g) in enumerate(combo) if g is None],
+                           "s": {k: g.id for k, (_, g) in enumerate(combo) if g is not None},
+                           "pair": [labels[i], labels[j]]}
+                    if rec not in anti_failures:
+                        anti_failures.append(rec)
 
     antichain_ok = not anti_failures
     return DistinguishReport(
@@ -458,3 +481,10 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
         exhaustive_choices_checked=checked,
     )
 
+
+def _bits(x: int):
+    """Positions of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low

@@ -17,6 +17,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+from .ext import _resolution_step
 from .fpmod import (
     FPModule,
     Morphism,
@@ -807,11 +808,12 @@ def _complete_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
 
 
 def clear_caches() -> None:
-    """Empty every cross-call memo of the package.  Each holds a pure
+    """Empty every cross-call memo of the package: relation HNFs and
+    invariants, the tower memos and Ext resolution steps.  Each holds a pure
     function of its arguments, so this changes no answer, only the work
     the next calls do."""
     for memo in (_relation_hnf, _invariants, _dual_factors, _telescope_dual_homology,
-                 _complete_cyclic):
+                 _complete_cyclic, _resolution_step):
         memo.cache_clear()
 
 

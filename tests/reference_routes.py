@@ -5,11 +5,15 @@ the five-term sequence and the certificate seed presented a submodule by a
 second left kernel of its generating rows, and Ext quotients solved the
 image rows in the kernel's generators and took that left kernel again.
 Today each of these reads a Hermite form or a tower limit that the program
-already holds.
+already holds.  The distinguishing verifier compared frozensets and
+restricted the poset for every (J, s) choice; today it works on bitmasks.
 """
+
+from itertools import product
 
 from multloc.fpmod import FPModule, Morphism, factor_through_submodule, merge_invariants
 from multloc.intlinalg import hnf_rows, identity, left_nullspace, mat_mul
+from multloc.poset import DistinguishReport, spectrum_of_R_Js
 
 
 def relations_among(rows: list[list[int]], ambient: FPModule) -> list[list[int]]:
@@ -100,3 +104,59 @@ def five_term_by_submodules(module, tor, con, quo, lims) -> dict:
         "exact_at_module": exact_by_submodules(ev, pi),
         "stable_index": n_star,
     }
+
+
+def comparable_pairs(poset) -> list[tuple[str, str]]:
+    """All pairs (p, q) with p strictly contained in q, sorted."""
+    return sorted((p, q) for p in poset.primes for q in poset.up[p] if q != p)
+
+
+def verify_distinguishing_by_sets(poset, family, exhaustive_budget=512) -> DistinguishReport:
+    """The verifier on frozensets: miss-sets per prime, and one restricted
+    poset per canonical and per enumerated (J, s) choice."""
+    hits = [sub.hit_set() for sub in family.subsets]
+    m = family.count
+    miss = {p: frozenset(j for j in range(m) if p not in hits[j]) for p in poset.primes}
+
+    witnesses, failures, anti_failures = {}, [], []
+    for p, q in comparable_pairs(poset):
+        w = miss[p] - miss[q]
+        if w:
+            witnesses[(p, q)] = min(w)
+        else:
+            failures.append((p, q))
+        if miss[p] != miss[q]:
+            continue
+        J = miss[q]
+        s_choice = {k: next(g for g in family.subsets[k].generators if p in g.locus)
+                    for k in range(m) if k not in J}
+        sub = spectrum_of_R_Js(poset, family, J, s_choice)
+        if sub.less(p, q):
+            anti_failures.append({"J": sorted(J),
+                                  "s": {k: g.id for k, g in s_choice.items()},
+                                  "pair": [p, q]})
+    pairwise_ok = not failures
+
+    checked = 0
+    total = 1
+    for sub in family.subsets:
+        total *= len(sub.generators) + 1
+    if total <= exhaustive_budget:
+        gen_options = [list(sub.generators) + [None] for sub in family.subsets]
+        for combo in product(*gen_options):
+            J = {k for k, g in enumerate(combo) if g is None}
+            s_choice = {k: g for k, g in enumerate(combo) if g is not None}
+            sub = spectrum_of_R_Js(poset, family, J, s_choice)
+            checked += 1
+            for p, q in comparable_pairs(sub):
+                rec = {"J": sorted(J), "s": {k: g.id for k, g in s_choice.items()},
+                       "pair": [p, q]}
+                if rec not in anti_failures:
+                    anti_failures.append(rec)
+
+    antichain_ok = not anti_failures
+    return DistinguishReport(
+        pairwise_ok=pairwise_ok, pairwise_witnesses=witnesses,
+        pairwise_failures=failures, antichain_ok=antichain_ok,
+        antichain_failures=anti_failures, agreement=pairwise_ok == antichain_ok,
+        exhaustive_choices_checked=checked)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import multloc
 from multloc import battery, towers
+from multloc.ext import ext1
 from multloc.fpmod import FPModule
 from multloc.towers import MultSubsetSeq, clear_caches
 
@@ -30,6 +31,7 @@ def fill_memos():
     module = FPModule.from_invariants([4, 12])
     towers.five_term_check(module, MultSubsetSeq(generators=(2, 3)))
     towers.telescope_homology_check(MultSubsetSeq(generators=(2, 3)), 4, module)
+    ext1(FPModule.from_invariants([2], modulus=4), FPModule.from_invariants([2, 4], modulus=4))
 
 
 def test_clear_caches_empties_every_memo():

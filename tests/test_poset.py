@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +28,7 @@ from multloc.poset import (
     DistinguishingFamily,
 )
 from multloc.randomgen import antichain_poset, chain_poset, diamond_poset, random_ranked_poset
+from reference_routes import comparable_pairs, verify_distinguishing_by_sets
 
 
 class TestMu:
@@ -41,7 +41,12 @@ class TestMu:
 
     def test_closest_integer_formula(self):
         for d in range(101):
-            assert mu(d) == (d + 1) ** 2 // 4
+            assert mu(d) == sum(range(d, 0, -2))
+
+    def test_huge_dimension(self):
+        k = 5 * 10**17
+        assert mu(2 * k) == k * (k + 1)          # 2k + (2k-2) + ... + 2
+        assert mu(2 * k + 1) == (k + 1) ** 2     # (2k+1) + (2k-1) + ... + 1
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -323,7 +328,7 @@ class TestSpectrumRJs:
         poset, fam = self._diamond_family()
         for g in fam.subsets[1].generators:
             sub = spectrum_of_R_Js(poset, fam, {0}, {1: g})
-            assert not sub.comparable_pairs()
+            assert not comparable_pairs(sub)
 
     def test_bad_choice(self):
         poset, fam = self._diamond_family()
@@ -503,58 +508,6 @@ def scanning_build_wave(poset, l):
     return [MultSubsetModel(tuple(g)) for g in gens]
 
 
-def two_loop_verify(poset, family, exhaustive_budget=512):
-    """The verifier that rebuilds both miss-sets for every comparable pair."""
-    hits = [sub.hit_set() for sub in family.subsets]
-    m = family.count
-    witnesses, failures = {}, []
-    for p, q in poset.comparable_pairs():
-        w = next((j for j in range(m) if p not in hits[j] and q in hits[j]), None)
-        if w is None:
-            failures.append((p, q))
-        else:
-            witnesses[(p, q)] = w
-    anti_failures = []
-    for p, q in poset.comparable_pairs():
-        miss_p = frozenset(j for j in range(m) if p not in hits[j])
-        miss_q = frozenset(j for j in range(m) if q not in hits[j])
-        if miss_p != miss_q:
-            continue
-        J = set(miss_q)
-        s_choice = {}
-        for k in range(m):
-            if k not in J:
-                s_choice[k] = next(g for g in family.subsets[k].generators
-                                   if p in g.locus)
-        sub = spectrum_of_R_Js(poset, family, J, s_choice)
-        if sub.less(p, q):
-            anti_failures.append({"J": sorted(J),
-                                  "s": {k: g.id for k, g in s_choice.items()},
-                                  "pair": [p, q]})
-    checked = 0
-    total = 1
-    for sub in family.subsets:
-        total *= len(sub.generators) + 1
-    if total <= exhaustive_budget:
-        options = [list(sub.generators) + [None] for sub in family.subsets]
-        for combo in product(*options):
-            J = {k for k, g in enumerate(combo) if g is None}
-            s_choice = {k: g for k, g in enumerate(combo) if g is not None}
-            sub = spectrum_of_R_Js(poset, family, J, s_choice)
-            checked += 1
-            for p, q in sub.comparable_pairs():
-                rec = {"J": sorted(J), "s": {k: g.id for k, g in s_choice.items()},
-                       "pair": [p, q]}
-                if rec not in anti_failures:
-                    anti_failures.append(rec)
-    pairwise_ok, antichain_ok = not failures, not anti_failures
-    return poset_module.DistinguishReport(
-        pairwise_ok=pairwise_ok, pairwise_witnesses=witnesses,
-        pairwise_failures=failures, antichain_ok=antichain_ok,
-        antichain_failures=anti_failures, agreement=pairwise_ok == antichain_ok,
-        exhaustive_choices_checked=checked)
-
-
 def random_locus_family(poset, rng):
     """A family of random, usually not up-closed, loci: most such families fail."""
     subsets = []
@@ -566,6 +519,21 @@ def random_locus_family(poset, rng):
     return DistinguishingFamily(tuple(subsets), poset.dimension())
 
 
+PLANTED_BUDGET = 4096
+
+
+def planted_family(family, rng):
+    """``family`` with one subset's generators cut down to a prefix, so the
+    pairs that only the dropped generators separated fail."""
+    if not family.count:
+        return family
+    k = rng.randrange(family.count)
+    subsets = list(family.subsets)
+    subsets[k] = MultSubsetModel(subsets[k].generators[:rng.randrange(
+        max(1, len(subsets[k].generators)))])
+    return DistinguishingFamily(tuple(subsets), family.dimension)
+
+
 def generators(subsets):
     return [[(g.id, sorted(g.locus)) for g in sub.generators] for sub in subsets]
 
@@ -573,7 +541,7 @@ def generators(subsets):
 def check_order(poset):
     pairs, heights, covers = brute_order(poset)
     assert poset.up == brute_up(poset.primes, covers)
-    assert poset.comparable_pairs() == pairs
+    assert comparable_pairs(poset) == pairs
     assert poset.height == heights
     assert poset.to_document()["covers"] == covers
     assert PrimePoset.from_document(poset.to_document()) == poset
@@ -582,11 +550,11 @@ def check_order(poset):
 def check_restrict(poset, keep):
     sub = poset.restrict(keep)
     rebuilt = PrimePoset.from_lt([p for p in poset.primes if p in keep],
-                                 {(a, b) for a, b in poset.comparable_pairs()
+                                 {(a, b) for a, b in comparable_pairs(poset)
                                   if a in keep and b in keep})
     assert sub == rebuilt
     assert sub.primes == rebuilt.primes
-    assert sub.comparable_pairs() == rebuilt.comparable_pairs()
+    assert comparable_pairs(sub) == comparable_pairs(rebuilt)
     assert sub.height == rebuilt.height
 
 
@@ -653,20 +621,24 @@ class TestAgainstScanningVersions:
 
     @settings(max_examples=100, deadline=None)
     @given(ranked_posets(), st.randoms(use_true_random=False))
-    def test_verifier_matches_two_loop_version(self, poset, rng):
-        fam = build_mu_family(poset)
-        assert (verify_distinguishing(poset, fam).to_document()
-                == two_loop_verify(poset, fam).to_document())
-        fam = random_locus_family(poset, rng)
-        assert (verify_distinguishing(poset, fam).to_document()
-                == two_loop_verify(poset, fam).to_document())
+    def test_verifier_matches_set_version(self, poset, rng):
+        """Equal documents, so equal failure lists in the same order, on the
+        mu family, on random loci, and on planted failures enumerated under
+        a raised budget."""
+        mu_family = build_mu_family(poset)
+        for fam, budget in ((mu_family, 512), (random_locus_family(poset, rng), 512),
+                            (planted_family(mu_family, rng), PLANTED_BUDGET)):
+            assert (verify_distinguishing(poset, fam, budget).to_document()
+                    == verify_distinguishing_by_sets(poset, fam, budget).to_document())
 
     def test_verifier_on_quick_corpus(self):
         rng = random.Random(21)
         failing = 0
         for poset in quick_corpus():
-            for fam in (build_mu_family(poset), random_locus_family(poset, rng)):
-                doc = verify_distinguishing(poset, fam).to_document()
-                assert doc == two_loop_verify(poset, fam).to_document()
+            mu_family = build_mu_family(poset)
+            for fam, budget in ((mu_family, 512), (random_locus_family(poset, rng), 512),
+                                (planted_family(mu_family, rng), PLANTED_BUDGET)):
+                doc = verify_distinguishing(poset, fam, budget).to_document()
+                assert doc == verify_distinguishing_by_sets(poset, fam, budget).to_document()
                 failing += not doc["pass"]
         assert failing > 0
