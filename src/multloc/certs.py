@@ -20,7 +20,7 @@ from .fpmod import (
     is_exact_pair,
 )
 from .ext import ext1, ext2
-from .intlinalg import _saturate_divisor, identity, left_nullspace
+from .intlinalg import _saturate_divisor, identity
 from .towers import (
     MultSubsetSeq,
     certified_depth,
@@ -386,10 +386,9 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
     n0 = lim.certificate.stable_index
     t_star = seq.t(n0 + 1)
 
-    div_rows = [[t_star * (1 if i == j else 0) for j in range(canon.gens)]
-                for i in range(canon.gens)]
-    div = FPModule.from_presentation(left_nullspace(div_rows, canon.relation_rows()),
-                                     gens=canon.gens, modulus=canon.modulus)
+    # the divisible part t*M, presented by its canonical relation HNF
+    mult = Morphism.multiplication(canon, t_star)
+    div = mult.image()[0]
     lam = quo.stages[n0]
 
     omega = omega_from_quotient_tower(quo, min(n0 + 1, quo.depth - 1), m)
@@ -408,7 +407,7 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
         ident = identity(canon.gens)
         root = CertNode(kind="Extension", level=1,
                         children=[div_seed, omega],
-                        payload={"module": canon, "inject": div_rows,
+                        payload={"module": canon, "inject": mult.mat(),
                                  "project": ident})
         cert = Certificate(root=root)
 

@@ -47,8 +47,10 @@ from .rings import (
     artinian_quadruple_check,
 )
 from .towers import (
+    DEFAULT_DEPTH,
     MultSubsetSeq,
     NotStabilized,
+    certified_depth,
     delta_truncated,
     quotient_tower,
     telescope_complex,
@@ -168,14 +170,17 @@ def cmd_artinian(args) -> int:
 def cmd_complete(args) -> int:
     module = _load_module(args)
     seq = MultSubsetSeq(generators=tuple(_parse_coeffs(args.generators)))
-    tower = quotient_tower(module, seq, args.depth)
+    # without --depth, deep enough that every cyclic factor's limit certifies
+    depth = args.depth if args.depth is not None else max(
+        [DEFAULT_DEPTH] + [certified_depth(d, seq) for d in module.invariants()])
+    tower = quotient_tower(module, seq, depth)
     doc = {"stages": [list(inv) for inv in tower.stage_invariants()],
            "t_values": tower.t_values,
            "transitions": [f.mat() for f in tower.transitions],
            "rule_refs": [RULE_REFS[6]]}
     code = PASS
     try:
-        doc["delta"] = delta_truncated(module, seq, args.depth).to_document()
+        doc["delta"] = delta_truncated(module, seq, depth).to_document()
     except NotStabilized as exc:
         doc["delta"] = {"not_stabilized": str(exc), "chains": exc.chains}
         code = FAIL
@@ -295,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file {gens, modulus, relations} instead of --module")
     p.add_argument("--modulus", type=int, default=0)
     p.add_argument("--generators", required=True, help="e.g. '2' or '2,3'")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=int, default=None,
+                   help="tower stages (default: the largest certified depth of the "
+                        "module's cyclic factors, at least 12)")
     common(p)
     p.set_defaults(func=cmd_complete)
 

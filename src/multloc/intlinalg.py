@@ -1,20 +1,20 @@
 """Exact integer linear algebra: one row elimination loop, which gives the
-Hermite normal form and the row echelon form with its transform; invariant
-factors by alternating HNF; left kernels and solves modulo a lattice.
+Hermite normal form and the row echelon form with its transform, and
+invariant factors by alternating HNF.
 
 Each canonical form is one pass over the output of the pass before it: the
 HNF reduces above the pivots of an echelon form (``_reduce_above_pivots``),
 and the invariant factors alternate transposed HNFs starting from an HNF
 (``_diagonalize``).  A caller that already holds an echelon form or an HNF
-starts from it: ``fpmod`` eliminates a morphism's stacked matrix once and
-reads both its cokernel HNF and its preimage HNF from that echelon form.
+starts from it.  The elimination ``_eliminate`` has two callers: ``hnf_rows``
+here, and ``fpmod.Morphism._hermite_forms``, which eliminates a morphism's
+stacked matrix [F | I ; S | 0] once and reads its cokernel HNF, its preimage
+HNF (left kernels modulo a lattice) and its lifts (solves modulo a lattice)
+from that one echelon form with its transform.
 
-Kernels and solves eliminate a matrix stacked over the lattice rows with a
-transform only as wide as the matrix has rows, since nothing reads the
-lattice part, and all right-hand sides of a solve share one echelon form.
 A vector's coordinates in an echelon basis it is known to lie in come from
-forward substitution alone, with no elimination: membership tests, kernel
-presentations and tower transitions read them that way.
+forward substitution alone, with no elimination: membership tests, lifts,
+kernel presentations and tower transitions read them that way.
 
 Matrices are lists of lists of Python ints (rows).  Everything here is
 exact; there is no floating point anywhere in the package.
@@ -152,8 +152,9 @@ def lattice_coordinates(basis: list[list[int]], x: list[int]) -> list[int] | Non
     lattice of ``basis``.
 
     ``basis`` is any echelon basis: no zero rows, each row's first nonzero
-    entry right of the row above's (hnf_rows, or the echelon rows of
-    ``_echelon``).  Only the first len(x) columns are read.  Forward
+    entry right of the row above's (hnf_rows, or the echelon rows that
+    ``fpmod.Morphism._hermite_forms`` keeps, transform columns included).
+    Only the first len(x) columns are read.  Forward
     substitution fixes each coordinate by one exact division at its row's
     leading entry (Cohen, GTM 138, section 2.4).
     """
@@ -240,53 +241,3 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
-
-
-def _echelon(a: list[list[int]],
-             lattice: Sequence[list[int]]) -> tuple[list[list[int]], int, list[int]]:
-    """Row echelon form of ``a`` stacked over ``lattice``, with its transform.
-
-    Eliminates ``[a | I ; lattice | 0]`` with ``I`` of size m = len(a) and
-    returns (rows, cols, pivots): ``row[:cols]`` is an echelon row (positive
-    pivot in column ``pivots[k]`` for row k, zero rows from ``len(pivots)``
-    on) and ``row[cols:]``, m wide, is a transform t with t * a equal to the
-    echelon row modulo the row lattice of ``lattice``.  Only the first m
-    transform columns are carried because no caller reads the lattice part.
-    """
-    m = len(a)
-    cols = len(a[0]) if a else len(lattice[0]) if lattice else 0
-    rows = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a)]
-    rows += [list(row) + [0] * m for row in lattice]
-    return rows, cols, _eliminate(rows, cols)
-
-
-def left_nullspace(a: list[list[int]], lattice: Sequence[list[int]] = ()) -> list[list[int]]:
-    """Rows spanning {v : v * a in the row lattice of ``lattice``}; with no
-    lattice they are a basis of the integer left kernel of ``a``.
-
-    They are the transform rows past the rank, carried only len(a) wide.
-    """
-    rows, cols, pivots = _echelon(a, lattice)
-    return [row[cols:] for row in rows[len(pivots):]]
-
-
-def solve_left(a: list[list[int]], xs: list[list[int]],
-               lattice: Sequence[list[int]] = ()) -> list[list[int]] | None:
-    """Solve v * a = x modulo the row lattice of ``lattice`` for every x in
-    ``xs``, all from one echelon form with a transform len(a) wide; None if
-    some x has no solution."""
-    rows, _, pivots = _echelon(a, lattice)
-    out = []
-    for x in xs:
-        # forward substitution on the pivots of [x | 0]: the first len(x)
-        # entries keep what is left of x, the rest accumulate -v
-        n = len(x)
-        t = list(x) + [0] * len(a)
-        for k, c in enumerate(pivots):
-            q = t[c] // rows[k][c]
-            if q:
-                t = [y - q * z for y, z in zip(t, rows[k])]
-        if any(t[:n]):
-            return None
-        out.append([-y for y in t[n:]])
-    return out

@@ -7,7 +7,11 @@ elements (t_0 = 1).  Inverse limits of truncated towers are computed as
 eventual stable images, checked by a stability window spanning one full
 schedule period (a certificate only once the stages stop growing; see
 Tower); limits that the truncation cannot confirm raise NotStabilized.
-lim^1 is only taken of towers of finite modules, where it is zero.
+Each level of a tower is a morphism from one free module onto the top
+stage's image, and its one Hermite elimination (``fpmod``) both confirms
+the level and presents its stable image; the five-term sequence reads the
+limits' carriers and lifts through such a map.  lim^1 is only taken of
+towers of finite modules, where it is zero.
 """
 
 from __future__ import annotations
@@ -24,12 +28,11 @@ from .fpmod import (
     _invariants,
     _relation_hnf,
     canonical_invariants,
-    factor_through_submodule,
     is_exact_pair,
     merge_invariants,
 )
-from .intlinalg import (_echelon, _saturate_divisor, hnf_rows, identity,
-                        lattice_coordinates, lattice_member, mat_mul, smith_normal_form)
+from .intlinalg import (_saturate_divisor, hnf_rows, identity, lattice_coordinates,
+                        lattice_member, mat_mul, smith_normal_form)
 
 DEFAULT_DEPTH = 12
 
@@ -174,15 +177,6 @@ class Tower:
     def depth(self) -> int:
         return len(self.stages)
 
-    def composite(self, to_index: int, from_index: int) -> list[list[int]]:
-        """Matrix of the composite stages[from_index] -> stages[to_index]."""
-        if from_index < to_index:
-            raise ValueError("composite runs downwards")
-        mat = identity(self.stages[from_index].gens)
-        for m in range(from_index - 1, to_index - 1, -1):
-            mat = mat_mul(mat, self.transitions[m].mat())
-        return mat
-
     def stage_invariants(self) -> list[tuple[int, ...]]:
         return [s.invariants() for s in self.stages]
 
@@ -275,7 +269,7 @@ class LimCertificate:
 @dataclass
 class TowerLimit:
     module: FPModule
-    carrier_rows: list[list[int]]     # generators of the stable image inside the stage
+    carriers: list[list[list[int]]]   # per stage i, the top stage's generators in stage i
     certificate: LimCertificate
 
 
@@ -288,32 +282,22 @@ def _carriers(tower: Tower, top: int) -> list[list[list[int]]]:
     return out
 
 
-def _level_echelons(tower: Tower, carrier: list[list[list[int]]]):
-    """Per level i, the echelon of ``[carrier[i] | I ; relations of stage i | 0]``
-    (``intlinalg._echelon``), computed on first use and kept only by the
-    returned function.  Its echelon rows are a basis of the image of the top
-    stage plus the relations, and its transform rows past the rank span the
-    relations among the carrier rows."""
-    @functools.cache
-    def level(i: int):
-        return _echelon(carrier[i], tower.stages[i].relation_rows())
-
-    return level
-
-
 def _confirmed_levels(tower: Tower, level) -> int:
     """Number of leading levels whose image chain the final window confirms;
-    ``level`` is ``_level_echelons(tower, _carriers(tower, depth - 1))``.
+    ``level(i)`` is the map from a free module onto the top carrier rows in
+    stage i (see ``tower_lim``).
 
     Level i is confirmed when the image from the top stage equals the image
     from one window below.  The top carrier at level i is the composite from
     the top stage down to stage depth - 1 - w times ``below[i]``, so the
     image from the top always lies in the image from below, and the two are
     equal exactly when every row of ``below[i]`` is in the lattice of the
-    top carrier plus the relations.  Membership is tested on level i's echelon
-    rows, which ``lattice_member`` accepts as they are (any echelon basis
-    will do), so no HNF is taken.  Counting stops at the first unconfirmed
-    level.  The confirmation is only as good as the window; see ``Tower``.
+    top carrier plus the relations.  Membership is tested on the echelon
+    rows that level i's ``_hermite_forms`` keeps, which ``lattice_member``
+    accepts as they are (any echelon basis will do; the transform columns
+    are not read), so no HNF is taken.  Counting stops at the first
+    unconfirmed level.  The confirmation is only as good as the window; see
+    ``Tower``.
     """
     n = tower.depth
     w = tower.window()
@@ -321,8 +305,7 @@ def _confirmed_levels(tower: Tower, level) -> int:
         return 0
     below = _carriers(tower, n - 1 - w)
     for i in range(n - w):
-        rows, _, pivots = level(i)
-        basis = rows[:len(pivots)]
+        basis = level(i)._hermite_forms()[2]
         if not all(lattice_member(basis, row) for row in below[i]):
             return i
     return n - w
@@ -331,52 +314,54 @@ def _confirmed_levels(tower: Tower, level) -> int:
 def tower_lim(tower: Tower) -> TowerLimit:
     """Inverse limit of the truncated tower via eventual stable images.
 
-    Level i's stable image is Z^g / L_i, L_i the relations among the rows of
-    its carrier (the composite from the top stage).  Since
-    ``carrier[i] = carrier[i+1] * T_i`` exactly, the transition between
-    stable images is the identity on generators with L_{i+1} inside L_i:
-    an isomorphism exactly when L_{i+1} = L_i, i.e. when the canonical
-    relation HNFs agree.  The limit is certified once those transitions are
-    isomorphisms over at least one window of consecutive levels.
+    Level i is the map from one free module Z^g (g the top stage's
+    generators) to stage i that sends the generators to the rows of the
+    carrier, the composite from the top stage.  Its image is level i's
+    stable image, Z^g / L_i with L_i its preimage lattice: the relations
+    among the carrier rows.  Since ``carrier[i] = carrier[i+1] * T_i``
+    exactly, the transition between stable images is the identity on
+    generators with L_{i+1} inside L_i: an isomorphism exactly when
+    L_{i+1} = L_i, i.e. when the preimage HNFs agree.  The limit is
+    certified once those transitions are isomorphisms over at least one
+    window of consecutive levels.
 
-    Each level is eliminated once, by ``_level_echelons``, for the length of
-    this call: its echelon rows confirm the level's image chain and its
-    transform rows past the rank generate L_i, which presents the stable
-    image.  Every level from ``stable_index`` through ``verified_through``
-    has the same lattice L_i, so the returned module presents the stable
-    image at each of them.
+    Each level's map is built, and so eliminated, once for the length of
+    this call (``Morphism._hermite_forms``): its echelon rows confirm the
+    level's image chain and its preimage HNF is L_i.  Every level from
+    ``stable_index`` through ``verified_through`` has the same lattice L_i,
+    so the returned module, the image of level ``stable_index`` carrying
+    that HNF, presents the stable image at each of them; ``carriers`` are
+    the carrier rows at every stage.
     """
     w = tower.window()
     carrier = _carriers(tower, tower.depth - 1)
-    level = _level_echelons(tower, carrier)
+    free = FPModule(gens=tower.stages[-1].gens)
+
+    @functools.cache
+    def level(i: int) -> Morphism:
+        return Morphism.make(free, tower.stages[i], carrier[i])
+
     i_max = _confirmed_levels(tower, level) - 1
     if i_max < w:
         stage_invs = [list(s.invariants()) for s in tower.stages]
         raise NotStabilized("image chains not confirmed within depth",
                             chains=[stage_invs])
 
-    @functools.cache
-    def sub(i: int) -> FPModule:
-        rows, cols, pivots = level(i)
-        return FPModule.from_presentation([row[cols:] for row in rows[len(pivots):]],
-                                          gens=len(carrier[i]),
-                                          modulus=tower.stages[i].modulus)
-
     iso_down_to = i_max
     for j in range(i_max - 1, -1, -1):
-        if sub(j + 1).relation_hnf() == sub(j).relation_hnf():
+        if level(j + 1)._hermite_forms()[1] == level(j)._hermite_forms()[1]:
             iso_down_to = j
         else:
             break
     if i_max - iso_down_to < w:
         raise NotStabilized(
             "stable images keep changing through the truncation",
-            chains=[[canonical_invariants(list(sub(i).invariants()), 0)
+            chains=[[canonical_invariants(list(level(i).image()[0].invariants()), 0)
                      for i in range(i_max + 1)]])
 
     i0 = iso_down_to
     cert = LimCertificate(stable_index=i0, verified_through=i_max)
-    return TowerLimit(module=sub(i0), carrier_rows=carrier[i0], certificate=cert)
+    return TowerLimit(module=level(i0).image()[0], carriers=carrier, certificate=cert)
 
 
 @dataclass(frozen=True)
@@ -643,7 +628,7 @@ class FiveTermReport:
                 "stable_index": self.stable_index}
 
 
-def _five_term_assemble(module: FPModule, tor: Tower, con: Tower, quo: Tower,
+def _five_term_assemble(module: FPModule, tor: Tower, quo: Tower,
                         lims: list[TowerLimit]) -> dict:
     """One cyclic factor's five-term block from its towers and their limits
     (torsion, constant, quotient), or a failure when the common stage index
@@ -653,8 +638,10 @@ def _five_term_assemble(module: FPModule, tor: Tower, con: Tower, quo: Tower,
     Otherwise n_star lies between each limit's ``stable_index`` and its
     ``verified_through``, where ``tower_lim`` has proved the relation lattice
     among the carrier rows constant.  So L1 and L2 are the torsion and
-    constant limits' own modules, presented on the carrier rows realized at
-    n_star, and need no elimination of their own."""
+    constant limits' own modules, presented on their carrier rows at n_star
+    (``TowerLimit.carriers``), and need no elimination of their own.  iota
+    lifts the torsion carrier rows, taken into the module, through the map
+    that sends L2's generators to the constant carrier rows (``lift``)."""
     n_star = max(lim.certificate.stable_index for lim in lims)
     verified = [lim.certificate.verified_through for lim in lims]
     if n_star > min(verified):
@@ -662,9 +649,9 @@ def _five_term_assemble(module: FPModule, tor: Tower, con: Tower, quo: Tower,
                         f"constant and quotient limits are verified through {verified}",
                         [verified])
 
-    # realize every carrier at the common stage index
-    tor_rows = tor.composite(n_star, tor.depth - 1)
-    con_rows = con.composite(n_star, con.depth - 1)
+    # every carrier at the common stage index
+    tor_rows = lims[0].carriers[n_star]
+    con_rows = lims[1].carriers[n_star]
     l1, l2 = lims[0].module, lims[1].module
     lam = quo.stages[n_star]
     t_star = quo.t_values[n_star]
@@ -672,7 +659,7 @@ def _five_term_assemble(module: FPModule, tor: Tower, con: Tower, quo: Tower,
     # iota: torsion-limit carrier into the constant-limit carrier, through
     # the ambient module
     tor_in_module = mat_mul(tor_rows, tor.stage_inclusions[n_star].mat())
-    iota_coeffs = factor_through_submodule(tor_in_module, con_rows, module)
+    iota_coeffs = Morphism.make(l2, module, con_rows).lift(tor_in_module)
     ok_struct = iota_coeffs is not None
     if ok_struct:
         iota = Morphism.make(l1, l2, iota_coeffs)
@@ -803,7 +790,7 @@ def _complete_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
     con = constant_hom_tower(module, seq, depth)
     lims = [_limit(tor), _limit(con), lim_quo]
     failure = next((lim for lim in lims if isinstance(lim, _Failure)), None)
-    five_term = failure or _five_term_assemble(module, tor, con, quo, lims)
+    five_term = failure or _five_term_assemble(module, tor, quo, lims)
     return _CyclicCompletion(delta=delta, five_term=five_term)
 
 

@@ -5,15 +5,140 @@ the five-term sequence and the certificate seed presented a submodule by a
 second left kernel of its generating rows, and Ext quotients solved the
 image rows in the kernel's generators and took that left kernel again.
 Today each of these reads a Hermite form or a tower limit that the program
-already holds.  The distinguishing verifier compared frozensets and
-restricted the poset for every (J, s) choice; today it works on bitmasks.
+already holds.  Left kernels and solves eliminated a matrix stacked over a
+lattice on a second route (``echelon``) beside a morphism's Hermite form,
+and tower levels and the five-term iota went through it; today
+``Morphism._hermite_forms`` is the only elimination with a transform, and
+``Morphism.lift`` solves on its echelon rows.  The distinguishing verifier
+compared frozensets and restricted the poset for every (J, s) choice;
+today it works on bitmasks.
 """
 
+import functools
+from collections.abc import Sequence
 from itertools import product
 
-from multloc.fpmod import FPModule, Morphism, factor_through_submodule, merge_invariants
-from multloc.intlinalg import hnf_rows, identity, left_nullspace, mat_mul
+from multloc.fpmod import FPModule, Morphism, merge_invariants
+from multloc.intlinalg import (_eliminate, canonical_invariants, hnf_rows, identity,
+                               lattice_member, mat_mul)
 from multloc.poset import DistinguishReport, spectrum_of_R_Js
+from multloc.towers import LimCertificate, NotStabilized, TowerLimit, _carriers
+
+
+def echelon(a: list[list[int]],
+            lattice: Sequence[list[int]]) -> tuple[list[list[int]], int, list[int]]:
+    """Row echelon form of ``a`` stacked over ``lattice``, with its transform.
+
+    Eliminates ``[a | I ; lattice | 0]`` with ``I`` of size m = len(a) over
+    the first cols columns only and returns (rows, cols, pivots):
+    ``row[:cols]`` is an echelon row (positive pivot in column ``pivots[k]``
+    for row k, zero rows from ``len(pivots)`` on) and ``row[cols:]``, m wide,
+    is a transform t with t * a equal to the echelon row modulo the row
+    lattice of ``lattice``.
+    """
+    m = len(a)
+    cols = len(a[0]) if a else len(lattice[0]) if lattice else 0
+    rows = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a)]
+    rows += [list(row) + [0] * m for row in lattice]
+    return rows, cols, _eliminate(rows, cols)
+
+
+def left_nullspace(a: list[list[int]], lattice: Sequence[list[int]] = ()) -> list[list[int]]:
+    """Rows spanning {v : v * a in the row lattice of ``lattice``}: the
+    transform rows of ``echelon`` past the rank."""
+    rows, cols, pivots = echelon(a, lattice)
+    return [row[cols:] for row in rows[len(pivots):]]
+
+
+def solve_left(a: list[list[int]], xs: list[list[int]],
+               lattice: Sequence[list[int]] = ()) -> list[list[int]] | None:
+    """Solve v * a = x modulo the row lattice of ``lattice`` for every x in
+    ``xs`` by forward substitution on one ``echelon``; None if some x has no
+    solution."""
+    rows, _, pivots = echelon(a, lattice)
+    out = []
+    for x in xs:
+        # the first len(x) entries keep what is left of x, the rest
+        # accumulate -v
+        n = len(x)
+        t = list(x) + [0] * len(a)
+        for k, c in enumerate(pivots):
+            q = t[c] // rows[k][c]
+            if q:
+                t = [y - q * z for y, z in zip(t, rows[k])]
+        if any(t[:n]):
+            return None
+        out.append([-y for y in t[n:]])
+    return out
+
+
+def factor_through_submodule(vectors: list[list[int]], sub_gens: list[list[int]],
+                             ambient: FPModule) -> list[list[int]] | None:
+    """Each vector as a combination of sub_gens modulo ambient relations, or
+    None if some vector is outside the submodule they span."""
+    return solve_left(sub_gens, vectors, ambient.relation_rows())
+
+
+def composite(tower, to_index: int, from_index: int) -> list[list[int]]:
+    """Matrix of the composite stages[from_index] -> stages[to_index]."""
+    if from_index < to_index:
+        raise ValueError("composite runs downwards")
+    mat = identity(tower.stages[from_index].gens)
+    for m in range(from_index - 1, to_index - 1, -1):
+        mat = mat_mul(mat, tower.transitions[m].mat())
+    return mat
+
+
+def level_echelons(tower, carrier):
+    """Per level i, the ``echelon`` of ``[carrier[i] | I ; relations of
+    stage i | 0]``, computed on first use."""
+    @functools.cache
+    def level(i: int):
+        return echelon(carrier[i], tower.stages[i].relation_rows())
+
+    return level
+
+
+def echelon_level_lim(tower) -> TowerLimit:
+    """``tower_lim`` on ``level_echelons``: each level is confirmed on the
+    echelon rows, and its stable image is presented by the transform rows
+    past the rank, whose relation HNFs the iso scan compares."""
+    n = tower.depth
+    w = tower.window()
+    carrier = _carriers(tower, n - 1)
+    level = level_echelons(tower, carrier)
+    confirmed = 0
+    if n > w:
+        below = _carriers(tower, n - 1 - w)
+        confirmed = n - w
+        for i in range(n - w):
+            rows, _, pivots = level(i)
+            if not all(lattice_member(rows[:len(pivots)], row) for row in below[i]):
+                confirmed = i
+                break
+    i_max = confirmed - 1
+    if i_max < w:
+        raise NotStabilized("image chains not confirmed within depth",
+                            chains=[[list(s.invariants()) for s in tower.stages]])
+
+    @functools.cache
+    def sub(i: int) -> FPModule:
+        rows, cols, pivots = level(i)
+        return FPModule.from_presentation([row[cols:] for row in rows[len(pivots):]],
+                                          gens=len(carrier[i]),
+                                          modulus=tower.stages[i].modulus)
+
+    iso_down_to = i_max
+    for j in range(i_max - 1, -1, -1):
+        if sub(j + 1).relation_hnf() != sub(j).relation_hnf():
+            break
+        iso_down_to = j
+    if i_max - iso_down_to < w:
+        raise NotStabilized("stable images keep changing through the truncation",
+                            chains=[[canonical_invariants(list(sub(i).invariants()), 0)
+                                     for i in range(i_max + 1)]])
+    cert = LimCertificate(stable_index=iso_down_to, verified_through=i_max)
+    return TowerLimit(module=sub(iso_down_to), carriers=carrier, certificate=cert)
 
 
 def relations_among(rows: list[list[int]], ambient: FPModule) -> list[list[int]]:
@@ -80,8 +205,8 @@ def five_term_by_submodules(module, tor, con, quo, lims) -> dict:
     relations among the carrier rows at the common stage index, and both
     exactness flags read from re-eliminated submodules."""
     n_star = max(lim.certificate.stable_index for lim in lims)
-    tor_rows = tor.composite(n_star, tor.depth - 1)
-    con_rows = con.composite(n_star, con.depth - 1)
+    tor_rows = composite(tor, n_star, tor.depth - 1)
+    con_rows = composite(con, n_star, con.depth - 1)
     l1 = submodule_on_rows(tor.stages[n_star], tor_rows)
     l2 = submodule_on_rows(con.stages[n_star], con_rows)
     lam = quo.stages[n_star]

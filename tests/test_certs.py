@@ -322,8 +322,9 @@ def test_saturate_divisor_64_bit_modulus():
 # carry kernel presentations and torsion transitions, so a change of basis in
 # the linear algebra beneath them changes their bytes; the embed documents are
 # built from invariant factors and stacked cokernel presentations, so theirs
-# pin the invariants and the presentation layout.
-DECOMPOSE_DOCS_SHA256 = "6e6c47ac88deecfeb16415adb8f2d18e3df79f0efb02a153c25be21cd3ad6029"
+# pin the invariants and the presentation layout.  The divisible-part seed
+# of a decompose document is presented by its canonical relation HNF.
+DECOMPOSE_DOCS_SHA256 = "a5594f009df474107471dc15c1bbcb2be59dd60b44a84b7753629886b50b2a5d"
 EMBED_DOCS_SHA256 = "e3d6d2feb515b945804fe568b0f2a0140998a739882c998f0f3a8223d7796f68"
 
 
@@ -336,6 +337,22 @@ def test_decompose_documents_are_pinned():
             for g in abelian_groups_upto(64) for m in (2, 3, 6)]
     assert len(docs) == 348
     assert _sha256(docs) == DECOMPOSE_DOCS_SHA256
+
+
+def test_decompose_seed_relations_are_their_hnf():
+    # the divisible part t*M is the image of multiplication by t*, presented
+    # on M's generators by its preimage HNF; parsed back from its document,
+    # the seed's relations are their own canonical HNF
+    seeds = 0
+    for g in abelian_groups_upto(64):
+        for m in (2, 3, 6):
+            doc = decompose_weakly_cotorsion(FPModule.from_invariants(list(g)), m).to_document()
+            root = Certificate.from_document(doc).root
+            if root.kind == "Extension":
+                div = root.children[0].payload["module"]
+                assert div.relations == div.relation_hnf(), (g, m)
+                seeds += 1
+    assert seeds == 122
 
 
 def test_embed_documents_are_pinned():

@@ -10,7 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import multloc
+from multloc.battery import GENERATOR_SETS
 from multloc.cli import BROKEN_PIPE, main
+from multloc.towers import (DEFAULT_DEPTH, MultSubsetSeq, certified_depth,
+                            cyclic_completion_oracle)
 
 
 def run_cli(args, capsys):
@@ -169,6 +172,36 @@ class TestComplete:
                                 "--format", "structured"], capsys)
         assert code == 1
         assert "not_stabilized" in json.loads(out)["delta"]
+
+    def test_default_depth_certifies_battery_cyclic_inputs(self, capsys):
+        # without --depth the tower goes to the largest certified depth of
+        # the module's factors, at least 12: the 122 inputs that need more
+        # answer the oracle's Lambda (44 of them did not stabilize at 12),
+        # and every other input prints what an explicit --depth 12 prints
+        deeper = failed_at_12 = 0
+        for d in range(1, 65):
+            for gens in GENERATOR_SETS:
+                args = ["complete", "--module", str(d), "--generators",
+                        ",".join(map(str, gens)), "--format", "structured"]
+                code, out, _ = run_cli(args, capsys)
+                assert code == 0, (d, gens)
+                assert (tuple(json.loads(out)["delta"]["lambda_invariants"])
+                        == cyclic_completion_oracle(d, gens)["lambda"]), (d, gens)
+                at_12 = run_cli(args + ["--depth", "12"], capsys)
+                if certified_depth(d, MultSubsetSeq(generators=gens)) <= DEFAULT_DEPTH:
+                    assert at_12 == (code, out, ""), (d, gens)
+                else:
+                    deeper += 1
+                    failed_at_12 += at_12[0] != 0
+        assert (deeper, failed_at_12) == (122, 44)
+
+    def test_default_depth_z64(self, capsys):
+        code, out, _ = run_cli(["complete", "--module", "64", "--generators", "3,5,6",
+                                "--format", "structured"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["stages"]) == certified_depth(64, MultSubsetSeq((3, 5, 6))) == 39
+        assert doc["delta"]["lambda_invariants"] == [64]
 
     @pytest.mark.parametrize("depth", ["0", "-3"])
     def test_depth_below_one_is_a_usage_error(self, depth, capsys):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multloc import intlinalg
+from multloc import fpmod, intlinalg
 from multloc.ext import (
     _FiniteGroup,
+    _resolution_step,
     _unit_vectors,
     ext1,
     ext1_order,
@@ -16,6 +17,7 @@ from multloc.ext import (
     ext2,
 )
 from multloc.fpmod import FPModule
+from multloc.towers import clear_caches
 from reference_routes import ext_by_quotients
 
 
@@ -224,16 +226,23 @@ class TestResolutionStepFromKernel:
         assert ext1(zn([2, 6], 12), zero) == ext2(zn([2, 6], 12), zero) == ()
 
     def test_no_left_kernel_or_solve(self, monkeypatch):
-        # the step's only elimination is its kernel morphism's Hermite form
+        # one step eliminates twice: its kernel morphism's stacked matrix
+        # [4I | I ; S | 0], S the relation rows of B, over all 2 + 2 columns
+        # (its Hermite form), and the quotient's relations on the kernel's
+        # 2 generators (their HNF, before the Smith passes)
+        b = zn([2, 8], 8)
+        clear_caches()
         calls = []
-        real = intlinalg._echelon
+        real = intlinalg._eliminate
 
-        def spy(a, lattice=()):
-            calls.append(len(a))
-            return real(a, lattice)
+        def spy(rows, cols):
+            calls.append(cols)
+            return real(rows, cols)
 
-        monkeypatch.setattr(intlinalg, "_echelon", spy)
-        assert ext1(zn([2, 4], 8), zn([2, 8], 8)) == (2, 2)
-        assert ext2(zn([2, 4], 8), zn([2, 8], 8)) == (2, 2)
-        assert calls == []
+        monkeypatch.setattr(intlinalg, "_eliminate", spy)
+        monkeypatch.setattr(fpmod, "_eliminate", spy)
+        assert _resolution_step(b, 4, 2) == (2,)
+        assert calls == [2 + 2, 2]
+        assert ext1(zn([2, 4], 8), b) == (2, 2)
+        assert ext2(zn([2, 4], 8), b) == (2, 2)
         assert ext1_order_oracle([2, 4], [2, 8], modulus=8) == 4

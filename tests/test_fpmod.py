@@ -12,7 +12,6 @@ from multloc.fpmod import (
     Morphism,
     canonical_invariants,
     direct_sum,
-    factor_through_submodule,
     is_exact_pair,
     isomorphic,
     merge_invariants,
@@ -20,14 +19,16 @@ from multloc.fpmod import (
 from multloc import fpmod, intlinalg
 from multloc.intlinalg import (
     hnf_rows,
+    identity,
     lattice_member,
-    left_nullspace,
     mat_mul,
     smith_normal_form,
 )
 from multloc.towers import clear_caches
 from reference_routes import (
     exact_by_submodules,
+    factor_through_submodule,
+    left_nullspace,
     preimage_lattice,
     relations_among,
     submodules_equal,
@@ -255,11 +256,13 @@ class TestMorphisms:
 
     def test_factor_through(self):
         z12 = FPModule.from_invariants([12])
-        sub = [[4]]  # submodule 4Z/12 of order 3
-        coeffs = factor_through_submodule([[8]], sub, z12)
+        sub = Morphism.make(FPModule(gens=1), z12, [[4]])  # onto 4Z/12, of order 3
+        coeffs = sub.lift([[8]])
         assert coeffs is not None
         assert (coeffs[0][0] * 4 - 8) % 12 == 0
-        assert factor_through_submodule([[2]], sub, z12) is None
+        assert coeffs == factor_through_submodule([[8]], [[4]], z12)
+        assert sub.lift([[2]]) is None
+        assert sub.lift([]) == []
 
     def test_compose_through_the_zero_module(self):
         z2 = FPModule.from_invariants([2])
@@ -566,6 +569,10 @@ def assert_forms_match_reference(f: Morphism):
     else:
         with pytest.raises(ValueError, match="well-defined"):
             f.kernel()
+    # lifts of the map's rows, of the unit vectors and of the target's
+    # relations are the solves on the echelon route that lift replaced
+    for xs in (f.mat(), identity(f.target.gens), f.target.relation_rows()):
+        assert f.lift(xs) == factor_through_submodule(xs, f.mat(), f.target)
 
 
 class TestOneEliminationPerMorphism:
@@ -635,6 +642,7 @@ class TestOneEliminationPerMorphism:
         f.kernel()
         f.image()[0].relation_hnf()
         f.is_injective()
+        assert mat_mul(f.lift([[3, 0], [1, 5]]), f.mat()) == [[3, 0], [1, 5]]
         assert calls == [2 + 3]
 
 

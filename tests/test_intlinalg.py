@@ -6,16 +6,16 @@ from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
+from multloc.fpmod import FPModule, Morphism
 from multloc.intlinalg import (
-    _echelon,
+    _eliminate,
     hnf_rows,
     lattice_coordinates,
     lattice_member,
-    left_nullspace,
     mat_mul,
     smith_normal_form,
-    solve_left,
 )
+import reference_routes as replaced
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -92,9 +92,23 @@ def test_hnf_random_membership():
             assert lattice_member(basis, combo)
 
 
+def stacked_map(a, lattice=()):
+    """The map Z^len(a) -> Z^cols / (row lattice of ``lattice``) with matrix
+    ``a``: its Hermite form eliminates [a | I ; lattice | 0], so its
+    preimage HNF is the left kernel of ``a`` modulo the lattice and ``lift``
+    solves modulo it.  The target keeps the lattice rows as given."""
+    cols = len(a[0]) if a else len(lattice[0])
+    target = FPModule.from_presentation([list(r) for r in lattice], gens=cols)
+    return Morphism.make(FPModule(gens=len(a)), target, a)
+
+
+def left_kernel(a, lattice=()):
+    return [list(row) for row in stacked_map(a, lattice)._hermite_forms()[1]]
+
+
 def test_left_nullspace():
     a = [[1, 2], [2, 4], [0, 1]]
-    null = left_nullspace(a)
+    null = left_kernel(a)
     for v in null:
         assert all(sum(v[i] * a[i][j] for i in range(3)) == 0 for j in range(2))
     # (2, -1, 0) is in the left kernel
@@ -104,13 +118,13 @@ def test_left_nullspace():
 
 def test_solve_left():
     a = [[2, 0], [0, 3]]
-    sols = solve_left(a, [[4, 3], [0, -6]])
+    sols = stacked_map(a).lift([[4, 3], [0, -6]])
     assert sols is not None
     for v, x in zip(sols, [[4, 3], [0, -6]]):
         assert [sum(v[i] * a[i][j] for i in range(2)) for j in range(2)] == x
-    assert solve_left(a, [[4, 3], [1, 0]]) is None
+    assert stacked_map(a).lift([[4, 3], [1, 0]]) is None
     # modulo the lattice 5Z^2, 1 = 3 * 2 - 5 makes (1, 0) reachable
-    v, = solve_left(a, [[1, 0]], lattice=[[5, 0], [0, 5]])
+    v, = stacked_map(a, [[5, 0], [0, 5]]).lift([[1, 0]])
     assert (2 * v[0] - 1) % 5 == 0 and 3 * v[1] % 5 == 0
 
 
@@ -191,25 +205,29 @@ def matrices_over_lattices(draw):
 @settings(max_examples=150, deadline=None)
 @given(matrices_over_lattices())
 def test_row_echelon_postconditions(case):
+    # the echelon rows a map's Hermite form keeps, and its preimage HNF
     a, lattice = case
-    rows, cols, pivots = _echelon(a, lattice)
+    cols = len(a[0])
+    _, pre, rows = stacked_map(a, lattice)._hermite_forms()
     e = [row[:cols] for row in rows]
     u = [row[cols:] for row in rows]
-    assert len(rows) == len(a) + len(lattice)
     assert all(len(t) == len(a) for t in u)
-    rank = len(pivots)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in e]
     assert pivots == sorted(set(pivots))
     for k, c in enumerate(pivots):
         assert e[k][c] > 0
-        assert all(x == 0 for x in e[k][:c])
-        assert all(e[i][c] == 0 for i in range(k + 1, len(rows)))
-    assert all(not any(row) for row in e[rank:])
-    # each transform row maps a onto its echelon row modulo the lattice
+    assert len(rows) == Matrix(a + lattice).rank()
+    # each transform row maps a onto its echelon row modulo the lattice, and
+    # each preimage row into the lattice
     span = hnf_rows(lattice) if lattice else []
     for t, row in zip(mat_mul(u, a), e):
         assert lattice_member(span, [x - y for x, y in zip(row, t)])
+    for t in mat_mul([list(r) for r in pre], a):
+        assert lattice_member(span, t)
     if not lattice:
-        assert abs(Matrix(u).det()) == 1
+        # with nothing to reduce modulo, the echelon transforms and the
+        # kernel basis together are one unimodular change of basis
+        assert abs(Matrix(u + [list(r) for r in pre]).det()) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -217,7 +235,7 @@ def test_row_echelon_postconditions(case):
 def test_left_nullspace_is_saturated_kernel(a):
     # the Z-left-kernel is the saturated lattice of rank len(a) - rank(a):
     # each row annihilates a, and the basis has only unit invariant factors
-    null = left_nullspace(a)
+    null = left_kernel(a)
     assert not any(x for row in mat_mul(null, a) for x in row)
     assert len(null) == len(a) - Matrix(a).rank()
     if null:
@@ -234,7 +252,7 @@ def test_solve_left_exactly_on_lattice(a, coeffs, noise, in_lattice):
         x = [sum(c * row[j] for c, row in zip(coeffs, a)) for j in range(cols)]
     else:
         x = noise[:cols]
-    sols = solve_left(a, [x])
+    sols = stacked_map(a).lift([x])
     v = sols[0] if sols is not None else None
     member = lattice_member(hnf_rows(a), x)
     assert (v is not None) == member
@@ -249,10 +267,10 @@ def test_snf_factors_match_sympy(a):
     assert smith_normal_form(a) == _sympy_factors(a)
 
 
-# The route that left_nullspace and solve_left replaced, kept as the
-# reference: stack the lattice under a, eliminate [a ; lattice | I] with the
-# full identity and whole-row operations, keep the first len(a) transform
-# columns, and solve one vector per elimination.
+# The route that the narrow-transform left kernels and solves replaced, kept
+# as the reference: stack the lattice under a, eliminate [a ; lattice | I]
+# with the full identity and whole-row operations, keep the first len(a)
+# transform columns, and solve one vector per elimination.
 def _reference_echelon(a):
     n = len(a)
     cols = len(a[0]) if n else 0
@@ -328,8 +346,24 @@ def systems(draw):
 @given(systems())
 def test_narrow_transform_matches_the_full_width_route(case):
     a, xs, lattice = case
-    assert left_nullspace(a, lattice) == _reference_left_nullspace(a, lattice)
-    assert solve_left(a, xs, lattice) == _reference_solve(a, xs, lattice)
+    f = stacked_map(a, lattice)
+    assert left_kernel(a, lattice) == hnf_rows(_reference_left_nullspace(a, lattice))
+    assert f.lift(xs) == _reference_solve(a, xs, lattice)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_hermite_form_replaces_the_echelon_route(case):
+    # lift gives the bytes of the solve it replaced, None cases included, and
+    # the kept echelon rows, transform included, are that route's echelon
+    # rows up to its rank; its left kernel spans the same lattice
+    a, xs, lattice = case
+    f = stacked_map(a, lattice)
+    rows, _, pivots = replaced.echelon(a, lattice)
+    assert f._hermite_forms()[2] == rows[:len(pivots)]
+    assert f.lift(xs) == replaced.solve_left(a, xs, lattice)
+    assert [list(r) for r in f._hermite_forms()[1]] == \
+        hnf_rows(replaced.left_nullspace(a, lattice))
 
 
 @settings(max_examples=200, deadline=None)
@@ -337,12 +371,16 @@ def test_narrow_transform_matches_the_full_width_route(case):
 def test_elimination_does_the_reference_row_operations(a):
     # the pivot is found without per-iteration lists and a column is left
     # once one live row is left; the rows and pivots stay those of the loop
-    # that rebuilt both lists on every pass
-    rows, cols, pivots = _echelon(a, ())
+    # that rebuilt both lists on every pass, and a map's Hermite form keeps
+    # those rows up to the rank
+    cols = len(a[0])
+    rows = [row + [int(i == j) for j in range(len(a))] for i, row in enumerate(a)]
+    pivots = _eliminate(rows, cols)
     e, u, ref_pivots = _reference_echelon(a)
     assert pivots == ref_pivots
     assert [row[:cols] for row in rows] == e
     assert [row[cols:] for row in rows] == u
+    assert stacked_map(a)._hermite_forms()[2] == rows[:len(pivots)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,11 +390,12 @@ def test_lattice_coordinates_on_echelon_bases(case):
     # which are not read) the coordinates rebuild x exactly, and exist
     # exactly when the solve finds a solution
     a, xs, lattice = case
-    rows, cols, pivots = _echelon(a, lattice)
-    echelon = rows[:len(pivots)]
+    cols = len(a[0])
+    f = stacked_map(a, lattice)
+    echelon = f._hermite_forms()[2]
     hnf = hnf_rows(a + lattice)
     for x in xs:
-        solvable = solve_left(a, [x], lattice) is not None
+        solvable = f.lift([x]) is not None
         for basis in (hnf, echelon):
             coords = lattice_coordinates(basis, x)
             assert (coords is not None) == solvable == lattice_member(basis, x)

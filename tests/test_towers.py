@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from multloc import towers
 from multloc.battery import GENERATOR_SETS, abelian_groups_upto, criterion_5
-from multloc.fpmod import (FPModule, Morphism, canonical_invariants, factor_through_submodule,
+from multloc.fpmod import (FPModule, Morphism, canonical_invariants,
                            merge_invariants)
 from multloc.intlinalg import lattice_member, mat_mul
 from multloc.towers import (
@@ -31,7 +32,8 @@ from multloc.towers import (
     tower_lim1,
     weakly_cotorsion_report,
 )
-from reference_routes import five_term_by_submodules, submodule_on_rows
+from reference_routes import (composite, echelon_level_lim, factor_through_submodule,
+                              five_term_by_submodules, submodule_on_rows)
 
 
 def seq(*gens):
@@ -125,14 +127,13 @@ class TestTowerLim:
         stages = []
         rows = {}
         for i in range(n0, hi + 1):
-            rows[i] = t.composite(i, t.depth - 1)
+            rows[i] = lim.carriers[i]
             stages.append(submodule_on_rows(t.stages[i], rows[i]))
-        from multloc.fpmod import factor_through_submodule
         trans = []
         for k in range(len(stages) - 1):
             i = n0 + k
             mapped = mat_mul(rows[i + 1], t.transitions[i].mat())
-            coeffs = factor_through_submodule(mapped, rows[i], t.stages[i])
+            coeffs = Morphism.make(stages[k], t.stages[i], rows[i]).lift(mapped)
             trans.append(Morphism.make(stages[k + 1], stages[k], coeffs))
         lim2 = tower_lim(Tower(stages=stages, transitions=trans, period=1))
         assert lim2.module.invariants() == lim.module.invariants()
@@ -468,9 +469,16 @@ def shared_hnf(monkeypatch):
     monkeypatch.setattr(towers, "hnf_rows", cached)
 
 
-def confirmed_levels(tower):
+def level_maps(tower):
+    """The levels ``tower_lim`` eliminates: per stage i, the map from one
+    free module onto the top carrier rows in stage i."""
     carrier = towers._carriers(tower, tower.depth - 1)
-    return towers._confirmed_levels(tower, towers._level_echelons(tower, carrier))
+    free = FPModule(gens=tower.stages[-1].gens)
+    return functools.cache(lambda i: Morphism.make(free, tower.stages[i], carrier[i]))
+
+
+def confirmed_levels(tower):
+    return towers._confirmed_levels(tower, level_maps(tower))
 
 
 def assert_same_chains(module, s, depth):
@@ -487,7 +495,7 @@ class TestBisectedImageChains:
         # stages, six full windows of the period 3), then drops at stage 20
         t = torsion_tower(z_mod(64), seq(3, 5, 6), 31)
         rel = t.stages[2].relation_rows()
-        images = [towers.hnf_rows(t.composite(2, k) + rel) for k in range(2, 31)]
+        images = [towers.hnf_rows(composite(t, 2, k) + rel) for k in range(2, 31)]
         assert images == [[[1]]] * 18 + [[[2]]] * 11
         assert confirmed_levels(t) == 11
 
@@ -513,7 +521,7 @@ def kernel_route_lim(tower):
     n = tower.depth
     w = tower.window()
     carrier = towers._carriers(tower, n - 1)
-    i_max = towers._confirmed_levels(tower, towers._level_echelons(tower, carrier)) - 1
+    i_max = confirmed_levels(tower) - 1
     if i_max < w:
         raise NotStabilized("image chains not confirmed within depth",
                             chains=[[list(s.invariants()) for s in tower.stages]])
@@ -541,7 +549,7 @@ def kernel_route_lim(tower):
                             chains=[[canonical_invariants(list(sub(i).invariants()), 0)
                                      for i in range(i_max + 1)]])
     cert = towers.LimCertificate(stable_index=iso_down_to, verified_through=i_max)
-    return towers.TowerLimit(module=sub(iso_down_to), carrier_rows=carrier[iso_down_to],
+    return towers.TowerLimit(module=sub(iso_down_to), carriers=carrier,
                              certificate=cert)
 
 
@@ -550,7 +558,7 @@ def lim_outcome(lim, tower):
         r = lim(tower)
     except NotStabilized as exc:
         return str(exc), exc.chains
-    return r.certificate, r.module.invariants(), r.carrier_rows
+    return r.certificate, r.module.invariants(), r.carriers
 
 
 def assert_same_limits(module, s, depth):
@@ -573,7 +581,7 @@ class TestLatticeEqualityLimit:
             carrier = towers._carriers(tower, tower.depth - 1)
             for j in range(tower.depth - 1):
                 assert carrier[j] == mat_mul(carrier[j + 1], tower.transitions[j].mat())
-                assert carrier[j] == tower.composite(j, tower.depth - 1)
+                assert carrier[j] == composite(tower, j, tower.depth - 1)
 
     def test_matches_kernel_route_on_battery_towers(self, shared_hnf):
         for d in range(1, 65):
@@ -607,7 +615,7 @@ def compare_five_term_routes(d, modulus, s, depth) -> bool:
     lims = [towers._limit(t) for t in (tor, con, quo)]
     if any(isinstance(lim, towers._Failure) for lim in lims):
         return False
-    block = towers._five_term_assemble(module, tor, con, quo, lims)
+    block = towers._five_term_assemble(module, tor, quo, lims)
     if isinstance(block, towers._Failure):
         assert "carriers are realized" in block.message
         return False
@@ -615,7 +623,8 @@ def compare_five_term_routes(d, modulus, s, depth) -> bool:
     assert block == five_term_by_submodules(module, tor, con, quo, lims), label
     n_star = block["stable_index"]
     for tower, lim in ((tor, lims[0]), (con, lims[1])):
-        rows = tower.composite(n_star, tower.depth - 1)
+        rows = composite(tower, n_star, tower.depth - 1)
+        assert lim.carriers[n_star] == rows, label
         assert lim.module.relation_hnf() == \
             submodule_on_rows(tower.stages[n_star], rows).relation_hnf(), label
     return True
@@ -862,7 +871,7 @@ def hnf_level_lim(tower):
                             chains=[[canonical_invariants(list(m.invariants()), 0)
                                      for m in sub]])
     cert = towers.LimCertificate(stable_index=iso_down_to, verified_through=i_max)
-    return towers.TowerLimit(module=sub[iso_down_to], carrier_rows=carrier[iso_down_to],
+    return towers.TowerLimit(module=sub[iso_down_to], carriers=carrier,
                              certificate=cert)
 
 
@@ -871,7 +880,7 @@ def limit_summary(lim, tower):
         r = lim(tower)
     except NotStabilized as exc:
         return str(exc), exc.chains
-    return (r.certificate, r.module.relation_hnf(), r.module.invariants(), r.carrier_rows)
+    return (r.certificate, r.module.relation_hnf(), r.module.invariants(), r.carriers)
 
 
 def solved_torsion_transitions(module, s, tower):
@@ -890,8 +899,10 @@ def solved_torsion_transitions(module, s, tower):
 def assert_echelon_routes_agree(module, s, depth):
     for build in (quotient_tower, torsion_tower, constant_hom_tower):
         tower = build(module, s, depth)
-        assert limit_summary(tower_lim, tower) == limit_summary(hnf_level_lim, tower), \
-            (module, s.generators, depth, build.__name__)
+        label = (module, s.generators, depth, build.__name__)
+        summary = limit_summary(tower_lim, tower)
+        assert summary == limit_summary(hnf_level_lim, tower), label
+        assert summary == limit_summary(echelon_level_lim, tower), label
     tor = torsion_tower(module, s, depth)
     for k, (new, old) in enumerate(zip(tor.transitions,
                                        solved_torsion_transitions(module, s, tor))):
