@@ -163,7 +163,10 @@ def _criterion(number: int, gate: tuple[str, float] | None = None):
 @_criterion(1, gate=("under_1ms", 1e-3))
 def criterion_1():
     listed = [mu(d) for d in range(5)]
-    closed_form = all(mu(d) == sum(range(d, 0, -2)) for d in range(101))
+    series = [0, 1]          # d + (d-2) + ... by S(d) = d + S(d-2)
+    for d in range(2, 101):
+        series.append(d + series[d - 2])
+    closed_form = all(mu(d) == total for d, total in enumerate(series))
     return (listed == [0, 1, 2, 4, 6] and closed_form,
             {"listed": listed, "closed_form_to_100": closed_form})
 

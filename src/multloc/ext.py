@@ -1,9 +1,10 @@
 """Ext groups for finite modules over Z and Z/N, with enumeration oracles.
 
-Engine route: over Z, the classical invariant-factor formula; over Z/N,
-the periodic free resolution of each cyclic factor
+Engine route: the free resolution of each cyclic factor, periodic over Z/N
 (... -> Z/N --N/d--> Z/N --d--> Z/N -> Z/d -> 0), so
 Ext^1(Z/d, B) = ker(N/d on B) / dB and Ext^2(Z/d, B) = ker(d on B) / (N/d)B.
+Over Z (N = 0) it stops at 0 -> Z --d--> Z -> Z/d -> 0: the kill N/d is 0,
+so Ext^1(Z/d, B) = B / dB, and Ext^2 = 0.
 Each quotient is presented on the kernel's own generators: the kernel's
 relations plus the coordinates of the image rows in its basis.  A step is a
 function of (B, kill, scale) alone, and certificate checks ask for the same
@@ -17,7 +18,6 @@ matrix normal forms involved.
 from __future__ import annotations
 
 import functools
-import math
 from itertools import product
 
 from .fpmod import FPModule, Morphism, merge_invariants
@@ -29,12 +29,7 @@ def ext1(a: FPModule, b: FPModule) -> tuple[int, ...]:
     if a.modulus != b.modulus:
         raise ValueError("modules live over different rings")
     n = a.modulus
-    if n == 0:
-        # Ext^1(Z, -) = 0 and Ext^1(Z/d, Z/e) = Z/gcd(d, e), with Z/e = Z at e = 0
-        b_inv = b.invariants()
-        return merge_invariants([(math.gcd(d, e),) for d in a.invariants() if d
-                                 for e in b_inv])
-    # Z/N is free over Z/N
+    # Z/N is free over Z/N, and Z over Z
     return merge_invariants(_resolution_step(b, n // d, d)
                             for d in a.invariants() if d != n)
 

@@ -27,10 +27,6 @@ class DimensionMismatch(Exception):
     """Poset dimension incompatible with the requested construction."""
 
 
-class BadChoice(Exception):
-    """A chosen element is not a generator of the indicated subset."""
-
-
 @dataclass(frozen=True)
 class PrimePoset:
     """Containment order on prime labels, kept as up-sets, with validated heights.
@@ -46,15 +42,16 @@ class PrimePoset:
     height: dict[str, int] = field(compare=False)
 
     @staticmethod
-    def from_lt(primes: list[str], lt_pairs: Iterable[tuple[str, str]]) -> "PrimePoset":
-        """Order generated by ``lt_pairs``.  Pairs are checked in the order
-        given and a cycle is named by its first prime in ``primes``, so an
-        error names the same culprit in every process."""
+    def from_covers(primes: list[str], covers: Iterable[tuple[str, str]]) -> "PrimePoset":
+        """Order generated by the pairs [lower, upper] in ``covers``, covers or
+        any other strict pairs: the order is their transitive closure.  Pairs
+        are checked in the order given and a cycle is named by its first prime
+        in ``primes``, so an error names the same culprit in every process."""
         primes_t = tuple(primes)
         if len(set(primes_t)) != len(primes_t):
             raise ValueError("duplicate prime identifiers")
         succ: dict[str, set[str]] = {p: set() for p in primes_t}
-        for a, b in lt_pairs:
+        for a, b in covers:
             if a not in succ or b not in succ:
                 raise ValueError(f"lt pair ({a!r}, {b!r}) mentions unknown prime")
             if a == b:
@@ -76,11 +73,6 @@ class PrimePoset:
         return PrimePoset(primes_t, up, _heights(primes_t, up))
 
     @staticmethod
-    def from_covers(primes: list[str], covers: list[tuple[str, str]]) -> "PrimePoset":
-        """Build from cover pairs [lower, upper]; the order is the transitive closure."""
-        return PrimePoset.from_lt(primes, covers)
-
-    @staticmethod
     def from_document(doc: dict) -> "PrimePoset":
         """Parse {"primes": [...], "covers": [[lower, upper], ...]}; ValueError
         naming the field when its shape is wrong."""
@@ -98,25 +90,12 @@ class PrimePoset:
     def dimension(self) -> int:
         return max(self.height.values(), default=0)
 
-    def less(self, a: str, b: str) -> bool:
-        return a != b and b in self.up.get(a, ())
-
     def primes_of_height(self, h: int) -> list[str]:
         return [p for p in self.primes if self.height[p] == h]
 
     def canonical_order(self) -> list[str]:
-        """Ascending height, then identifier: the default enumeration."""
+        """Ascending height, then identifier: the order the builders enumerate."""
         return sorted(self.primes, key=lambda p: (self.height[p], p))
-
-    def restrict(self, keep: set[str]) -> "PrimePoset":
-        """Induced subposet with heights recomputed inside the subset.
-
-        The restriction of a closed, acyclic order is closed and acyclic,
-        so the up-sets are only cut down to ``keep``.
-        """
-        primes = tuple(p for p in self.primes if p in keep)
-        up = {p: self.up[p].intersection(keep) for p in primes}
-        return PrimePoset(primes, up, _heights(primes, up))
 
     def to_document(self) -> dict:
         covers = []
@@ -222,11 +201,10 @@ def _height1_subset(poset: PrimePoset, prefix: str) -> MultSubsetModel:
         for p in sorted(poset.primes_of_height(1))))
 
 
-def build_pair_dim2(poset: PrimePoset, order: list[str] | None = None
-                    ) -> tuple[MultSubsetModel, MultSubsetModel]:
+def build_pair_dim2(poset: PrimePoset) -> tuple[MultSubsetModel, MultSubsetModel]:
     """Grow two subsets so that a prime of height h meets exactly h of them.
 
-    Processes primes in the given enumeration, keeping the running
+    Processes primes in ``poset.canonical_order()``, keeping the running
     invariants: minimal primes meet neither set, height-1 primes meet at
     most one, and every new element avoids the other set's height-1
     "U-primes" and all minimal primes (automatic in the generic model,
@@ -234,8 +212,6 @@ def build_pair_dim2(poset: PrimePoset, order: list[str] | None = None
     """
     if poset.dimension() > 2:
         raise DimensionMismatch(f"dimension {poset.dimension()} > 2")
-    order = list(order) if order is not None else poset.canonical_order()
-    _check_order(poset, order)
     minimal = poset.primes_of_height(0)
     gens: tuple[list[AbstractElement], ...] = ([], [])
     hit: tuple[set[str], ...] = (set(), set())
@@ -248,7 +224,7 @@ def build_pair_dim2(poset: PrimePoset, order: list[str] | None = None
         hit[k].update(e.locus)
         avoid[1 - k].update(q for q in e.locus if poset.height[q] == 1)
 
-    for step, p in enumerate(order):
+    for step, p in enumerate(poset.canonical_order()):
         h = poset.height[p]
         if h == 1 and p not in hit[0] and p not in hit[1]:
             grow(0, p, step)
@@ -260,14 +236,13 @@ def build_pair_dim2(poset: PrimePoset, order: list[str] | None = None
     return MultSubsetModel(tuple(gens[0])), MultSubsetModel(tuple(gens[1]))
 
 
-def build_wave(poset: PrimePoset, l: int, order: list[str] | None = None
-               ) -> list[MultSubsetModel]:
+def build_wave(poset: PrimePoset, l: int) -> list[MultSubsetModel]:
     """l subsets distinguishing the primes of height l and l-1 downwards.
 
-    Induction over the enumeration of height-(l-1) and height-l primes:
-    at each step the smallest-index prime that does not yet meet
-    height-many of the growing sets receives one new element, placed in
-    the first set it avoids.  The new element must avoid every "saturated"
+    Induction over the height-(l-1) and height-l primes in
+    ``poset.canonical_order()``: at each step the smallest-index prime that
+    does not yet meet height-many of the growing sets receives one new
+    element, placed in the first set it avoids.  The new element must avoid every "saturated"
     prime of height <= l-1 (saturated: already meeting height-many sets),
     which the generic element model grants automatically.  The induction
     stops as soon as every height-l/l-1 prime is saturated.
@@ -280,15 +255,12 @@ def build_wave(poset: PrimePoset, l: int, order: list[str] | None = None
         raise DimensionMismatch(f"wave level l={l} must be >= 2")
     if l > poset.dimension():
         raise DimensionMismatch(f"l={l} exceeds dimension {poset.dimension()}")
-    order = list(order) if order is not None else poset.canonical_order()
-    _check_order(poset, order)
-
     gens: list[list[AbstractElement]] = [[] for _ in range(l)]
     hit: list[set[str]] = [set() for _ in range(l)]
     missing = {p: min(h, l) for p, h in poset.height.items()}
     forbidden = set(poset.primes_of_height(0))
     step = 0
-    for target in order:
+    for target in poset.canonical_order():
         if poset.height[target] not in (l - 1, l):
             continue
         while missing[target] > 0:
@@ -306,53 +278,23 @@ def build_wave(poset: PrimePoset, l: int, order: list[str] | None = None
     return [MultSubsetModel(tuple(g)) for g in gens]
 
 
-def build_mu_family(poset: PrimePoset, order: list[str] | None = None
-                    ) -> DistinguishingFamily:
+def build_mu_family(poset: PrimePoset) -> DistinguishingFamily:
     """The full family: waves at levels d, d-2, ..., plus a height-1 tail for odd d.
 
     Waves are built independently on the same poset; the family has
     exactly mu(d) subsets.
     """
     d = poset.dimension()
-    order = list(order) if order is not None else poset.canonical_order()
     subsets: list[MultSubsetModel] = []
     level = d
     while level >= 2:
-        subsets.extend(build_wave(poset, level, order))
+        subsets.extend(build_wave(poset, level))
         level -= 2
     if d % 2 == 1:
         subsets.append(_height1_subset(poset, "tail"))
     fam = DistinguishingFamily(subsets=tuple(subsets), dimension=d)
     assert fam.count == mu(d)
     return fam
-
-
-def _check_order(poset: PrimePoset, order: list[str]) -> None:
-    if sorted(order) != sorted(poset.primes):
-        raise ValueError("order must list every prime exactly once")
-
-
-def spectrum_of_R_Js(poset: PrimePoset, family: DistinguishingFamily,
-                     J: set[int], s: dict[int, AbstractElement]) -> PrimePoset:
-    """Subposet of primes avoiding the inverted subsets and containing each chosen s_k.
-
-    J holds 0-based subset indices to invert; s maps every index outside J
-    to a generator of that subset (the element to annihilate).
-    """
-    m = family.count
-    J = set(J)
-    for j in J:
-        if not 0 <= j < m:
-            raise BadChoice(f"index {j} out of range")
-    complement = [k for k in range(m) if k not in J]
-    for k in complement:
-        if k not in s:
-            raise BadChoice(f"missing element choice for index {k}")
-        if s[k] not in family.subsets[k].generators:
-            raise BadChoice(f"chosen element for index {k} is not a generator")
-    keep = set(poset.primes).difference(*(family.subsets[j].hit_set() for j in J))
-    keep.intersection_update(*(s[k].locus for k in complement))
-    return poset.restrict(keep)
 
 
 @dataclass
@@ -389,22 +331,28 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
     """Check the pairwise property and the antichain property of all R_{J,s} spectra.
 
     (a) For every containment p < q some subset must miss p and meet q.
-    (b) No choice of (J, s) may leave a comparable pair in the subposet.
-        A pair survives some choice iff it survives the canonical one
-        J = {j : subset j misses q} (any valid J is squeezed between the
-        miss-sets of p and q, which must then coincide), so scanning the
-        canonical choice per pair is complete.  On top of that, all (J, s)
+    (b) No choice of (J, s) may leave a comparable pair in its spectrum:
+        the primes avoiding every subset in J and containing the chosen
+        generator s_k of every other subset k.  A pair survives some choice
+        iff it survives the canonical one J = {j : subset j misses q} (any
+        valid J is squeezed between the miss-sets of p and q, which must
+        then coincide), with s_k the first generator of subset k containing
+        p: an element's locus is an up-set, so it contains q too.  So
+        scanning the canonical choice per pair is complete.  On top of that, all (J, s)
         choices are enumerated outright while their number stays within
         ``exhaustive_budget``.
 
     Within the call each prime is a bit, assigned in label order, so sets of
     primes and of subset indices are ints and ascending bits are ascending
-    labels.  A choice keeps the AND of its chosen loci and the complements
-    of its inverted hit sets; restriction keeps the order, so the pairs that
-    survive it are the comparable pairs with both ends kept.
+    labels.  A choice is a combo of one (mask, generator) option per subset,
+    generator None for an inverted subset; it keeps the AND of its masks,
+    and since restriction keeps the order, the pairs that survive it are
+    the comparable pairs with both ends kept.  The canonical and the
+    enumerated choices go through the same combos.
     """
     labels = sorted(poset.primes)
     bit = {p: 1 << i for i, p in enumerate(labels)}
+    everything = (1 << len(labels)) - 1
     masks: dict[frozenset[str], int] = {}
 
     def mask(primes: frozenset[str]) -> int:
@@ -432,18 +380,14 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
                 failures.append((p, q))
             if miss[i] != miss[j]:
                 continue
-            # k outside J = miss[p] means p lies in subset k's hit set, so
-            # some generator of subset k contains p
-            J = set(_bits(miss[j]))
-            s_choice = {k: next(g for g in family.subsets[k].generators if p in g.locus)
-                        for k in range(m) if k not in J}
-            sub = spectrum_of_R_Js(poset, family, J, s_choice)
-            if sub.less(p, q):
-                anti_failures.append({
-                    "J": sorted(J),
-                    "s": {k: g.id for k, g in s_choice.items()},
-                    "pair": [p, q],
-                })
+            # k outside J = miss[q] = miss[p] means p lies in subset k's hit
+            # set, so some generator of subset k contains p
+            combo = [(everything & ~hits[k], None) if miss[j] >> k & 1 else
+                     next((mask(g.locus), g) for g in sub.generators if p in g.locus)
+                     for k, sub in enumerate(family.subsets)]
+            keep = _kept(combo, everything)
+            if keep >> i & keep >> j & 1:
+                anti_failures.append(_failure(combo, p, q))
     pairwise_ok = not failures
 
     checked = 0
@@ -454,19 +398,14 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
         if total > exhaustive_budget:
             break
     if total <= exhaustive_budget:
-        everything = (1 << len(labels)) - 1
         options = [[(mask(g.locus), g) for g in sub.generators] + [(everything & ~hit, None)]
                    for sub, hit in zip(family.subsets, hits)]
         for combo in product(*options):
-            keep = everything
-            for locus, _ in combo:
-                keep &= locus
+            keep = _kept(combo, everything)
             checked += 1
             for i in _bits(keep):
                 for j in _bits(above[i] & keep):
-                    rec = {"J": [k for k, (_, g) in enumerate(combo) if g is None],
-                           "s": {k: g.id for k, (_, g) in enumerate(combo) if g is not None},
-                           "pair": [labels[i], labels[j]]}
+                    rec = _failure(combo, labels[i], labels[j])
                     if rec not in anti_failures:
                         anti_failures.append(rec)
 
@@ -480,6 +419,21 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
         agreement=(pairwise_ok == antichain_ok),
         exhaustive_choices_checked=checked,
     )
+
+
+def _kept(combo, everything: int) -> int:
+    """Primes a (J, s) choice keeps: the AND of its combo's masks."""
+    keep = everything
+    for locus, _ in combo:
+        keep &= locus
+    return keep
+
+
+def _failure(combo, p: str, q: str) -> dict:
+    """Record of a comparable pair p < q that the choice ``combo`` keeps."""
+    return {"J": [k for k, (_, g) in enumerate(combo) if g is None],
+            "s": {k: g.id for k, (_, g) in enumerate(combo) if g is not None},
+            "pair": [p, q]}
 
 
 def _bits(x: int):

@@ -415,7 +415,7 @@ def _residue_card(base: BasePID, prime, deg: int | None):
 
 
 # ---------------------------------------------------------------------------
-# projectivity over Z/s and the finitely generated strong-flatness criterion
+# projectivity over Z/s
 # ---------------------------------------------------------------------------
 
 

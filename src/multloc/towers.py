@@ -502,14 +502,9 @@ class TelescopeHomologyReport:
                 "pass": self.passed()}
 
 
-def _dual(schedule: tuple[int, ...]) -> list[list[int]]:
-    """The row-convention dual of the two-term matrix."""
-    return [list(col) for col in zip(*_two_term(schedule))]
-
-
 @functools.cache
 def _dual_factors(schedule: tuple[int, ...]) -> list[int]:
-    return smith_normal_form(_dual(schedule))
+    return smith_normal_form(_two_term(schedule))
 
 
 @functools.cache
@@ -519,7 +514,9 @@ def _telescope_dual_homology(schedule: tuple[int, ...], d: int):
     Both groups come from the Smith factors of the matrix itself: modulo d
     the unimodular transforms stay invertible, so cokernel and kernel are
     the sums of those of the diagonal entries (Cohen, GTM 138, section 2.4).
-    A module over Z/N has every d dividing N, so N adds nothing.
+    A matrix and its transpose have the same invariant factors, so the
+    factors are read off the two-term matrix without transposing it.  A
+    module over Z/N has every d dividing N, so N adds nothing.
     """
     factors = _dual_factors(schedule)
     # x acts on Z/d with cokernel and kernel Z/gcd(x, d); on Z (d = 0) with
@@ -616,16 +613,6 @@ class FiveTermReport:
     def exact_everywhere(self) -> bool:
         return (self.injective_start and self.exact_at_hom_loc
                 and self.exact_at_module)
-
-    def to_document(self) -> dict:
-        return {"hom_from_localization_quotient": list(self.hom_loc_mod_r),
-                "hom_from_localization": list(self.hom_loc),
-                "module": list(self.module_invariants),
-                "delta": list(self.delta_invariants),
-                "ext": list(self.ext_invariants),
-                "exact": self.exact_everywhere(),
-                "lim1": self.lim1.to_document(),
-                "stable_index": self.stable_index}
 
 
 def _five_term_assemble(module: FPModule, tor: Tower, quo: Tower,

@@ -10,8 +10,9 @@ lattice on a second route (``echelon``) beside a morphism's Hermite form,
 and tower levels and the five-term iota went through it; today
 ``Morphism._hermite_forms`` is the only elimination with a transform, and
 ``Morphism.lift`` solves on its echelon rows.  The distinguishing verifier
-compared frozensets and restricted the poset for every (J, s) choice;
-today it works on bitmasks.
+compared frozensets and restricted the poset to Spec(R_{J,s}) for every
+(J, s) choice, the canonical one of each pair included; today both run as
+ANDs of bitmasks, and the restricted spectrum lives here only.
 """
 
 import functools
@@ -21,7 +22,7 @@ from itertools import product
 from multloc.fpmod import FPModule, Morphism, merge_invariants
 from multloc.intlinalg import (_eliminate, canonical_invariants, hnf_rows, identity,
                                lattice_member, mat_mul)
-from multloc.poset import DistinguishReport, spectrum_of_R_Js
+from multloc.poset import DistinguishReport, PrimePoset, _heights
 from multloc.towers import LimCertificate, NotStabilized, TowerLimit, _carriers
 
 
@@ -236,6 +237,43 @@ def comparable_pairs(poset) -> list[tuple[str, str]]:
     return sorted((p, q) for p in poset.primes for q in poset.up[p] if q != p)
 
 
+class BadChoice(Exception):
+    """A chosen element is not a generator of the indicated subset."""
+
+
+def restrict(poset, keep: set[str]) -> PrimePoset:
+    """Induced subposet with heights recomputed inside the subset.
+
+    The restriction of a closed, acyclic order is closed and acyclic,
+    so the up-sets are only cut down to ``keep``.
+    """
+    primes = tuple(p for p in poset.primes if p in keep)
+    up = {p: poset.up[p].intersection(keep) for p in primes}
+    return PrimePoset(primes, up, _heights(primes, up))
+
+
+def spectrum_of_R_Js(poset, family, J: set[int], s: dict) -> PrimePoset:
+    """Subposet of primes avoiding the inverted subsets and containing each chosen s_k.
+
+    J holds 0-based subset indices to invert; s maps every index outside J
+    to a generator of that subset (the element to annihilate).
+    """
+    m = family.count
+    J = set(J)
+    for j in J:
+        if not 0 <= j < m:
+            raise BadChoice(f"index {j} out of range")
+    complement = [k for k in range(m) if k not in J]
+    for k in complement:
+        if k not in s:
+            raise BadChoice(f"missing element choice for index {k}")
+        if s[k] not in family.subsets[k].generators:
+            raise BadChoice(f"chosen element for index {k} is not a generator")
+    keep = set(poset.primes).difference(*(family.subsets[j].hit_set() for j in J))
+    keep.intersection_update(*(s[k].locus for k in complement))
+    return restrict(poset, keep)
+
+
 def verify_distinguishing_by_sets(poset, family, exhaustive_budget=512) -> DistinguishReport:
     """The verifier on frozensets: miss-sets per prime, and one restricted
     poset per canonical and per enumerated (J, s) choice."""
@@ -256,7 +294,7 @@ def verify_distinguishing_by_sets(poset, family, exhaustive_budget=512) -> Disti
         s_choice = {k: next(g for g in family.subsets[k].generators if p in g.locus)
                     for k in range(m) if k not in J}
         sub = spectrum_of_R_Js(poset, family, J, s_choice)
-        if sub.less(p, q):
+        if q in sub.up.get(p, ()):
             anti_failures.append({"J": sorted(J),
                                   "s": {k: g.id for k, g in s_choice.items()},
                                   "pair": [p, q]})

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -13,7 +15,6 @@ from multloc.battery import poset_corpus
 from multloc.poset import (
     AbstractElement,
     AvoidanceImpossible,
-    BadChoice,
     DimensionMismatch,
     MultSubsetModel,
     PrimePoset,
@@ -23,12 +24,12 @@ from multloc.poset import (
     build_pair_dim2,
     build_wave,
     mu,
-    spectrum_of_R_Js,
     verify_distinguishing,
     DistinguishingFamily,
 )
 from multloc.randomgen import antichain_poset, chain_poset, diamond_poset, random_ranked_poset
-from reference_routes import comparable_pairs, verify_distinguishing_by_sets
+from reference_routes import (BadChoice, comparable_pairs, restrict, spectrum_of_R_Js,
+                              verify_distinguishing_by_sets)
 
 
 class TestMu:
@@ -58,8 +59,8 @@ class TestPoset:
         p = diamond_poset()
         assert p.height == {"q": 0, "p1": 1, "p2": 1, "m": 2}
         assert p.dimension() == 2
-        assert p.less("q", "m")
-        assert not p.less("p1", "p2")
+        assert "m" in p.up["q"]
+        assert "p2" not in p.up["p1"]
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
@@ -136,7 +137,7 @@ class TestAvoidance:
             forbidden = {q for q in poset.primes if q not in poset.up[target]}
             e = avoidance_element(poset, target, forbidden)
             assert all(q in e.locus for p in e.locus for q in poset.primes
-                       if poset.less(p, q))
+                       if p != q and q in poset.up[p])
             assert not (e.locus & forbidden)
 
 
@@ -307,7 +308,7 @@ class TestSpectrumRJs:
         s0 = fam.subsets[0].generators[0]
         s1 = fam.subsets[1].generators[0]
         sub = spectrum_of_R_Js(poset, fam, set(), {0: s0, 1: s1})
-        assert all(not sub.less(a, b) for a in sub.primes for b in sub.primes)
+        assert all(a == b or b not in sub.up[a] for a in sub.primes for b in sub.primes)
 
     def test_disjoint_choices_give_zero_ring(self):
         # two disjoint chains: choosing elements from different components
@@ -534,6 +535,22 @@ def planted_family(family, rng):
     return DistinguishingFamily(tuple(subsets), family.dimension)
 
 
+def quick_corpus_families():
+    """(poset, family, budget) per quick-corpus poset: its mu family, random
+    loci, and a planted failure enumerated under a raised budget."""
+    rng = random.Random(21)
+    for poset in quick_corpus():
+        mu_family = build_mu_family(poset)
+        for fam, budget in ((mu_family, 512), (random_locus_family(poset, rng), 512),
+                            (planted_family(mu_family, rng), PLANTED_BUDGET)):
+            yield poset, fam, budget
+
+
+# sha256 of json.dumps(docs, sort_keys=True) over the 180 verifier documents
+# of quick_corpus_families()
+QUICK_CORPUS_DOCS_SHA256 = "c1ff8dbb26321afc99f46af62bed7606c63f77cee02ae9d360520a7f9b024c6b"
+
+
 def generators(subsets):
     return [[(g.id, sorted(g.locus)) for g in sub.generators] for sub in subsets]
 
@@ -548,10 +565,10 @@ def check_order(poset):
 
 
 def check_restrict(poset, keep):
-    sub = poset.restrict(keep)
-    rebuilt = PrimePoset.from_lt([p for p in poset.primes if p in keep],
-                                 {(a, b) for a, b in comparable_pairs(poset)
-                                  if a in keep and b in keep})
+    sub = restrict(poset, keep)
+    rebuilt = PrimePoset.from_covers([p for p in poset.primes if p in keep],
+                                     {(a, b) for a, b in comparable_pairs(poset)
+                                      if a in keep and b in keep})
     assert sub == rebuilt
     assert sub.primes == rebuilt.primes
     assert comparable_pairs(sub) == comparable_pairs(rebuilt)
@@ -632,13 +649,41 @@ class TestAgainstScanningVersions:
                     == verify_distinguishing_by_sets(poset, fam, budget).to_document())
 
     def test_verifier_on_quick_corpus(self):
-        rng = random.Random(21)
         failing = 0
-        for poset in quick_corpus():
-            mu_family = build_mu_family(poset)
-            for fam, budget in ((mu_family, 512), (random_locus_family(poset, rng), 512),
-                                (planted_family(mu_family, rng), PLANTED_BUDGET)):
-                doc = verify_distinguishing(poset, fam, budget).to_document()
-                assert doc == verify_distinguishing_by_sets(poset, fam, budget).to_document()
-                failing += not doc["pass"]
+        for poset, fam, budget in quick_corpus_families():
+            doc = verify_distinguishing(poset, fam, budget).to_document()
+            assert doc == verify_distinguishing_by_sets(poset, fam, budget).to_document()
+            failing += not doc["pass"]
         assert failing > 0
+
+    def test_every_choice_keeps_its_spectrum(self, monkeypatch):
+        """The keep mask of every canonical and every enumerated choice is the
+        spectrum of its R_{J,s}."""
+        kept = poset_module._kept
+        seen = []
+
+        def spy(combo, everything):
+            keep = kept(combo, everything)
+            seen.append((combo, keep))
+            return keep
+
+        monkeypatch.setattr(poset_module, "_kept", spy)
+        canonical = 0
+        for poset, fam, budget in quick_corpus_families():
+            seen.clear()
+            checked = verify_distinguishing(poset, fam, budget).exhaustive_choices_checked
+            canonical += len(seen) - checked
+            labels = sorted(poset.primes)
+            for combo, keep in seen:
+                sub = spectrum_of_R_Js(poset, fam,
+                                       {k for k, (_, g) in enumerate(combo) if g is None},
+                                       {k: g for k, (_, g) in enumerate(combo) if g is not None})
+                assert keep == sum(1 << i for i, p in enumerate(labels) if p in sub.up)
+        assert canonical > 0
+
+    def test_verifier_documents_pinned(self):
+        docs = [verify_distinguishing(poset, fam, budget).to_document()
+                for poset, fam, budget in quick_corpus_families()]
+        assert sum(not doc["pass"] for doc in docs) == 92
+        assert (hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+                == QUICK_CORPUS_DOCS_SHA256)
