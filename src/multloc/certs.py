@@ -7,11 +7,16 @@ the level; kernel of a surjection onto a level-1 node yields level 2, and
 cokernel of an injection of a level-2 node into a level-1 node yields
 level 1.  Nodes may carry concrete payloads (presentations and maps over
 Z or Z/N), which the instantiation checker validates joint by joint.
+
+A node is a plain mutable object and a Certificate a named tuple, so
+creating the classes runs no generated code.  Like any tuple a Certificate
+iterates and compares equal to a plain tuple holding the same root; its
+document comes from ``to_document``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .fpmod import (
     FPModule,
@@ -71,13 +76,14 @@ SEED_TAGS = ("QuotientRingModule", "LocalizedRingModule",
              "AlmostCotorsionQuotient", "AlmostCotorsionLocalized", "Custom")
 
 
-@dataclass
 class CertNode:
-    kind: str
-    level: int
-    children: list["CertNode"] = field(default_factory=list)
-    tag: dict | None = None          # seeds only
-    payload: dict | None = None      # module, maps, stages...
+    def __init__(self, kind: str, level: int, children: list[CertNode] | None = None,
+                 tag: dict | None = None, payload: dict | None = None):
+        self.kind = kind
+        self.level = level
+        self.children = [] if children is None else children
+        self.tag = tag              # seeds only
+        self.payload = payload      # module, maps, stages...
 
     def module(self) -> FPModule | None:
         if self.payload is None:
@@ -85,9 +91,8 @@ class CertNode:
         return self.payload.get("module")
 
 
-@dataclass
-class Certificate:
-    root: CertNode
+class Certificate(namedtuple("Certificate", "root")):
+    __slots__ = ()
 
     def to_document(self) -> dict:
         return {"root": _node_to_doc(self.root)}

@@ -18,6 +18,11 @@ map with the second form of the next, so it eliminates nothing the two maps
 do not already hold.  The modules that ``cokernel`` and ``image`` return
 carry that HNF, and invariants start their Smith passes from a module's
 relation HNF.
+
+FPModule and Morphism are named tuples, so creating the classes runs no
+generated code: their fields are read-only, and equality and hashing go by
+the fields.  Like any tuple they also iterate, compare equal to a plain
+tuple of the same fields and serialize to JSON as lists.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import functools
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .intlinalg import (
     _diagonalize,
@@ -48,26 +53,22 @@ def merge_invariants(blocks) -> tuple[int, ...]:
     return canonical_invariants(flat, flat.count(0))
 
 
-@dataclass(frozen=True)
-class FPModule:
-    """Presentation of a module over Z (modulus 0) or Z/N (modulus N > 0)."""
+class FPModule(namedtuple("FPModule", "gens relations modulus")):
+    """Presentation of a module over Z (modulus 0) or Z/N (modulus N > 0);
+    relations are reduced modulo N."""
 
-    gens: int
-    relations: tuple[tuple[int, ...], ...] = ()
-    modulus: int = 0
+    _hnf = None   # the relation HNF, when the morphism that built it held it
 
-    def __post_init__(self):
-        if self.modulus < 0:
+    def __new__(cls, gens: int, relations: tuple[tuple[int, ...], ...] = (),
+                modulus: int = 0):
+        if modulus < 0:
             raise ValueError("modulus must be nonnegative")
-        for row in self.relations:
-            if len(row) != self.gens:
+        for row in relations:
+            if len(row) != gens:
                 raise ValueError("relation width does not match generator count")
-        if self.modulus:
-            object.__setattr__(
-                self,
-                "relations",
-                tuple(tuple(x % self.modulus for x in row) for row in self.relations),
-            )
+        if modulus:
+            relations = tuple(tuple(x % modulus for x in row) for row in relations)
+        return tuple.__new__(cls, (gens, relations, modulus))
 
     @staticmethod
     def from_presentation(rows: list[list[int]], gens: int | None = None,
@@ -102,9 +103,9 @@ class FPModule:
 
         A module returned by ``Morphism.cokernel`` or ``Morphism.image``
         holds the HNF its morphism computed, as an instance attribute that
-        is not a dataclass field (equality and hashing ignore it); any other
-        module computes it from its presentation."""
-        hnf = self.__dict__.get("_hnf")
+        is not a field (equality and hashing ignore it); any other module
+        computes it from its presentation."""
+        hnf = self._hnf
         return _relation_hnf(self.gens, self.relations, self.modulus) if hnf is None else hnf
 
     # -- structure -----------------------------------------------------------
@@ -129,21 +130,20 @@ class FPModule:
         return self.invariants() == ()
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(namedtuple("Morphism", "source target matrix")):
     """Module map source -> target given on generators by the rows of ``matrix``."""
 
-    source: FPModule
-    target: FPModule
-    matrix: tuple[tuple[int, ...], ...]
+    _forms = None   # set by the first ``_hermite_forms`` call
 
-    def __post_init__(self):
-        if len(self.matrix) != self.source.gens:
+    def __new__(cls, source: FPModule, target: FPModule,
+                matrix: tuple[tuple[int, ...], ...]):
+        if len(matrix) != source.gens:
             raise ValueError("matrix row count must equal source generator count")
-        width = self.target.gens
-        for row in self.matrix:
+        width = target.gens
+        for row in matrix:
             if len(row) != width:
                 raise ValueError("matrix width must equal target generator count")
+        return tuple.__new__(cls, (source, target, matrix))
 
     @staticmethod
     def make(source: FPModule, target: FPModule, rows: list[list[int]]) -> "Morphism":
@@ -210,7 +210,7 @@ class Morphism:
         lattice of S}: reduced on that part, they are its HNF (Cohen, GTM
         138, section 2.4).
         """
-        forms = self.__dict__.get("_forms")
+        forms = self._forms
         if forms is None:
             h, g = self.target.gens, self.source.gens
             pad = [0] * g
@@ -230,7 +230,7 @@ class Morphism:
             if len(pre) > 1:
                 _reduce_above_pivots(pre, [c - h for c in pivots[r:]])
             forms = (tuple(map(tuple, coker)), tuple(map(tuple, pre)), echelon)
-            object.__setattr__(self, "_forms", forms)
+            self._forms = forms
         return forms
 
     def lift(self, xs: list[list[int]]) -> list[list[int]] | None:
@@ -282,7 +282,7 @@ class Morphism:
         pre = self._hermite_forms()[1]
         img = FPModule.from_presentation(pre, gens=self.source.gens,
                                          modulus=self.target.modulus)
-        object.__setattr__(img, "_hnf", pre)
+        img._hnf = pre
         incl = Morphism.make(img, self.target, self.mat())
         return img, incl
 
@@ -294,7 +294,7 @@ class Morphism:
         rows = self.mat() + [list(r) for r in self.target.relations]
         coker = FPModule.from_presentation(rows, gens=self.target.gens,
                                            modulus=self.target.modulus)
-        object.__setattr__(coker, "_hnf", self._hermite_forms()[0])
+        coker._hnf = self._hermite_forms()[0]
         return coker
 
     def is_injective(self) -> bool:

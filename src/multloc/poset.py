@@ -10,12 +10,17 @@ total, while the verifier only ever looks at intersection patterns and is
 independent of the element model.  For the length of one call the verifier
 numbers the primes as bits, so its sets are ints; a PrimePoset keeps its
 up-sets as frozensets, its one representation of the order.
+
+The classes are named tuples, so creating them runs no generated code.
+Like any tuple they iterate, compare equal to a plain tuple of the same
+fields and serialize to JSON as lists; documents come from
+``to_document``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from itertools import product
 
 
@@ -27,19 +32,27 @@ class DimensionMismatch(Exception):
     """Poset dimension incompatible with the requested construction."""
 
 
-@dataclass(frozen=True)
-class PrimePoset:
+class PrimePoset(namedtuple("PrimePoset", "primes up height")):
     """Containment order on prime labels, kept as up-sets, with validated heights.
 
     ``up[p]`` holds the primes containing p, p included; it is also the
     locus of a generic element of p.  ``height[p]`` is the length of the
     longest chain below p.  Two posets are equal when they have the same
-    primes and the same order.
+    primes and the same order; the hash reads the primes only.
     """
 
-    primes: tuple[str, ...]
-    up: dict[str, frozenset[str]] = field(hash=False)
-    height: dict[str, int] = field(compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, PrimePoset):
+            return NotImplemented
+        return self.primes == other.primes and self.up == other.up
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.primes)
 
     @staticmethod
     def from_covers(primes: list[str], covers: Iterable[tuple[str, str]]) -> "PrimePoset":
@@ -117,23 +130,18 @@ def _heights(primes, up):
     return height
 
 
-@dataclass(frozen=True)
-class AbstractElement:
-    """Generic ring element: ``locus`` is the set of primes containing it."""
-
-    id: str
-    locus: frozenset[str]
+# generic ring element: ``locus`` is the set of primes containing it
+AbstractElement = namedtuple("AbstractElement", "id locus")
 
 
-@dataclass(frozen=True)
-class MultSubsetModel:
+class MultSubsetModel(namedtuple("MultSubsetModel", "generators", defaults=((),))):
     """Multiplicative subset presented by generator elements.
 
     The subset meets a prime iff some generator lies in it; products never
     enter a prime all of whose factors avoid it.
     """
 
-    generators: tuple[AbstractElement, ...] = ()
+    __slots__ = ()
 
     def intersects(self, p: str) -> bool:
         return any(p in g.locus for g in self.generators)
@@ -148,10 +156,8 @@ class MultSubsetModel:
         return [sorted(g.locus) for g in self.generators]
 
 
-@dataclass(frozen=True)
-class DistinguishingFamily:
-    subsets: tuple[MultSubsetModel, ...]
-    dimension: int
+class DistinguishingFamily(namedtuple("DistinguishingFamily", "subsets dimension")):
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -297,17 +303,12 @@ def build_mu_family(poset: PrimePoset) -> DistinguishingFamily:
     return fam
 
 
-@dataclass
-class DistinguishReport:
+class DistinguishReport(namedtuple("DistinguishReport", "pairwise_ok pairwise_witnesses "
+                                   "pairwise_failures antichain_ok antichain_failures "
+                                   "agreement exhaustive_choices_checked")):
     """Result of verify_distinguishing, as plain data."""
 
-    pairwise_ok: bool
-    pairwise_witnesses: dict[tuple[str, str], int]
-    pairwise_failures: list[tuple[str, str]]
-    antichain_ok: bool
-    antichain_failures: list[dict]
-    agreement: bool
-    exhaustive_choices_checked: int
+    __slots__ = ()
 
     def passed(self) -> bool:
         return self.pairwise_ok and self.antichain_ok and self.agreement

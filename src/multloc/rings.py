@@ -1,12 +1,17 @@
 """Concrete base rings Z and F_p[t], polynomials over them, and the
 Artinian checks for the two multiplicative subsets of P[x]:
 S1 = nonzero constants, S2 = polynomials of content 1.
+
+BasePID, Poly and the report are named tuples, so creating the classes runs
+no generated code.  Like any tuple they iterate, compare equal to a plain
+tuple of the same fields and serialize to JSON as lists; the report's
+document comes from ``to_document``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class ZeroPolynomial(Exception):
@@ -34,15 +39,15 @@ class NotADivisor(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasePID:
+class BasePID(namedtuple("BasePID", "p")):
     """Z when p is None, otherwise the polynomial ring F_p[t]."""
 
-    p: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __new__(cls, p: int | None = None):
+        if p is not None and not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return tuple.__new__(cls, (p,))
 
     @property
     def is_integers(self) -> bool:
@@ -230,22 +235,21 @@ def _is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Dense polynomial in x over the base PID, low-to-high coefficients."""
+class Poly(namedtuple("Poly", "base coefficients")):
+    """Dense polynomial in x over the base PID, low-to-high coefficients,
+    with zero top coefficients trimmed."""
 
-    base: BasePID
-    coefficients: tuple = ()
+    __slots__ = ()
 
     MAX_DEGREE = 64
 
-    def __post_init__(self):
-        coeffs = [self.base.normalize(c) for c in self.coefficients]
-        while coeffs and self.base.is_zero(coeffs[-1]):
+    def __new__(cls, base: BasePID, coefficients: tuple = ()):
+        coeffs = [base.normalize(c) for c in coefficients]
+        while coeffs and base.is_zero(coeffs[-1]):
             coeffs.pop()
-        if len(coeffs) - 1 > self.MAX_DEGREE:
-            raise ValueError(f"degree above the configured bound {self.MAX_DEGREE}")
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        if len(coeffs) - 1 > cls.MAX_DEGREE:
+            raise ValueError(f"degree above the configured bound {cls.MAX_DEGREE}")
+        return tuple.__new__(cls, (base, tuple(coeffs)))
 
     @staticmethod
     def over_z(coeffs: list[int]) -> "Poly":
@@ -297,13 +301,9 @@ def classify_S1_S2(f: Poly) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ArtinianQuadrupleReport:
-    s_factors: list[tuple[object, int]]
-    field_clause: dict
-    localization_mod_t: dict
-    per_prime: list[dict]
-    verdict: bool
+class ArtinianQuadrupleReport(namedtuple("ArtinianQuadrupleReport", "s_factors field_clause "
+                                         "localization_mod_t per_prime verdict")):
+    __slots__ = ()
 
     def to_document(self) -> dict:
         return {
@@ -335,7 +335,8 @@ def artinian_quadruple_check(s: Poly, t: Poly, factor_bound: int = 10 ** 6
         raise NotInS1(f"s must be a nonzero constant, got {s.coefficients}")
     _, t_in_s2 = classify_S1_S2(t)
     if not t_in_s2:
-        raise NotInS2(f"t must have content 1, got content {_fmt(content(t))}")
+        got = "the zero polynomial" if t.is_zero() else f"content {_fmt(content(t))}"
+        raise NotInS2(f"t must have content 1, got {got}")
 
     s_elt = s.coefficients[0]
     if base.is_unit(s_elt):

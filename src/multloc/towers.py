@@ -12,6 +12,11 @@ stage's image, and its one Hermite elimination (``fpmod``) both confirms
 the level and presents its stable image; the five-term sequence reads the
 limits' carriers and lifts through such a map.  lim^1 is only taken of
 towers of finite modules, where it is zero.
+
+Schedules, towers, limits and reports are named tuples, so creating the
+classes runs no generated code.  Like any tuple they iterate, compare
+equal to a plain tuple of the same fields and serialize to JSON as lists;
+their documents come from ``to_document``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .ext import _resolution_step
 from .fpmod import (
@@ -45,18 +50,20 @@ class NotStabilized(Exception):
         self.chains = chains or []
 
 
-@dataclass(frozen=True)
-class MultSubsetSeq:
-    """Multiplicative subset given by nonzero integer generators; it acts
-    on modules over Z and over Z/N alike."""
+class MultSubsetSeq(namedtuple("MultSubsetSeq", "generators")):
+    """Multiplicative subset given by nonzero integer generators, stored as
+    a tuple; it acts on modules over Z and over Z/N alike."""
 
-    generators: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.generators:
+    def __new__(cls, generators):
+        generators = tuple(generators)
+        if not generators:
             raise ValueError("at least one generator is required")
-        if any(g == 0 for g in self.generators):
+        if not all(isinstance(g, int) and not isinstance(g, bool) and g
+                   for g in generators):
             raise ValueError("generators must be nonzero integers")
+        return tuple.__new__(cls, (generators,))
 
     def s(self, n: int) -> int:
         """The n-th scheduled element (1-based), round-robin."""
@@ -147,8 +154,8 @@ def cyclic_completion_oracle(d: int, generators) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Tower:
+class Tower(namedtuple("Tower", "stages transitions period t_values stage_inclusions",
+                       defaults=((), None))):
     """Stages M_1 .. M_N with transitions M_{n+1} -> M_n.
 
     ``stage_inclusions`` (torsion towers only) realize each stage inside the
@@ -164,11 +171,7 @@ class Tower:
     lies past that point wherever the limits are read (39 in this example).
     """
 
-    stages: list[FPModule]
-    transitions: list[Morphism]
-    period: int
-    t_values: list[int] = field(default_factory=list)
-    stage_inclusions: list[Morphism] | None = None
+    __slots__ = ()
 
     def window(self) -> int:
         return self.period
@@ -260,17 +263,12 @@ def constant_hom_tower(module: FPModule, seq: MultSubsetSeq,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LimCertificate:
-    stable_index: int            # 0-based stage index of the returned carrier
-    verified_through: int        # highest 0-based index with window-checked images
+# stable_index: 0-based stage index of the returned carrier;
+# verified_through: highest 0-based index with window-checked images
+LimCertificate = namedtuple("LimCertificate", "stable_index verified_through")
 
-
-@dataclass
-class TowerLimit:
-    module: FPModule
-    carriers: list[list[list[int]]]   # per stage i, the top stage's generators in stage i
-    certificate: LimCertificate
+# carriers: per stage i, the top stage's generators in stage i
+TowerLimit = namedtuple("TowerLimit", "module carriers certificate")
 
 
 def _carriers(tower: Tower, top: int) -> list[list[list[int]]]:
@@ -364,10 +362,10 @@ def tower_lim(tower: Tower) -> TowerLimit:
     return TowerLimit(module=level(i0).image()[0], carriers=carrier, certificate=cert)
 
 
-@dataclass(frozen=True)
-class Lim1Verdict:
-    verdict: str                  # always "zero"
-    certificate_kind: str         # always "finite_stages"
+class Lim1Verdict(namedtuple("Lim1Verdict", "verdict certificate_kind")):
+    """verdict is always "zero", certificate_kind always "finite_stages"."""
+
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return self.verdict == "zero"
@@ -397,8 +395,8 @@ def tower_lim1(tower: Tower) -> Lim1Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TelescopeComplex:
+class TelescopeComplex(namedtuple("TelescopeComplex", "n schedule companion differential "
+                                   "two_term f0 f1 g0 g1 homotopy")):
     """Two-term free complex of rank (n, n) whose dual computes M/t_nM and the
     t_n-torsion of M.
 
@@ -410,16 +408,7 @@ class TelescopeComplex:
     the equivalence with multiplication by t_n.
     """
 
-    n: int
-    schedule: tuple[int, ...]
-    companion: int
-    differential: list[list[int]]
-    two_term: list[list[int]]
-    f0: list[list[int]]
-    f1: list[list[int]]
-    g0: list[list[int]]
-    g1: list[list[int]]
-    homotopy: list[list[int]]
+    __slots__ = ()
 
     def verify_witnesses(self) -> dict:
         """Check unimodularity, both chain-map squares, the retraction
@@ -486,12 +475,9 @@ def _two_term(s) -> list[list[int]]:
     return two_term
 
 
-@dataclass
-class TelescopeHomologyReport:
-    h0_engine: tuple[int, ...]
-    h1_engine: tuple[int, ...]
-    h0_direct: tuple[int, ...]
-    h1_direct: tuple[int, ...]
+class TelescopeHomologyReport(namedtuple("TelescopeHomologyReport",
+                                          "h0_engine h1_engine h0_direct h1_direct")):
+    __slots__ = ()
 
     def passed(self) -> bool:
         return self.h0_engine == self.h0_direct and self.h1_engine == self.h1_direct
@@ -553,13 +539,9 @@ def telescope_homology_check(seq: MultSubsetSeq, n: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DeltaReport:
-    lim1: Lim1Verdict
-    lambda_invariants: tuple[int, ...]
-    lambda_stable_index: int
-    delta_invariants: tuple[int, ...]
-    delta_equals_lambda: bool
+class DeltaReport(namedtuple("DeltaReport", "lim1 lambda_invariants lambda_stable_index "
+                             "delta_invariants delta_equals_lambda")):
+    __slots__ = ()
 
     def to_document(self) -> dict:
         return {"lim1": self.lim1.to_document(),
@@ -597,18 +579,13 @@ def delta_truncated(module: FPModule, seq: MultSubsetSeq,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FiveTermReport:
-    hom_loc_mod_r: tuple[int, ...]     # maps from localization-over-ring quotient
-    hom_loc: tuple[int, ...]           # maps from the localization
-    module_invariants: tuple[int, ...]
-    delta_invariants: tuple[int, ...]
-    ext_invariants: tuple[int, ...]
-    exact_at_hom_loc: bool
-    exact_at_module: bool
-    injective_start: bool
-    lim1: Lim1Verdict
-    stable_index: int
+class FiveTermReport(namedtuple("FiveTermReport", "hom_loc_mod_r hom_loc module_invariants "
+                                "delta_invariants ext_invariants exact_at_hom_loc "
+                                "exact_at_module injective_start lim1 stable_index")):
+    """hom_loc_mod_r: maps from the localization-over-ring quotient;
+    hom_loc: maps from the localization."""
+
+    __slots__ = ()
 
     def exact_everywhere(self) -> bool:
         return (self.injective_start and self.exact_at_hom_loc
@@ -711,12 +688,8 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Failure:
-    """Evidence of a NotStabilized, kept instead of the exception itself."""
-
-    message: str
-    chains: list
+# evidence of a NotStabilized, kept instead of the exception itself
+_Failure = namedtuple("_Failure", "message chains")
 
 
 def _limit(tower: Tower) -> TowerLimit | _Failure:
@@ -733,13 +706,10 @@ def _unwrap(part):
     return part
 
 
-@dataclass(frozen=True)
-class _CyclicCompletion:
-    """What Delta and the five-term check read for one cyclic factor:
-    invariants and verdicts only, never towers."""
-
-    delta: DeltaReport | _Failure
-    five_term: dict | _Failure | None      # None for a free factor
+# what Delta and the five-term check read for one cyclic factor, invariants
+# and verdicts only, never towers: delta, a DeltaReport or _Failure, and
+# five_term, a dict or _Failure (None for a free factor)
+_CyclicCompletion = namedtuple("_CyclicCompletion", "delta five_term")
 
 
 @functools.cache

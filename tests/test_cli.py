@@ -119,6 +119,18 @@ class TestArtinian:
         code, _, _ = run_cli(["artinian", "--s", "2", "--t", "0,2"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("args", [
+        ["--s", "2", "--t", "0"],
+        ["--s", "2", "--t", ""],
+        ["--s", "2", "--t", "0,0"],
+        ["--base", "gfp:5", "--s", "1", "--t", "0"],
+    ])
+    def test_zero_t_is_not_in_s2(self, args, capsys):
+        code, out, err = run_cli(["artinian", *args, "--format", "structured"], capsys)
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"error": {
+            "kind": "NotInS2", "message": "t must have content 1, got the zero polynomial"}}
+
     def test_gfp_base(self, capsys):
         # over F_2[t]: s = t^2 + t, f = x + t
         code, out, _ = run_cli(["artinian", "--base", "gfp:2",

@@ -148,6 +148,17 @@ class TestArtinianQuadruple:
         with pytest.raises(NotInS2):
             artinian_quadruple_check(Poly.over_z([6]), Poly.over_z([4, 2]))
 
+    @pytest.mark.parametrize("coeffs", [[], [0], [0, 0]])
+    def test_zero_t_is_not_in_s2_over_z(self, coeffs):
+        with pytest.raises(NotInS2, match="got the zero polynomial$"):
+            artinian_quadruple_check(Poly.over_z([3]), Poly.over_z(coeffs))
+
+    @pytest.mark.parametrize("coeffs", [(), ((0,),), ((), (5, 0))])
+    def test_zero_t_is_not_in_s2_over_fp_t(self, coeffs):
+        base = BasePID(p=5)
+        with pytest.raises(NotInS2, match="got the zero polynomial$"):
+            artinian_quadruple_check(Poly(base, ((1,),)), Poly(base, coeffs))
+
     def test_not_in_s1(self):
         with pytest.raises(NotInS1):
             artinian_quadruple_check(Poly.over_z([0]), Poly.over_z([0, 1]))

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -66,6 +65,20 @@ class TestSchedule:
             MultSubsetSeq(generators=())
         with pytest.raises(ValueError):
             MultSubsetSeq(generators=(0,))
+
+    def test_generators_stored_as_a_tuple(self):
+        s = MultSubsetSeq(generators=[2, 3])
+        assert s.generators == (2, 3) and isinstance(s.generators, tuple)
+        assert s == MultSubsetSeq((2, 3)) and hash(s) == hash(MultSubsetSeq((2, 3)))
+        # the completion memo keys on the schedule, so it must hash
+        assert five_term_check(z_mod(12), s).exact_everywhere()
+        assert delta_truncated(z_mod(12), s).lambda_invariants == (12,)
+
+    @pytest.mark.parametrize("gens", [(2.5,), (2, 2.0), (True,), (2, False), ("2",),
+                                      (2, None)])
+    def test_non_integers_rejected(self, gens):
+        with pytest.raises(ValueError, match="^generators must be nonzero integers$"):
+            MultSubsetSeq(generators=gens)
 
 
 class TestTowers:
@@ -178,11 +191,11 @@ class TestTelescope:
     def test_substitution_unimodular_reads_the_differential(self):
         tc = telescope_complex(seq(2), 2)
         # det 2: a 2 on the diagonal makes the substitution not invertible over Z
-        doubled = dataclasses.replace(tc, differential=[[1, 0], [-2, 2]])
+        doubled = tc._replace(differential=[[1, 0], [-2, 2]])
         assert not doubled.verify_witnesses()["substitution_unimodular"]
         assert not doubled.verify_witnesses()["all_ok"]
         # det 1 but not triangular
-        unimodular = dataclasses.replace(tc, differential=[[3, 1], [2, 1]])
+        unimodular = tc._replace(differential=[[3, 1], [2, 1]])
         assert unimodular.verify_witnesses()["substitution_unimodular"]
 
     def test_witnesses_random(self):
