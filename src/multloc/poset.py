@@ -134,7 +134,7 @@ def _heights(primes, up):
 AbstractElement = namedtuple("AbstractElement", "id locus")
 
 
-class MultSubsetModel(namedtuple("MultSubsetModel", "generators", defaults=((),))):
+class MultSubsetModel(namedtuple("MultSubsetModel", "generators")):
     """Multiplicative subset presented by generator elements.
 
     The subset meets a prime iff some generator lies in it; products never
