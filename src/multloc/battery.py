@@ -27,6 +27,7 @@ import signal
 import sys
 import time
 
+from . import RULE_REFS
 from .certs import (
     Certificate,
     LevelViolation,
@@ -68,20 +69,6 @@ from .towers import (
     telescope_homology_check,
     weakly_cotorsion_report,
 )
-
-RULE_REFS = {
-    1: "closest-integer-subset-count",
-    2: "distinguishing-family-pairwise-antichain-equivalence",
-    3: "two-subset-exact-height-intersection",
-    4: "constant-and-primitive-polynomial-artinian-quadruple",
-    5: "telescope-two-term-reduction-homology",
-    6: "completion-torsion-limit-exact-sequence",
-    7: "weakly-cotorsion-free-rank-rule",
-    8: "cyclic-projectivity-coprimality-rule",
-    9: "obtainability-certificate-soundness",
-    10: "seed-orthogonality-propagation",
-    11: "seeded-run-determinism",
-}
 
 
 def abelian_groups_upto(n: int) -> list[tuple[int, ...]]:

@@ -251,15 +251,24 @@ def verify_certificate(cert: Certificate) -> int:
 
 
 def instantiate_and_check(cert: Certificate) -> dict:
-    """Validate the concrete payloads: every construction joint is checked
+    """Validate the concrete payloads: every node module and tower stage is
+    over the root module's ring, and every construction joint is checked
     with exact presentation arithmetic.  Raises PayloadMismatch with the
-    first failing joint."""
+    first failing node."""
     count = 0
 
     def need(node: CertNode, path: str) -> FPModule:
         if node.payload is None or "module" not in node.payload:
             raise PayloadMismatch(path, "payload with a module is required")
         return node.payload["module"]
+
+    # the calculus is for modules over one ring R
+    ring = need(cert.root, "root").modulus
+
+    def same_ring(mod: FPModule, path: str, name: str) -> None:
+        if mod.modulus != ring:
+            raise PayloadMismatch(path, f"{name} has modulus {mod.modulus}, "
+                                        f"not the root's {ring}")
 
     def mk_map(rows, src: FPModule, tgt: FPModule, path: str, name: str) -> Morphism:
         try:
@@ -274,6 +283,7 @@ def instantiate_and_check(cert: Certificate) -> dict:
         nonlocal count
         count += 1
         mod = need(node, path)
+        same_ring(mod, path, "module")
         kids = [walk(c, f"{path}.{i}") for i, c in enumerate(node.children)]
         p = node.payload
         if node.kind == "Seed":
@@ -313,6 +323,8 @@ def instantiate_and_check(cert: Certificate) -> dict:
             trans = p.get("transitions")
             if stages is None or trans is None or len(trans) != len(stages) - 1:
                 raise PayloadMismatch(path, "stage/transition data is inconsistent")
+            for i, stage in enumerate(stages):
+                same_ring(stage, path, f"stage {i}")
             if len(stages) != len(kids):
                 raise PayloadMismatch(path, "one child is required per tower kernel")
             if stages[0].invariants() != kids[0].invariants():

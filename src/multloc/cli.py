@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .battery import RULE_REFS, run_battery
+from . import RULE_REFS
 from .certs import (
     Certificate,
     LevelViolation,
@@ -246,6 +246,8 @@ def cmd_verify_cert(args) -> int:
 
 
 def cmd_battery(args) -> int:
+    # imported here: no other command needs the battery and its corpora
+    from .battery import run_battery
     doc, timings = run_battery(seed=args.seed, quick=args.quick)
     if args.format == "structured":
         print(json.dumps(doc, sort_keys=True, indent=2))

@@ -10,8 +10,12 @@ Tower); limits that the truncation cannot confirm raise NotStabilized.
 Each level of a tower is a morphism from one free module onto the top
 stage's image, and its one Hermite elimination (``fpmod``) both confirms
 the level and presents its stable image; the five-term sequence reads the
-limits' carriers and lifts through such a map.  lim^1 is only taken of
-towers of finite modules, where it is zero.
+limits' carriers and lifts through such a map.  Each cyclic factor's
+completion (its quotient limit) and its five-term block are two memos, so
+Delta builds the quotient tower alone; a call that raises NotStabilized
+stores nothing and raises afresh.  lim^1 is not computed: the torsion tower
+of a finitely generated module has finite stages, where it is zero
+(``Lim1Verdict``).
 
 Schedules, towers, limits and reports are named tuples, so creating the
 classes runs no generated code.  Like any tuple they iterate, compare
@@ -21,7 +25,6 @@ their documents come from ``to_document``.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from collections import namedtuple
@@ -363,7 +366,11 @@ def tower_lim(tower: Tower) -> TowerLimit:
 
 
 class Lim1Verdict(namedtuple("Lim1Verdict", "verdict certificate_kind")):
-    """verdict is always "zero", certificate_kind always "finite_stages"."""
+    """lim^1 of the torsion tower of a finitely generated module, which is
+    zero: the stages are finite, so every image chain stabilizes and the
+    tower is Mittag-Leffler (Weibel, An Introduction to Homological Algebra,
+    Prop. 3.5.7).  So verdict is always "zero", certificate_kind always
+    "finite_stages"."""
 
     __slots__ = ()
 
@@ -377,17 +384,6 @@ class Lim1Verdict(namedtuple("Lim1Verdict", "verdict certificate_kind")):
 
 
 FINITE_STAGES = Lim1Verdict(verdict="zero", certificate_kind="finite_stages")
-
-
-def tower_lim1(tower: Tower) -> Lim1Verdict:
-    """lim^1 of a tower of finite modules, which is zero: every image chain
-    lives in a finite module and so stabilizes, making the tower
-    Mittag-Leffler (Weibel, An Introduction to Homological Algebra,
-    Prop. 3.5.7).  Raises ValueError for a tower with an infinite stage.
-    """
-    if any(s.order() is None for s in tower.stages):
-        raise ValueError("lim^1 is only certified for towers of finite modules")
-    return FINITE_STAGES
 
 
 # ---------------------------------------------------------------------------
@@ -551,24 +547,37 @@ class DeltaReport(namedtuple("DeltaReport", "lim1 lambda_invariants lambda_stabl
                 "delta_equals_lambda": self.delta_equals_lambda}
 
 
+@functools.cache
+def _lambda_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
+                   depth: int | None) -> TowerLimit:
+    """The quotient limit of Z/d, whose module is the completion Lambda, at
+    ``depth`` stages, by default ``certified_depth(d, seq)``, where its
+    plateau is certified.  Raises NotStabilized when the tower keeps growing.
+    The memo keeps the module as a bare presentation (its relation HNF is
+    shared through ``_relation_hnf``) and no carriers, which no reader needs."""
+    module = FPModule.from_invariants([d], modulus=modulus)
+    depth = depth if depth is not None else certified_depth(d, seq)
+    lim = tower_lim(quotient_tower(module, seq, depth))
+    return TowerLimit(FPModule(*lim.module), None, lim.certificate)
+
+
 def delta_truncated(module: FPModule, seq: MultSubsetSeq,
                     depth: int | None = None) -> DeltaReport:
     """Contramodule reflector as (lim^1 of torsion tower, lim of quotient tower).
 
     Computed per cyclic factor and merged (all carriers are additive in the
     module).  The torsion tower of a finitely generated module has finite
-    stages, so lim^1 vanishes, the reflector agrees with the completion,
-    and the concrete module is the stable quotient stage.  Raises
+    stages, so lim^1 vanishes (``Lim1Verdict``), the reflector agrees with
+    the completion, and only the quotient limit is computed.  Raises
     NotStabilized when some factor's quotient tower keeps growing at depth.
     """
     _check_depth(depth)
-    blocks = [_unwrap(_complete_cyclic(d, module.modulus, seq, depth).delta)
-              for d in module.invariants()]
-    lam_inv = merge_invariants(b.lambda_invariants for b in blocks)
+    lims = [_lambda_cyclic(d, module.modulus, seq, depth) for d in module.invariants()]
+    lam_inv = merge_invariants(lim.module.invariants() for lim in lims)
     return DeltaReport(
         lim1=FINITE_STAGES,
         lambda_invariants=lam_inv,
-        lambda_stable_index=max((b.lambda_stable_index for b in blocks), default=0),
+        lambda_stable_index=max((lim.certificate.stable_index for lim in lims), default=0),
         delta_invariants=lam_inv,
         delta_equals_lambda=True,
     )
@@ -592,33 +601,35 @@ class FiveTermReport(namedtuple("FiveTermReport", "hom_loc_mod_r hom_loc module_
                 and self.exact_at_module)
 
 
-def _five_term_assemble(module: FPModule, tor: Tower, quo: Tower,
-                        lims: list[TowerLimit]) -> dict:
-    """One cyclic factor's five-term block from its towers and their limits
-    (torsion, constant, quotient), or a failure when the common stage index
-    lies above what some limit verified: a carrier realized there would not
-    be its limit's, and the terms read off it could be wrong.
+def _five_term_assemble(module: FPModule, seq: MultSubsetSeq, tor: Tower,
+                        lims: list[TowerLimit]) -> FiveTermReport:
+    """One cyclic factor's five-term report from its torsion tower and the
+    torsion, constant and quotient limits.  Raises NotStabilized when the
+    common stage index lies above what some limit verified: a carrier
+    realized there would not be its limit's, and the terms read off it
+    could be wrong.
 
     Otherwise n_star lies between each limit's ``stable_index`` and its
     ``verified_through``, where ``tower_lim`` has proved the relation lattice
-    among the carrier rows constant.  So L1 and L2 are the torsion and
-    constant limits' own modules, presented on their carrier rows at n_star
-    (``TowerLimit.carriers``), and need no elimination of their own.  iota
-    lifts the torsion carrier rows, taken into the module, through the map
-    that sends L2's generators to the constant carrier rows (``lift``)."""
+    among the carrier rows constant.  So L1, L2 and Lambda are the limits'
+    own modules: L1 and L2 presented on the torsion and constant carrier
+    rows at n_star (``TowerLimit.carriers``), and Lambda with the lattice of
+    the quotient stage n_star, so the quotient map pi is the identity on
+    generators.  None needs an elimination of its own.  iota lifts the
+    torsion carrier rows, taken into the module, through the map that sends
+    L2's generators to the constant carrier rows (``lift``)."""
     n_star = max(lim.certificate.stable_index for lim in lims)
     verified = [lim.certificate.verified_through for lim in lims]
     if n_star > min(verified):
-        return _Failure(f"carriers are realized at stage {n_star} but the torsion, "
-                        f"constant and quotient limits are verified through {verified}",
-                        [verified])
+        raise NotStabilized(f"carriers are realized at stage {n_star} but the torsion, "
+                            f"constant and quotient limits are verified through {verified}",
+                            chains=[verified])
 
     # every carrier at the common stage index
     tor_rows = lims[0].carriers[n_star]
     con_rows = lims[1].carriers[n_star]
-    l1, l2 = lims[0].module, lims[1].module
-    lam = quo.stages[n_star]
-    t_star = quo.t_values[n_star]
+    l1, l2, lam = (lim.module for lim in lims)
+    t_star = seq.t(n_star + 1)
 
     # iota: torsion-limit carrier into the constant-limit carrier, through
     # the ambient module
@@ -629,23 +640,37 @@ def _five_term_assemble(module: FPModule, tor: Tower, quo: Tower,
         iota = Morphism.make(l1, l2, iota_coeffs)
     ev = Morphism.make(l2, module, [[t_star * x for x in row] for row in con_rows])
     pi = Morphism.make(module, lam, identity(module.gens))
-    ext = pi.cokernel()
+    return FiveTermReport(
+        hom_loc_mod_r=l1.invariants(),
+        hom_loc=l2.invariants(),
+        module_invariants=module.invariants(),
+        delta_invariants=lam.invariants(),
+        ext_invariants=pi.cokernel().invariants(),
+        exact_at_hom_loc=ok_struct and is_exact_pair(iota, ev),
+        exact_at_module=is_exact_pair(ev, pi),
+        injective_start=ok_struct and iota.is_well_defined() and iota.is_injective(),
+        lim1=FINITE_STAGES,
+        stable_index=n_star,
+    )
 
-    injective_start = ok_struct and iota.is_well_defined() and iota.is_injective()
-    exact_at_l2 = ok_struct and is_exact_pair(iota, ev)
-    exact_at_module = is_exact_pair(ev, pi)
 
-    return {
-        "l1": l1.invariants(),
-        "l2": l2.invariants(),
-        "module": module.invariants(),
-        "lambda": lam.invariants(),
-        "ext": ext.invariants(),
-        "injective_start": injective_start,
-        "exact_at_l2": exact_at_l2,
-        "exact_at_module": exact_at_module,
-        "stable_index": n_star,
-    }
+@functools.cache
+def _five_term_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
+                      depth: int | None) -> FiveTermReport:
+    """The five-term report of Z/d, d > 0, from its torsion and constant
+    towers and the quotient limit of ``_lambda_cyclic``.  Raises
+    NotStabilized from the first of the torsion, constant and quotient
+    limits that does not certify, or from ``_five_term_assemble``.
+
+    By default the towers are ``certified_depth(d, seq)`` deep, where every
+    limit certifies and is verified at the carriers' stage n_star (see there).
+    """
+    module = FPModule.from_invariants([d], modulus=modulus)
+    n = depth if depth is not None else certified_depth(d, seq)
+    tor = torsion_tower(module, seq, n)
+    lims = [tower_lim(tor), tower_lim(constant_hom_tower(module, seq, n)),
+            _lambda_cyclic(d, modulus, seq, depth)]
+    return _five_term_assemble(module, seq, tor, lims)
 
 
 def five_term_check(module: FPModule, seq: MultSubsetSeq,
@@ -663,101 +688,33 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
     _check_depth(depth)
     if module.order() is None:
         raise ValueError("five-term check requires a finite module")
-    blocks = [_unwrap(_complete_cyclic(d, module.modulus, seq, depth).five_term)
-              for d in module.invariants()]
+    blocks = [_five_term_cyclic(d, module.modulus, seq, depth) for d in module.invariants()]
 
-    def merge(key):
-        return merge_invariants(b[key] for b in blocks)
+    def merge(field):
+        return merge_invariants(getattr(b, field) for b in blocks)
 
     return FiveTermReport(
-        hom_loc_mod_r=merge("l1"),
-        hom_loc=merge("l2"),
-        module_invariants=merge("module"),
-        delta_invariants=merge("lambda"),
-        ext_invariants=merge("ext"),
-        exact_at_hom_loc=all(b["exact_at_l2"] for b in blocks),
-        exact_at_module=all(b["exact_at_module"] for b in blocks),
-        injective_start=all(b["injective_start"] for b in blocks),
+        hom_loc_mod_r=merge("hom_loc_mod_r"),
+        hom_loc=merge("hom_loc"),
+        module_invariants=merge("module_invariants"),
+        delta_invariants=merge("delta_invariants"),
+        ext_invariants=merge("ext_invariants"),
+        exact_at_hom_loc=all(b.exact_at_hom_loc for b in blocks),
+        exact_at_module=all(b.exact_at_module for b in blocks),
+        injective_start=all(b.injective_start for b in blocks),
         lim1=FINITE_STAGES,
-        stable_index=max((b["stable_index"] for b in blocks), default=0),
+        stable_index=max((b.stable_index for b in blocks), default=0),
     )
-
-
-# ---------------------------------------------------------------------------
-# one completion record per cyclic factor, shared by Delta and five-term
-# ---------------------------------------------------------------------------
-
-
-# evidence of a NotStabilized, kept instead of the exception itself
-_Failure = namedtuple("_Failure", "message chains")
-
-
-def _limit(tower: Tower) -> TowerLimit | _Failure:
-    try:
-        return tower_lim(tower)
-    except NotStabilized as exc:
-        return _Failure(str(exc), exc.chains)
-
-
-def _unwrap(part):
-    """The stored part, or a fresh NotStabilized built from stored evidence."""
-    if isinstance(part, _Failure):
-        raise NotStabilized(part.message, chains=copy.deepcopy(part.chains))
-    return part
-
-
-# what Delta and the five-term check read for one cyclic factor, invariants
-# and verdicts only, never towers: delta, a DeltaReport or _Failure, and
-# five_term, a dict or _Failure (None for a free factor)
-_CyclicCompletion = namedtuple("_CyclicCompletion", "delta five_term")
-
-
-@functools.cache
-def _complete_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
-                     depth: int | None) -> _CyclicCompletion:
-    """Each tower built once, each limit taken once.  Delta needs the
-    quotient limit and the torsion lim^1; the five-term block also needs the
-    torsion and constant limits and fails with the first of torsion,
-    constant, quotient that does not stabilize, or when the carriers'
-    common stage lies above what a limit verified.
-
-    The default depth is ``certified_depth(d, seq)``: the quotient plateau
-    starts at n_star = n0 - 1 and is certified once the depth reaches
-    n0 + 2k; the torsion and constant limits sit at stage 0 and are
-    verified through level j once step(j + 1) + k stages exist, so levels
-    0..max(n_star, k) are verified at step(max(n0, k + 1)) + k.  Hence both
-    Delta and the five-term block succeed there; see ``certified_depth``
-    for the notation and the image formulas.
-    """
-    module = FPModule.from_invariants([d], modulus=modulus)
-    depth = depth if depth is not None else certified_depth(d, seq)
-    quo = quotient_tower(module, seq, depth)
-    tor = torsion_tower(module, seq, depth)
-    lim_quo = _limit(quo)
-    verdict = tower_lim1(tor)
-    if isinstance(lim_quo, _Failure):
-        delta = lim_quo
-    else:
-        lam_inv = lim_quo.module.invariants()
-        delta = DeltaReport(lim1=verdict, lambda_invariants=lam_inv,
-                            lambda_stable_index=lim_quo.certificate.stable_index,
-                            delta_invariants=lam_inv, delta_equals_lambda=True)
-    if d == 0:
-        return _CyclicCompletion(delta=delta, five_term=None)
-    con = constant_hom_tower(module, seq, depth)
-    lims = [_limit(tor), _limit(con), lim_quo]
-    failure = next((lim for lim in lims if isinstance(lim, _Failure)), None)
-    five_term = failure or _five_term_assemble(module, tor, quo, lims)
-    return _CyclicCompletion(delta=delta, five_term=five_term)
 
 
 def clear_caches() -> None:
     """Empty every cross-call memo of the package: relation HNFs and
-    invariants, the tower memos and Ext resolution steps.  Each holds a pure
-    function of its arguments, so this changes no answer, only the work
-    the next calls do."""
+    invariants, the per-factor quotient limits and five-term blocks, the
+    telescope homology and Ext resolution steps.  Each holds a pure function
+    of its arguments (a call that raises stores nothing), so this changes no
+    answer, only the work the next calls do."""
     for memo in (_relation_hnf, _invariants, _dual_factors, _telescope_dual_homology,
-                 _complete_cyclic, _resolution_step):
+                 _lambda_cyclic, _five_term_cyclic, _resolution_step):
         memo.cache_clear()
 
 

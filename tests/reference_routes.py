@@ -23,7 +23,8 @@ from multloc.fpmod import FPModule, Morphism, merge_invariants
 from multloc.intlinalg import (_eliminate, canonical_invariants, hnf_rows, identity,
                                lattice_member, mat_mul)
 from multloc.poset import DistinguishReport, PrimePoset, _heights
-from multloc.towers import LimCertificate, NotStabilized, TowerLimit, _carriers
+from multloc.towers import (FINITE_STAGES, FiveTermReport, LimCertificate, NotStabilized,
+                            TowerLimit, _carriers)
 
 
 def echelon(a: list[list[int]],
@@ -201,7 +202,7 @@ def ext_by_quotients(a: FPModule, b: FPModule, degree: int) -> tuple[int, ...]:
         for d in a.invariants() if d != n)
 
 
-def five_term_by_submodules(module, tor, con, quo, lims) -> dict:
+def five_term_by_submodules(module, tor, con, quo, lims) -> FiveTermReport:
     """One cyclic factor's five-term block with L1 and L2 presented by the
     relations among the carrier rows at the common stage index, and both
     exactness flags read from re-eliminated submodules."""
@@ -219,17 +220,18 @@ def five_term_by_submodules(module, tor, con, quo, lims) -> dict:
         iota = Morphism.make(l1, l2, iota_coeffs)
     ev = Morphism.make(l2, module, [[t_star * x for x in row] for row in con_rows])
     pi = Morphism.make(module, lam, identity(module.gens))
-    return {
-        "l1": l1.invariants(),
-        "l2": l2.invariants(),
-        "module": module.invariants(),
-        "lambda": lam.invariants(),
-        "ext": pi.cokernel().invariants(),
-        "injective_start": ok_struct and iota.is_well_defined() and iota.is_injective(),
-        "exact_at_l2": ok_struct and exact_by_submodules(iota, ev),
-        "exact_at_module": exact_by_submodules(ev, pi),
-        "stable_index": n_star,
-    }
+    return FiveTermReport(
+        hom_loc_mod_r=l1.invariants(),
+        hom_loc=l2.invariants(),
+        module_invariants=module.invariants(),
+        delta_invariants=lam.invariants(),
+        ext_invariants=pi.cokernel().invariants(),
+        exact_at_hom_loc=ok_struct and exact_by_submodules(iota, ev),
+        exact_at_module=exact_by_submodules(ev, pi),
+        injective_start=ok_struct and iota.is_well_defined() and iota.is_injective(),
+        lim1=FINITE_STAGES,
+        stable_index=n_star,
+    )
 
 
 def comparable_pairs(poset) -> list[tuple[str, str]]:

@@ -171,6 +171,26 @@ class TestInstantiate:
         with pytest.raises(PayloadMismatch, match="does not split"):
             instantiate_and_check(Certificate(root=root))
 
+    def test_children_over_another_ring_are_a_mismatch(self):
+        # inject and project check out on the presentations, but Z/2 over
+        # Z/2 is not a module over Z/4
+        root = CertNode(kind="Extension", level=1,
+                        children=[seed([2], modulus=2), seed([2], modulus=2)],
+                        payload={"module": FPModule.from_invariants([4], modulus=4),
+                                 "inject": [[2]], "project": [[1]]})
+        with pytest.raises(PayloadMismatch, match="^root.0: module has modulus 2, "
+                                                  "not the root's 4$"):
+            instantiate_and_check(Certificate(root=root))
+
+    def test_tower_stage_over_another_ring_is_a_mismatch(self):
+        cert = decompose_weakly_cotorsion(FPModule.from_invariants([8]), 2)
+        stages = cert.root.payload["stages"]
+        assert instantiate_and_check(cert)["ok"]
+        stages[1] = FPModule(stages[1].gens, stages[1].relations, 8)
+        with pytest.raises(PayloadMismatch, match="^root: stage 1 has modulus 8, "
+                                                  "not the root's 0$"):
+            instantiate_and_check(cert)
+
     def test_roundtrip_serialization(self):
         cert = decompose_weakly_cotorsion(FPModule.from_invariants([12]), 2)
         doc = cert.to_document()

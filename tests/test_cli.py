@@ -319,6 +319,25 @@ class TestVerifyCert:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "LevelViolation"
 
+    def test_certificate_over_two_rings(self, tmp_path, capsys):
+        def z2_over_z2():
+            return {"kind": "Seed", "level": 1, "children": [],
+                    "tag": {"kind": "Custom", "label": "z2"},
+                    "payload": {"module": {"gens": 1, "modulus": 2, "relations": [[2]]}}}
+        doc = {"root": {"kind": "Extension", "level": 1,
+                        "children": [z2_over_z2(), z2_over_z2()],
+                        "payload": {"module": {"gens": 1, "modulus": 4, "relations": [[4]]},
+                                    "inject": [[2]], "project": [[1]]}}}
+        path = tmp_path / "rings.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["verify-cert", str(path), "--format", "structured"],
+                               capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "level": 1, "rule_refs": ["obtainability-certificate-soundness"],
+            "error": {"kind": "PayloadMismatch",
+                      "message": "root.0: module has modulus 2, not the root's 4"}}
+
     @pytest.mark.parametrize("doc, where", [
         ([], "document"),
         ({}, "document"),

@@ -28,7 +28,6 @@ from multloc.towers import (
     telescope_homology_check,
     torsion_tower,
     tower_lim,
-    tower_lim1,
     weakly_cotorsion_report,
 )
 from reference_routes import (composite, echelon_level_lim, factor_through_submodule,
@@ -150,24 +149,6 @@ class TestTowerLim:
             trans.append(Morphism.make(stages[k + 1], stages[k], coeffs))
         lim2 = tower_lim(Tower(stages=stages, transitions=trans, period=1))
         assert lim2.module.invariants() == lim.module.invariants()
-
-
-class TestTowerLim1:
-    def test_finite_always_zero(self):
-        t = torsion_tower(z_mod(12), seq(2), 8)
-        v = tower_lim1(t)
-        assert v.is_zero()
-        assert v.certificate_kind == "finite_stages"
-
-    def test_constant_identity_zero(self):
-        m = z_mod(3)
-        t = Tower(stages=[m] * 6, transitions=[Morphism.identity(m)] * 5, period=1)
-        assert tower_lim1(t).is_zero()
-
-    def test_infinite_stage_rejected(self):
-        free = FPModule.from_presentation([], gens=1)
-        with pytest.raises(ValueError, match="finite"):
-            tower_lim1(constant_hom_tower(free, seq(2), 8))
 
 
 class TestTelescope:
@@ -446,6 +427,29 @@ class TestFailureEvidence:
                 delta_truncated(free, seq(2))
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("this tower must not be built")
+
+
+class TestPerFactorMemos:
+    """Delta reads only the quotient limit; the five-term block reads that
+    same memo entry and builds the other two towers itself."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        towers.clear_caches()
+
+    def test_cold_delta_builds_no_torsion_or_constant_tower(self, monkeypatch):
+        monkeypatch.setattr(towers, "torsion_tower", refuse)
+        monkeypatch.setattr(towers, "constant_hom_tower", refuse)
+        assert delta_truncated(z_mod(12), seq(2)).lambda_invariants == (4,)
+
+    def test_delta_after_five_term_builds_no_quotient_tower(self, monkeypatch):
+        five = five_term_check(z_mod(12), seq(2))
+        monkeypatch.setattr(towers, "quotient_tower", refuse)
+        assert delta_truncated(z_mod(12), seq(2)).lambda_invariants == five.delta_invariants
+
+
 def quadratic_image_chains(tower):
     """Per level, whether the final window confirms its image chain, by a
     scan: one HNF per (level, source) pair, composites built upwards from
@@ -621,26 +625,31 @@ class TestLatticeEqualityLimit:
 def compare_five_term_routes(d, modulus, s, depth) -> bool:
     """Assert that the five-term block of Z/d read from the limits' own
     modules agrees with the one whose L1 and L2 re-eliminate the relations
-    among the carrier rows at the common stage index, and so do the
-    lattices; False when no block exists at this depth."""
+    among the carrier rows at the common stage index, and whose Lambda is
+    the quotient stage there, and so do the lattices; the memoized block
+    agrees too.  False when no block exists at this depth."""
     module = FPModule.from_invariants([d], modulus=modulus)
     tor, con, quo = (build(module, s, depth)
                      for build in (torsion_tower, constant_hom_tower, quotient_tower))
-    lims = [towers._limit(t) for t in (tor, con, quo)]
-    if any(isinstance(lim, towers._Failure) for lim in lims):
+    try:
+        lims = [tower_lim(t) for t in (tor, con, quo)]
+    except NotStabilized:
         return False
-    block = towers._five_term_assemble(module, tor, quo, lims)
-    if isinstance(block, towers._Failure):
-        assert "carriers are realized" in block.message
+    try:
+        block = towers._five_term_assemble(module, s, tor, lims)
+    except NotStabilized as exc:
+        assert "carriers are realized" in str(exc)
         return False
     label = (d, modulus, s.generators, depth)
     assert block == five_term_by_submodules(module, tor, con, quo, lims), label
-    n_star = block["stable_index"]
+    assert block == towers._five_term_cyclic(d, modulus, s, depth), label
+    n_star = block.stable_index
     for tower, lim in ((tor, lims[0]), (con, lims[1])):
         rows = composite(tower, n_star, tower.depth - 1)
         assert lim.carriers[n_star] == rows, label
         assert lim.module.relation_hnf() == \
             submodule_on_rows(tower.stages[n_star], rows).relation_hnf(), label
+    assert lims[2].module.relation_hnf() == quo.stages[n_star].relation_hnf(), label
     return True
 
 

@@ -16,9 +16,12 @@ from multloc.towers import MultSubsetSeq
 
 
 def test_cli_import_loads_no_class_generation_modules():
+    """Nor the battery, which only ``multloc battery`` runs, with what it
+    alone imports."""
     src = str(Path(multloc.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import multloc.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'multloc.battery', "
+            "'multloc.randomgen', 'random', 'signal'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
