@@ -29,9 +29,10 @@ from .intlinalg import _saturate_divisor, identity
 from .towers import (
     MultSubsetSeq,
     certified_depth,
+    chain_lim,
     is_weakly_cotorsion_fg,
+    quotient_chain,
     quotient_tower,
-    tower_lim,
 )
 
 
@@ -399,8 +400,8 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
     depth = depth if depth is not None else max(
         certified_depth(d, seq) for d in canon.invariants())
     quo = quotient_tower(canon, seq, depth)
-    lim = tower_lim(quo)
-    n0 = lim.certificate.stable_index
+    n0 = max(chain_lim(quotient_chain(d, seq, depth)).certificate.stable_index
+             for d in canon.invariants())
     t_star = seq.t(n0 + 1)
 
     # the divisible part t*M, presented by its canonical relation HNF

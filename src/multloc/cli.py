@@ -362,7 +362,12 @@ def _dispatch(argv) -> int:
         return USAGE if exc.code else PASS
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except BrokenPipeError:
+        # an OSError from the output side, which main handles
+        raise
+    except (OSError, RecursionError, json.JSONDecodeError, KeyError) as exc:
+        # a path that is not a readable file, or a document that is not JSON
+        # or is nested deeper than the JSON reader recurses
         print(f"input error: {exc!r}", file=sys.stderr)
         return USAGE
     except ValueError as exc:

@@ -3,19 +3,19 @@ finite modules; torsion, completion and the telescope complex.
 
 The schedule is round-robin over the generator list, so every generator
 recurs infinitely often; t_n is the product of the first n scheduled
-elements (t_0 = 1).  Inverse limits of truncated towers are computed as
-eventual stable images, checked by a stability window spanning one full
-schedule period (a certificate only once the stages stop growing; see
-Tower); limits that the truncation cannot confirm raise NotStabilized.
-Each level of a tower is a morphism from one free module onto the top
-stage's image, and its one Hermite elimination (``fpmod``) both confirms
-the level and presents its stable image; the five-term sequence reads the
-limits' carriers and lifts through such a map.  Each cyclic factor's
-completion (its quotient limit) and its five-term block are two memos, so
-Delta builds the quotient tower alone; a call that raises NotStabilized
-stores nothing and raises afresh.  lim^1 is not computed: the torsion tower
-of a finitely generated module has finite stages, where it is zero
-(``Lim1Verdict``).
+elements (t_0 = 1).  Every limit the package takes is of a cyclic factor
+Z/d (Z for d = 0), whose quotient, torsion and constant towers have cyclic
+stages, so each tower is a ``Chain`` of stage orders and transition
+scalars.  Its inverse limit is the eventual stable image, checked by a
+stability window spanning one full schedule period (a certificate only
+once the stages stop growing; see ``Chain``), and ``chain_lim`` decides
+both with gcds; limits that the truncation cannot confirm raise
+NotStabilized.  The five-term sequence still builds its maps as ``fpmod``
+morphisms on one generator and checks their exactness there.  Each cyclic
+factor's completion (its quotient limit) and its five-term block are two
+memos; a call that raises NotStabilized stores nothing and raises afresh.
+lim^1 is not computed: the torsion tower of a finitely generated module
+has finite stages, where it is zero (``Lim1Verdict``).
 
 Schedules, towers, limits and reports are named tuples, so creating the
 classes runs no generated code.  Like any tuple they iterate, compare
@@ -39,8 +39,7 @@ from .fpmod import (
     is_exact_pair,
     merge_invariants,
 )
-from .intlinalg import (_saturate_divisor, hnf_rows, identity, lattice_coordinates,
-                        lattice_member, mat_mul, smith_normal_form)
+from .intlinalg import _saturate_divisor, hnf_rows, identity, mat_mul, smith_normal_form
 
 DEFAULT_DEPTH = 12
 
@@ -88,8 +87,9 @@ def _check_depth(depth: int | None) -> None:
 
 
 def certified_depth(d: int, seq: MultSubsetSeq) -> int:
-    """Least depth at which every tower of Z/d certifies its limit and the
-    five-term carriers are verified where they are realized.
+    """Least depth at which every chain of Z/d (``Chain``) certifies its
+    limit and each limit is verified at the stage where the five-term
+    sequence reads it.
 
     k is the schedule period, d_S the largest divisor of d built from primes
     dividing some generator (gcd peeling, no factoring), and step(a) the
@@ -100,27 +100,27 @@ def certified_depth(d: int, seq: MultSubsetSeq) -> int:
 
     which equals max(n0 + 2k, step(n0) + k, step(k + 1) + k, 2k + 1)
     because step is monotone and step(a) >= a; it is 2k + 1 when d_S = 1.
-    Stage i of each tower belongs to t_{i+1}, and a = v_p(d).
+    Stage i of each chain belongs to t_{i+1}, and a = v_p(d).
 
-    - Quotient tower, stages Z/gcd(d, t_{i+1}): a run of k + 1 equal stages
+    - Quotient chain, orders gcd(d, t_{i+1}): a run of k + 1 equal stages
       means one full period leaves gcd(d, t) unchanged, which happens
       exactly once t saturates d_S.  So the only plateau the window accepts
       is the true one, from stage max(n0 - 1, 0) on, and certifying it
-      needs the top confirmed level N - k - 1 to lie k above it:
+      needs the top confirmed stage N - k - 1 to lie k above it:
       N >= n0 + 2k.
-    - Torsion and constant towers: the image of level j from level m has
+    - Torsion and constant chains: the image of stage m in stage j has
       p-part p^max(0, a - v_p(t_{m+1} / t_{j+1})) once t_{m+1} saturates d
-      (always, for the constant tower); before that the torsion image is
+      (always, for the constant chain); before that the torsion image is
       all of p^v_p(t_{j+1}).  With t_{N-k} saturated, a window of one
-      period therefore confirms level j exactly when t_{N-k} / t_{j+1}
+      period therefore confirms stage j exactly when t_{N-k} / t_{j+1}
       saturates d_S, i.e. step(j + 1) <= N - k, and every confirmed image
       is the same (zero, resp. Z/(d/d_S)), so the limit sits at stage 0.
-      The iso window needs levels 0..k confirmed (N >= step(k + 1) + k),
-      and the five-term assembly realizes its carriers at n_star = n0 - 1,
+      The iso window needs stages 0..k confirmed (N >= step(k + 1) + k),
+      and the five-term sequence reads every limit at n_star = n0 - 1,
       which must be confirmed too (N >= step(n0) + k).
 
     One stage fewer breaks the condition that set the maximum (the
-    quotient window, or the confirmation of level k or n_star), so no
+    quotient window, or the confirmation of stage k or n_star), so no
     smaller depth certifies the five-term block.
 
     A free factor (d = 0) never stabilizes; it gets max(DEFAULT_DEPTH,
@@ -153,31 +153,17 @@ def cyclic_completion_oracle(d: int, generators) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# towers
+# towers and chains
 # ---------------------------------------------------------------------------
 
 
-class Tower(namedtuple("Tower", "stages transitions period t_values stage_inclusions",
-                       defaults=((), None))):
-    """Stages M_1 .. M_N with transitions M_{n+1} -> M_n.
-
-    ``stage_inclusions`` (torsion towers only) realize each stage inside the
-    module itself.
-    ``period`` is the schedule period; the stability window spans one full
-    period.  A chain that is constant across one period is constant forever
-    only once the stages have stopped growing (the module's p-exponents are
-    exhausted): from then on one more period multiplies by the same
-    product.  Before that a constant window proves nothing: for Z/64 with
-    schedule (3, 5, 6) the level-2 torsion chain stays constant for 18
-    stages and drops at stage 20.  ``certified_depth`` gives, from gcds
-    alone, the least depth at which the window of a cyclic factor's towers
-    lies past that point wherever the limits are read (39 in this example).
-    """
+class Tower(namedtuple("Tower", "stages transitions period t_values", defaults=((),))):
+    """Stages M/t_1 M .. M/t_N M with the canonical surjections
+    M/t_{n+1}M -> M/t_nM as ``fpmod`` modules and morphisms; ``period`` is
+    the schedule period and ``t_values`` are t_1 .. t_N.  Its limit is taken
+    per cyclic factor, on a ``Chain``."""
 
     __slots__ = ()
-
-    def window(self) -> int:
-        return self.period
 
     @property
     def depth(self) -> int:
@@ -215,154 +201,99 @@ def quotient_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DE
                  period=len(seq.generators))
 
 
-def torsion_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DEPTH) -> Tower:
-    """Stages ker(t_n : M -> M) with transition 'multiply by s_{n+1}'.
+class Chain(namedtuple("Chain", "orders scalars period")):
+    """A tower of cyclic stages Z/o_0 .. Z/o_{N-1} (order 0 meaning Z) whose
+    transition Z/o_{i+1} -> Z/o_i multiplies the generator by scalars[i].
 
-    Stage k is generated by the HNF rows of P_k = {x : x * t_{k+1} in R}, R
-    the relation lattice of M, and those rows are its inclusion into M.  For
-    x in P_{k+1}, s_{k+2} * x lies in P_k itself (not just modulo R), so each
-    transition is read off as exact coordinates in that HNF basis.
+    The towers of a cyclic factor Z/d, with g_i = gcd(d, t_{i+1}):
+    - quotient, M/t_{i+1}M: orders g_i, scalars 1;
+    - torsion, ker(t_{i+1}) generated by d/g_i: orders g_i, scalars
+      s_{i+2} g_i / g_{i+1} (multiplication by s_{i+2} in the module);
+    - constant, M with multiplication by s_{i+2}: orders d, scalars s_{i+2}.
+      Its limit realizes the maps from the localization into M.
+
+    ``period`` is the schedule period; the stability window spans one full
+    period.  A chain that is constant across one period is constant forever
+    only once the stages have stopped growing (the module's p-exponents are
+    exhausted): from then on one more period multiplies by the same
+    product.  Before that a constant window proves nothing: for Z/64 with
+    schedule (3, 5, 6) the image of every stage from 2 through 19 in the
+    torsion stage 2 is the same, and the image of stage 20 is smaller.
+    ``certified_depth`` gives, from gcds alone, the least depth at which the
+    window of a cyclic factor's chains lies past that point wherever the
+    limits are read (39 in this example).
     """
-    _check_depth(depth)
-    stages: list[FPModule] = []
-    inclusions: list[Morphism] = []
-    tvals = _partial_products(seq, depth)
-    for t in tvals:
-        ker, incl = Morphism.multiplication(module, t).kernel()
-        stages.append(ker)
-        inclusions.append(incl)
-    transitions = []
-    for k in range(depth - 1):
-        mult = seq.s(k + 2)
-        basis = inclusions[k].matrix
-        coeffs = [lattice_coordinates(basis, [mult * x for x in row])
-                  for row in inclusions[k + 1].matrix]
-        if None in coeffs:
-            raise AssertionError("torsion transition failed to factor")
-        transitions.append(Morphism.make(stages[k + 1], stages[k], coeffs))
-    return Tower(stages=stages, transitions=transitions,
-                 t_values=tvals, stage_inclusions=inclusions,
-                 period=len(seq.generators))
+
+    __slots__ = ()
 
 
-def constant_hom_tower(module: FPModule, seq: MultSubsetSeq,
-                       depth: int = DEFAULT_DEPTH) -> Tower:
-    """Constant stages M with transition 'multiply by s_{n+1}'.
-
-    Its limit realizes the module of maps from the localization into M; the
-    projection to the 0-th (omitted) stage is multiplication by t_n.
-    """
-    _check_depth(depth)
-    stages = [module for _ in range(depth)]
-    transitions = [Morphism.multiplication(module, seq.s(k + 2))
-                   for k in range(depth - 1)]
-    return Tower(stages=stages, transitions=transitions,
-                 t_values=_partial_products(seq, depth),
-                 period=len(seq.generators))
+def quotient_chain(d: int, seq: MultSubsetSeq, depth: int) -> Chain:
+    """The quotient tower of Z/d (Z for d = 0) to ``depth`` stages."""
+    orders = [math.gcd(d, t) for t in _partial_products(seq, depth)]
+    return Chain(orders, [1] * (depth - 1), len(seq.generators))
 
 
-# ---------------------------------------------------------------------------
-# limits of truncated towers
-# ---------------------------------------------------------------------------
+def _torsion_and_constant_chains(d: int, seq: MultSubsetSeq,
+                                 depth: int) -> tuple[Chain, Chain]:
+    """The torsion and constant towers of Z/d, d > 0, to ``depth`` stages."""
+    g = quotient_chain(d, seq, depth).orders
+    s = [seq.s(i + 2) for i in range(depth - 1)]
+    k = len(seq.generators)
+    # g_{i+1} divides s_{i+2} g_i, so each torsion scalar is exact
+    return (Chain(g, [x * a // b for x, a, b in zip(s, g, g[1:])], k),
+            Chain([d] * depth, s, k))
 
 
-# stable_index: 0-based stage index of the returned carrier;
+# stable_index: 0-based stage index where the limit is read;
 # verified_through: highest 0-based index with window-checked images
 LimCertificate = namedtuple("LimCertificate", "stable_index verified_through")
 
-# carriers: per stage i, the top stage's generators in stage i
-TowerLimit = namedtuple("TowerLimit", "module carriers certificate")
+# the limit is Z/order (Z when order is 0)
+ChainLimit = namedtuple("ChainLimit", "order certificate")
 
 
-def _carriers(tower: Tower, top: int) -> list[list[list[int]]]:
-    """Composites stages[top] -> stages[i] for i = 0..top, built top-down."""
-    out = [identity(tower.stages[top].gens)]
-    for i in range(top - 1, -1, -1):
-        out.append(mat_mul(out[-1], tower.transitions[i].mat()))
-    out.reverse()
-    return out
+def chain_lim(chain: Chain) -> ChainLimit:
+    """Inverse limit of a truncated chain via eventual stable images.
 
+    The carrier c_i, the product of the scalars from stage i to the top
+    stage N - 1, sends the top generator to stage i.  So the image of the
+    top in stage i is generated by c_i, which is Z/e_i with the level
+    lattice e_i = o_i / gcd(o_i, c_i): the relations among the carrier.
 
-def _confirmed_levels(tower: Tower, level) -> int:
-    """Number of leading levels whose image chain the final window confirms;
-    ``level(i)`` is the map from a free module onto the top carrier rows in
-    stage i (see ``tower_lim``).
-
-    Level i is confirmed when the image from the top stage equals the image
-    from one window below.  The top carrier at level i is the composite from
-    the top stage down to stage depth - 1 - w times ``below[i]``, so the
-    image from the top always lies in the image from below, and the two are
-    equal exactly when every row of ``below[i]`` is in the lattice of the
-    top carrier plus the relations.  Membership is tested on the echelon
-    rows that level i's ``_hermite_forms`` keeps, which ``lattice_member``
-    accepts as they are (any echelon basis will do; the transform columns
-    are not read), so no HNF is taken.  Counting stops at the first
-    unconfirmed level.  The confirmation is only as good as the window; see
-    ``Tower``.
-    """
-    n = tower.depth
-    w = tower.window()
-    if n <= w:
-        return 0
-    below = _carriers(tower, n - 1 - w)
-    for i in range(n - w):
-        basis = level(i)._hermite_forms()[2]
-        if not all(lattice_member(basis, row) for row in below[i]):
-            return i
-    return n - w
-
-
-def tower_lim(tower: Tower) -> TowerLimit:
-    """Inverse limit of the truncated tower via eventual stable images.
-
-    Level i is the map from one free module Z^g (g the top stage's
-    generators) to stage i that sends the generators to the rows of the
-    carrier, the composite from the top stage.  Its image is level i's
-    stable image, Z^g / L_i with L_i its preimage lattice: the relations
-    among the carrier rows.  Since ``carrier[i] = carrier[i+1] * T_i``
-    exactly, the transition between stable images is the identity on
-    generators with L_{i+1} inside L_i: an isomorphism exactly when
-    L_{i+1} = L_i, i.e. when the preimage HNFs agree.  The limit is
-    certified once those transitions are isomorphisms over at least one
-    window of consecutive levels.
-
-    Each level's map is built, and so eliminated, once for the length of
-    this call (``Morphism._hermite_forms``): its echelon rows confirm the
-    level's image chain and its preimage HNF is L_i.  Every level from
-    ``stable_index`` through ``verified_through`` has the same lattice L_i,
-    so the returned module, the image of level ``stable_index`` carrying
-    that HNF, presents the stable image at each of them; ``carriers`` are
-    the carrier rows at every stage.
-    """
-    w = tower.window()
-    carrier = _carriers(tower, tower.depth - 1)
-    free = FPModule(gens=tower.stages[-1].gens)
-
-    @functools.cache
-    def level(i: int) -> Morphism:
-        return Morphism.make(free, tower.stages[i], carrier[i])
-
-    i_max = _confirmed_levels(tower, level) - 1
+    Level i is confirmed when the image from the top equals the image from
+    one window w below, whose carrier b_i ends at stage N - 1 - w.  Since
+    c_i is b_i times the window's scalars, the image from the top always
+    lies in the one from below, and the two are equal exactly when
+    gcd(c_i, o_i) divides b_i.  Counting stops at the first unconfirmed
+    level; the confirmation is only as good as the window (see ``Chain``).
+    The transition between stable images is the identity on the generator,
+    an isomorphism exactly when e_{i+1} = e_i.  The limit is certified once
+    that holds over at least one window of levels below the last confirmed
+    one, and is Z/e_i at each level from ``stable_index`` through
+    ``verified_through``.  This is the stable-image argument of
+    ``Lim1Verdict`` on cyclic stages."""
+    orders, scalars, w = chain
+    n = len(orders)
+    carrier = [1] * n
+    for i in range(n - 2, -1, -1):
+        carrier[i] = carrier[i + 1] * scalars[i]
+    below = [1] * (n - w)
+    for i in range(n - w - 2, -1, -1):
+        below[i] = below[i + 1] * scalars[i]
+    i_max = next((i for i, b in enumerate(below)
+                  if b % math.gcd(carrier[i], orders[i])), len(below)) - 1
     if i_max < w:
-        stage_invs = [list(s.invariants()) for s in tower.stages]
         raise NotStabilized("image chains not confirmed within depth",
-                            chains=[stage_invs])
+                            chains=[[list(merge_invariants([(o,)])) for o in orders]])
 
-    iso_down_to = i_max
-    for j in range(i_max - 1, -1, -1):
-        if level(j + 1)._hermite_forms()[1] == level(j)._hermite_forms()[1]:
-            iso_down_to = j
-        else:
-            break
-    if i_max - iso_down_to < w:
-        raise NotStabilized(
-            "stable images keep changing through the truncation",
-            chains=[[canonical_invariants(list(level(i).image()[0].invariants()), 0)
-                     for i in range(i_max + 1)]])
-
-    i0 = iso_down_to
-    cert = LimCertificate(stable_index=i0, verified_through=i_max)
-    return TowerLimit(module=level(i0).image()[0], carriers=carrier, certificate=cert)
+    lattice = [o // math.gcd(o, c) for o, c in zip(orders, carrier[:i_max + 1])]
+    i0 = i_max
+    while i0 > 0 and lattice[i0 - 1] == lattice[i0]:
+        i0 -= 1
+    if i_max - i0 < w:
+        raise NotStabilized("stable images keep changing through the truncation",
+                            chains=[[canonical_invariants([e]) for e in lattice]])
+    return ChainLimit(lattice[i0], LimCertificate(stable_index=i0, verified_through=i_max))
 
 
 class Lim1Verdict(namedtuple("Lim1Verdict", "verdict certificate_kind")):
@@ -548,32 +479,28 @@ class DeltaReport(namedtuple("DeltaReport", "lim1 lambda_invariants lambda_stabl
 
 
 @functools.cache
-def _lambda_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
-                   depth: int | None) -> TowerLimit:
-    """The quotient limit of Z/d, whose module is the completion Lambda, at
-    ``depth`` stages, by default ``certified_depth(d, seq)``, where its
-    plateau is certified.  Raises NotStabilized when the tower keeps growing.
-    The memo keeps the module as a bare presentation (its relation HNF is
-    shared through ``_relation_hnf``) and no carriers, which no reader needs."""
-    module = FPModule.from_invariants([d], modulus=modulus)
+def _lambda_cyclic(d: int, seq: MultSubsetSeq, depth: int | None) -> ChainLimit:
+    """The quotient limit of Z/d, the completion Lambda, at ``depth`` stages,
+    by default ``certified_depth(d, seq)``, where its plateau is certified.
+    Raises NotStabilized when the chain keeps growing.  The limit is the
+    same over Z and over any Z/N that d divides, so N is not a key."""
     depth = depth if depth is not None else certified_depth(d, seq)
-    lim = tower_lim(quotient_tower(module, seq, depth))
-    return TowerLimit(FPModule(*lim.module), None, lim.certificate)
+    return chain_lim(quotient_chain(d, seq, depth))
 
 
 def delta_truncated(module: FPModule, seq: MultSubsetSeq,
                     depth: int | None = None) -> DeltaReport:
     """Contramodule reflector as (lim^1 of torsion tower, lim of quotient tower).
 
-    Computed per cyclic factor and merged (all carriers are additive in the
-    module).  The torsion tower of a finitely generated module has finite
+    Computed per cyclic factor and merged (every tower splits along the
+    factors).  The torsion tower of a finitely generated module has finite
     stages, so lim^1 vanishes (``Lim1Verdict``), the reflector agrees with
     the completion, and only the quotient limit is computed.  Raises
     NotStabilized when some factor's quotient tower keeps growing at depth.
     """
     _check_depth(depth)
-    lims = [_lambda_cyclic(d, module.modulus, seq, depth) for d in module.invariants()]
-    lam_inv = merge_invariants(lim.module.invariants() for lim in lims)
+    lims = [_lambda_cyclic(d, seq, depth) for d in module.invariants()]
+    lam_inv = merge_invariants((lim.order,) for lim in lims)
     return DeltaReport(
         lim1=FINITE_STAGES,
         lambda_invariants=lam_inv,
@@ -601,23 +528,26 @@ class FiveTermReport(namedtuple("FiveTermReport", "hom_loc_mod_r hom_loc module_
                 and self.exact_at_module)
 
 
-def _five_term_assemble(module: FPModule, seq: MultSubsetSeq, tor: Tower,
-                        lims: list[TowerLimit]) -> FiveTermReport:
-    """One cyclic factor's five-term report from its torsion tower and the
-    torsion, constant and quotient limits.  Raises NotStabilized when the
-    common stage index lies above what some limit verified: a carrier
-    realized there would not be its limit's, and the terms read off it
-    could be wrong.
+def _five_term_assemble(d: int, modulus: int, seq: MultSubsetSeq, tor: Chain,
+                        con: Chain, lims: list[ChainLimit]) -> FiveTermReport:
+    """The five-term report of Z/d from its torsion and constant chains and
+    the torsion, constant and quotient limits.  Raises NotStabilized when
+    the common stage index lies above what some limit verified: a limit
+    read there would not be certified, and the terms could be wrong.
 
     Otherwise n_star lies between each limit's ``stable_index`` and its
-    ``verified_through``, where ``tower_lim`` has proved the relation lattice
-    among the carrier rows constant.  So L1, L2 and Lambda are the limits'
-    own modules: L1 and L2 presented on the torsion and constant carrier
-    rows at n_star (``TowerLimit.carriers``), and Lambda with the lattice of
-    the quotient stage n_star, so the quotient map pi is the identity on
-    generators.  None needs an elimination of its own.  iota lifts the
-    torsion carrier rows, taken into the module, through the map that sends
-    L2's generators to the constant carrier rows (``lift``)."""
+    ``verified_through``, where ``chain_lim`` has proved the level lattice
+    constant.  So L1, L2 and Lambda are Z/e of the three limits, each an
+    ``fpmod`` module on one generator: L1 and L2 on the torsion and
+    constant carriers at n_star (the products of their chains' scalars
+    from n_star up), and Lambda with the lattice of the quotient stage
+    n_star, so the quotient map pi is the identity on generators.  iota
+    lifts the torsion carrier, taken into the module through the stage's
+    generator d / g_{n_star}, through the map that sends L2's generator to
+    the constant carrier (``lift``); ev multiplies the constant carrier by
+    t_{n_star + 1}.  Both exactness flags compare the maps' Hermite forms
+    (``is_exact_pair``), a route independent of
+    ``cyclic_completion_oracle``."""
     n_star = max(lim.certificate.stable_index for lim in lims)
     verified = [lim.certificate.verified_through for lim in lims]
     if n_star > min(verified):
@@ -625,21 +555,18 @@ def _five_term_assemble(module: FPModule, seq: MultSubsetSeq, tor: Tower,
                             f"constant and quotient limits are verified through {verified}",
                             chains=[verified])
 
-    # every carrier at the common stage index
-    tor_rows = lims[0].carriers[n_star]
-    con_rows = lims[1].carriers[n_star]
-    l1, l2, lam = (lim.module for lim in lims)
+    module = FPModule.from_invariants([d], modulus=modulus)
+    l1, l2, lam = (FPModule(1, ((lim.order,),), modulus) for lim in lims)
     t_star = seq.t(n_star + 1)
+    tor_in_module = math.prod(tor.scalars[n_star:]) * (d // tor.orders[n_star])
+    con_row = math.prod(con.scalars[n_star:])
 
-    # iota: torsion-limit carrier into the constant-limit carrier, through
-    # the ambient module
-    tor_in_module = mat_mul(tor_rows, tor.stage_inclusions[n_star].mat())
-    iota_coeffs = Morphism.make(l2, module, con_rows).lift(tor_in_module)
+    iota_coeffs = Morphism.make(l2, module, [[con_row]]).lift([[tor_in_module]])
     ok_struct = iota_coeffs is not None
     if ok_struct:
         iota = Morphism.make(l1, l2, iota_coeffs)
-    ev = Morphism.make(l2, module, [[t_star * x for x in row] for row in con_rows])
-    pi = Morphism.make(module, lam, identity(module.gens))
+    ev = Morphism.make(l2, module, [[t_star * con_row]])
+    pi = Morphism.make(module, lam, identity(1))
     return FiveTermReport(
         hom_loc_mod_r=l1.invariants(),
         hom_loc=l2.invariants(),
@@ -658,19 +585,17 @@ def _five_term_assemble(module: FPModule, seq: MultSubsetSeq, tor: Tower,
 def _five_term_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
                       depth: int | None) -> FiveTermReport:
     """The five-term report of Z/d, d > 0, from its torsion and constant
-    towers and the quotient limit of ``_lambda_cyclic``.  Raises
+    chains and the quotient limit of ``_lambda_cyclic``.  Raises
     NotStabilized from the first of the torsion, constant and quotient
     limits that does not certify, or from ``_five_term_assemble``.
 
-    By default the towers are ``certified_depth(d, seq)`` deep, where every
-    limit certifies and is verified at the carriers' stage n_star (see there).
-    """
-    module = FPModule.from_invariants([d], modulus=modulus)
-    n = depth if depth is not None else certified_depth(d, seq)
-    tor = torsion_tower(module, seq, n)
-    lims = [tower_lim(tor), tower_lim(constant_hom_tower(module, seq, n)),
-            _lambda_cyclic(d, modulus, seq, depth)]
-    return _five_term_assemble(module, seq, tor, lims)
+    By default the chains are ``certified_depth(d, seq)`` deep, where every
+    limit certifies and is verified at the common stage index n_star (see
+    there)."""
+    tor, con = _torsion_and_constant_chains(
+        d, seq, depth if depth is not None else certified_depth(d, seq))
+    lims = [chain_lim(tor), chain_lim(con), _lambda_cyclic(d, seq, depth)]
+    return _five_term_assemble(d, modulus, seq, tor, con, lims)
 
 
 def five_term_check(module: FPModule, seq: MultSubsetSeq,
@@ -678,12 +603,12 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
     """Assemble and check the five-term sequence for a finite module.
 
     The module is decomposed into cyclic factors (the sequence is additive
-    and all carriers are block-diagonal), each factor is checked at its own
+    and every tower splits along them), each factor is checked at its own
     stable index, and the terms are merged canonically.  Without ``depth``
-    each factor's towers are built to its ``certified_depth``, where every
-    limit certifies and the carriers are verified at the stage that
-    realizes them.  An explicit ``depth`` too small for that raises
-    NotStabilized rather than returning terms read off unverified carriers.
+    each factor's chains are built to its ``certified_depth``, where every
+    limit certifies and is verified at the stage where the sequence reads
+    it.  An explicit ``depth`` too small for that raises NotStabilized
+    rather than returning terms read off unverified limits.
     """
     _check_depth(depth)
     if module.order() is None:
@@ -757,10 +682,9 @@ def weakly_cotorsion_report(module: FPModule, m: int,
     else:
         d = depth if depth is not None else DEFAULT_DEPTH
         free = FPModule.from_presentation([], gens=1)
-        quo = quotient_tower(free, seq, d)
-        growth = [list(s.invariants()) for s in quo.stages]
+        growth = [list(s.invariants()) for s in quotient_tower(free, seq, d).stages]
         try:
-            tower_lim(quo)
+            chain_lim(quotient_chain(0, seq, d))
             stabilized = True
         except NotStabilized:
             stabilized = False

@@ -13,18 +13,31 @@ and tower levels and the five-term iota went through it; today
 compared frozensets and restricted the poset to Spec(R_{J,s}) for every
 (J, s) choice, the canonical one of each pair included; today both run as
 ANDs of bitmasks, and the restricted spectrum lives here only.
+
+Tower limits were taken on matrices: the torsion and constant towers were
+built as ``FPModule`` towers like the quotient tower, each level's carrier
+was the composite matrix from the top stage, and one Hermite elimination
+per level both confirmed the level against the carrier from one window
+below and presented its stable image (``tower_lim``).  That route takes the
+limit of any tower, non-diagonal presentations and several generators
+included.  Every limit the package takes is of a cyclic factor, so today
+its towers are chains of stage orders and transition scalars, and
+``towers.chain_lim`` decides the same window and isomorphism tests with
+gcds; the tests compare the two.
 """
 
 import functools
+from collections import namedtuple
 from collections.abc import Sequence
 from itertools import product
 
 from multloc.fpmod import FPModule, Morphism, merge_invariants
 from multloc.intlinalg import (_eliminate, canonical_invariants, hnf_rows, identity,
-                               lattice_member, mat_mul)
+                               lattice_coordinates, lattice_member, mat_mul)
 from multloc.poset import DistinguishReport, PrimePoset, _heights
-from multloc.towers import (FINITE_STAGES, FiveTermReport, LimCertificate, NotStabilized,
-                            TowerLimit, _carriers)
+from multloc.towers import (DEFAULT_DEPTH, FINITE_STAGES, FiveTermReport, LimCertificate,
+                            MultSubsetSeq, NotStabilized, Tower, _check_depth,
+                            _partial_products)
 
 
 def echelon(a: list[list[int]],
@@ -91,6 +104,143 @@ def composite(tower, to_index: int, from_index: int) -> list[list[int]]:
     return mat
 
 
+class InclusionTower(namedtuple("InclusionTower", Tower._fields + ("stage_inclusions",))):
+    """A ``Tower`` whose ``stage_inclusions`` realize each stage inside the
+    module itself (torsion towers)."""
+
+    __slots__ = ()
+    depth = Tower.depth
+    stage_invariants = Tower.stage_invariants
+
+
+def torsion_tower(module: FPModule, seq: MultSubsetSeq,
+                  depth: int = DEFAULT_DEPTH) -> InclusionTower:
+    """Stages ker(t_n : M -> M) with transition 'multiply by s_{n+1}'.
+
+    Stage k is generated by the HNF rows of P_k = {x : x * t_{k+1} in R}, R
+    the relation lattice of M, and those rows are its inclusion into M.  For
+    x in P_{k+1}, s_{k+2} * x lies in P_k itself (not just modulo R), so each
+    transition is read off as exact coordinates in that HNF basis.
+    """
+    _check_depth(depth)
+    stages: list[FPModule] = []
+    inclusions: list[Morphism] = []
+    tvals = _partial_products(seq, depth)
+    for t in tvals:
+        ker, incl = Morphism.multiplication(module, t).kernel()
+        stages.append(ker)
+        inclusions.append(incl)
+    transitions = []
+    for k in range(depth - 1):
+        mult = seq.s(k + 2)
+        basis = inclusions[k].matrix
+        coeffs = [lattice_coordinates(basis, [mult * x for x in row])
+                  for row in inclusions[k + 1].matrix]
+        if None in coeffs:
+            raise AssertionError("torsion transition failed to factor")
+        transitions.append(Morphism.make(stages[k + 1], stages[k], coeffs))
+    return InclusionTower(stages=stages, transitions=transitions, t_values=tvals,
+                          stage_inclusions=inclusions, period=len(seq.generators))
+
+
+def constant_hom_tower(module: FPModule, seq: MultSubsetSeq,
+                       depth: int = DEFAULT_DEPTH) -> Tower:
+    """Constant stages M with transition 'multiply by s_{n+1}'.
+
+    Its limit realizes the module of maps from the localization into M; the
+    projection to the 0-th (omitted) stage is multiplication by t_n.
+    """
+    _check_depth(depth)
+    stages = [module for _ in range(depth)]
+    transitions = [Morphism.multiplication(module, seq.s(k + 2))
+                   for k in range(depth - 1)]
+    return Tower(stages=stages, transitions=transitions,
+                 t_values=_partial_products(seq, depth), period=len(seq.generators))
+
+
+# carriers: per stage i, the top stage's generators in stage i
+TowerLimit = namedtuple("TowerLimit", "module carriers certificate")
+
+
+def carriers(tower, top: int) -> list[list[list[int]]]:
+    """Composites stages[top] -> stages[i] for i = 0..top, built top-down."""
+    out = [identity(tower.stages[top].gens)]
+    for i in range(top - 1, -1, -1):
+        out.append(mat_mul(out[-1], tower.transitions[i].mat()))
+    out.reverse()
+    return out
+
+
+def confirmed_levels(tower, level) -> int:
+    """Number of leading levels whose image chain the final window confirms;
+    ``level(i)`` is the map from a free module onto the top carrier rows in
+    stage i (see ``tower_lim``).
+
+    Level i is confirmed when the image from the top stage equals the image
+    from one window below.  The top carrier at level i is the composite from
+    the top stage down to stage depth - 1 - w times ``below[i]``, so the
+    image from the top always lies in the image from below, and the two are
+    equal exactly when every row of ``below[i]`` is in the lattice of the
+    top carrier plus the relations.  Membership is tested on the echelon
+    rows that level i's ``_hermite_forms`` keeps.  Counting stops at the
+    first unconfirmed level.
+    """
+    n = tower.depth
+    w = tower.period
+    if n <= w:
+        return 0
+    below = carriers(tower, n - 1 - w)
+    for i in range(n - w):
+        basis = level(i)._hermite_forms()[2]
+        if not all(lattice_member(basis, row) for row in below[i]):
+            return i
+    return n - w
+
+
+def tower_lim(tower) -> TowerLimit:
+    """Inverse limit of a truncated tower via eventual stable images.
+
+    Level i is the map from one free module Z^g (g the top stage's
+    generators) to stage i that sends the generators to the rows of the
+    carrier, the composite from the top stage.  Its image is level i's
+    stable image, Z^g / L_i with L_i its preimage lattice.  Since
+    ``carrier[i] = carrier[i+1] * T_i`` exactly, the transition between
+    stable images is the identity on generators with L_{i+1} inside L_i: an
+    isomorphism exactly when the preimage HNFs agree.  The limit is
+    certified once those transitions are isomorphisms over at least one
+    window (``period``) of consecutive levels.
+    """
+    w = tower.period
+    carrier = carriers(tower, tower.depth - 1)
+    free = FPModule(gens=tower.stages[-1].gens)
+
+    @functools.cache
+    def level(i: int) -> Morphism:
+        return Morphism.make(free, tower.stages[i], carrier[i])
+
+    i_max = confirmed_levels(tower, level) - 1
+    if i_max < w:
+        stage_invs = [list(s.invariants()) for s in tower.stages]
+        raise NotStabilized("image chains not confirmed within depth",
+                            chains=[stage_invs])
+
+    iso_down_to = i_max
+    for j in range(i_max - 1, -1, -1):
+        if level(j + 1)._hermite_forms()[1] == level(j)._hermite_forms()[1]:
+            iso_down_to = j
+        else:
+            break
+    if i_max - iso_down_to < w:
+        raise NotStabilized(
+            "stable images keep changing through the truncation",
+            chains=[[canonical_invariants(list(level(i).image()[0].invariants()), 0)
+                     for i in range(i_max + 1)]])
+
+    cert = LimCertificate(stable_index=iso_down_to, verified_through=i_max)
+    return TowerLimit(module=level(iso_down_to).image()[0], carriers=carrier,
+                      certificate=cert)
+
+
 def level_echelons(tower, carrier):
     """Per level i, the ``echelon`` of ``[carrier[i] | I ; relations of
     stage i | 0]``, computed on first use."""
@@ -106,12 +256,12 @@ def echelon_level_lim(tower) -> TowerLimit:
     echelon rows, and its stable image is presented by the transform rows
     past the rank, whose relation HNFs the iso scan compares."""
     n = tower.depth
-    w = tower.window()
-    carrier = _carriers(tower, n - 1)
+    w = tower.period
+    carrier = carriers(tower, n - 1)
     level = level_echelons(tower, carrier)
     confirmed = 0
     if n > w:
-        below = _carriers(tower, n - 1 - w)
+        below = carriers(tower, n - 1 - w)
         confirmed = n - w
         for i in range(n - w):
             rows, _, pivots = level(i)

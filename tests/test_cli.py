@@ -391,6 +391,59 @@ def _usage_error(code, out, err, where):
     assert len(err.splitlines()) == 1 and where in err
 
 
+# every argument that names a file to read; FILE stands for it and CERT for
+# a valid certificate
+FILE_ARGUMENTS = {
+    "distinguish": ["distinguish", "FILE"],
+    "verify-cert": ["verify-cert", "FILE"],
+    "verify-cert --tests": ["verify-cert", "CERT", "--tests", "FILE"],
+    "complete --presentation": ["complete", "--generators", "2", "--presentation", "FILE"],
+    "wc-check --presentation": ["wc-check", "-m", "2", "--presentation", "FILE"],
+}
+
+
+class TestUnreadableInput:
+    """A path that is not a readable file, or a document nested deeper than
+    the JSON reader recurses, is a usage error with one line on stderr,
+    for every argument that names a file."""
+
+    @pytest.fixture
+    def command(self, request, tmp_path):
+        from multloc.certs import decompose_weakly_cotorsion
+        from multloc.fpmod import FPModule
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(
+            decompose_weakly_cotorsion(FPModule.from_invariants([8]), 2).to_document()))
+        args = [str(cert) if a == "CERT" else a for a in FILE_ARGUMENTS[request.param]]
+        return lambda path: [str(path) if a == "FILE" else a for a in args]
+
+    @pytest.mark.parametrize("command", FILE_ARGUMENTS, indirect=True)
+    def test_directory(self, command, tmp_path, capsys):
+        code, out, err = run_cli(command(tmp_path), capsys)
+        _usage_error(code, out, err, "IsADirectoryError")
+
+    @pytest.mark.parametrize("command", FILE_ARGUMENTS, indirect=True)
+    def test_missing_file(self, command, tmp_path, capsys):
+        code, out, err = run_cli(command(tmp_path / "absent.json"), capsys)
+        _usage_error(code, out, err, "FileNotFoundError")
+
+    @pytest.mark.parametrize("command", FILE_ARGUMENTS, indirect=True)
+    def test_deeply_nested_document(self, command, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000 + "]" * 3000)
+        code, out, err = run_cli(command(path), capsys)
+        _usage_error(code, out, err, "RecursionError")
+
+    def test_deeply_nested_certificate(self, tmp_path, capsys):
+        # 700 nodes, each an object holding a list of children: 1,400 levels
+        node = '{"kind": "FiniteProduct", "level": 1, "children": ['
+        path = tmp_path / "deep.json"
+        path.write_text('{"root": ' + node * 700 + '{"kind": "Seed", "level": 1}'
+                        + "]}" * 700 + "}")
+        code, out, err = run_cli(["verify-cert", str(path)], capsys)
+        _usage_error(code, out, err, "RecursionError")
+
+
 class TestModulePayloads:
     """One parser for certificate payloads, --presentation and --tests."""
 

@@ -18,20 +18,22 @@ from multloc.towers import (
     NotStabilized,
     Tower,
     certified_depth,
-    constant_hom_tower,
+    chain_lim,
     cyclic_completion_oracle,
     delta_truncated,
     five_term_check,
     is_weakly_cotorsion_fg,
+    quotient_chain,
     quotient_tower,
     telescope_complex,
     telescope_homology_check,
-    torsion_tower,
-    tower_lim,
     weakly_cotorsion_report,
 )
-from reference_routes import (composite, echelon_level_lim, factor_through_submodule,
-                              five_term_by_submodules, submodule_on_rows)
+import reference_routes
+from reference_routes import (TowerLimit, carriers, composite, constant_hom_tower,
+                              echelon_level_lim, factor_through_submodule,
+                              five_term_by_submodules, submodule_on_rows, torsion_tower,
+                              tower_lim)
 
 
 def seq(*gens):
@@ -112,11 +114,15 @@ class TestTowers:
 
 
 class TestTowerLim:
+    """The matrix route of the test copy, and the chain route beside it
+    where the tower is of a cyclic factor."""
+
     def test_quotient_z12(self):
         t = quotient_tower(z_mod(12), seq(2), 12)
         lim = tower_lim(t)
         assert lim.module.invariants() == (4,)
         assert lim.certificate.stable_index == 1
+        assert chain_lim(quotient_chain(12, seq(2), 12)) == (4, lim.certificate)
 
     def test_constant_identity(self):
         m = z_mod(3)
@@ -129,6 +135,9 @@ class TestTowerLim:
         t = quotient_tower(FPModule.from_presentation([], gens=1), seq(2), 8)
         with pytest.raises(NotStabilized):
             tower_lim(t)
+        with pytest.raises(NotStabilized, match="keep changing") as info:
+            chain_lim(quotient_chain(0, seq(2), 8))
+        assert info.value.chains == [[(2 ** n,) for n in range(1, 8)]]
 
     def test_idempotent(self):
         t = quotient_tower(z_mod(12), seq(2), 12)
@@ -360,8 +369,8 @@ class TestCertifiedDepth:
         s = MultSubsetSeq(generators=tuple(gens))
         depth = certified_depth(d, s)
         m = z_mod(d)
-        lims = [tower_lim(build(m, s, depth))
-                for build in (torsion_tower, constant_hom_tower, quotient_tower)]
+        lims = [chain_lim(chain) for chain in (*towers._torsion_and_constant_chains(d, s, depth),
+                                               quotient_chain(d, s, depth))]
         n_star = max(lim.certificate.stable_index for lim in lims)
         assert n_star <= min(lim.certificate.verified_through for lim in lims)
         rep = five_term_check(m, s)
@@ -433,20 +442,22 @@ def refuse(*args, **kwargs):
 
 class TestPerFactorMemos:
     """Delta reads only the quotient limit; the five-term block reads that
-    same memo entry and builds the other two towers itself."""
+    same memo entry and builds the other two chains itself.  Neither builds
+    a matrix tower."""
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
         towers.clear_caches()
 
     def test_cold_delta_builds_no_torsion_or_constant_tower(self, monkeypatch):
-        monkeypatch.setattr(towers, "torsion_tower", refuse)
-        monkeypatch.setattr(towers, "constant_hom_tower", refuse)
+        monkeypatch.setattr(towers, "_torsion_and_constant_chains", refuse)
+        monkeypatch.setattr(towers, "quotient_tower", refuse)
         assert delta_truncated(z_mod(12), seq(2)).lambda_invariants == (4,)
 
     def test_delta_after_five_term_builds_no_quotient_tower(self, monkeypatch):
-        five = five_term_check(z_mod(12), seq(2))
         monkeypatch.setattr(towers, "quotient_tower", refuse)
+        five = five_term_check(z_mod(12), seq(2))
+        monkeypatch.setattr(towers, "quotient_chain", refuse)
         assert delta_truncated(z_mod(12), seq(2)).lambda_invariants == five.delta_invariants
 
 
@@ -455,7 +466,7 @@ def quadratic_image_chains(tower):
     scan: one HNF per (level, source) pair, composites built upwards from
     the level itself."""
     n = tower.depth
-    w = tower.window()
+    w = tower.period
     mats = [f.mat() for f in tower.transitions]
     out = []
     for i in range(n):
@@ -490,13 +501,13 @@ def shared_hnf(monkeypatch):
 def level_maps(tower):
     """The levels ``tower_lim`` eliminates: per stage i, the map from one
     free module onto the top carrier rows in stage i."""
-    carrier = towers._carriers(tower, tower.depth - 1)
+    carrier = carriers(tower, tower.depth - 1)
     free = FPModule(gens=tower.stages[-1].gens)
     return functools.cache(lambda i: Morphism.make(free, tower.stages[i], carrier[i]))
 
 
 def confirmed_levels(tower):
-    return towers._confirmed_levels(tower, level_maps(tower))
+    return reference_routes.confirmed_levels(tower, level_maps(tower))
 
 
 def assert_same_chains(module, s, depth):
@@ -505,6 +516,76 @@ def assert_same_chains(module, s, depth):
         confirmed = quadratic_image_chains(tower) + [False]
         assert confirmed.index(False) == confirmed_levels(tower), \
             (module, s.generators, depth, build.__name__)
+
+
+def chain_outcome(chain):
+    try:
+        lim = chain_lim(chain)
+    except NotStabilized as exc:
+        return str(exc), exc.chains
+    return lim.certificate, merge_invariants([(lim.order,)])
+
+
+def assert_chains_match_matrix_route(d, modulus, s, depth):
+    """Each chain of Z/d (only the quotient chain of Z, d = 0) has the
+    matrix tower's stage orders, certificate, limit and failure evidence."""
+    module = FPModule.from_invariants([d], modulus=modulus)
+    pairs = [(quotient_chain(d, s, depth), quotient_tower(module, s, depth))]
+    if d:
+        tor, con = towers._torsion_and_constant_chains(d, s, depth)
+        pairs += [(tor, torsion_tower(module, s, depth)),
+                  (con, constant_hom_tower(module, s, depth))]
+    for chain, tower in pairs:
+        label = (d, modulus, s.generators, depth, tower.stages[0])
+        assert [stage.order() or 0 for stage in tower.stages] == chain.orders, label
+        assert chain_outcome(chain) == lim_outcome(tower_lim, tower)[:2], label
+
+
+@st.composite
+def cyclic_factors(draw):
+    """(d, modulus): Z, or Z/d over Z or over some Z/N with N < 2^61."""
+    kind = draw(st.sampled_from(["Z", "Z/d", "Z/d over Z/N"]))
+    if kind == "Z":
+        return 0, 0
+    # exponents of the primes the schedules invert, times a cofactor
+    d = (2 ** draw(st.integers(0, 6)) * 3 ** draw(st.integers(0, 4))
+         * 5 ** draw(st.integers(0, 3)) * draw(st.integers(1, 2 ** 40)))
+    if kind == "Z/d":
+        return d, 0
+    return d, d * draw(st.integers(1, (2 ** 61 - 1) // d))
+
+
+class TestChainRoute:
+    """The chain route against the matrix route of the test copy."""
+
+    def test_late_drop_z64_is_not_certified_early(self):
+        # the torsion image chain of stage 2 is flat for 18 stages and drops
+        # at stage 20, so depth 31 confirms levels 0..10 only
+        s = seq(3, 5, 6)
+        tor, _ = towers._torsion_and_constant_chains(64, s, 31)
+        assert chain_lim(tor).certificate.verified_through == 10
+        assert chain_outcome(tor) == lim_outcome(tower_lim, torsion_tower(z_mod(64), s, 31))[:2]
+
+    @pytest.mark.parametrize("modulus", [0, 64])
+    def test_battery_factors_at_and_below_certified_depth(self, modulus):
+        for d in (d for d in range(1, 65) if not modulus or modulus % d == 0):
+            for gens in GENERATOR_SETS:
+                s = MultSubsetSeq(generators=gens)
+                depth = certified_depth(d, s)
+                for n in (depth, depth - 1):
+                    assert_chains_match_matrix_route(d, modulus, s, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor=cyclic_factors(),
+           gens=st.lists(st.sampled_from([-12, -6, -5, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 10,
+                                          35]), min_size=1, max_size=3),
+           depth=st.sampled_from(["certified", "one below", 1, 2, 3, 5, 12]))
+    def test_matches_matrix_route(self, factor, gens, depth):
+        d, modulus = factor
+        s = MultSubsetSeq(generators=tuple(gens))
+        if isinstance(depth, str):
+            depth = certified_depth(d, s) - (depth == "one below")
+        assert_chains_match_matrix_route(d, modulus, s, max(depth, 1))
 
 
 class TestBisectedImageChains:
@@ -537,8 +618,8 @@ def kernel_route_lim(tower):
     images factored through the lower carrier, then tested for an isomorphism
     through its kernel and cokernel."""
     n = tower.depth
-    w = tower.window()
-    carrier = towers._carriers(tower, n - 1)
+    w = tower.period
+    carrier = carriers(tower, n - 1)
     i_max = confirmed_levels(tower) - 1
     if i_max < w:
         raise NotStabilized("image chains not confirmed within depth",
@@ -567,7 +648,7 @@ def kernel_route_lim(tower):
                             chains=[[canonical_invariants(list(sub(i).invariants()), 0)
                                      for i in range(i_max + 1)]])
     cert = towers.LimCertificate(stable_index=iso_down_to, verified_through=i_max)
-    return towers.TowerLimit(module=sub(iso_down_to), carriers=carrier,
+    return TowerLimit(module=sub(iso_down_to), carriers=carrier,
                              certificate=cert)
 
 
@@ -596,7 +677,7 @@ class TestLatticeEqualityLimit:
         s = seq(2, 3)
         for build in (quotient_tower, torsion_tower, constant_hom_tower):
             tower = build(module, s, 7)
-            carrier = towers._carriers(tower, tower.depth - 1)
+            carrier = carriers(tower, tower.depth - 1)
             for j in range(tower.depth - 1):
                 assert carrier[j] == mat_mul(carrier[j + 1], tower.transitions[j].mat())
                 assert carrier[j] == composite(tower, j, tower.depth - 1)
@@ -623,27 +704,31 @@ class TestLatticeEqualityLimit:
 
 
 def compare_five_term_routes(d, modulus, s, depth) -> bool:
-    """Assert that the five-term block of Z/d read from the limits' own
-    modules agrees with the one whose L1 and L2 re-eliminate the relations
-    among the carrier rows at the common stage index, and whose Lambda is
-    the quotient stage there, and so do the lattices; the memoized block
-    agrees too.  False when no block exists at this depth."""
+    """Assert that the five-term block of Z/d from the chains agrees with
+    the one of the matrix route, whose L1 and L2 re-eliminate the relations
+    among the carrier rows at the common stage index and whose Lambda is
+    the quotient stage there, and that the matrix limits' own modules have
+    those lattices.  When the matrix route has no block at this depth, the
+    chain route raises the same NotStabilized; then return False."""
     module = FPModule.from_invariants([d], modulus=modulus)
     tor, con, quo = (build(module, s, depth)
                      for build in (torsion_tower, constant_hom_tower, quotient_tower))
+    label = (d, modulus, s.generators, depth)
     try:
         lims = [tower_lim(t) for t in (tor, con, quo)]
-    except NotStabilized:
-        return False
-    try:
-        block = towers._five_term_assemble(module, s, tor, lims)
+        n_star = max(lim.certificate.stable_index for lim in lims)
+        verified = [lim.certificate.verified_through for lim in lims]
+        if n_star > min(verified):
+            raise NotStabilized(f"carriers are realized at stage {n_star} but the torsion, "
+                                f"constant and quotient limits are verified through "
+                                f"{verified}", chains=[verified])
     except NotStabilized as exc:
-        assert "carriers are realized" in str(exc)
+        with pytest.raises(NotStabilized) as info:
+            towers._five_term_cyclic(d, modulus, s, depth)
+        assert (str(info.value), info.value.chains) == (str(exc), exc.chains), label
         return False
-    label = (d, modulus, s.generators, depth)
-    assert block == five_term_by_submodules(module, tor, con, quo, lims), label
+    block = five_term_by_submodules(module, tor, con, quo, lims)
     assert block == towers._five_term_cyclic(d, modulus, s, depth), label
-    n_star = block.stable_index
     for tower, lim in ((tor, lims[0]), (con, lims[1])):
         rows = composite(tower, n_star, tower.depth - 1)
         assert lim.carriers[n_star] == rows, label
@@ -654,8 +739,9 @@ def compare_five_term_routes(d, modulus, s, depth) -> bool:
 
 
 class TestFiveTermCarriersFromLimits:
-    """L1 and L2 are the torsion and constant limits' own modules, and the
-    exactness flags compare the maps' held Hermite forms."""
+    """The chain route's five-term block, with L1, L2 and Lambda on one
+    generator each, agrees with the matrix route's, and fails where it
+    fails."""
 
     def test_battery_cyclic_factors_at_certified_depth(self):
         for d in range(2, 65):
@@ -785,10 +871,10 @@ def two_hnf_confirmed_levels(tower, top):
     """``_confirmed_levels`` before the inclusion argument: the HNFs of the
     images from the top and from one window below, compared."""
     n = tower.depth
-    w = tower.window()
+    w = tower.period
     if n <= w:
         return 0
-    below = towers._carriers(tower, n - 1 - w)
+    below = carriers(tower, n - 1 - w)
     for i in range(n - w):
         rel = tower.stages[i].relation_rows()
         if towers.hnf_rows(top[i] + rel) != towers.hnf_rows(below[i] + rel):
@@ -803,9 +889,9 @@ def confirmation_outcomes(tower):
 def two_hnf_route():
     # the oracle reads the top carriers itself, in place of the level echelons
     return mock.patch.object(
-        towers, "_confirmed_levels",
+        reference_routes, "confirmed_levels",
         lambda tower, level: two_hnf_confirmed_levels(
-            tower, towers._carriers(tower, tower.depth - 1)))
+            tower, carriers(tower, tower.depth - 1)))
 
 
 def assert_same_confirmation(tower, label):
@@ -833,10 +919,12 @@ class TestOneHnfConfirmation:
     @pytest.mark.parametrize("m", [1, 2, 3, 6, 10])
     def test_free_tower_of_weakly_cotorsion_report(self, m):
         free = FPModule.from_presentation([], gens=1)
-        assert_same_confirmation(quotient_tower(free, seq(m), DEFAULT_DEPTH), m)
-        report = weakly_cotorsion_report(free, m)
-        with two_hnf_route():
-            assert weakly_cotorsion_report(free, m) == report
+        tower = quotient_tower(free, seq(m), DEFAULT_DEPTH)
+        assert_same_confirmation(tower, m)
+        if m > 1:
+            # the report's chain verdict is the matrix route's
+            stabilized = not isinstance(lim_outcome(tower_lim, tower)[0], str)
+            assert weakly_cotorsion_report(free, m)["free_part_stabilized"] == stabilized
 
     def test_late_drop_z64(self):
         # the level-2 torsion chain is constant through stage 19 and drops at 20
@@ -844,7 +932,7 @@ class TestOneHnfConfirmation:
         for build in (quotient_tower, torsion_tower, constant_hom_tower):
             assert_same_confirmation(build(m, s, 31), build.__name__)
         t = torsion_tower(m, s, 31)
-        assert two_hnf_confirmed_levels(t, towers._carriers(t, t.depth - 1)) == 11
+        assert two_hnf_confirmed_levels(t, carriers(t, t.depth - 1)) == 11
 
     @settings(max_examples=100, deadline=None)
     @given(gens_count=st.integers(min_value=1, max_value=3),
@@ -868,11 +956,11 @@ def hnf_level_lim(tower):
     carrier plus the relations confirms the level, and a second elimination
     (``submodule_on_rows``) presents each stable image."""
     n = tower.depth
-    w = tower.window()
-    carrier = towers._carriers(tower, n - 1)
+    w = tower.period
+    carrier = carriers(tower, n - 1)
     confirmed = 0
     if n > w:
-        below = towers._carriers(tower, n - 1 - w)
+        below = carriers(tower, n - 1 - w)
         confirmed = n - w
         for i in range(n - w):
             lattice = towers.hnf_rows(carrier[i] + tower.stages[i].relation_rows())
@@ -894,7 +982,7 @@ def hnf_level_lim(tower):
                             chains=[[canonical_invariants(list(m.invariants()), 0)
                                      for m in sub]])
     cert = towers.LimCertificate(stable_index=iso_down_to, verified_through=i_max)
-    return towers.TowerLimit(module=sub[iso_down_to], carriers=carrier,
+    return TowerLimit(module=sub[iso_down_to], carriers=carrier,
                              certificate=cert)
 
 
