@@ -29,10 +29,8 @@ from .intlinalg import _saturate_divisor, identity
 from .towers import (
     MultSubsetSeq,
     certified_depth,
-    chain_lim,
+    delta_truncated,
     is_weakly_cotorsion_fg,
-    quotient_chain,
-    quotient_tower,
 )
 
 
@@ -380,8 +378,10 @@ def _checked(cert: Certificate, level: int) -> Certificate:
 def decompose_weakly_cotorsion(module: FPModule, m: int,
                                depth: int | None = None) -> Certificate:
     """Certificate for a finite module over Z with the subset generated by m:
-    an extension of its completion (an omega-iterated extension of quotient
-    stage kernels) by its divisible part (on which m acts invertibly)."""
+    an extension of its completion by its divisible part t*M (on which m acts
+    invertibly), t = m^(n0 + 1).  The completion's stable index n0, and
+    whether it is zero, come from ``delta_truncated``; the completion is the
+    omega-iterated extension of the quotient stages up to n0 + 2."""
     if not is_weakly_cotorsion_fg(module, m):
         raise NotWeaklyCotorsion(
             "modules with free rank are not weakly cotorsion for m >= 2")
@@ -399,24 +399,22 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
     # the quotient tower of a sum stabilizes where its slowest factor does
     depth = depth if depth is not None else max(
         certified_depth(d, seq) for d in canon.invariants())
-    quo = quotient_tower(canon, seq, depth)
-    n0 = max(chain_lim(quotient_chain(d, seq, depth)).certificate.stable_index
-             for d in canon.invariants())
+    delta = delta_truncated(canon, seq, depth)
+    n0 = delta.lambda_stable_index
     t_star = seq.t(n0 + 1)
 
     # the divisible part t*M, presented by its canonical relation HNF
     mult = Morphism.multiplication(canon, t_star)
     div = mult.image()[0]
-    lam = quo.stages[n0]
 
-    omega = omega_from_quotient_tower(quo, min(n0 + 1, quo.depth - 1), m)
+    omega = omega_from_quotient_tower(canon, min(n0 + 1, depth - 1), m)
     div_seed = CertNode(kind="Seed", level=1,
                         tag={"kind": "LocalizedRingModule", "generators": [m]},
                         payload={"module": div})
 
     if div.is_zero():
         cert = Certificate(root=omega)
-    elif lam.is_zero():
+    elif delta.lambda_invariants == ():
         cert = Certificate(root=CertNode(
             kind="Seed", level=1,
             tag={"kind": "LocalizedRingModule", "generators": [m]},
@@ -432,12 +430,18 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
     return _checked(cert, 1)
 
 
-def omega_from_quotient_tower(quo, top: int, s: int) -> CertNode:
-    """Omega-iterated extension over stages 0..top of the quotient tower of
-    the schedule (s,): seeds of stage 0 and of each transition kernel, each
-    tagged QuotientRingModule with s."""
-    stages = quo.stages[:top + 1]
-    pieces = [stages[0]] + [f.kernel()[0] for f in quo.transitions[:top]]
+def omega_from_quotient_tower(module: FPModule, top: int, s: int) -> CertNode:
+    """Omega-iterated extension over the quotient stages M/s^n M, n = 1 ..
+    top + 1, each presented by the relations of M and s^n times the
+    identity, with identity-on-generators transitions: seeds of the first
+    stage and of each transition kernel, tagged QuotientRingModule with s."""
+    ident = identity(module.gens)
+    relations = list(module.relations)
+    stages = [FPModule.from_presentation(relations + [[s ** n * x for x in row] for row in ident],
+                                         gens=module.gens, modulus=module.modulus)
+              for n in range(1, top + 2)]
+    pieces = [stages[0]] + [Morphism.make(up, down, ident).kernel()[0]
+                            for up, down in zip(stages[1:], stages)]
     children = [CertNode(kind="Seed", level=1,
                          tag={"kind": "QuotientRingModule", "s": s},
                          payload={"module": FPModule.from_invariants(
@@ -445,7 +449,7 @@ def omega_from_quotient_tower(quo, top: int, s: int) -> CertNode:
                 for piece in pieces]
     return CertNode(kind="OmegaIteratedExtension", level=1, children=children,
                     payload={"module": stages[-1], "stages": stages,
-                             "transitions": [f.mat() for f in quo.transitions[:top]]})
+                             "transitions": [identity(module.gens) for _ in range(top)]})
 
 
 def embed_two_obtainable(module: FPModule) -> Certificate:

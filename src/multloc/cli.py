@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import RULE_REFS
@@ -27,6 +28,7 @@ from .certs import (
     verify_certificate,
 )
 from .fpmod import FPModule
+from .intlinalg import identity
 from .poset import (
     DimensionMismatch,
     PrimePoset,
@@ -52,7 +54,7 @@ from .towers import (
     NotStabilized,
     certified_depth,
     delta_truncated,
-    quotient_tower,
+    quotient_stages,
     telescope_complex,
     telescope_homology_check,
     weakly_cotorsion_report,
@@ -173,10 +175,11 @@ def cmd_complete(args) -> int:
     # without --depth, deep enough that every cyclic factor's limit certifies
     depth = args.depth if args.depth is not None else max(
         [DEFAULT_DEPTH] + [certified_depth(d, seq) for d in module.invariants()])
-    tower = quotient_tower(module, seq, depth)
-    doc = {"stages": [list(inv) for inv in tower.stage_invariants()],
-           "t_values": tower.t_values,
-           "transitions": [f.mat() for f in tower.transitions],
+    t_values, stages = quotient_stages(module, seq, depth)
+    # the quotient tower's transitions are the identity on generators
+    doc = {"stages": [list(inv) for inv in stages],
+           "t_values": t_values,
+           "transitions": [identity(module.gens) for _ in t_values[1:]],
            "rule_refs": [RULE_REFS[6]]}
     code = PASS
     try:
@@ -354,10 +357,23 @@ def main(argv=None) -> int:
         return BROKEN_PIPE
 
 
+def _glue_negative_lists(argv: list[str]) -> list[str]:
+    """Glue a list value that starts with a minus sign to its option
+    ('--t=-1,2'): argparse would take '-1,2' for an option of its own."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--generators", "--module", "--s", "--t") \
+                and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _dispatch(argv) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_glue_negative_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return USAGE if exc.code else PASS
     try:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 
+from .certs import CertNode, Certificate, omega_from_quotient_tower, verify_certificate
+from .fpmod import FPModule, direct_sum
 from .poset import PrimePoset
 
 
@@ -75,7 +78,6 @@ def _divisors(n: int) -> list[int]:
 
 def coprime_split(rng: random.Random, n: int) -> tuple[int, int]:
     """Split N = a * b with gcd(a, b) = 1 and a > 1; b may be 1."""
-    import math
     candidates = []
     for a in _divisors(n):
         b = n // a
@@ -91,12 +93,9 @@ def random_certificate(rng: random.Random, modulus: int, ann: int,
 
     All construction payloads are concrete: extensions and products use
     split middles, kernels of surjections use coordinate projections, and
-    omega nodes are short quotient towers with computed kernels.
+    omega nodes present the quotient stages M/ann^n M of a random module M
+    for n = 1 .. 2 to 4, with their transition kernels computed.
     """
-    from .certs import CertNode, Certificate, omega_from_quotient_tower, verify_certificate
-    from .fpmod import FPModule, direct_sum
-    from .towers import MultSubsetSeq, quotient_tower
-
     divisors = [d for d in _divisors(ann)]
 
     def rand_module() -> FPModule:
@@ -184,11 +183,9 @@ def random_certificate(rng: random.Random, modulus: int, ann: int,
                             payload={"module": kernel_mod,
                                      "map": proj_rows(source_mod, y,
                                                       kernel_mod.gens)})
-        # OmegaIteratedExtension: a short quotient tower of a random module
+        # OmegaIteratedExtension: two to four quotient stages of a random module
         base = rand_module()
-        levels = rng.randint(2, 4)
-        quo = quotient_tower(base, MultSubsetSeq(generators=(ann,)), levels)
-        return omega_from_quotient_tower(quo, levels - 1, ann)
+        return omega_from_quotient_tower(base, rng.randint(2, 4) - 1, ann)
 
     cert = Certificate(root=build(depth))
     verify_certificate(cert)
@@ -198,7 +195,6 @@ def random_certificate(rng: random.Random, modulus: int, ann: int,
 def projective_test_modules(rng: random.Random, modulus: int, b: int,
                             count: int = 2):
     """Projective test modules supported on the complementary factor b."""
-    from .fpmod import FPModule
     out = []
     for _ in range(count):
         k = rng.randint(1, 2)

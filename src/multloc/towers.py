@@ -1,12 +1,14 @@
-"""Countable multiplicative subsets as generator schedules; towers of
-finite modules; torsion, completion and the telescope complex.
+"""Countable multiplicative subsets as generator schedules; quotient,
+torsion and constant towers as per-factor chains; completion, the five-term
+sequence and the telescope complex.
 
 The schedule is round-robin over the generator list, so every generator
 recurs infinitely often; t_n is the product of the first n scheduled
-elements (t_0 = 1).  Every limit the package takes is of a cyclic factor
-Z/d (Z for d = 0), whose quotient, torsion and constant towers have cyclic
-stages, so each tower is a ``Chain`` of stage orders and transition
-scalars.  Its inverse limit is the eventual stable image, checked by a
+elements (t_0 = 1).  Every tower of a finitely generated module splits
+along its cyclic factors Z/d (Z for d = 0), whose quotient, torsion and
+constant towers have cyclic stages, so each tower is a ``Chain`` of stage
+orders and transition scalars and no stage is presented as a module.  A
+chain's inverse limit is the eventual stable image, checked by a
 stability window spanning one full schedule period (a certificate only
 once the stages stop growing; see ``Chain``), and ``chain_lim`` decides
 both with gcds; limits that the truncation cannot confirm raise
@@ -15,9 +17,11 @@ morphisms on one generator and checks their exactness there.  Each cyclic
 factor's completion (its quotient limit) and its five-term block are two
 memos; a call that raises NotStabilized stores nothing and raises afresh.
 lim^1 is not computed: the torsion tower of a finitely generated module
-has finite stages, where it is zero (``Lim1Verdict``).
+has finite stages, where it is zero (``Lim1Verdict``).  The invariants of
+the quotient stages M/t_nM merge those of the factors' quotient chains
+(``quotient_stages``).
 
-Schedules, towers, limits and reports are named tuples, so creating the
+Schedules, chains, limits and reports are named tuples, so creating the
 classes runs no generated code.  Like any tuple they iterate, compare
 equal to a plain tuple of the same fields and serialize to JSON as lists;
 their documents come from ``to_document``.
@@ -157,22 +161,6 @@ def cyclic_completion_oracle(d: int, generators) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class Tower(namedtuple("Tower", "stages transitions period t_values", defaults=((),))):
-    """Stages M/t_1 M .. M/t_N M with the canonical surjections
-    M/t_{n+1}M -> M/t_nM as ``fpmod`` modules and morphisms; ``period`` is
-    the schedule period and ``t_values`` are t_1 .. t_N.  Its limit is taken
-    per cyclic factor, on a ``Chain``."""
-
-    __slots__ = ()
-
-    @property
-    def depth(self) -> int:
-        return len(self.stages)
-
-    def stage_invariants(self) -> list[tuple[int, ...]]:
-        return [s.invariants() for s in self.stages]
-
-
 def _partial_products(seq: MultSubsetSeq, depth: int) -> list[int]:
     """t_1 .. t_depth, each one step of a running product."""
     out, t = [], 1
@@ -182,23 +170,17 @@ def _partial_products(seq: MultSubsetSeq, depth: int) -> list[int]:
     return out
 
 
-def quotient_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DEPTH) -> Tower:
-    """Stages M/t_n M with the canonical (identity-on-generators) surjections."""
+def quotient_stages(module: FPModule, seq: MultSubsetSeq,
+                    depth: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """t_1 .. t_depth and the invariants of the quotient stages M/t_1M ..
+    M/t_depthM.  Stage n of the quotient chain of a cyclic factor Z/d is
+    Z/gcd(d, t_n) (``quotient_chain``), so stage n of M merges those orders
+    over the invariant factors of M.  The transitions are the identity on
+    generators."""
     _check_depth(depth)
-    stages = []
     tvals = _partial_products(seq, depth)
-    for t in tvals:
-        rows = [list(r) for r in module.relations]
-        for i in range(module.gens):
-            row = [0] * module.gens
-            row[i] = t
-            rows.append(row)
-        stages.append(FPModule.from_presentation(rows, gens=module.gens,
-                                                 modulus=module.modulus))
-    transitions = [Morphism.make(stages[k + 1], stages[k], identity(module.gens))
-                   for k in range(depth - 1)]
-    return Tower(stages=stages, transitions=transitions, t_values=tvals,
-                 period=len(seq.generators))
+    inv = module.invariants()
+    return tvals, [merge_invariants((math.gcd(d, t),) for d in inv) for t in tvals]
 
 
 class Chain(namedtuple("Chain", "orders scalars period")):
@@ -680,15 +662,15 @@ def weakly_cotorsion_report(module: FPModule, m: int,
         out["note"] = "inverting 1 changes nothing; every module qualifies"
         out["oracle_agrees"] = decision
     else:
-        d = depth if depth is not None else DEFAULT_DEPTH
-        free = FPModule.from_presentation([], gens=1)
-        growth = [list(s.invariants()) for s in quotient_tower(free, seq, d).stages]
+        # the quotient chain of Z: stage n is Z/m^n, never 1 for m >= 2
+        _check_depth(depth)
+        free = quotient_chain(0, seq, depth if depth is not None else DEFAULT_DEPTH)
         try:
-            chain_lim(quotient_chain(0, seq, d))
+            chain_lim(free)
             stabilized = True
         except NotStabilized:
             stabilized = False
-        out["free_part_growth"] = growth
+        out["free_part_growth"] = [[o] for o in free.orders]
         out["free_part_stabilized"] = stabilized
         out["oracle_agrees"] = (not stabilized) == (not decision)
     return out

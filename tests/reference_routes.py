@@ -14,8 +14,8 @@ compared frozensets and restricted the poset to Spec(R_{J,s}) for every
 (J, s) choice, the canonical one of each pair included; today both run as
 ANDs of bitmasks, and the restricted spectrum lives here only.
 
-Tower limits were taken on matrices: the torsion and constant towers were
-built as ``FPModule`` towers like the quotient tower, each level's carrier
+Tower limits were taken on matrices: the quotient, torsion and constant
+towers were built as ``FPModule`` towers (``Tower``), each level's carrier
 was the composite matrix from the top stage, and one Hermite elimination
 per level both confirmed the level against the carrier from one window
 below and presented its stable image (``tower_lim``).  That route takes the
@@ -23,7 +23,10 @@ limit of any tower, non-diagonal presentations and several generators
 included.  Every limit the package takes is of a cyclic factor, so today
 its towers are chains of stage orders and transition scalars, and
 ``towers.chain_lim`` decides the same window and isomorphism tests with
-gcds; the tests compare the two.
+gcds; the tests compare the two.  The quotient stages M/t_nM were presented
+by the relations of M and t_n times the identity (``quotient_tower``);
+today ``towers.quotient_stages`` merges their invariants from the chains,
+and only the omega certificate presents the few stages it prints.
 """
 
 import functools
@@ -36,8 +39,7 @@ from multloc.intlinalg import (_eliminate, canonical_invariants, hnf_rows, ident
                                lattice_coordinates, lattice_member, mat_mul)
 from multloc.poset import DistinguishReport, PrimePoset, _heights
 from multloc.towers import (DEFAULT_DEPTH, FINITE_STAGES, FiveTermReport, LimCertificate,
-                            MultSubsetSeq, NotStabilized, Tower, _check_depth,
-                            _partial_products)
+                            MultSubsetSeq, NotStabilized, _check_depth, _partial_products)
 
 
 def echelon(a: list[list[int]],
@@ -102,6 +104,40 @@ def composite(tower, to_index: int, from_index: int) -> list[list[int]]:
     for m in range(from_index - 1, to_index - 1, -1):
         mat = mat_mul(mat, tower.transitions[m].mat())
     return mat
+
+
+class Tower(namedtuple("Tower", "stages transitions period t_values", defaults=((),))):
+    """Stages M/t_1 M .. M/t_N M with the canonical surjections
+    M/t_{n+1}M -> M/t_nM as ``fpmod`` modules and morphisms; ``period`` is
+    the schedule period and ``t_values`` are t_1 .. t_N."""
+
+    __slots__ = ()
+
+    @property
+    def depth(self) -> int:
+        return len(self.stages)
+
+    def stage_invariants(self) -> list[tuple[int, ...]]:
+        return [s.invariants() for s in self.stages]
+
+
+def quotient_tower(module: FPModule, seq: MultSubsetSeq, depth: int = DEFAULT_DEPTH) -> Tower:
+    """Stages M/t_n M with the canonical (identity-on-generators) surjections."""
+    _check_depth(depth)
+    stages = []
+    tvals = _partial_products(seq, depth)
+    for t in tvals:
+        rows = [list(r) for r in module.relations]
+        for i in range(module.gens):
+            row = [0] * module.gens
+            row[i] = t
+            rows.append(row)
+        stages.append(FPModule.from_presentation(rows, gens=module.gens,
+                                                 modulus=module.modulus))
+    transitions = [Morphism.make(stages[k + 1], stages[k], identity(module.gens))
+                   for k in range(depth - 1)]
+    return Tower(stages=stages, transitions=transitions, t_values=tvals,
+                 period=len(seq.generators))
 
 
 class InclusionTower(namedtuple("InclusionTower", Tower._fields + ("stage_inclusions",))):

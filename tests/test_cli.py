@@ -250,6 +250,14 @@ class TestWcCheck:
         assert doc["decision"] is False
         assert doc["free_part_growth"][0] == [2]
 
+    @pytest.mark.parametrize("module", ["0", "36", "0,4"])
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_depth_below_one_is_a_usage_error(self, module, depth, capsys):
+        code, out, err = run_cli(["wc-check", "--module", module, "-m", "2",
+                                  "--depth", depth], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "depth" in err
+
 
 class TestModuleLiteral:
     """A --module factor must be nonnegative and, over Z/N, divide N;
@@ -280,6 +288,38 @@ class TestModuleLiteral:
         assert json.loads(out)["delta"]["lambda_invariants"] == [4, 8]
         assert run_cli(["complete", "--module", "4,3", "--modulus", "12",
                         "--generators", "2"], capsys)[0] == 0
+
+
+class TestNegativeListValues:
+    """A list value that starts with a minus sign may follow its option as a
+    separate argument, as well as after '='; both print the same."""
+
+    @pytest.mark.parametrize("option, value, rest", [
+        ("--generators", "-1,2", ["complete", "--module", "12"]),
+        ("--generators", "-1,2", ["complete", "--module", "12", "--depth", "6"]),
+        ("--generators", "-2", ["complete", "--module", "0", "--depth", "4"]),
+        ("--generators", "-1,2", ["telescope", "-n", "2"]),
+        ("--generators", "-3,2", ["telescope", "-n", "3", "--module", "6"]),
+        ("--t", "-1,1", ["artinian", "--s", "3"]),
+        ("--s", "-3", ["artinian", "--t", "1,1"]),
+        ("--t", "-1;1", ["artinian", "--base", "gfp:3", "--s", "1"]),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_separate_argument_as_with_equals(self, option, value, rest, fmt, capsys):
+        tail = ["--format", fmt]
+        separate = run_cli(rest + [option, value] + tail, capsys)
+        assert separate[0] != 2 and separate[1] and separate[2] == ""
+        assert separate == run_cli(rest + [f"{option}={value}"] + tail, capsys)
+
+    def test_negative_factor_rejected_either_way(self, capsys):
+        for args in (["--module", "-4"], ["--module=-4"]):
+            code, out, err = run_cli(["complete", *args, "--generators", "2"], capsys)
+            assert (code, out) == (2, "") and "factor -4 is negative" in err
+
+    def test_other_options_keep_their_value(self, capsys):
+        # a negative value after an option that takes none stays an argument
+        code, _, err = run_cli(["battery", "--quick", "-1"], capsys)
+        assert code == 2 and "unrecognized arguments: -1" in err
 
 
 class TestVerifyCert:

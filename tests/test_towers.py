@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from multloc import towers
 from multloc.battery import GENERATOR_SETS, abelian_groups_upto, criterion_5
+from multloc.certs import omega_from_quotient_tower
 from multloc.fpmod import (FPModule, Morphism, canonical_invariants,
                            merge_invariants)
 from multloc.intlinalg import lattice_member, mat_mul
@@ -16,7 +17,6 @@ from multloc.towers import (
     DEFAULT_DEPTH,
     MultSubsetSeq,
     NotStabilized,
-    Tower,
     certified_depth,
     chain_lim,
     cyclic_completion_oracle,
@@ -24,16 +24,16 @@ from multloc.towers import (
     five_term_check,
     is_weakly_cotorsion_fg,
     quotient_chain,
-    quotient_tower,
+    quotient_stages,
     telescope_complex,
     telescope_homology_check,
     weakly_cotorsion_report,
 )
 import reference_routes
-from reference_routes import (TowerLimit, carriers, composite, constant_hom_tower,
+from reference_routes import (Tower, TowerLimit, carriers, composite, constant_hom_tower,
                               echelon_level_lim, factor_through_submodule,
-                              five_term_by_submodules, submodule_on_rows, torsion_tower,
-                              tower_lim)
+                              five_term_by_submodules, quotient_tower, submodule_on_rows,
+                              torsion_tower, tower_lim)
 
 
 def seq(*gens):
@@ -83,18 +83,24 @@ class TestSchedule:
 
 
 class TestTowers:
+    """The quotient stages from the chains (``quotient_stages``) beside the
+    presented tower of the test copy."""
+
     def test_quotient_tower_z12(self):
         t = quotient_tower(z_mod(12), seq(2), 4)
-        assert t.stage_invariants() == [(2,), (4,), (4,), (4,)]
+        assert quotient_stages(z_mod(12), seq(2), 4) \
+            == ([2, 4, 8, 16], t.stage_invariants()) == ([2, 4, 8, 16], [(2,), (4,), (4,), (4,)])
         assert all(f.is_surjective() for f in t.transitions)
 
     def test_quotient_tower_free(self):
-        t = quotient_tower(FPModule.from_presentation([], gens=1), seq(2), 3)
-        assert t.stage_invariants() == [(2,), (4,), (8,)]
+        free = FPModule.from_presentation([], gens=1)
+        t = quotient_tower(free, seq(2), 3)
+        assert quotient_stages(free, seq(2), 3)[1] == t.stage_invariants() \
+            == [(2,), (4,), (8,)]
 
     def test_quotient_tower_invertible(self):
         t = quotient_tower(z_mod(5), seq(2), 3)
-        assert all(inv == () for inv in t.stage_invariants())
+        assert quotient_stages(z_mod(5), seq(2), 3)[1] == t.stage_invariants() == [(), (), ()]
 
     def test_torsion_tower_z12(self):
         t = torsion_tower(z_mod(12), seq(2), 3)
@@ -111,6 +117,43 @@ class TestTowers:
         t = torsion_tower(z_mod(8, 2), seq(2), 3)
         orders = [s.order() for s in t.stages]
         assert orders == [4, 8, 16]
+
+
+@st.composite
+def presentations(draw):
+    """A module on 0 to 4 generators over Z or over Z/N with N < 2^61."""
+    gens = draw(st.integers(0, 4))
+    modulus = draw(st.one_of(st.just(0), st.sampled_from([4, 6, 8, 12, 36]),
+                             st.integers(2, 2 ** 61 - 1)))
+    rows = draw(st.lists(st.lists(st.integers(-12, 12), min_size=gens, max_size=gens),
+                         max_size=4))
+    return FPModule.from_presentation(rows, gens=gens, modulus=modulus)
+
+
+SIGNED_GENERATORS = st.sampled_from([-6, -4, -2, -1, 1, 2, 3, 4, 5, 6, 10])
+
+
+class TestQuotientStages:
+    """The quotient stages merged from the chains, and the stages the omega
+    certificate presents, against the presented tower of the test copy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(module=presentations(),
+           schedule=st.lists(SIGNED_GENERATORS, min_size=1, max_size=3),
+           depth=st.integers(1, 10))
+    def test_matches_presented_tower(self, module, schedule, depth):
+        s = MultSubsetSeq(generators=tuple(schedule))
+        tower = quotient_tower(module, s, depth)
+        assert quotient_stages(module, s, depth) == (tower.t_values, tower.stage_invariants())
+
+    @settings(max_examples=100, deadline=None)
+    @given(module=presentations(), s=SIGNED_GENERATORS, top=st.integers(0, 4))
+    def test_omega_presents_the_tower_stages(self, module, s, top):
+        payload = omega_from_quotient_tower(module, top, s).payload
+        tower = quotient_tower(module, seq(s), top + 1)
+        assert payload["stages"] == tower.stages[:top + 1]
+        assert payload["module"] == tower.stages[top]
+        assert payload["transitions"] == [f.mat() for f in tower.transitions[:top]]
 
 
 class TestTowerLim:
@@ -385,7 +428,7 @@ class TestDepthValidation:
     @pytest.mark.parametrize("depth", [0, -1])
     def test_rejected(self, depth):
         m, s = z_mod(12), seq(2)
-        for call in (quotient_tower, torsion_tower, constant_hom_tower, delta_truncated,
+        for call in (quotient_stages, torsion_tower, constant_hom_tower, delta_truncated,
                      five_term_check):
             with pytest.raises(ValueError, match="depth"):
                 call(m, s, depth)
@@ -442,8 +485,7 @@ def refuse(*args, **kwargs):
 
 class TestPerFactorMemos:
     """Delta reads only the quotient limit; the five-term block reads that
-    same memo entry and builds the other two chains itself.  Neither builds
-    a matrix tower."""
+    same memo entry and builds the other two chains itself."""
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
@@ -451,11 +493,9 @@ class TestPerFactorMemos:
 
     def test_cold_delta_builds_no_torsion_or_constant_tower(self, monkeypatch):
         monkeypatch.setattr(towers, "_torsion_and_constant_chains", refuse)
-        monkeypatch.setattr(towers, "quotient_tower", refuse)
         assert delta_truncated(z_mod(12), seq(2)).lambda_invariants == (4,)
 
     def test_delta_after_five_term_builds_no_quotient_tower(self, monkeypatch):
-        monkeypatch.setattr(towers, "quotient_tower", refuse)
         five = five_term_check(z_mod(12), seq(2))
         monkeypatch.setattr(towers, "quotient_chain", refuse)
         assert delta_truncated(z_mod(12), seq(2)).lambda_invariants == five.delta_invariants
