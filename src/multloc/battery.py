@@ -39,7 +39,7 @@ from .certs import (
     orthogonality_battery,
     verify_certificate,
 )
-from .ext import ext1_order, ext1_order_oracle
+from .ext import ext1, ext1_order_oracle
 from .fpmod import FPModule, merge_invariants
 from .poset import build_mu_family, build_pair_dim2, mu, verify_distinguishing
 from .randomgen import (
@@ -497,8 +497,8 @@ def criterion_10(seed: int, runs: int):
                 if math.prod(a_inv) * math.prod(b_inv) > 64:
                     continue
                 pairs_checked += 1
-                engine = ext1_order(FPModule.from_invariants(list(a_inv), modulus=ring),
-                                    FPModule.from_invariants(list(b_inv), modulus=ring))
+                engine = math.prod(ext1(FPModule.from_invariants(list(a_inv), modulus=ring),
+                                        FPModule.from_invariants(list(b_inv), modulus=ring)))
                 if engine != ext1_order_oracle(list(a_inv), list(b_inv), modulus=ring):
                     oracle_mismatches.append({"ring": ring, "a": list(a_inv),
                                               "b": list(b_inv)})

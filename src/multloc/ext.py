@@ -1,14 +1,16 @@
 """Ext groups for finite modules over Z and Z/N, with enumeration oracles.
 
-Engine route: the free resolution of each cyclic factor, periodic over Z/N
-(... -> Z/N --N/d--> Z/N --d--> Z/N -> Z/d -> 0), so
-Ext^1(Z/d, B) = ker(N/d on B) / dB and Ext^2(Z/d, B) = ker(d on B) / (N/d)B.
-Over Z (N = 0) it stops at 0 -> Z --d--> Z -> Z/d -> 0: the kill N/d is 0,
-so Ext^1(Z/d, B) = B / dB, and Ext^2 = 0.
-Each quotient is presented on the kernel's own generators: the kernel's
-relations plus the coordinates of the image rows in its basis.  A step is a
-function of (B, kill, scale) alone, and certificate checks ask for the same
-steps many times over, so each is computed once per ``towers.clear_caches``.
+Engine route: Ext is additive in both arguments, so it splits into the
+cyclic factors Z/d of A and Z/e of B (``invariants``).  The free resolution
+of Z/d over Z/N is periodic (... -> Z/N --N/d--> Z/N --d--> Z/N -> Z/d -> 0),
+so Ext^1(Z/d, Z/e) = ker(N/d on Z/e) / d(Z/e), a subquotient of a cyclic
+group and so cyclic.  The kernel has order gcd(e, N/d) and d(Z/e) has order
+e / gcd(d, e), so the group has order gcd(e, N/d) gcd(d, e) / e.  Ext^2 is
+ker(d on Z/e) / (N/d)(Z/e): kill and scale swap, and the order is the same.
+Over Z (N = 0) the resolution stops at 0 -> Z --d--> Z -> Z/d -> 0, so
+Ext^1(Z/d, Z/e) = (Z/e) / d(Z/e) = Z/gcd(d, e), which is Z/d for a free
+e = 0, and Ext^2 = 0.  A free factor of A (d = N, which is 0 over Z)
+contributes nothing.
 
 Oracle route: extensions of A by B are classified by lifting the diagonal
 relations of A into B; the class group is enumerated elementwise, with no
@@ -17,11 +19,10 @@ matrix normal forms involved.
 
 from __future__ import annotations
 
-import functools
+import math
 from itertools import product
 
-from .fpmod import FPModule, Morphism, merge_invariants
-from .intlinalg import lattice_coordinates
+from .fpmod import FPModule, merge_invariants
 
 
 def ext1(a: FPModule, b: FPModule) -> tuple[int, ...]:
@@ -29,43 +30,18 @@ def ext1(a: FPModule, b: FPModule) -> tuple[int, ...]:
     if a.modulus != b.modulus:
         raise ValueError("modules live over different rings")
     n = a.modulus
-    # Z/N is free over Z/N, and Z over Z
-    return merge_invariants(_resolution_step(b, n // d, d)
-                            for d in a.invariants() if d != n)
+    # Z/N is free over Z/N, and Z over Z; a free factor of B (e = 0, only
+    # over Z) gives Z/d
+    return merge_invariants((math.gcd(e, n // d) * math.gcd(d, e) // e if e else d,)
+                            for d in a.invariants() if d != n for e in b.invariants())
 
 
 def ext2(a: FPModule, b: FPModule) -> tuple[int, ...]:
-    """Ext^2 over Z/N via the next step of the periodic resolution (0 over Z)."""
-    if a.modulus != b.modulus:
-        raise ValueError("modules live over different rings")
-    n = a.modulus
-    if n == 0:
-        return ()                 # hereditary ring
-    return merge_invariants(_resolution_step(b, d, n // d)
-                            for d in a.invariants() if d != n)
-
-
-@functools.cache
-def _resolution_step(b: FPModule, kill: int, scale: int) -> tuple[int, ...]:
-    """Invariants of ker(kill on B) / scale*B over Z/N, where kill * scale = N.
-
-    The kernel is P / R, presented on the rows of P's HNF (its inclusion's
-    matrix).  Since kill * scale = N, kill sends scale*e_i to N*e_i, which
-    lies in R, so scale*e_i lies in P and has exact coordinates in that
-    basis; with the kernel's own relations they present the quotient.
-    """
-    ker, incl = Morphism.multiplication(b, kill).kernel()
-    image = [lattice_coordinates(incl.matrix, [scale * (i == j) for j in range(b.gens)])
-             for i in range(b.gens)]
-    return FPModule.from_presentation(list(ker.relations) + image, gens=ker.gens,
-                                      modulus=ker.modulus).invariants()
-
-
-def ext1_order(a: FPModule, b: FPModule) -> int:
-    out = 1
-    for d in ext1(a, b):
-        out *= d
-    return out
+    """Ext^2: over Z/N it is isomorphic to Ext^1 (same cyclic orders, see
+    the module docstring); over Z it is 0 (hereditary ring)."""
+    if a.modulus == b.modulus == 0:
+        return ()
+    return ext1(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ exact and deterministic.  Each morphism eliminates its stacked matrix
 [F | I ; S | 0] once, with S the target's relation rows; no other
 elimination in the package carries a transform.  The echelon form gives
 the cokernel's relation HNF and the HNF of the preimage lattice, from which
-the kernel, the image and injectivity are read, and its rows with a pivot
-among F's columns, transform included, from which ``lift`` solves modulo
-the target's relations.  Exactness of a pair compares the first form of one
-map with the second form of the next, so it eliminates nothing the two maps
-do not already hold.  The modules that ``cokernel`` and ``image`` return
-carry that HNF, and invariants start their Smith passes from a module's
-relation HNF.
+the kernel, the image and injectivity are read.  Exactness of a pair
+compares the first form of one map with the second form of the next, so it
+eliminates nothing the two maps do not already hold.  The modules that
+``cokernel`` and ``image`` return carry that HNF, and invariants start
+their Smith passes from a module's relation HNF.  Maps serve whole modules
+and certificate payloads; the cyclic factors that towers and Ext split into
+are handled with gcds in their own modules.
 
 FPModule and Morphism are named tuples, so creating the classes runs no
 generated code: their fields are read-only, and equality and hashing go by
@@ -192,23 +192,19 @@ class Morphism(namedtuple("Morphism", "source target matrix")):
     # -- homological toolkit -------------------------------------------------
 
     def _hermite_forms(self) -> tuple[tuple[tuple[int, ...], ...],
-                                      tuple[tuple[int, ...], ...],
-                                      list[list[int]]]:
-        """(cokernel relation HNF, preimage HNF, echelon rows), all from one
-        elimination of [F | I_g ; S | 0] over all h + g columns, kept on the
-        instance for as long as the map lives.
+                                      tuple[tuple[int, ...], ...]]:
+        """(cokernel relation HNF, preimage HNF), both from one elimination
+        of [F | I_g ; S | 0] over all h + g columns, kept on the instance
+        for as long as the map lives.
 
         F is the g x h matrix and S the target's relation rows (N*I
         included).  The rows with a pivot in the first h columns are an
-        echelon basis of the row lattice of [F ; S], and each row's last g
-        entries are a transform t with t*F equal to its first h entries
-        modulo the row lattice of S: kept unreduced, transform included,
-        they are the echelon rows that ``lift`` reads, and reduced above
-        their pivots on the first h columns they are the cokernel's relation
-        HNF.  The other rows are zero there, and their transform parts are
-        an echelon basis of the preimage lattice {x in Z^g : x*F in the row
-        lattice of S}: reduced on that part, they are its HNF (Cohen, GTM
-        138, section 2.4).
+        echelon basis of the row lattice of [F ; S]: reduced above their
+        pivots on those columns, they are the cokernel's relation HNF.  The
+        other rows are zero there, and their last g entries are an echelon
+        basis of the preimage lattice {x in Z^g : x*F in the row lattice of
+        S}: reduced on that part, they are its HNF (Cohen, GTM 138, section
+        2.4).
         """
         forms = self._forms
         if forms is None:
@@ -222,39 +218,15 @@ class Morphism(namedtuple("Morphism", "source target matrix")):
             rows += [row + pad for row in self.target.relation_rows()]
             pivots = _eliminate(rows, h + g)
             r = bisect_left(pivots, h)
-            echelon = rows[:r]
-            coker = [row[:h] for row in echelon]
+            coker = [row[:h] for row in rows[:r]]
             pre = [row[h:] for row in rows[r:len(pivots)]]
             if r > 1:
                 _reduce_above_pivots(coker, pivots[:r])
             if len(pre) > 1:
                 _reduce_above_pivots(pre, [c - h for c in pivots[r:]])
-            forms = (tuple(map(tuple, coker)), tuple(map(tuple, pre)), echelon)
+            forms = (tuple(map(tuple, coker)), tuple(map(tuple, pre)))
             self._forms = forms
         return forms
-
-    def lift(self, xs: list[list[int]]) -> list[list[int]] | None:
-        """For each x in ``xs``, a v with v*F = x modulo the target's
-        relation lattice; None when some x lies outside the image plus that
-        lattice.
-
-        x's coordinates in the echelon rows of ``_hermite_forms``
-        (``lattice_coordinates``, forward substitution) combine those rows'
-        transform parts into v, so every x shares the map's one elimination.
-        """
-        echelon = self._hermite_forms()[2]
-        h = self.target.gens
-        out = []
-        for x in xs:
-            coords = lattice_coordinates(echelon, x)
-            if coords is None:
-                return None
-            v = [0] * self.source.gens
-            for q, row in zip(coords, echelon):
-                if q:
-                    v = [a + q * b for a, b in zip(v, row[h:])]
-            out.append(v)
-        return out
 
     def kernel(self) -> tuple[FPModule, "Morphism"]:
         """Kernel as (module, inclusion into source), for a well-defined map.

@@ -8,13 +8,13 @@ and the invariant factors alternate transposed HNFs starting from an HNF
 (``_diagonalize``).  A caller that already holds an echelon form or an HNF
 starts from it.  The elimination ``_eliminate`` has two callers: ``hnf_rows``
 here, and ``fpmod.Morphism._hermite_forms``, which eliminates a morphism's
-stacked matrix [F | I ; S | 0] once and reads its cokernel HNF, its preimage
-HNF (left kernels modulo a lattice) and its lifts (solves modulo a lattice)
-from that one echelon form with its transform.
+stacked matrix [F | I ; S | 0] once and reads its cokernel HNF and its
+preimage HNF (a left kernel modulo a lattice) from that one echelon form
+with its transform.
 
-A vector's coordinates in an echelon basis it is known to lie in come from
-forward substitution alone, with no elimination: membership tests, lifts,
-kernel presentations and tower transitions read them that way.
+A vector's coordinates in an echelon basis come from forward substitution
+alone, with no elimination: membership tests and kernel presentations read
+them that way.
 
 Matrices are lists of lists of Python ints (rows).  Everything here is
 exact; there is no floating point anywhere in the package.
@@ -152,11 +152,11 @@ def lattice_coordinates(basis: list[list[int]], x: list[int]) -> list[int] | Non
     lattice of ``basis``.
 
     ``basis`` is any echelon basis: no zero rows, each row's first nonzero
-    entry right of the row above's (hnf_rows, or the echelon rows that
-    ``fpmod.Morphism._hermite_forms`` keeps, transform columns included).
-    Only the first len(x) columns are read.  Forward
-    substitution fixes each coordinate by one exact division at its row's
-    leading entry (Cohen, GTM 138, section 2.4).
+    entry right of the row above's (``hnf_rows``, or the preimage HNF that
+    ``fpmod.Morphism.kernel`` reads).  Only the first len(x) columns are
+    read, so rows may carry further columns.  Forward substitution fixes
+    each coordinate by one exact division at its row's leading entry
+    (Cohen, GTM 138, section 2.4).
     """
     v = list(x)
     coords = []

@@ -12,10 +12,11 @@ chain's inverse limit is the eventual stable image, checked by a
 stability window spanning one full schedule period (a certificate only
 once the stages stop growing; see ``Chain``), and ``chain_lim`` decides
 both with gcds; limits that the truncation cannot confirm raise
-NotStabilized.  The five-term sequence still builds its maps as ``fpmod``
-morphisms on one generator and checks their exactness there.  Each cyclic
-factor's completion (its quotient limit) and its five-term block are two
-memos; a call that raises NotStabilized stores nothing and raises afresh.
+NotStabilized.  A factor's five-term block is read off those limits with
+gcds too: its terms are cyclic and its maps are scalars between them
+(``_five_term_assemble``).  Each cyclic factor's completion (its quotient
+limit) and its five-term block are two memos; a call that raises
+NotStabilized stores nothing and raises afresh.
 lim^1 is not computed: the torsion tower of a finitely generated module
 has finite stages, where it is zero (``Lim1Verdict``).  The invariants of
 the quotient stages M/t_nM merge those of the factors' quotient chains
@@ -33,14 +34,12 @@ import functools
 import math
 from collections import namedtuple
 
-from .ext import _resolution_step
 from .fpmod import (
     FPModule,
     Morphism,
     _invariants,
     _relation_hnf,
     canonical_invariants,
-    is_exact_pair,
     merge_invariants,
 )
 from .intlinalg import _saturate_divisor, hnf_rows, identity, mat_mul, smith_normal_form
@@ -510,8 +509,8 @@ class FiveTermReport(namedtuple("FiveTermReport", "hom_loc_mod_r hom_loc module_
                 and self.exact_at_module)
 
 
-def _five_term_assemble(d: int, modulus: int, seq: MultSubsetSeq, tor: Chain,
-                        con: Chain, lims: list[ChainLimit]) -> FiveTermReport:
+def _five_term_assemble(d: int, seq: MultSubsetSeq, tor: Chain, con: Chain,
+                        lims: list[ChainLimit]) -> FiveTermReport:
     """The five-term report of Z/d from its torsion and constant chains and
     the torsion, constant and quotient limits.  Raises NotStabilized when
     the common stage index lies above what some limit verified: a limit
@@ -519,17 +518,27 @@ def _five_term_assemble(d: int, modulus: int, seq: MultSubsetSeq, tor: Chain,
 
     Otherwise n_star lies between each limit's ``stable_index`` and its
     ``verified_through``, where ``chain_lim`` has proved the level lattice
-    constant.  So L1, L2 and Lambda are Z/e of the three limits, each an
-    ``fpmod`` module on one generator: L1 and L2 on the torsion and
+    constant.  So L1, L2 and Lambda are Z/e1, Z/e2 and Z/e3, the orders of
+    the three limits, each on one generator: L1 and L2 on the torsion and
     constant carriers at n_star (the products of their chains' scalars
-    from n_star up), and Lambda with the lattice of the quotient stage
-    n_star, so the quotient map pi is the identity on generators.  iota
-    lifts the torsion carrier, taken into the module through the stage's
-    generator d / g_{n_star}, through the map that sends L2's generator to
-    the constant carrier (``lift``); ev multiplies the constant carrier by
-    t_{n_star + 1}.  Both exactness flags compare the maps' Hermite forms
-    (``is_exact_pair``), a route independent of
-    ``cyclic_completion_oracle``."""
+    from n_star up), and Lambda on the quotient stage n_star.  Every map
+    between the terms is a scalar x from Z/m to Z/k (orders dividing d):
+    it is well defined iff k | m x, its image plus k's relations is
+    gcd(x, k) Z, and the preimage of its kernel is (k / gcd(k, x)) Z.
+
+    - iota lifts a, the torsion carrier taken into Z/d through the stage's
+      generator d / g_{n_star}, through c, the constant carrier: v c = a
+      modulo d, solvable iff g = gcd(c, d) divides a.  Then v is
+      (a / g) (c / g)^-1 modulo d / g = e2, unique in L2.
+    - ev multiplies the constant carrier by t_{n_star + 1}: y = t c.
+    - pi is 1 on the generator of Lambda, so its cokernel, the Ext term,
+      is Z/gcd(1, e3) = 0.
+
+    Exactness at L2 compares im iota (with L2's relations) with the
+    preimage of ker ev, at the module im ev with the preimage of ker pi,
+    and iota is injective when its kernel's preimage is L1's relations,
+    which also makes it well defined (e2 divides e1 v).  A route
+    independent of ``cyclic_completion_oracle``."""
     n_star = max(lim.certificate.stable_index for lim in lims)
     verified = [lim.certificate.verified_through for lim in lims]
     if n_star > min(verified):
@@ -537,39 +546,34 @@ def _five_term_assemble(d: int, modulus: int, seq: MultSubsetSeq, tor: Chain,
                             f"constant and quotient limits are verified through {verified}",
                             chains=[verified])
 
-    module = FPModule.from_invariants([d], modulus=modulus)
-    l1, l2, lam = (FPModule(1, ((lim.order,),), modulus) for lim in lims)
-    t_star = seq.t(n_star + 1)
-    tor_in_module = math.prod(tor.scalars[n_star:]) * (d // tor.orders[n_star])
-    con_row = math.prod(con.scalars[n_star:])
-
-    iota_coeffs = Morphism.make(l2, module, [[con_row]]).lift([[tor_in_module]])
-    ok_struct = iota_coeffs is not None
-    if ok_struct:
-        iota = Morphism.make(l1, l2, iota_coeffs)
-    ev = Morphism.make(l2, module, [[t_star * con_row]])
-    pi = Morphism.make(module, lam, identity(1))
+    e1, e2, e3 = (lim.order for lim in lims)
+    a = math.prod(tor.scalars[n_star:]) * (d // tor.orders[n_star])
+    c = math.prod(con.scalars[n_star:])
+    y = seq.t(n_star + 1) * c
+    g = math.gcd(c, d)
+    v = a // g * pow(c // g, -1, d // g) if a % g == 0 else None
     return FiveTermReport(
-        hom_loc_mod_r=l1.invariants(),
-        hom_loc=l2.invariants(),
-        module_invariants=module.invariants(),
-        delta_invariants=lam.invariants(),
-        ext_invariants=pi.cokernel().invariants(),
-        exact_at_hom_loc=ok_struct and is_exact_pair(iota, ev),
-        exact_at_module=is_exact_pair(ev, pi),
-        injective_start=ok_struct and iota.is_well_defined() and iota.is_injective(),
+        hom_loc_mod_r=canonical_invariants([e1]),
+        hom_loc=canonical_invariants([e2]),
+        module_invariants=canonical_invariants([d]),
+        delta_invariants=canonical_invariants([e3]),
+        ext_invariants=(),
+        exact_at_hom_loc=v is not None and math.gcd(v, e2) == d // math.gcd(d, y),
+        exact_at_module=math.gcd(y, d) == e3,
+        injective_start=v is not None and e2 // math.gcd(e2, v) == e1,
         lim1=FINITE_STAGES,
         stable_index=n_star,
     )
 
 
 @functools.cache
-def _five_term_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
-                      depth: int | None) -> FiveTermReport:
+def _five_term_cyclic(d: int, seq: MultSubsetSeq, depth: int | None) -> FiveTermReport:
     """The five-term report of Z/d, d > 0, from its torsion and constant
     chains and the quotient limit of ``_lambda_cyclic``.  Raises
     NotStabilized from the first of the torsion, constant and quotient
-    limits that does not certify, or from ``_five_term_assemble``.
+    limits that does not certify, or from ``_five_term_assemble``.  Every
+    term is a cyclic group of order dividing d, so the block is the same
+    over Z and over any Z/N that d divides, and N is not a key.
 
     By default the chains are ``certified_depth(d, seq)`` deep, where every
     limit certifies and is verified at the common stage index n_star (see
@@ -577,7 +581,7 @@ def _five_term_cyclic(d: int, modulus: int, seq: MultSubsetSeq,
     tor, con = _torsion_and_constant_chains(
         d, seq, depth if depth is not None else certified_depth(d, seq))
     lims = [chain_lim(tor), chain_lim(con), _lambda_cyclic(d, seq, depth)]
-    return _five_term_assemble(d, modulus, seq, tor, con, lims)
+    return _five_term_assemble(d, seq, tor, con, lims)
 
 
 def five_term_check(module: FPModule, seq: MultSubsetSeq,
@@ -595,7 +599,7 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
     _check_depth(depth)
     if module.order() is None:
         raise ValueError("five-term check requires a finite module")
-    blocks = [_five_term_cyclic(d, module.modulus, seq, depth) for d in module.invariants()]
+    blocks = [_five_term_cyclic(d, seq, depth) for d in module.invariants()]
 
     def merge(field):
         return merge_invariants(getattr(b, field) for b in blocks)
@@ -616,12 +620,12 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
 
 def clear_caches() -> None:
     """Empty every cross-call memo of the package: relation HNFs and
-    invariants, the per-factor quotient limits and five-term blocks, the
-    telescope homology and Ext resolution steps.  Each holds a pure function
-    of its arguments (a call that raises stores nothing), so this changes no
-    answer, only the work the next calls do."""
+    invariants, the per-factor quotient limits and five-term blocks, and
+    the telescope homology.  Each holds a pure function of its arguments (a
+    call that raises stores nothing), so this changes no answer, only the
+    work the next calls do."""
     for memo in (_relation_hnf, _invariants, _dual_factors, _telescope_dual_homology,
-                 _lambda_cyclic, _five_term_cyclic, _resolution_step):
+                 _lambda_cyclic, _five_term_cyclic):
         memo.cache_clear()
 
 

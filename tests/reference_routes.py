@@ -4,15 +4,18 @@ Exactness compared two lattices re-eliminated over the joint's relations,
 the five-term sequence and the certificate seed presented a submodule by a
 second left kernel of its generating rows, and Ext quotients solved the
 image rows in the kernel's generators and took that left kernel again.
-Today each of these reads a Hermite form or a tower limit that the program
-already holds.  Left kernels and solves eliminated a matrix stacked over a
-lattice on a second route (``echelon``) beside a morphism's Hermite form,
-and tower levels and the five-term iota went through it; today
-``Morphism._hermite_forms`` is the only elimination with a transform, and
-``Morphism.lift`` solves on its echelon rows.  The distinguishing verifier
-compared frozensets and restricted the poset to Spec(R_{J,s}) for every
-(J, s) choice, the canonical one of each pair included; today both run as
-ANDs of bitmasks, and the restricted spectrum lives here only.
+Left kernels and solves eliminated a matrix stacked over a lattice on a
+second route (``echelon``) beside a morphism's Hermite form, and tower
+levels went through it; today ``Morphism._hermite_forms`` is the only
+elimination with a transform, and nothing in the package solves through a
+map.  The five-term sequence and Ext groups of a cyclic factor were maps
+and quotients of ``FPModule``s on one generator, the five-term iota a
+solve; today both are gcd formulas (``towers._five_term_assemble``,
+``ext.ext1``), and exactness of whole modules' maps reads the Hermite forms
+the maps already hold.  The distinguishing verifier compared frozensets and
+restricted the poset to Spec(R_{J,s}) for every (J, s) choice, the
+canonical one of each pair included; today both run as ANDs of bitmasks,
+and the restricted spectrum lives here only.
 
 Tower limits were taken on matrices: the quotient, torsion and constant
 towers were built as ``FPModule`` towers (``Tower``), each level's carrier
@@ -30,11 +33,12 @@ and only the omega certificate presents the few stages it prints.
 """
 
 import functools
+import math
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import product
 
-from multloc.fpmod import FPModule, Morphism, merge_invariants
+from multloc.fpmod import FPModule, Morphism, is_exact_pair, merge_invariants
 from multloc.intlinalg import (_eliminate, canonical_invariants, hnf_rows, identity,
                                lattice_coordinates, lattice_member, mat_mul)
 from multloc.poset import DistinguishReport, PrimePoset, _heights
@@ -218,8 +222,8 @@ def confirmed_levels(tower, level) -> int:
     image from the top always lies in the image from below, and the two are
     equal exactly when every row of ``below[i]`` is in the lattice of the
     top carrier plus the relations.  Membership is tested on the echelon
-    rows that level i's ``_hermite_forms`` keeps.  Counting stops at the
-    first unconfirmed level.
+    rows of level i's matrix stacked over the stage's relations
+    (``echelon``).  Counting stops at the first unconfirmed level.
     """
     n = tower.depth
     w = tower.period
@@ -227,8 +231,8 @@ def confirmed_levels(tower, level) -> int:
         return 0
     below = carriers(tower, n - 1 - w)
     for i in range(n - w):
-        basis = level(i)._hermite_forms()[2]
-        if not all(lattice_member(basis, row) for row in below[i]):
+        rows, _, pivots = echelon(level(i).mat(), level(i).target.relation_rows())
+        if not all(lattice_member(rows[:len(pivots)], row) for row in below[i]):
             return i
     return n - w
 
@@ -386,6 +390,38 @@ def ext_by_quotients(a: FPModule, b: FPModule, degree: int) -> tuple[int, ...]:
     return merge_invariants(
         resolution_step(b, n // d, d) if degree == 1 else resolution_step(b, d, n // d)
         for d in a.invariants() if d != n)
+
+
+def five_term_on_maps(d, modulus, seq, tor, con, lims) -> FiveTermReport:
+    """One cyclic factor's five-term block from its torsion and constant
+    chains (``towers.Chain``) and the three limits, with every term an
+    ``FPModule`` on one generator over Z/modulus and every joint checked on
+    ``fpmod`` maps: iota solves the torsion carrier through the constant
+    carrier, and the exactness flags compare the maps' Hermite forms."""
+    n_star = max(lim.certificate.stable_index for lim in lims)
+    module = FPModule.from_invariants([d], modulus=modulus)
+    l1, l2, lam = (FPModule(1, ((lim.order,),), modulus) for lim in lims)
+    t_star = seq.t(n_star + 1)
+    tor_in_module = math.prod(tor.scalars[n_star:]) * (d // tor.orders[n_star])
+    con_row = math.prod(con.scalars[n_star:])
+    iota_coeffs = factor_through_submodule([[tor_in_module]], [[con_row]], module)
+    ok_struct = iota_coeffs is not None
+    if ok_struct:
+        iota = Morphism.make(l1, l2, iota_coeffs)
+    ev = Morphism.make(l2, module, [[t_star * con_row]])
+    pi = Morphism.make(module, lam, identity(1))
+    return FiveTermReport(
+        hom_loc_mod_r=l1.invariants(),
+        hom_loc=l2.invariants(),
+        module_invariants=module.invariants(),
+        delta_invariants=lam.invariants(),
+        ext_invariants=pi.cokernel().invariants(),
+        exact_at_hom_loc=ok_struct and is_exact_pair(iota, ev),
+        exact_at_module=is_exact_pair(ev, pi),
+        injective_start=ok_struct and iota.is_well_defined() and iota.is_injective(),
+        lim1=FINITE_STAGES,
+        stable_index=n_star,
+    )
 
 
 def five_term_by_submodules(module, tor, con, quo, lims) -> FiveTermReport:

@@ -7,15 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multloc import fpmod, intlinalg
-from multloc.ext import (
-    _FiniteGroup,
-    _resolution_step,
-    _unit_vectors,
-    ext1,
-    ext1_order,
-    ext1_order_oracle,
-    ext2,
-)
+from multloc.ext import _FiniteGroup, _unit_vectors, ext1, ext1_order_oracle, ext2
 from multloc.fpmod import FPModule
 from multloc.towers import clear_caches
 from reference_routes import ext_by_quotients
@@ -138,7 +130,7 @@ class TestOracleAgreement:
             for b in pool:
                 if math.prod(a) * math.prod(b) > 64:
                     continue
-                engine = ext1_order(zz(a), zz(b))
+                engine = math.prod(ext1(zz(a), zz(b)))
                 oracle = ext1_order_oracle(list(a), list(b))
                 assert engine == oracle, (a, b)
                 assert oracle == hom_count_oracle(list(a), list(b))
@@ -151,7 +143,7 @@ class TestOracleAgreement:
                 for b in pool:
                     if math.prod(a) * math.prod(b) > 64:
                         continue
-                    engine = ext1_order(zn(a, n), zn(b, n))
+                    engine = math.prod(ext1(zn(a, n), zn(b, n)))
                     oracle = ext1_order_oracle(list(a), list(b), modulus=n)
                     assert engine == oracle, (n, a, b)
 
@@ -162,7 +154,7 @@ class TestOracleAgreement:
             mids = middle_terms_oracle(list(a), list(b), modulus=n)
             split = FPModule.from_invariants(list(a) + list(b),
                                              modulus=n).invariants()
-            engine = ext1_order(zn(a, n) if n else zz(a), zn(b, n) if n else zz(b))
+            engine = math.prod(ext1(zn(a, n) if n else zz(a), zn(b, n) if n else zz(b)))
             if engine == 1:
                 assert mids == {split}, (a, b, n, mids)
             else:
@@ -174,7 +166,7 @@ class TestOracleAgreement:
 
 
 # ---------------------------------------------------------------------------
-# the quotient of each resolution step, presented on the kernel's generators
+# the gcd orders of the cyclic factors against each resolution step's quotient
 # ---------------------------------------------------------------------------
 
 
@@ -197,10 +189,23 @@ def modules_over_z_mod_n(draw):
     return a, FPModule.from_presentation(rows, gens=g, modulus=n)
 
 
+@st.composite
+def modules_over_z(draw):
+    """A over Z as a sum of cyclic factors, free ones (0) included, and B
+    over Z by a random presentation on up to three generators, which leaves
+    free summands whenever it has fewer independent relations than
+    generators."""
+    a = zz(draw(st.lists(st.sampled_from([0, 2, 3, 4, 6, 8, 9, 12]), max_size=3)))
+    g = draw(st.integers(min_value=0, max_value=3))
+    entries = st.integers(min_value=-12, max_value=12)
+    rows = draw(st.lists(st.lists(entries, min_size=g, max_size=g), max_size=3))
+    return a, FPModule.from_presentation(rows, gens=g)
+
+
 class TestResolutionStepFromKernel:
-    """Each step presents ker(kill)/scale*B by the kernel's relations plus
-    the coordinates of scale*e_i; it agrees with solving the image rows in
-    the kernel's generators and taking the relations among them."""
+    """Ext of cyclic factors by gcds agrees with the route that presented
+    each step's quotient ker(kill)/scale*B on the kernel's generators, and
+    with the enumeration oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(pair=modules_over_z_mod_n())
@@ -210,9 +215,26 @@ class TestResolutionStepFromKernel:
         assert ext2(a, b) == ext_by_quotients(a, b, 2)
         order = b.order()
         if order <= 256:
-            assert ext1_order(a, b) == ext1_order_oracle(list(a.invariants()),
-                                                         list(b.invariants()),
-                                                         modulus=a.modulus)
+            assert math.prod(ext1(a, b)) == ext1_order_oracle(list(a.invariants()),
+                                                              list(b.invariants()),
+                                                              modulus=a.modulus)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=modules_over_z())
+    def test_matches_quotient_route_over_z(self, pair):
+        # the quotient route's first step over Z is B/dB; Z is hereditary,
+        # so there is no second
+        a, b = pair
+        assert ext1(a, b) == ext_by_quotients(a, b, 1)
+        assert ext2(a, b) == ()
+        # the oracle enumerates finite groups only: a free factor of A adds
+        # nothing, and a free factor of B gives Z/d against Z/d, as Z/L does
+        # for any multiple L of d
+        torsion = [d for d in a.invariants() if d]
+        lcm = math.lcm(*torsion)
+        finite = [e or lcm for e in b.invariants()]
+        if math.prod(finite) <= 256:
+            assert math.prod(ext1(a, b)) == ext1_order_oracle(torsion, finite)
 
     def test_kernel_relations_are_kept(self):
         # over Z/8, x2 kills all of Z/2, whose relation 2 survives in the
@@ -226,12 +248,11 @@ class TestResolutionStepFromKernel:
         assert ext1(zn([2, 6], 12), zero) == ext2(zn([2, 6], 12), zero) == ()
 
     def test_no_left_kernel_or_solve(self, monkeypatch):
-        # one step eliminates twice: its kernel morphism's stacked matrix
-        # [4I | I ; S | 0], S the relation rows of B, over all 2 + 2 columns
-        # (its Hermite form), and the quotient's relations on the kernel's
-        # 2 generators (their HNF, before the Smith passes)
-        b = zn([2, 8], 8)
+        # once A and B know their invariants, Ext eliminates nothing: every
+        # pair of cyclic factors is a gcd formula
+        a, b = zn([2, 4], 8), zn([2, 8], 8)
         clear_caches()
+        a.invariants(), b.invariants()
         calls = []
         real = intlinalg._eliminate
 
@@ -241,8 +262,7 @@ class TestResolutionStepFromKernel:
 
         monkeypatch.setattr(intlinalg, "_eliminate", spy)
         monkeypatch.setattr(fpmod, "_eliminate", spy)
-        assert _resolution_step(b, 4, 2) == (2,)
-        assert calls == [2 + 2, 2]
-        assert ext1(zn([2, 4], 8), b) == (2, 2)
-        assert ext2(zn([2, 4], 8), b) == (2, 2)
+        assert ext1(a, b) == (2, 2)
+        assert ext2(a, b) == (2, 2)
+        assert calls == []
         assert ext1_order_oracle([2, 4], [2, 8], modulus=8) == 4

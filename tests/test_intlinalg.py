@@ -95,8 +95,8 @@ def test_hnf_random_membership():
 def stacked_map(a, lattice=()):
     """The map Z^len(a) -> Z^cols / (row lattice of ``lattice``) with matrix
     ``a``: its Hermite form eliminates [a | I ; lattice | 0], so its
-    preimage HNF is the left kernel of ``a`` modulo the lattice and ``lift``
-    solves modulo it.  The target keeps the lattice rows as given."""
+    preimage HNF is the left kernel of ``a`` modulo the lattice.  The target
+    keeps the lattice rows as given."""
     cols = len(a[0]) if a else len(lattice[0])
     target = FPModule.from_presentation([list(r) for r in lattice], gens=cols)
     return Morphism.make(FPModule(gens=len(a)), target, a)
@@ -117,14 +117,15 @@ def test_left_nullspace():
 
 
 def test_solve_left():
+    # the reference solve, which the tests' own solves go through
     a = [[2, 0], [0, 3]]
-    sols = stacked_map(a).lift([[4, 3], [0, -6]])
+    sols = replaced.solve_left(a, [[4, 3], [0, -6]])
     assert sols is not None
     for v, x in zip(sols, [[4, 3], [0, -6]]):
         assert [sum(v[i] * a[i][j] for i in range(2)) for j in range(2)] == x
-    assert stacked_map(a).lift([[4, 3], [1, 0]]) is None
+    assert replaced.solve_left(a, [[4, 3], [1, 0]]) is None
     # modulo the lattice 5Z^2, 1 = 3 * 2 - 5 makes (1, 0) reachable
-    v, = stacked_map(a, [[5, 0], [0, 5]]).lift([[1, 0]])
+    v, = replaced.solve_left(a, [[1, 0]], [[5, 0], [0, 5]])
     assert (2 * v[0] - 1) % 5 == 0 and 3 * v[1] % 5 == 0
 
 
@@ -205,10 +206,12 @@ def matrices_over_lattices(draw):
 @settings(max_examples=150, deadline=None)
 @given(matrices_over_lattices())
 def test_row_echelon_postconditions(case):
-    # the echelon rows a map's Hermite form keeps, and its preimage HNF
+    # the echelon rows of the stacked matrix, and a map's preimage HNF
     a, lattice = case
     cols = len(a[0])
-    _, pre, rows = stacked_map(a, lattice)._hermite_forms()
+    pre = stacked_map(a, lattice)._hermite_forms()[1]
+    rows, _, pivots = replaced.echelon(a, lattice)
+    rows = rows[:len(pivots)]
     e = [row[:cols] for row in rows]
     u = [row[cols:] for row in rows]
     assert all(len(t) == len(a) for t in u)
@@ -252,7 +255,7 @@ def test_solve_left_exactly_on_lattice(a, coeffs, noise, in_lattice):
         x = [sum(c * row[j] for c, row in zip(coeffs, a)) for j in range(cols)]
     else:
         x = noise[:cols]
-    sols = stacked_map(a).lift([x])
+    sols = replaced.solve_left(a, [x])
     v = sols[0] if sols is not None else None
     member = lattice_member(hnf_rows(a), x)
     assert (v is not None) == member
@@ -346,22 +349,16 @@ def systems(draw):
 @given(systems())
 def test_narrow_transform_matches_the_full_width_route(case):
     a, xs, lattice = case
-    f = stacked_map(a, lattice)
     assert left_kernel(a, lattice) == hnf_rows(_reference_left_nullspace(a, lattice))
-    assert f.lift(xs) == _reference_solve(a, xs, lattice)
+    assert replaced.solve_left(a, xs, lattice) == _reference_solve(a, xs, lattice)
 
 
 @settings(max_examples=300, deadline=None)
 @given(systems())
 def test_hermite_form_replaces_the_echelon_route(case):
-    # lift gives the bytes of the solve it replaced, None cases included, and
-    # the kept echelon rows, transform included, are that route's echelon
-    # rows up to its rank; its left kernel spans the same lattice
+    # the preimage HNF spans the left kernel of the echelon route
     a, xs, lattice = case
     f = stacked_map(a, lattice)
-    rows, _, pivots = replaced.echelon(a, lattice)
-    assert f._hermite_forms()[2] == rows[:len(pivots)]
-    assert f.lift(xs) == replaced.solve_left(a, xs, lattice)
     assert [list(r) for r in f._hermite_forms()[1]] == \
         hnf_rows(replaced.left_nullspace(a, lattice))
 
@@ -371,8 +368,7 @@ def test_hermite_form_replaces_the_echelon_route(case):
 def test_elimination_does_the_reference_row_operations(a):
     # the pivot is found without per-iteration lists and a column is left
     # once one live row is left; the rows and pivots stay those of the loop
-    # that rebuilt both lists on every pass, and a map's Hermite form keeps
-    # those rows up to the rank
+    # that rebuilt both lists on every pass
     cols = len(a[0])
     rows = [row + [int(i == j) for j in range(len(a))] for i, row in enumerate(a)]
     pivots = _eliminate(rows, cols)
@@ -380,7 +376,6 @@ def test_elimination_does_the_reference_row_operations(a):
     assert pivots == ref_pivots
     assert [row[:cols] for row in rows] == e
     assert [row[cols:] for row in rows] == u
-    assert stacked_map(a)._hermite_forms()[2] == rows[:len(pivots)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -391,11 +386,11 @@ def test_lattice_coordinates_on_echelon_bases(case):
     # exactly when the solve finds a solution
     a, xs, lattice = case
     cols = len(a[0])
-    f = stacked_map(a, lattice)
-    echelon = f._hermite_forms()[2]
+    rows, _, pivots = replaced.echelon(a, lattice)
+    echelon = rows[:len(pivots)]
     hnf = hnf_rows(a + lattice)
     for x in xs:
-        solvable = f.lift([x]) is not None
+        solvable = replaced.solve_left(a, [x], lattice) is not None
         for basis in (hnf, echelon):
             coords = lattice_coordinates(basis, x)
             assert (coords is not None) == solvable == lattice_member(basis, x)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from unittest import mock
@@ -197,7 +198,7 @@ class TestTowerLim:
         for k in range(len(stages) - 1):
             i = n0 + k
             mapped = mat_mul(rows[i + 1], t.transitions[i].mat())
-            coeffs = Morphism.make(stages[k], t.stages[i], rows[i]).lift(mapped)
+            coeffs = factor_through_submodule(mapped, rows[i], t.stages[i])
             trans.append(Morphism.make(stages[k + 1], stages[k], coeffs))
         lim2 = tower_lim(Tower(stages=stages, transitions=trans, period=1))
         assert lim2.module.invariants() == lim.module.invariants()
@@ -764,11 +765,11 @@ def compare_five_term_routes(d, modulus, s, depth) -> bool:
                                 f"{verified}", chains=[verified])
     except NotStabilized as exc:
         with pytest.raises(NotStabilized) as info:
-            towers._five_term_cyclic(d, modulus, s, depth)
+            towers._five_term_cyclic(d, s, depth)
         assert (str(info.value), info.value.chains) == (str(exc), exc.chains), label
         return False
     block = five_term_by_submodules(module, tor, con, quo, lims)
-    assert block == towers._five_term_cyclic(d, modulus, s, depth), label
+    assert block == towers._five_term_cyclic(d, s, depth), label
     for tower, lim in ((tor, lims[0]), (con, lims[1])):
         rows = composite(tower, n_star, tower.depth - 1)
         assert lim.carriers[n_star] == rows, label
@@ -776,6 +777,10 @@ def compare_five_term_routes(d, modulus, s, depth) -> bool:
             submodule_on_rows(tower.stages[n_star], rows).relation_hnf(), label
     assert lims[2].module.relation_hnf() == quo.stages[n_star].relation_hnf(), label
     return True
+
+
+# schedules with a negative or a unit generator, beside the battery's
+SIGNED_SETS = [(-2,), (1,), (-1, 2), (1, 3), (10, -3), (4, 9), (-6, 35)]
 
 
 class TestFiveTermCarriersFromLimits:
@@ -792,7 +797,7 @@ class TestFiveTermCarriersFromLimits:
     @settings(max_examples=150, deadline=None)
     @given(d=st.integers(min_value=2, max_value=64),
            multiple=st.sampled_from([0, 0, 1, 2, 3]),
-           gens=st.sampled_from(GENERATOR_SETS),
+           gens=st.sampled_from(GENERATOR_SETS + SIGNED_SETS),
            depth=st.integers(min_value=1, max_value=40))
     def test_explicit_depths(self, d, multiple, gens, depth):
         compare_five_term_routes(d, multiple * d, MultSubsetSeq(generators=gens), depth)
@@ -802,6 +807,60 @@ class TestFiveTermCarriersFromLimits:
         # common stage index is 17, so no block is read off those carriers
         assert not compare_five_term_routes(64, 0, seq(3, 5, 6), 31)
         assert compare_five_term_routes(64, 0, seq(3, 5, 6), 39)
+
+
+@st.composite
+def five_term_inputs(draw):
+    """Z/d with torsion and constant chains whose orders and scalars are
+    drawn freely rather than from a schedule, and limits read at one stable
+    index: the torsion and quotient orders are any divisors of d, the
+    constant order the one its carrier gives (d / gcd(d, c)).  So every
+    joint can fail, which the towers of a module never make it do."""
+    d = draw(st.integers(min_value=2, max_value=120))
+    divs = [k for k in range(1, d + 1) if d % k == 0]
+    n = draw(st.integers(min_value=1, max_value=5))
+    scalars = st.lists(st.integers(min_value=-12, max_value=12).filter(bool),
+                       min_size=n - 1, max_size=n - 1)
+    tor = towers.Chain([draw(st.sampled_from(divs)) for _ in range(n)], draw(scalars), 1)
+    con = towers.Chain([d] * n, draw(scalars), 1)
+    n_star = draw(st.integers(min_value=0, max_value=n - 1))
+    c = math.prod(con.scalars[n_star:])
+    cert = towers.LimCertificate(stable_index=n_star, verified_through=n - 1)
+    lims = [towers.ChainLimit(order, cert) for order in
+            (draw(st.sampled_from(divs)), d // math.gcd(d, c), draw(st.sampled_from(divs)))]
+    gens = draw(st.lists(st.integers(min_value=-9, max_value=9).filter(bool),
+                         min_size=1, max_size=3))
+    return d, d * draw(st.sampled_from([0, 1, 3])), seq(*gens), tor, con, lims
+
+
+class TestFiveTermByGcds:
+    """Each joint of the five-term block by gcds agrees with the same joint
+    on ``fpmod`` maps over Z/N, also where it fails."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=five_term_inputs())
+    def test_matches_maps(self, case):
+        d, modulus, s, tor, con, lims = case
+        assert towers._five_term_assemble(d, s, tor, con, lims) == \
+            reference_routes.five_term_on_maps(d, modulus, s, tor, con, lims)
+
+    def test_every_combination_of_failed_joints(self):
+        # two stages, both limits read at stage 0: all eight combinations of
+        # the three exactness flags occur, and both routes give each
+        flags = set()
+        cert = towers.LimCertificate(stable_index=0, verified_through=1)
+        for d in range(2, 7):
+            divs = [k for k in range(1, d + 1) if d % k == 0]
+            for a, c, o, e1, e3 in itertools.product(range(1, 5), range(1, 5),
+                                                     divs, divs, divs):
+                tor, con = towers.Chain([o, o], [a], 1), towers.Chain([d, d], [c], 1)
+                lims = [towers.ChainLimit(e, cert) for e in (e1, d // math.gcd(d, c), e3)]
+                block = towers._five_term_assemble(d, seq(2), tor, con, lims)
+                assert block == reference_routes.five_term_on_maps(d, 0, seq(2), tor, con,
+                                                                   lims)
+                flags.add((block.exact_at_hom_loc, block.exact_at_module,
+                           block.injective_start))
+        assert len(flags) == 8
 
 
 class TestKnownWrongAnswer:
@@ -834,11 +893,10 @@ class TestCompletionOracle:
                                                           "lambda": (30,), "ext": ()}
 
     def test_engine_agrees_on_cyclic_modules_over_z_mod_n(self):
-        signed = [(-2,), (1,), (-1, 2), (1, 3), (10, -3), (4, 9)]
         for n in range(2, 129):
             for d in (d for d in range(2, n + 1) if n % d == 0):
                 m = FPModule.from_invariants([d], modulus=n)
-                for gens in GENERATOR_SETS + signed:
+                for gens in GENERATOR_SETS + SIGNED_SETS:
                     rep = five_term_check(m, seq(*gens))
                     oracle = cyclic_completion_oracle(d, gens)
                     assert (rep.hom_loc_mod_r, rep.hom_loc, rep.delta_invariants,
