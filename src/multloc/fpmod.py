@@ -22,7 +22,12 @@ are handled with gcds in their own modules.
 FPModule and Morphism are named tuples, so creating the classes runs no
 generated code: their fields are read-only, and equality and hashing go by
 the fields.  Like any tuple they also iterate, compare equal to a plain
-tuple of the same fields and serialize to JSON as lists.
+tuple of the same fields and serialize to JSON as lists.  Their
+constructors take rows as tuples of int tuples: ``from_presentation`` and
+``make`` convert lists, while ``cokernel``, ``kernel``, ``image``,
+``multiplication`` and ``from_invariants`` build their tuples once and
+pass them straight in.  Every construction checks the row widths, and a
+module reduces its relations modulo N.
 """
 
 from __future__ import annotations
@@ -80,13 +85,9 @@ class FPModule(namedtuple("FPModule", "gens relations modulus")):
     def from_invariants(factors: list[int] | tuple[int, ...], modulus: int = 0) -> "FPModule":
         """Direct sum of cyclic modules Z/d (d = 0 meaning a free summand)."""
         g = len(factors)
-        rows = []
-        for i, d in enumerate(factors):
-            if d != 0:
-                row = [0] * g
-                row[i] = d
-                rows.append(row)
-        return FPModule.from_presentation(rows, gens=g, modulus=modulus)
+        zero = (0,) * g
+        return FPModule(g, tuple(zero[:i] + (d,) + zero[i + 1:]
+                                 for i, d in enumerate(factors) if d != 0), modulus)
 
     @staticmethod
     def zero(modulus: int = 0) -> "FPModule":
@@ -155,8 +156,9 @@ class Morphism(namedtuple("Morphism", "source target matrix")):
 
     @staticmethod
     def multiplication(m: FPModule, scalar: int) -> "Morphism":
-        return Morphism.make(m, m, [[scalar if i == j else 0 for j in range(m.gens)]
-                                    for i in range(m.gens)])
+        zero = (0,) * m.gens
+        return Morphism(m, m, tuple(zero[:i] + (scalar,) + zero[i + 1:]
+                                    for i in range(m.gens)))
 
     def mat(self) -> list[list[int]]:
         return [list(r) for r in self.matrix]
@@ -242,9 +244,8 @@ class Morphism(namedtuple("Morphism", "source target matrix")):
         relations = [lattice_coordinates(pre, row) for row in self.source.relation_rows()]
         if None in relations:
             raise ValueError("the kernel needs a well-defined map")
-        ker = FPModule.from_presentation(relations, gens=len(pre),
-                                         modulus=self.source.modulus)
-        return ker, Morphism.make(ker, self.source, pre)
+        ker = FPModule(len(pre), tuple(map(tuple, relations)), self.source.modulus)
+        return ker, Morphism(ker, self.source, pre)
 
     def image(self) -> tuple[FPModule, "Morphism"]:
         """Image as (module presented on the source generators, inclusion into
@@ -252,20 +253,17 @@ class Morphism(namedtuple("Morphism", "source target matrix")):
         which contains N*Z^g over Z/N and so is also its relation HNF; the
         module carries it."""
         pre = self._hermite_forms()[1]
-        img = FPModule.from_presentation(pre, gens=self.source.gens,
-                                         modulus=self.target.modulus)
+        img = FPModule(self.source.gens, pre, self.target.modulus)
         img._hnf = pre
-        incl = Morphism.make(img, self.target, self.mat())
-        return img, incl
+        return img, Morphism(img, self.target, self.matrix)
 
     def cokernel(self) -> FPModule:
         """Cokernel, presented on the target generators by the map's rows and
         the target's relations.  It carries the relation HNF of
         ``_hermite_forms``, so its invariants need no elimination of their
         own before the Smith passes."""
-        rows = self.mat() + [list(r) for r in self.target.relations]
-        coker = FPModule.from_presentation(rows, gens=self.target.gens,
-                                           modulus=self.target.modulus)
+        tgt = self.target
+        coker = FPModule(tgt.gens, self.matrix + tgt.relations, tgt.modulus)
         coker._hnf = self._hermite_forms()[0]
         return coker
 

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import namedtuple
+from itertools import accumulate
 
 from .fpmod import (
     FPModule,
@@ -76,12 +78,14 @@ class MultSubsetSeq(namedtuple("MultSubsetSeq", "generators")):
             raise ValueError("schedule starts at 1")
         return self.generators[(n - 1) % len(self.generators)]
 
+    def schedule(self, n: int) -> tuple[int, ...]:
+        """s_1 .. s_n, a slice of the generators repeated round-robin."""
+        k = len(self.generators)
+        return (self.generators * -(-n // k))[:n] if n > 0 else ()
+
     def t(self, n: int) -> int:
         """Partial product t_n = s_1 ... s_n, with t_0 = 1 (as an integer)."""
-        out = 1
-        for k in range(1, n + 1):
-            out *= self.s(k)
-        return out
+        return math.prod(self.schedule(n))
 
 
 def _check_depth(depth: int | None) -> None:
@@ -162,11 +166,7 @@ def cyclic_completion_oracle(d: int, generators) -> dict:
 
 def _partial_products(seq: MultSubsetSeq, depth: int) -> list[int]:
     """t_1 .. t_depth, each one step of a running product."""
-    out, t = [], 1
-    for n in range(1, depth + 1):
-        t *= seq.s(n)
-        out.append(t)
-    return out
+    return list(accumulate(seq.schedule(depth), operator.mul))
 
 
 def quotient_stages(module: FPModule, seq: MultSubsetSeq,
@@ -218,7 +218,7 @@ def _torsion_and_constant_chains(d: int, seq: MultSubsetSeq,
                                  depth: int) -> tuple[Chain, Chain]:
     """The torsion and constant towers of Z/d, d > 0, to ``depth`` stages."""
     g = quotient_chain(d, seq, depth).orders
-    s = [seq.s(i + 2) for i in range(depth - 1)]
+    s = list(seq.schedule(depth)[1:])   # s[i] = s_{i+2}
     k = len(seq.generators)
     # g_{i+1} divides s_{i+2} g_i, so each torsion scalar is exact
     return (Chain(g, [x * a // b for x, a, b in zip(s, g, g[1:])], k),
@@ -350,8 +350,8 @@ def _mat_sub(a, b):
 def telescope_complex(seq: MultSubsetSeq, n: int) -> TelescopeComplex:
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = [seq.s(k) for k in range(1, n + 1)]   # s[0] = s_1
-    t_n = seq.t(n)
+    s = seq.schedule(n)   # s[0] = s_1
+    tvals = [1, *_partial_products(seq, n)]   # t_0 .. t_n
 
     differential = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -362,11 +362,11 @@ def telescope_complex(seq: MultSubsetSeq, n: int) -> TelescopeComplex:
     two_term = _two_term(s)
     f0 = [[1 if c == 0 else 0] for c in range(n)]
     f1 = [[-math.prod(s[r + 1:])] for r in range(n)]
-    g0 = [[seq.t(c) for c in range(n)]]
+    g0 = [tvals[:n]]
     g1 = [[-1 if r == n - 1 else 0 for r in range(n)]]
     homotopy = [[math.prod(s[r + 1: c]) if r < c else 0 for c in range(n)]
                 for r in range(n)]
-    return TelescopeComplex(n=n, schedule=tuple(s), companion=t_n,
+    return TelescopeComplex(n=n, schedule=s, companion=tvals[n],
                             differential=differential, two_term=two_term,
                             f0=f0, f1=f1, g0=g0, g1=g1, homotopy=homotopy)
 
@@ -411,13 +411,15 @@ def _telescope_dual_homology(schedule: tuple[int, ...], d: int):
     A matrix and its transpose have the same invariant factors, so the
     factors are read off the two-term matrix without transposing it.  A
     module over Z/N has every d dividing N, so N adds nothing.
+
+    x acts on Z/d, d > 0, with cokernel and kernel both Z/gcd(x, d), so for
+    a finite factor the two groups are one merge and one tuple.  On Z
+    (d = 0) x has cokernel Z/x (free when x = 0) and kernel Z if x = 0,
+    else 0.
     """
     factors = _dual_factors(schedule)
-    # x acts on Z/d with cokernel and kernel Z/gcd(x, d); on Z (d = 0) with
-    # cokernel Z/x (free when x = 0) and kernel Z if x = 0, else 0
     h0 = merge_invariants([(math.gcd(x, d),) for x in factors])
-    h1 = merge_invariants([(math.gcd(x, d),) for x in factors if d or x == 0])
-    return h0, h1
+    return h0, h0 if d else (0,) * factors.count(0)
 
 
 def telescope_homology_check(seq: MultSubsetSeq, n: int,
@@ -425,15 +427,21 @@ def telescope_homology_check(seq: MultSubsetSeq, n: int,
     """Homology of the dualized telescope against quotient and torsion of M.
 
     Engine route: cokernel and kernel of the dual two-term matrix acting on
-    each cyclic factor of M, both read off the matrix's Smith factors.
-    Direct route: M/t_nM and the t_n-torsion from the multiplication map.
+    each cyclic factor of M, both read off the matrix's Smith factors.  On a
+    finite factor the two are equal (``_telescope_dual_homology``), so a
+    finite module takes one merge for both and only a module with a free
+    factor merges the kernels apart.
+    Direct route: M/t_nM and the t_n-torsion from the multiplication map,
+    one elimination; it reads neither memo of the engine route
+    (``_dual_factors``, ``_telescope_dual_homology``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    schedule = tuple(seq.s(k) for k in range(1, n + 1))
-    blocks = [_telescope_dual_homology(schedule, d) for d in module.invariants()]
+    schedule = seq.schedule(n)
+    inv = module.invariants()
+    blocks = [_telescope_dual_homology(schedule, d) for d in inv]
     h0_engine = merge_invariants(cok for cok, _ in blocks)
-    h1_engine = merge_invariants(ker for _, ker in blocks)
+    h1_engine = merge_invariants(ker for _, ker in blocks) if 0 in inv else h0_engine
 
     mul = Morphism.multiplication(module, math.prod(schedule))
     h0_direct = mul.cokernel().invariants()

@@ -671,6 +671,156 @@ class TestParserFuzz:
         assert len(err.splitlines()) == 1, err
 
 
+# Any JSON value, to put in place of one slot of a generated document.
+ANY_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(min_value=-40, max_value=40),
+              st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _slots(doc):
+    """Every (container, key) of a JSON document, outermost first."""
+    out = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, value in items:
+        out.append((doc, key))
+        out += _slots(value)
+    return out
+
+
+@st.composite
+def _documents(draw, base):
+    """``base`` (two times in three), or a copy with one slot (or the whole)
+    replaced by any JSON value."""
+    doc = json.loads(json.dumps(base))
+    how = draw(st.sampled_from(["keep", "keep", "slot", "slot", "slot", "whole"]))
+    if how == "keep":
+        return doc
+    slots = _slots(doc)
+    value = draw(ANY_JSON)
+    if how == "whole" or not slots:
+        return value
+    container, key = draw(st.sampled_from(slots))
+    container[key] = value
+    return doc
+
+
+@functools.cache
+def _certificate(kind: str, factors: tuple[int, ...], n: int) -> dict:
+    from multloc.certs import decompose_weakly_cotorsion, embed_two_obtainable
+    from multloc.fpmod import FPModule
+    if kind == "decompose":
+        cert = decompose_weakly_cotorsion(FPModule.from_invariants(factors), n)
+    else:
+        cert = embed_two_obtainable(FPModule.from_invariants(factors, modulus=n))
+    return cert.to_document()
+
+
+CERTIFICATES = st.one_of(
+    st.builds(lambda f, m: _certificate("decompose", f, m),
+              st.sampled_from([(8,), (12,), (2, 4), (9,), (5,), (6, 36), (3, 9, 27)]),
+              st.sampled_from([2, 3, 6])),
+    st.builds(lambda f, n: _certificate("embed", f, n),
+              st.sampled_from([(2,), (4,), (2, 6), (3, 12)]), st.just(12)),
+    st.builds(lambda f: _certificate("embed", f, 8), st.sampled_from([(2,), (8,), (2, 4)])),
+).flatmap(_documents)
+
+PRESENTATIONS = st.builds(
+    lambda gens, modulus, rows: {"gens": gens, "modulus": modulus,
+                                 "relations": [r[:gens] for r in rows]},
+    st.integers(min_value=0, max_value=3), st.sampled_from([0, 0, 0, 12, 36]),
+    st.lists(st.lists(st.integers(min_value=-30, max_value=30), min_size=3, max_size=3),
+             max_size=3)).flatmap(_documents)
+
+TEST_MODULES = st.lists(
+    st.builds(lambda d: {"gens": 1, "modulus": 12, "relations": [[d]]},
+              st.sampled_from([0, 2, 3, 4, 6])), max_size=3).flatmap(_documents)
+
+# covers go from a lower to a higher index, so the relation has no cycle
+POSETS = st.builds(
+    lambda primes, pairs: {"primes": primes,
+                           "covers": sorted({(primes[min(i, j)], primes[max(i, j)])
+                                             for i, j in ((a % len(primes), b % len(primes))
+                                                          for a, b in pairs) if i != j})},
+    st.lists(st.sampled_from("pqrstu"), min_size=1, max_size=5, unique=True),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6)).flatmap(_documents)
+
+# what stands where a command reads a file: a generated document, or a
+# path that is not a readable JSON file
+NOT_FILES = st.sampled_from(["directory", "missing", "deep", "empty", "bytes"])
+
+
+def _write_input(tmp_path, name, content):
+    path = tmp_path / name
+    if content == "directory":
+        path = tmp_path / (name + ".d")
+        path.mkdir(exist_ok=True)
+    elif content == "missing":
+        path = tmp_path / (name + ".absent")
+    elif content == "deep":
+        path.write_text("[" * 3000 + "]" * 3000)
+    elif content == "empty":
+        path.write_text("")
+    elif content == "bytes":
+        path.write_bytes(b"\xff\xfe{\x00")
+    else:
+        path.write_text(json.dumps(content[1]))
+    return str(path)
+
+
+def _documents_or(strategy):
+    return st.one_of(strategy.map(lambda doc: ("doc", doc)), NOT_FILES)
+
+
+INVOCATIONS = st.one_of(
+    st.tuples(st.just("verify-cert"), _documents_or(CERTIFICATES),
+              st.one_of(st.none(), _documents_or(TEST_MODULES))),
+    st.tuples(st.sampled_from(["complete", "wc-check"]), _documents_or(PRESENTATIONS),
+              st.tuples(st.lists(st.sampled_from([-6, -2, 1, 2, 3, 5, 6, 10]), min_size=1,
+                                 max_size=3),
+                        st.one_of(st.none(), st.integers(min_value=0, max_value=30)))),
+    st.tuples(st.just("distinguish"), _documents_or(POSETS),
+              st.sampled_from(["mu", "mu", "dim1", "dim2", "wave:1", "wave:2", "wave:x"])),
+)
+
+
+class TestCommandsProperty:
+    """Every command that reads a file, driven through ``main`` with generated
+    certificates, presentations, posets, ``--tests`` lists and paths that
+    are not files: the exit code is 0, 1 or 2, exit 2 prints one line on
+    stderr, and nothing ends in a traceback."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(invocation=INVOCATIONS, structured=st.booleans())
+    def test_exit_codes_and_messages(self, invocation, structured, tmp_path, capsys):
+        command, content, extra = invocation
+        path = _write_input(tmp_path, "input.json", content)
+        if command == "verify-cert":
+            args = ["verify-cert", path]
+            if extra is not None:
+                args += ["--tests", _write_input(tmp_path, "tests.json", extra)]
+        elif command == "distinguish":
+            args = ["distinguish", path, "--mode", extra]
+        else:
+            gens, depth = extra
+            args = [command, "--presentation", path]
+            args += (["--generators", ",".join(map(str, gens))] if command == "complete"
+                     else ["-m", str(abs(gens[0]))])
+            if depth is not None:
+                args += ["--depth", str(depth)]
+        if structured:
+            args += ["--format", "structured"]
+        code, out, err = run_cli(args, capsys)
+        assert code in (0, 1, 2), (args, code, err)
+        assert "Traceback" not in out + err, err
+        if code == 2:
+            assert out == "" and len(err.splitlines()) == 1, (args, out, err)
+
+
 class TestBatteryCLI:
     def test_quick_battery_deterministic_across_processes(self):
         cmd = [sys.executable, "-m", "multloc.cli", "battery", "--quick",

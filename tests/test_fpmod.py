@@ -741,3 +741,95 @@ class TestExactnessFromHeldForms:
         monkeypatch.setattr(fpmod, "_eliminate", spy)
         assert [is_exact_pair(f, g), is_exact_pair(g, f), is_exact_pair(f, f)] == expected
         assert calls == []
+
+
+@st.composite
+def unreduced_maps(draw):
+    """A matrix between random modules over Z or Z/N whose entries may be
+    negative or at least N, so each constructor has entries to reduce.
+    Half the sources have no relations of their own, so their maps are
+    well defined and have a kernel."""
+    modulus = draw(st.sampled_from([0, 0, 2, 6, 12, 360, 2 ** 61 - 1]))
+    g = draw(st.integers(min_value=0, max_value=3))
+    h = draw(st.integers(min_value=0, max_value=3))
+    bound = 3 * (modulus or 9)
+    entries = st.one_of(st.integers(min_value=-bound, max_value=bound),
+                        st.integers(min_value=-3, max_value=3))
+
+    def rows(width, **size):
+        return draw(st.lists(st.lists(entries, min_size=width, max_size=width), **size))
+
+    source_rows = rows(g, max_size=2) if draw(st.booleans()) else []
+    source = FPModule.from_presentation(source_rows, gens=g, modulus=modulus)
+    target = FPModule.from_presentation(rows(h, max_size=3), gens=h, modulus=modulus)
+    return Morphism.make(source, target, rows(h, min_size=g, max_size=g))
+
+
+def assert_same_value(built, reference):
+    assert built == reference and hash(built) == hash(reference)
+
+
+class TestConstructorsFromTuples:
+    """``cokernel``, ``kernel``, ``image``, ``multiplication`` and
+    ``from_invariants`` pass their row tuples straight to the constructors;
+    what they build equals, with equal hash, what ``from_presentation`` and
+    ``make`` build from the same rows, and reduces modulo N the same way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=unreduced_maps(), scalar=st.integers(min_value=-400, max_value=400))
+    def test_maps_match_the_list_route(self, f, scalar):
+        source, target = f.source, f.target
+        coker = f.cokernel()
+        assert_same_value(coker, FPModule.from_presentation(
+            f.mat() + [list(r) for r in target.relations], gens=target.gens,
+            modulus=target.modulus))
+        if target.modulus:
+            assert all(0 <= x < target.modulus for row in coker.relations for x in row)
+        pre = [list(r) for r in f._hermite_forms()[1]]
+        img, incl = f.image()
+        ref_img = FPModule.from_presentation(pre, gens=source.gens, modulus=target.modulus)
+        assert_same_value(img, ref_img)
+        assert_same_value(incl, Morphism.make(ref_img, target, f.mat()))
+        if f.is_well_defined():
+            ker, ker_incl = f.kernel()
+            ref_ker = FPModule.from_presentation(
+                [intlinalg.lattice_coordinates(pre, row) for row in source.relation_rows()],
+                gens=len(pre), modulus=source.modulus)
+            assert_same_value(ker, ref_ker)
+            assert_same_value(ker_incl, Morphism.make(ref_ker, source, pre))
+        else:
+            with pytest.raises(ValueError, match="well-defined"):
+                f.kernel()
+        for m in (source, target, coker, img):
+            assert_same_value(Morphism.multiplication(m, scalar), Morphism.make(
+                m, m, [[scalar if i == j else 0 for j in range(m.gens)]
+                       for i in range(m.gens)]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(factors=st.lists(st.integers(min_value=-800, max_value=800), max_size=5),
+           modulus=st.sampled_from([0, 0, 2, 12, 360, 2 ** 61 - 1]))
+    def test_from_invariants_matches_the_list_route(self, factors, modulus):
+        g = len(factors)
+        rows = [[d if j == i else 0 for j in range(g)] for i, d in enumerate(factors) if d]
+        assert_same_value(FPModule.from_invariants(factors, modulus=modulus),
+                          FPModule.from_presentation(rows, gens=g, modulus=modulus))
+        assert_same_value(FPModule.from_invariants(tuple(factors), modulus=modulus),
+                          FPModule.from_invariants(factors, modulus=modulus))
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=unreduced_maps())
+    def test_wrong_width_rows_still_raise(self, f):
+        source, target = f.source, f.target
+        wide = ((1,) * (target.gens + 1),)
+        with pytest.raises(ValueError, match="relation width"):
+            FPModule(target.gens, f.matrix + wide, target.modulus)
+        with pytest.raises(ValueError, match="relation width"):
+            FPModule.from_presentation([list(r) for r in wide], gens=target.gens,
+                                       modulus=target.modulus)
+        if source.gens:
+            with pytest.raises(ValueError, match="matrix width"):
+                Morphism(source, target, f.matrix[:-1] + wide)
+            with pytest.raises(ValueError, match="matrix width"):
+                Morphism.make(source, target, f.mat()[:-1] + [list(wide[0])])
+        with pytest.raises(ValueError, match="row count"):
+            Morphism(source, target, f.matrix + wide)

@@ -62,6 +62,15 @@ class TestSchedule:
         for n in range(1, 20):
             assert s.s(n) == s.generators[(n - 1) % 3]
 
+    @pytest.mark.parametrize("gens", [(2,), (2, 3), (-2, 3, 5), (7, 1, -1, 4)])
+    def test_schedule_is_the_round_robin_prefix(self, gens):
+        s = seq(*gens)
+        for n in range(0, 30):
+            assert s.schedule(n) == tuple(s.s(k) for k in range(1, n + 1))
+            assert isinstance(s.schedule(n), tuple)
+            assert s.t(n) == math.prod(s.s(k) for k in range(1, n + 1))
+        assert s.schedule(-3) == () and s.t(-3) == 1
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             MultSubsetSeq(generators=())
@@ -231,6 +240,15 @@ class TestTelescope:
         # det 1 but not triangular
         unimodular = tc._replace(differential=[[3, 1], [2, 1]])
         assert unimodular.verify_witnesses()["substitution_unimodular"]
+
+    @pytest.mark.parametrize("gens", [(2,), (2, 3), (-2, 3, 5), (6, -1)])
+    def test_fields_from_the_schedule(self, gens):
+        s = seq(*gens)
+        for n in range(1, 25):
+            tc = telescope_complex(s, n)
+            assert tc.schedule == tuple(s.s(k) for k in range(1, n + 1))
+            assert tc.companion == s.t(n)
+            assert tc.g0 == [[s.t(c) for c in range(n)]]
 
     def test_witnesses_random(self):
         rng = random.Random(77)
@@ -923,6 +941,61 @@ def battery_schedules(max_n=8):
         s = MultSubsetSeq(generators=gens)
         for n in range(1, max_n + 1):
             yield tuple(s.s(k) for k in range(1, n + 1))
+
+
+@st.composite
+def telescope_modules(draw):
+    """A module over Z with at least one free factor beside torsion ones,
+    from its invariants or from a presentation with fewer relations than
+    generators; or a module over Z/N with a free summand Z/N or without."""
+    kind = draw(st.sampled_from(["z", "z presented", "z/n"]))
+    if kind == "z":
+        torsion = draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 25, 36]), max_size=3))
+        free = draw(st.integers(min_value=1, max_value=2))
+        order = draw(st.permutations(torsion + [0] * free))
+        return FPModule.from_invariants(order)
+    if kind == "z presented":
+        g = draw(st.integers(min_value=1, max_value=3))
+        rows = draw(st.lists(st.lists(st.integers(min_value=-12, max_value=12),
+                                      min_size=g, max_size=g), max_size=g - 1))
+        return FPModule.from_presentation(rows, gens=g)
+    modulus = draw(st.sampled_from([2, 6, 12, 36, 64, 360]))
+    divisors = [d for d in range(2, modulus + 1) if modulus % d == 0]
+    return FPModule.from_invariants(draw(st.lists(st.sampled_from(divisors), max_size=3)),
+                                    modulus=modulus)
+
+
+class TestTelescopeFreeSummands:
+    """H0 and H1 of the engine route equal the stacked route merged over the
+    cyclic factors, and the direct route, on modules with free factors over
+    Z and on modules over Z/N; a finite factor's H1 is its H0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(module=telescope_modules(),
+           gens=st.lists(st.sampled_from([-6, -2, -1, 2, 3, 5, 6, 7, 10]), min_size=1,
+                         max_size=3),
+           n=st.integers(min_value=1, max_value=9))
+    def test_engine_against_stacked_and_direct_routes(self, module, gens, n):
+        s = seq(*gens)
+        rep = telescope_homology_check(s, n, module)
+        blocks = [stacked_dual_homology(s.schedule(n), d, module.modulus)
+                  for d in module.invariants()]
+        assert rep.h0_engine == merge_invariants(h0 for h0, _ in blocks)
+        assert rep.h1_engine == merge_invariants(h1 for _, h1 in blocks)
+        assert (rep.h0_direct, rep.h1_direct) == (rep.h0_engine, rep.h1_engine)
+        assert rep.passed()
+        # with t_n = s_1 ... s_n: Z gives Z/t_n and 0, Z/d gives Z/gcd(d, t_n) twice
+        t_n = s.t(n)
+        free = module.invariants().count(0)
+        assert rep.h1_engine == merge_invariants(
+            (math.gcd(d, t_n),) for d in module.invariants() if d)
+        assert rep.h0_engine == merge_invariants(
+            [rep.h1_engine] + [(abs(t_n),)] * free)
+
+    def test_free_factor_h1_differs_from_h0(self):
+        rep = telescope_homology_check(seq(2, 3), 3, z_mod(0, 4))
+        assert rep.h0_engine == (4, 12) and rep.h1_engine == (4,)
+        assert rep.passed()
 
 
 class TestTelescopeSmithRoute:
