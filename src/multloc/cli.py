@@ -64,10 +64,19 @@ PASS, FAIL, USAGE, BROKEN_PIPE = 0, 1, 2, 141
 
 
 def _emit(doc: dict, fmt: str) -> None:
-    if fmt == "structured":
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        _render_text(doc)
+    # an exact answer such as t_n can have more digits than Python (3.10.7
+    # on) converts to text by default (4,300); lift that limit to print it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "structured":
+            print(json.dumps(doc, sort_keys=True, indent=2))
+        else:
+            _render_text(doc)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _render_text(doc: dict, indent: int = 0) -> None:
@@ -376,6 +385,12 @@ def _dispatch(argv) -> int:
         args = ap.parse_args(_glue_negative_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return USAGE if exc.code else PASS
+    # argparse before Python 3.12 drops a '--' given after '=' ('-n=--') and
+    # stores an empty list, a value that no option here takes
+    empty = [name for name, value in vars(args).items() if value == []]
+    if empty:
+        print(f"error: {empty[0]}: '--' is not a value", file=sys.stderr)
+        return USAGE
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -361,11 +361,14 @@ def telescope_complex(seq: MultSubsetSeq, n: int) -> TelescopeComplex:
 
     two_term = _two_term(s)
     f0 = [[1 if c == 0 else 0] for c in range(n)]
-    f1 = [[-math.prod(s[r + 1:])] for r in range(n)]
+    # f1[r] = -(s_{r+2} ... s_n), the suffix products, one running product
+    suffix = list(accumulate(reversed(s[1:]), operator.mul, initial=1))
+    f1 = [[-p] for p in reversed(suffix)]
     g0 = [tvals[:n]]
     g1 = [[-1 if r == n - 1 else 0 for r in range(n)]]
-    homotopy = [[math.prod(s[r + 1: c]) if r < c else 0 for c in range(n)]
-                for r in range(n)]
+    # homotopy[r][c] = s_{r+2} ... s_c for r < c, a running product along row r
+    homotopy = [[0] * (r + 1) + list(accumulate(s[r + 1:n - 1], operator.mul, initial=1))
+                for r in range(n - 1)] + [[0] * n]
     return TelescopeComplex(n=n, schedule=s, companion=tvals[n],
                             differential=differential, two_term=two_term,
                             f0=f0, f1=f1, g0=g0, g1=g1, homotopy=homotopy)
@@ -422,6 +425,25 @@ def _telescope_dual_homology(schedule: tuple[int, ...], d: int):
     return h0, h0 if d else (0,) * factors.count(0)
 
 
+def _hnf_order(module: FPModule) -> int:
+    """|M| read off the relation HNF: the product of its pivots when it has
+    one row per generator (a full-rank lattice, whose index is that product:
+    Cohen, GTM 138, section 2.4), and 0 when M has free rank."""
+    hnf = module.relation_hnf()
+    if len(hnf) != module.gens:
+        return 0
+    # full rank: row i has its pivot in column i
+    return math.prod(row[i] for i, row in enumerate(hnf))
+
+
+@functools.cache
+def _scalar_homology(module: FPModule, scalar: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Invariants of the cokernel and the kernel of multiplication by
+    ``scalar`` on M, from one elimination of the map."""
+    mul = Morphism.multiplication(module, scalar)
+    return mul.cokernel().invariants(), mul.kernel()[0].invariants()
+
+
 def telescope_homology_check(seq: MultSubsetSeq, n: int,
                              module: FPModule) -> TelescopeHomologyReport:
     """Homology of the dualized telescope against quotient and torsion of M.
@@ -431,8 +453,17 @@ def telescope_homology_check(seq: MultSubsetSeq, n: int,
     finite factor the two are equal (``_telescope_dual_homology``), so a
     finite module takes one merge for both and only a module with a free
     factor merges the kernels apart.
-    Direct route: M/t_nM and the t_n-torsion from the multiplication map,
-    one elimination; it reads neither memo of the engine route
+
+    Direct route: M/t_nM and the t_n-torsion from the multiplication map by
+    gcd(t_n, a) (``_scalar_homology``), with a = |M| when M is finite and
+    a = 0 otherwise (``_hnf_order``).  The reduction is exact: with L the
+    relation lattice of M in Z^g, a Z^g lies in L (Lagrange), so
+    t Z^g + L = gcd(t, a) Z^g + L, and t x lies in L exactly when
+    gcd(t, a) x does; so both groups depend on t only through gcd(t, a),
+    and the memo computes each distinct (M, gcd) once.  On a module with
+    free rank the scalar is |t_n|.  The route reads the relation HNF of M
+    and eliminates the map; it reads neither ``module.invariants()`` (the
+    Smith form the engine splits M by) nor either memo of the engine route
     (``_dual_factors``, ``_telescope_dual_homology``).
     """
     if n < 1:
@@ -443,9 +474,8 @@ def telescope_homology_check(seq: MultSubsetSeq, n: int,
     h0_engine = merge_invariants(cok for cok, _ in blocks)
     h1_engine = merge_invariants(ker for _, ker in blocks) if 0 in inv else h0_engine
 
-    mul = Morphism.multiplication(module, math.prod(schedule))
-    h0_direct = mul.cokernel().invariants()
-    h1_direct = mul.kernel()[0].invariants()
+    h0_direct, h1_direct = _scalar_homology(
+        module, math.gcd(math.prod(schedule), _hnf_order(module)))
     return TelescopeHomologyReport(h0_engine=h0_engine, h1_engine=h1_engine,
                                    h0_direct=h0_direct, h1_direct=h1_direct)
 
@@ -627,13 +657,16 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
 
 
 def clear_caches() -> None:
-    """Empty every cross-call memo of the package: relation HNFs and
-    invariants, the per-factor quotient limits and five-term blocks, and
-    the telescope homology.  Each holds a pure function of its arguments (a
-    call that raises stores nothing), so this changes no answer, only the
-    work the next calls do."""
+    """Empty the seven cross-call memos of the package: relation HNFs
+    (``_relation_hnf``) and invariants (``_invariants``); the telescope
+    engine's Smith factors (``_dual_factors``) and homology per factor
+    (``_telescope_dual_homology``); the direct route's homology of a
+    scalar (``_scalar_homology``); and the per-factor quotient limits
+    (``_lambda_cyclic``) and five-term blocks (``_five_term_cyclic``).  Each
+    holds a pure function of its arguments (a call that raises stores
+    nothing), so this changes no answer, only the work the next calls do."""
     for memo in (_relation_hnf, _invariants, _dual_factors, _telescope_dual_homology,
-                 _lambda_cyclic, _five_term_cyclic):
+                 _scalar_homology, _lambda_cyclic, _five_term_cyclic):
         memo.cache_clear()
 
 

@@ -30,6 +30,11 @@ gcds; the tests compare the two.  The quotient stages M/t_nM were presented
 by the relations of M and t_n times the identity (``quotient_tower``);
 today ``towers.quotient_stages`` merges their invariants from the chains,
 and only the omega certificate presents the few stages it prints.
+
+The telescope complex took every entry of its witness f1 and its homotopy
+as a product of a slice of the schedule (``telescope_complex_by_slices``);
+today ``towers.telescope_complex`` builds each row from one running
+product.
 """
 
 import functools
@@ -43,7 +48,8 @@ from multloc.intlinalg import (_eliminate, canonical_invariants, hnf_rows, ident
                                lattice_coordinates, lattice_member, mat_mul)
 from multloc.poset import DistinguishReport, PrimePoset, _heights
 from multloc.towers import (DEFAULT_DEPTH, FINITE_STAGES, FiveTermReport, LimCertificate,
-                            MultSubsetSeq, NotStabilized, _check_depth, _partial_products)
+                            MultSubsetSeq, NotStabilized, TelescopeComplex, _check_depth,
+                            _partial_products)
 
 
 def echelon(a: list[list[int]],
@@ -547,3 +553,21 @@ def verify_distinguishing_by_sets(poset, family, exhaustive_budget=512) -> Disti
         pairwise_failures=failures, antichain_ok=antichain_ok,
         antichain_failures=anti_failures, agreement=pairwise_ok == antichain_ok,
         exhaustive_choices_checked=checked)
+
+
+def telescope_complex_by_slices(seq: MultSubsetSeq, n: int) -> TelescopeComplex:
+    """The telescope complex with every product a ``math.prod`` of a slice
+    of the schedule s_1 .. s_n, and the matrices by their entry formulas."""
+    s = tuple(seq.s(k) for k in range(1, n + 1))
+    return TelescopeComplex(
+        n=n, schedule=s, companion=math.prod(s),
+        differential=[[1 if r == c else -s[c] if r == c + 1 else 0 for c in range(n)]
+                      for r in range(n)],
+        two_term=[[-s[c] if r == c else 1 if r == c - 1 else 0 for r in range(n)]
+                  for c in range(n)],
+        f0=[[1 if c == 0 else 0] for c in range(n)],
+        f1=[[-math.prod(s[r + 1:])] for r in range(n)],
+        g0=[[math.prod(s[:c]) for c in range(n)]],
+        g1=[[-1 if r == n - 1 else 0 for r in range(n)]],
+        homotopy=[[math.prod(s[r + 1:c]) if r < c else 0 for c in range(n)]
+                  for r in range(n)])

@@ -234,6 +234,21 @@ class TestTelescope:
         assert doc["differential"] == [[1, 0], [-2, 1]]
         assert doc["homology"]["pass"]
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_answers_longer_than_the_default_digit_limit(self, fmt, capsys):
+        # t_40 has 4,801 digits; Python converts at most 4,300 to text by default
+        g = 10 ** 120 + 1
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(["telescope", "--generators", str(g), "-n", "40",
+                                  "--module", "12", "--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert str(g ** 40) in out
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestWcCheck:
     def test_torsion(self, capsys):
@@ -315,6 +330,20 @@ class TestNegativeListValues:
         for args in (["--module", "-4"], ["--module=-4"]):
             code, out, err = run_cli(["complete", *args, "--generators", "2"], capsys)
             assert (code, out) == (2, "") and "factor -4 is negative" in err
+
+    @pytest.mark.parametrize("args", [
+        ["telescope", "--generators", "2", "-n=--"],
+        ["telescope", "--generators=--", "-n", "2"],
+        ["telescope", "--generators", "2", "-n", "2", "--module", "4", "--modulus=--"],
+        ["artinian", "--s", "3", "--t", "1,1", "--factor-bound=--"],
+        ["complete", "--module=--", "--generators", "2"],
+        ["battery", "--seed=--"],
+    ])
+    def test_double_dash_after_equals_is_a_usage_error(self, args, capsys):
+        # argparse before Python 3.12 stores an empty list for such a value
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1
+        assert "'--' is not a value" in err
 
     def test_other_options_keep_their_value(self, capsys):
         # a negative value after an option that takes none stays an argument
@@ -787,11 +816,60 @@ INVOCATIONS = st.one_of(
 )
 
 
+# an option's value as (how, text): integers joined by commas, passed as a
+# separate argument, or any short string over the characters such lists
+# use, passed after '=' so that argparse cannot take it for an option
+def _int_lists(entries, min_size=0):
+    return st.lists(entries, min_size=min_size, max_size=4).map(
+        lambda xs: ("separate", ",".join(map(str, xs))))
+
+
+SMALL = st.integers(min_value=-40, max_value=40)
+TEXT = st.text(alphabet="0123456789-+, ;x", max_size=8).map(lambda text: ("equals", text))
+LIST_VALUES = st.one_of(*[_int_lists(SMALL)] * 3, TEXT)
+# generators of any size: t_n of 40 of them can run past the 4,300 digits
+# Python converts to text by default
+GENERATOR_VALUES = st.one_of(
+    *[_int_lists(SMALL, min_size=1)] * 2, TEXT,
+    _int_lists(st.one_of(SMALL, st.integers(min_value=-10 ** 130, max_value=10 ** 130)),
+               min_size=1))
+
+
+def _int_values(lo, hi):
+    """An integer option's value; or '--' after '=', which argparse before
+    Python 3.12 turns into an empty list."""
+    return st.tuples(st.integers(min_value=lo, max_value=hi),
+                     st.sampled_from("1234567-")).map(
+        lambda p: ("equals", "--") if p[1] == "-" else ("separate", str(p[0])))
+
+
+def _option(option, value):
+    how, text = value
+    return [f"{option}={text}"] if how == "equals" or not text else [option, text]
+
+
+LITERAL_INVOCATIONS = st.one_of(
+    st.builds(lambda d: ["mu", str(d)], st.integers(min_value=-5, max_value=10 ** 6)),
+    st.builds(lambda gens, n, module, modulus: (
+        ["telescope", *_option("--generators", gens), *_option("-n", n)]
+        + (_option("--module", module) if module else [])
+        + (_option("--modulus", modulus) if modulus else [])),
+        GENERATOR_VALUES, _int_values(1, 40), st.none() | LIST_VALUES,
+        st.none() | st.sampled_from([-1, 0, 2, 12, 36, 64]).flatmap(lambda m: _int_values(m, m))),
+    st.builds(lambda s, t, bound: (
+        ["artinian", *_option("--s", s), *_option("--t", t)]
+        + (_option("--factor-bound", bound) if bound else [])),
+        st.one_of(st.integers(min_value=-10 ** 6, max_value=10 ** 6).map(
+            lambda x: ("separate", str(x))), LIST_VALUES),
+        LIST_VALUES, st.none() | _int_values(-3, 10 ** 6)),
+)
+
+
 class TestCommandsProperty:
-    """Every command that reads a file, driven through ``main`` with generated
-    certificates, presentations, posets, ``--tests`` lists and paths that
-    are not files: the exit code is 0, 1 or 2, exit 2 prints one line on
-    stderr, and nothing ends in a traceback."""
+    """Every command, driven through ``main`` with generated certificates,
+    presentations, posets, ``--tests`` lists and paths that are not files,
+    or with generated literal arguments: the exit code is 0, 1 or 2, exit 2
+    prints one line on stderr, and nothing ends in a traceback."""
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -814,6 +892,20 @@ class TestCommandsProperty:
                 args += ["--depth", str(depth)]
         if structured:
             args += ["--format", "structured"]
+        code, out, err = run_cli(args, capsys)
+        assert code in (0, 1, 2), (args, code, err)
+        assert "Traceback" not in out + err, err
+        if code == 2:
+            assert out == "" and len(err.splitlines()) == 1, (args, out, err)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(args=LITERAL_INVOCATIONS, structured=st.booleans())
+    def test_literal_argument_commands(self, args, structured, capsys):
+        """``mu``, ``telescope`` (n up to 40) and ``artinian`` over Z (|s| up
+        to 10^6), which take literal arguments only."""
+        if structured:
+            args = args + ["--format", "structured"]
         code, out, err = run_cli(args, capsys)
         assert code in (0, 1, 2), (args, code, err)
         assert "Traceback" not in out + err, err

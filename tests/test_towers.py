@@ -5,10 +5,10 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multloc import towers
+from multloc import fpmod, intlinalg, towers
 from multloc.battery import GENERATOR_SETS, abelian_groups_upto, criterion_5
 from multloc.certs import omega_from_quotient_tower
 from multloc.fpmod import (FPModule, Morphism, canonical_invariants,
@@ -249,6 +249,13 @@ class TestTelescope:
             assert tc.schedule == tuple(s.s(k) for k in range(1, n + 1))
             assert tc.companion == s.t(n)
             assert tc.g0 == [[s.t(c) for c in range(n)]]
+
+    @pytest.mark.parametrize("gens", [(2,), (-3,), (2, -3), (-2, 3, 5), (6, -1), (-1, 1),
+                                      (7, -2, 1, -5)])
+    def test_every_field_matches_the_slice_products(self, gens):
+        s = seq(*gens)
+        for n in range(1, 61):
+            assert telescope_complex(s, n) == reference_routes.telescope_complex_by_slices(s, n), n
 
     def test_witnesses_random(self):
         rng = random.Random(77)
@@ -1036,6 +1043,115 @@ class TestTelescopeSmithRoute:
         towers.clear_caches()
         assert telescope_homology_check(seq(2, 3), 4, z_mod(12, 0)).passed()
         assert criterion_5(groups=[(4,), (2, 6)])["pass"]
+
+
+@st.composite
+def dense_modules(draw):
+    """A dense random presentation: over Z of full rank, over Z with free
+    rank (fewer relations than generators), or over Z/N with N up to
+    2^61 - 1 and relation entries anywhere in [0, N)."""
+    kind = draw(st.sampled_from(["z full", "z free", "z/n"]))
+    if kind == "z/n":
+        modulus = draw(st.one_of(st.sampled_from([2, 12, 360, 2 ** 61 - 1]),
+                                 st.integers(min_value=2, max_value=2 ** 61 - 1)))
+        g = draw(st.integers(min_value=0, max_value=3))
+        entries, sizes = st.integers(min_value=0, max_value=modulus - 1), (0, 3)
+    else:
+        modulus = 0
+        g = draw(st.integers(min_value=1, max_value=3))
+        entries = st.integers(min_value=-40, max_value=40)
+        sizes = (g, g + 2) if kind == "z full" else (0, g - 1)
+    rows = draw(st.lists(st.lists(entries, min_size=g, max_size=g),
+                         min_size=sizes[0], max_size=sizes[1]))
+    module = FPModule.from_presentation(rows, gens=g, modulus=modulus)
+    if kind == "z full":
+        assume(module.order() is not None)
+    return module
+
+
+def unreduced_homology(module, t):
+    mul = Morphism.multiplication(module, t)
+    return mul.cokernel().invariants(), mul.kernel()[0].invariants()
+
+
+class TestScalarHomology:
+    """The direct route multiplies by gcd(t, a), a = |M| (0 with free rank):
+    t Z^g + L = gcd(t, a) Z^g + L and t x in L iff gcd(t, a) x in L, so the
+    cokernel and the kernel are those of multiplication by t itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(module=dense_modules(), data=st.data())
+    def test_reduced_scalar_matches_unreduced_multiplication(self, module, data):
+        order = module.order() or 0
+        kind = data.draw(st.sampled_from(["any", "zero", "unit", "multiple", "coprime"]))
+        t = data.draw(st.integers(min_value=1, max_value=2 ** 64))
+        if kind == "zero":
+            t = 0
+        elif kind == "unit":
+            t = 1
+        elif kind == "multiple":
+            t = data.draw(st.integers(min_value=1, max_value=6)) * order
+        elif kind == "coprime":
+            while math.gcd(t, order) > 1:
+                t //= math.gcd(t, order)
+        t *= data.draw(st.sampled_from([1, -1]))
+        scalar = math.gcd(t, towers._hnf_order(module))
+        assert towers._scalar_homology(module, scalar) == unreduced_homology(module, t)
+
+    def test_hnf_order_is_the_order(self):
+        for module in (z_mod(12), z_mod(2, 6), z_mod(0, 4), FPModule.zero(),
+                       FPModule.from_presentation([[2, 4], [6, 9]]),
+                       FPModule.from_presentation([[3, 1]], gens=2),
+                       FPModule.from_invariants([4, 6], modulus=12),
+                       FPModule(gens=2, modulus=7)):
+            assert towers._hnf_order(module) == (module.order() or 0), module
+
+    def test_direct_route_reads_neither_invariants_nor_engine_memos(self, monkeypatch):
+        """In a cold check, ``module.invariants()`` is read once and the
+        engine's homology once per cyclic factor, both by the engine route,
+        which here takes the closed form Z/gcd(d, t_n); the Smith factors
+        are never read.  So the direct route reads none of them."""
+        module = FPModule.from_presentation([[2, 4, 0], [6, 9, 3], [0, 0, 5]])
+        reads, engine = [], []
+        real = FPModule.invariants
+
+        def invariants(self):
+            if self is module:
+                reads.append(self)
+            return real(self)
+
+        def homology(schedule, d):
+            engine.append(d)
+            h0 = merge_invariants([(math.gcd(d, math.prod(schedule)),)])
+            return h0, h0 if d else ()
+
+        def refuse(*args):
+            raise AssertionError("the Smith factors were read")
+
+        towers.clear_caches()
+        monkeypatch.setattr(FPModule, "invariants", invariants)
+        monkeypatch.setattr(towers, "_telescope_dual_homology", homology)
+        monkeypatch.setattr(towers, "_dual_factors", refuse)
+        rep = telescope_homology_check(seq(2, 3), 5, module)
+        assert len(reads) == 1 and len(engine) == len(real(module))
+        assert (rep.h0_direct, rep.h1_direct) == unreduced_homology(module, seq(2, 3).t(5))
+        assert rep.passed()
+
+    def test_cold_criterion_5_eliminates_once_per_distinct_answer(self, monkeypatch):
+        """A cold quick criterion 5 made 4,583 eliminations with one per
+        check; with the scalar reduced, the memo answers all but a few."""
+        towers.clear_caches()
+        calls = []
+        real = intlinalg._eliminate
+
+        def spy(rows, cols):
+            calls.append(cols)
+            return real(rows, cols)
+
+        monkeypatch.setattr(intlinalg, "_eliminate", spy)
+        monkeypatch.setattr(fpmod, "_eliminate", spy)
+        assert criterion_5(groups=abelian_groups_upto(24))["pass"]
+        assert len(calls) <= 500, len(calls)
 
 
 def two_hnf_confirmed_levels(tower, top):
