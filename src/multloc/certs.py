@@ -16,6 +16,7 @@ document comes from ``to_document``.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from .fpmod import (
@@ -252,8 +253,8 @@ def verify_certificate(cert: Certificate) -> int:
 def instantiate_and_check(cert: Certificate) -> dict:
     """Validate the concrete payloads: every node module and tower stage is
     over the root module's ring, and every construction joint is checked
-    with exact presentation arithmetic.  Raises PayloadMismatch with the
-    first failing node."""
+    with exact presentation arithmetic, once per key (``_joint_failure``).
+    Raises PayloadMismatch with the first failing node in post-order."""
     count = 0
 
     def need(node: CertNode, path: str) -> FPModule:
@@ -269,75 +270,22 @@ def instantiate_and_check(cert: Certificate) -> dict:
             raise PayloadMismatch(path, f"{name} has modulus {mod.modulus}, "
                                         f"not the root's {ring}")
 
-    def mk_map(rows, src: FPModule, tgt: FPModule, path: str, name: str) -> Morphism:
-        try:
-            f = Morphism.make(src, tgt, [list(r) for r in rows])
-        except ValueError as exc:
-            raise PayloadMismatch(path, f"{name}: {exc}")
-        if not f.is_well_defined():
-            raise PayloadMismatch(path, f"{name} is not a well-defined module map")
-        return f
-
     def walk(node: CertNode, path: str) -> FPModule:
         nonlocal count
         count += 1
         mod = need(node, path)
         same_ring(mod, path, "module")
-        kids = [walk(c, f"{path}.{i}") for i, c in enumerate(node.children)]
+        kids = tuple([walk(c, f"{path}.{i}") for i, c in enumerate(node.children)])
         p = node.payload
-        if node.kind == "Seed":
-            _check_seed_tag(node, mod, path)
-        elif node.kind == "DirectSummand":
-            into = mk_map(p["into"], mod, kids[0], path, "into")
-            retract = mk_map(p["retract"], kids[0], mod, path, "retract")
-            if not into.compose(retract).equals(Morphism.identity(mod)):
-                raise PayloadMismatch(path, "retraction does not split the inclusion")
-        elif node.kind == "Extension":
-            inject = mk_map(p["inject"], kids[0], mod, path, "inject")
-            project = mk_map(p["project"], mod, kids[1], path, "project")
-            if not inject.is_injective():
-                raise PayloadMismatch(path, "extension inclusion is not injective")
-            if not project.is_surjective():
-                raise PayloadMismatch(path, "extension projection is not surjective")
-            if not is_exact_pair(inject, project):
-                raise PayloadMismatch(path, "extension is not exact in the middle")
-        elif node.kind == "CokernelOfInjection":
-            f = mk_map(p["map"], kids[0], kids[1], path, "map")
-            if not f.is_injective():
-                raise PayloadMismatch(path, "map claimed injective is not")
-            if f.cokernel().invariants() != mod.invariants():
-                raise PayloadMismatch(path, "cokernel does not match the node module")
-        elif node.kind == "KernelOfSurjection":
-            f = mk_map(p["map"], kids[0], kids[1], path, "map")
-            if not f.is_surjective():
-                raise PayloadMismatch(path, "map claimed surjective is not")
-            if f.kernel()[0].invariants() != mod.invariants():
-                raise PayloadMismatch(path, "kernel does not match the node module")
-        elif node.kind == "FiniteProduct":
-            total = direct_sum(*[k for k in kids]) if kids else FPModule.zero(mod.modulus)
-            if total.invariants() != mod.invariants():
-                raise PayloadMismatch(path, "product does not match the node module")
-        elif node.kind == "OmegaIteratedExtension":
-            stages = p.get("stages")
-            trans = p.get("transitions")
+        if node.kind == "OmegaIteratedExtension":
+            stages, trans = p.get("stages"), p.get("transitions")
             if stages is None or trans is None or len(trans) != len(stages) - 1:
                 raise PayloadMismatch(path, "stage/transition data is inconsistent")
             for i, stage in enumerate(stages):
                 same_ring(stage, path, f"stage {i}")
-            if len(stages) != len(kids):
-                raise PayloadMismatch(path, "one child is required per tower kernel")
-            if stages[0].invariants() != kids[0].invariants():
-                raise PayloadMismatch(path, "first stage does not match the first kernel")
-            for i, rows in enumerate(trans):
-                f = mk_map(rows, stages[i + 1], stages[i], path, f"transition {i}")
-                if not f.is_surjective():
-                    raise PayloadMismatch(path, f"transition {i} is not surjective")
-                ker_inv = f.kernel()[0].invariants()
-                if ker_inv != kids[i + 1].invariants():
-                    raise PayloadMismatch(
-                        path, f"kernel at stage {i + 1} does not match its child")
-            if stages[-1].invariants() != mod.invariants():
-                raise PayloadMismatch(path, "top stage does not match the node module")
+        failure = _joint_failure(node.kind, mod, kids, _entries_key(node))
+        if failure is not None:
+            raise PayloadMismatch(path, failure)
         return mod
 
     root_mod = walk(cert.root, "root")
@@ -345,19 +293,101 @@ def instantiate_and_check(cert: Certificate) -> dict:
             "ok": True}
 
 
-def _check_seed_tag(node: CertNode, mod: FPModule, path: str) -> None:
-    tag = node.tag or {}
-    kind = tag.get("kind")
-    if kind in ("QuotientRingModule", "AlmostCotorsionQuotient"):
-        s = tag.get("s")
-        if s is None:
-            raise PayloadMismatch(path, "quotient seed tag needs the element s")
-        if not Morphism.multiplication(mod, s).is_zero_morphism():
-            raise PayloadMismatch(path, f"seed is not annihilated by {s}")
-    elif kind in ("LocalizedRingModule", "AlmostCotorsionLocalized"):
-        for g in tag.get("generators", ()):
-            if not Morphism.multiplication(mod, g).is_isomorphism():
-                raise PayloadMismatch(path, f"generator {g} does not act invertibly")
+_READS = {"Seed": ("kind", "s", "generators"), "DirectSummand": ("into", "retract"),
+          "Extension": ("inject", "project"), "CokernelOfInjection": ("map",),
+          "KernelOfSurjection": ("map",), "OmegaIteratedExtension": ("stages", "transitions")}
+
+
+def _entries_key(node: CertNode) -> tuple:
+    """The (key, value) pairs of a seed's tag or another node's payload that
+    its joint check reads (``_READS``), lists as tuples with one C-level call
+    per row; entries no check reads stay out."""
+    reads = _READS.get(node.kind, ())
+    entries = node.tag or {} if node.kind == "Seed" else node.payload
+    return tuple([(k, v if k in ("kind", "s") else tuple(v) if k in ("stages", "generators")
+                   else tuple([tuple(map(tuple, m)) for m in v]) if k == "transitions"
+                   else tuple(map(tuple, v)))
+                  for k, v in entries.items() if k in reads])
+
+
+class _Broken(Exception):
+    """A payload map that is not a module map."""
+
+
+def _map(rows: tuple, src: FPModule, tgt: FPModule, name: str) -> Morphism:
+    try:
+        f = Morphism(src, tgt, rows)
+    except ValueError as exc:
+        raise _Broken(f"{name}: {exc}")
+    if not f.is_well_defined():
+        raise _Broken(f"{name} is not a well-defined module map")
+    return f
+
+
+@functools.cache
+def _joint_failure(kind: str, mod: FPModule, kids: tuple, entries: tuple) -> str | None:
+    """Why the joint of a ``kind`` node with module ``mod`` over the children's
+    modules ``kids`` fails, or None; ``entries`` is the node's ``_entries_key``.
+    An exception other than a failed joint stores nothing."""
+    p = dict(entries)
+    try:
+        if kind == "Seed":
+            if p.get("kind") in ("QuotientRingModule", "AlmostCotorsionQuotient"):
+                s = p.get("s")
+                if s is None:
+                    return "quotient seed tag needs the element s"
+                if not Morphism.multiplication(mod, s).is_zero_morphism():
+                    return f"seed is not annihilated by {s}"
+            elif p.get("kind") in ("LocalizedRingModule", "AlmostCotorsionLocalized"):
+                for g in p.get("generators", ()):
+                    if not Morphism.multiplication(mod, g).is_isomorphism():
+                        return f"generator {g} does not act invertibly"
+        elif kind == "DirectSummand":
+            into = _map(p["into"], mod, kids[0], "into")
+            retract = _map(p["retract"], kids[0], mod, "retract")
+            if not into.compose(retract).equals(Morphism.identity(mod)):
+                return "retraction does not split the inclusion"
+        elif kind == "Extension":
+            inject = _map(p["inject"], kids[0], mod, "inject")
+            project = _map(p["project"], mod, kids[1], "project")
+            if not inject.is_injective():
+                return "extension inclusion is not injective"
+            if not project.is_surjective():
+                return "extension projection is not surjective"
+            if not is_exact_pair(inject, project):
+                return "extension is not exact in the middle"
+        elif kind == "CokernelOfInjection":
+            f = _map(p["map"], kids[0], kids[1], "map")
+            if not f.is_injective():
+                return "map claimed injective is not"
+            if f.cokernel().invariants() != mod.invariants():
+                return "cokernel does not match the node module"
+        elif kind == "KernelOfSurjection":
+            f = _map(p["map"], kids[0], kids[1], "map")
+            if not f.is_surjective():
+                return "map claimed surjective is not"
+            if f.kernel()[0].invariants() != mod.invariants():
+                return "kernel does not match the node module"
+        elif kind == "FiniteProduct":
+            total = direct_sum(*kids) if kids else FPModule.zero(mod.modulus)
+            if total.invariants() != mod.invariants():
+                return "product does not match the node module"
+        elif kind == "OmegaIteratedExtension":
+            stages = p["stages"]
+            if len(stages) != len(kids):
+                return "one child is required per tower kernel"
+            if stages[0].invariants() != kids[0].invariants():
+                return "first stage does not match the first kernel"
+            for i, rows in enumerate(p["transitions"]):
+                f = _map(rows, stages[i + 1], stages[i], f"transition {i}")
+                if not f.is_surjective():
+                    return f"transition {i} is not surjective"
+                if f.kernel()[0].invariants() != kids[i + 1].invariants():
+                    return f"kernel at stage {i + 1} does not match its child"
+            if stages[-1].invariants() != mod.invariants():
+                return "top stage does not match the node module"
+    except _Broken as exc:
+        return str(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -35,18 +35,16 @@ def zeros(r: int, c: int) -> list[list[int]]:
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product a * b, multiplying only nonzero entries of both factors."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch in mat_mul")
-    inner = len(b)
     cols = len(b[0]) if b else 0
+    support = [[j for j, x in enumerate(row) if x] for row in b]
     out = zeros(len(a), cols)
-    for i, row in enumerate(a):
-        acc = out[i]
-        for k in range(inner):
-            aik = row[k]
+    for row, acc in zip(a, out):
+        for aik, brow, js in zip(row, b, support):
             if aik:
-                brow = b[k]
-                for j in range(cols):
+                for j in js:
                     acc[j] += aik * brow[j]
     return out
 

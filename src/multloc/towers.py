@@ -657,16 +657,18 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
 
 
 def clear_caches() -> None:
-    """Empty the seven cross-call memos of the package: relation HNFs
+    """Empty the eight cross-call memos of the package: relation HNFs
     (``_relation_hnf``) and invariants (``_invariants``); the telescope
     engine's Smith factors (``_dual_factors``) and homology per factor
     (``_telescope_dual_homology``); the direct route's homology of a
-    scalar (``_scalar_homology``); and the per-factor quotient limits
-    (``_lambda_cyclic``) and five-term blocks (``_five_term_cyclic``).  Each
-    holds a pure function of its arguments (a call that raises stores
-    nothing), so this changes no answer, only the work the next calls do."""
+    scalar (``_scalar_homology``); the per-factor quotient limits
+    (``_lambda_cyclic``) and five-term blocks (``_five_term_cyclic``); and the
+    certificate joints (``certs._joint_failure``, imported here: ``certs``
+    imports this module).  Each holds a pure function of its arguments (a
+    call that raises stores nothing), so this changes no answer."""
+    from .certs import _joint_failure
     for memo in (_relation_hnf, _invariants, _dual_factors, _telescope_dual_homology,
-                 _scalar_homology, _lambda_cyclic, _five_term_cyclic):
+                 _scalar_homology, _lambda_cyclic, _five_term_cyclic, _joint_failure):
         memo.cache_clear()
 
 

@@ -34,7 +34,12 @@ and only the omega certificate presents the few stages it prints.
 The telescope complex took every entry of its witness f1 and its homotopy
 as a product of a slice of the schedule (``telescope_complex_by_slices``);
 today ``towers.telescope_complex`` builds each row from one running
-product.
+product.  Matrix products summed every term of the entry formula; today
+``intlinalg.mat_mul`` multiplies only the nonzero entries of both factors.
+
+The certificate check proved every joint it reached inside one nested walk
+(``instantiate_and_check_nested``); today the walk looks each joint up in
+the memo ``certs._joint_failure``, keyed by the node's data.
 """
 
 import functools
@@ -43,7 +48,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import product
 
-from multloc.fpmod import FPModule, Morphism, is_exact_pair, merge_invariants
+from multloc.certs import CertNode, Certificate, PayloadMismatch
+from multloc.fpmod import FPModule, Morphism, direct_sum, is_exact_pair, merge_invariants
 from multloc.intlinalg import (_eliminate, canonical_invariants, hnf_rows, identity,
                                lattice_coordinates, lattice_member, mat_mul)
 from multloc.poset import DistinguishReport, PrimePoset, _heights
@@ -571,3 +577,118 @@ def telescope_complex_by_slices(seq: MultSubsetSeq, n: int) -> TelescopeComplex:
         g1=[[-1 if r == n - 1 else 0 for r in range(n)]],
         homotopy=[[math.prod(s[r + 1:c]) if r < c else 0 for c in range(n)]
                   for r in range(n)])
+
+
+def mat_mul_dense(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The matrix product by its entry formula, every term summed."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("dimension mismatch in mat_mul")
+    cols = len(b[0]) if b else 0
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+            for row in a]
+
+
+def instantiate_and_check_nested(cert: Certificate) -> dict:
+    """The certificate check as one nested walk that proves every joint it
+    reaches, repeats included, with the seed-tag check inline."""
+    count = 0
+
+    def need(node: CertNode, path: str) -> FPModule:
+        if node.payload is None or "module" not in node.payload:
+            raise PayloadMismatch(path, "payload with a module is required")
+        return node.payload["module"]
+
+    ring = need(cert.root, "root").modulus
+
+    def same_ring(mod: FPModule, path: str, name: str) -> None:
+        if mod.modulus != ring:
+            raise PayloadMismatch(path, f"{name} has modulus {mod.modulus}, "
+                                        f"not the root's {ring}")
+
+    def mk_map(rows, src: FPModule, tgt: FPModule, path: str, name: str) -> Morphism:
+        try:
+            f = Morphism.make(src, tgt, [list(r) for r in rows])
+        except ValueError as exc:
+            raise PayloadMismatch(path, f"{name}: {exc}")
+        if not f.is_well_defined():
+            raise PayloadMismatch(path, f"{name} is not a well-defined module map")
+        return f
+
+    def check_seed_tag(node: CertNode, mod: FPModule, path: str) -> None:
+        tag = node.tag or {}
+        kind = tag.get("kind")
+        if kind in ("QuotientRingModule", "AlmostCotorsionQuotient"):
+            s = tag.get("s")
+            if s is None:
+                raise PayloadMismatch(path, "quotient seed tag needs the element s")
+            if not Morphism.multiplication(mod, s).is_zero_morphism():
+                raise PayloadMismatch(path, f"seed is not annihilated by {s}")
+        elif kind in ("LocalizedRingModule", "AlmostCotorsionLocalized"):
+            for g in tag.get("generators", ()):
+                if not Morphism.multiplication(mod, g).is_isomorphism():
+                    raise PayloadMismatch(path, f"generator {g} does not act invertibly")
+
+    def walk(node: CertNode, path: str) -> FPModule:
+        nonlocal count
+        count += 1
+        mod = need(node, path)
+        same_ring(mod, path, "module")
+        kids = [walk(c, f"{path}.{i}") for i, c in enumerate(node.children)]
+        p = node.payload
+        if node.kind == "Seed":
+            check_seed_tag(node, mod, path)
+        elif node.kind == "DirectSummand":
+            into = mk_map(p["into"], mod, kids[0], path, "into")
+            retract = mk_map(p["retract"], kids[0], mod, path, "retract")
+            if not into.compose(retract).equals(Morphism.identity(mod)):
+                raise PayloadMismatch(path, "retraction does not split the inclusion")
+        elif node.kind == "Extension":
+            inject = mk_map(p["inject"], kids[0], mod, path, "inject")
+            project = mk_map(p["project"], mod, kids[1], path, "project")
+            if not inject.is_injective():
+                raise PayloadMismatch(path, "extension inclusion is not injective")
+            if not project.is_surjective():
+                raise PayloadMismatch(path, "extension projection is not surjective")
+            if not is_exact_pair(inject, project):
+                raise PayloadMismatch(path, "extension is not exact in the middle")
+        elif node.kind == "CokernelOfInjection":
+            f = mk_map(p["map"], kids[0], kids[1], path, "map")
+            if not f.is_injective():
+                raise PayloadMismatch(path, "map claimed injective is not")
+            if f.cokernel().invariants() != mod.invariants():
+                raise PayloadMismatch(path, "cokernel does not match the node module")
+        elif node.kind == "KernelOfSurjection":
+            f = mk_map(p["map"], kids[0], kids[1], path, "map")
+            if not f.is_surjective():
+                raise PayloadMismatch(path, "map claimed surjective is not")
+            if f.kernel()[0].invariants() != mod.invariants():
+                raise PayloadMismatch(path, "kernel does not match the node module")
+        elif node.kind == "FiniteProduct":
+            total = direct_sum(*kids) if kids else FPModule.zero(mod.modulus)
+            if total.invariants() != mod.invariants():
+                raise PayloadMismatch(path, "product does not match the node module")
+        elif node.kind == "OmegaIteratedExtension":
+            stages = p.get("stages")
+            trans = p.get("transitions")
+            if stages is None or trans is None or len(trans) != len(stages) - 1:
+                raise PayloadMismatch(path, "stage/transition data is inconsistent")
+            for i, stage in enumerate(stages):
+                same_ring(stage, path, f"stage {i}")
+            if len(stages) != len(kids):
+                raise PayloadMismatch(path, "one child is required per tower kernel")
+            if stages[0].invariants() != kids[0].invariants():
+                raise PayloadMismatch(path, "first stage does not match the first kernel")
+            for i, rows in enumerate(trans):
+                f = mk_map(rows, stages[i + 1], stages[i], path, f"transition {i}")
+                if not f.is_surjective():
+                    raise PayloadMismatch(path, f"transition {i} is not surjective")
+                if f.kernel()[0].invariants() != kids[i + 1].invariants():
+                    raise PayloadMismatch(
+                        path, f"kernel at stage {i + 1} does not match its child")
+            if stages[-1].invariants() != mod.invariants():
+                raise PayloadMismatch(path, "top stage does not match the node module")
+        return mod
+
+    root_mod = walk(cert.root, "root")
+    return {"checked_nodes": count, "root_invariants": list(root_mod.invariants()),
+            "ok": True}

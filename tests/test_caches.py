@@ -9,6 +9,7 @@ from pathlib import Path
 
 import multloc
 from multloc import battery, towers
+from multloc.certs import CertNode, Certificate, instantiate_and_check
 from multloc.ext import ext1
 from multloc.fpmod import FPModule
 from multloc.towers import MultSubsetSeq, clear_caches
@@ -32,6 +33,9 @@ def fill_memos():
     towers.five_term_check(module, MultSubsetSeq(generators=(2, 3)))
     towers.telescope_homology_check(MultSubsetSeq(generators=(2, 3)), 4, module)
     ext1(FPModule.from_invariants([2], modulus=4), FPModule.from_invariants([2, 4], modulus=4))
+    instantiate_and_check(Certificate(CertNode(
+        "Seed", 1, tag={"kind": "QuotientRingModule", "s": 2},
+        payload={"module": FPModule.from_invariants([2], modulus=4)})))
 
 
 def test_clear_caches_empties_every_memo():

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multloc import battery, certs
+from multloc import battery, certs, towers
 from multloc.battery import _embed_corpus, abelian_groups_upto
 from multloc.certs import (
     CertNode,
@@ -27,6 +29,7 @@ from multloc.certs import (
 from multloc.fpmod import FPModule
 from multloc.intlinalg import _saturate_divisor
 from multloc.randomgen import coprime_split, projective_test_modules, random_certificate
+from reference_routes import instantiate_and_check_nested
 
 
 def seed(inv, modulus=0, tag=None):
@@ -421,3 +424,85 @@ class TestBuildersCheckWhatTheyReturn:
             {"kind": "embed", "modulus": 4, "inv": [2],
              "error": "PayloadMismatch('root: built wrongly')"}]
         assert result["details"]["decompose_certs"] == 6
+
+
+# the moduli of the benchmark's certificates
+CERT_MODULI = (4, 6, 8, 9, 12, 16, 18, 20, 24, 27, 28, 32, 36)
+MAP_KEYS = ("into", "retract", "inject", "project", "map")
+
+
+def _doc_nodes(node: dict) -> list[dict]:
+    out = [node]
+    for c in node.get("children", []):
+        out.extend(_doc_nodes(c))
+    return out
+
+
+def _mutated(doc: dict, how: str, rng: random.Random) -> dict:
+    """A copy of a certificate document with one corruption (or none, when
+    the document has nothing of that kind to corrupt)."""
+    doc = json.loads(json.dumps(doc))
+    nodes = _doc_nodes(doc["root"])
+    if how == "level":
+        rng.choice(nodes)["level"] = rng.choice([0, 1, 3])
+    elif how == "growth":
+        try:
+            doc, _ = battery._mutate_payload(doc, rng)
+        except IndexError:      # no node whose growth must be rejected
+            pass
+    elif how == "flip":
+        rows = [row for n in nodes for key in MAP_KEYS
+                for row in (n.get("payload") or {}).get(key, []) if row]
+        rows += [row for n in nodes for m in (n.get("payload") or {}).get("transitions", [])
+                 for row in m if row]
+        if rows:
+            row = rng.choice(rows)
+            row[rng.randrange(len(row))] += rng.choice([-1, 1])
+    elif how == "swap":
+        omegas = [n["payload"]["stages"] for n in nodes
+                   if len((n.get("payload") or {}).get("stages", [])) > 1]
+        if omegas:
+            stages = rng.choice(omegas)
+            i, j = rng.sample(range(len(stages)), 2)
+            stages[i], stages[j] = stages[j], stages[i]
+    return doc
+
+
+def _outcome(check, cert):
+    try:
+        return check(cert)
+    except Exception as exc:
+        return type(exc), getattr(exc, "path", None), str(exc)
+
+
+@st.composite
+def built_certificates(draw):
+    source = draw(st.sampled_from(["random", "decompose", "embed"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if source == "random":
+        n = draw(st.sampled_from(CERT_MODULI))
+        a, _ = coprime_split(rng, n)
+        return random_certificate(rng, n, a, depth=draw(st.integers(min_value=1, max_value=4)))
+    if source == "decompose":
+        group = draw(st.sampled_from(abelian_groups_upto(24)))
+        m = draw(st.sampled_from((2, 3, 6)))
+        return decompose_weakly_cotorsion(FPModule.from_invariants(list(group)), m)
+    n, inv = draw(st.sampled_from(_embed_corpus(18)))
+    return embed_two_obtainable(FPModule.from_invariants(list(inv), modulus=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(built_certificates(), st.sampled_from(["level", "growth", "flip", "swap"]),
+       st.randoms(use_true_random=False))
+def test_memoized_check_matches_the_nested_walk(cert, how, rng):
+    """A certificate, then a corrupted copy of its document, each checked
+    twice: the first check of the certificate starts from empty memos, and
+    every later one may read joints an earlier check stored.  Each check
+    gives the nested walk's result dict, or its exception class, path and
+    message."""
+    towers.clear_caches()
+    mutated = Certificate.from_document(_mutated(cert.to_document(), how, rng))
+    for c in (cert, mutated):
+        expected = _outcome(instantiate_and_check_nested, c)
+        assert _outcome(instantiate_and_check, c) == expected     # first check
+        assert _outcome(instantiate_and_check, c) == expected     # again, memo warm

@@ -409,3 +409,34 @@ def test_lattice_coordinates_by_hand():
     assert lattice_coordinates([[0, 2, 4]], [1, 2, 4]) is None
     assert lattice_coordinates([], [0, 0]) == []
     assert lattice_coordinates([], [0, 1]) is None
+
+
+sparse_entries = st.one_of(st.just(0), st.just(0), small_ints,
+                           st.integers(min_value=-10 ** 30, max_value=10 ** 30))
+
+
+@st.composite
+def product_shapes(draw):
+    """A pair of matrices that can be multiplied, many entries zero, any of
+    the three dimensions possibly 0."""
+    r, k, c = (draw(st.integers(min_value=0, max_value=7)) for _ in range(3))
+    a = draw(st.lists(st.lists(sparse_entries, min_size=k, max_size=k),
+                      min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(sparse_entries, min_size=c, max_size=c),
+                      min_size=k, max_size=k))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_shapes())
+def test_mat_mul_matches_the_dense_product(ab):
+    a, b = ab
+    assert mat_mul(a, b) == replaced.mat_mul_dense(a, b)
+
+
+def test_mat_mul_shapes():
+    assert mat_mul([], [[1, 2]]) == []
+    assert mat_mul([[], []], []) == [[], []]
+    assert mat_mul([[0, 0]], [[1], [2]]) == [[0]]
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[1]])

@@ -266,6 +266,25 @@ class TestTelescope:
             checks = tc.verify_witnesses()
             assert checks["all_ok"], (gens, n, checks)
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.integers(min_value=-7, max_value=7).filter(bool), min_size=1,
+                    max_size=4),
+           st.integers(min_value=1, max_value=60),
+           st.sampled_from(["f1", "g0", "homotopy"]), st.data())
+    def test_one_wrong_witness_entry_fails_its_flag(self, gens, n, name, data):
+        """The products multiply the stored matrices: one changed entry of f1,
+        g0 or the homotopy turns the flags that read it False."""
+        tc = telescope_complex(MultSubsetSeq(generators=tuple(gens)), n)
+        mat = [list(row) for row in getattr(tc, name)]
+        i = data.draw(st.integers(min_value=0, max_value=len(mat) - 1))
+        j = data.draw(st.integers(min_value=0, max_value=len(mat[0]) - 1))
+        mat[i][j] += data.draw(st.integers(min_value=-5, max_value=5).filter(bool))
+        checks = tc._replace(**{name: mat}).verify_witnesses()
+        flags = {"f1": ["f_chain_map"], "g0": ["g_chain_map"],
+                 "homotopy": ["homotopy_deg0", "homotopy_deg1"]}[name]
+        assert not any(checks[flag] for flag in flags), (gens, n, name, i, j)
+        assert not checks["all_ok"]
+
     def test_homology_z10(self):
         rep = telescope_homology_check(seq(2, 3), 2, z_mod(10))
         assert rep.h0_engine == (2,) and rep.h1_engine == (2,)
