@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
+from itertools import repeat
 
 from .fpmod import (
     FPModule,
@@ -116,9 +117,11 @@ def _is_int(x) -> bool:
 
 
 def _is_int_rows(rows, width: int | None = None) -> bool:
-    """A list of integer lists, each of length ``width`` when one is given."""
+    """A list of integer lists, each of length ``width`` when one is given;
+    a row's entries are checked by two C-level passes, ints in and bools out."""
     return isinstance(rows, list) and all(
-        isinstance(r, list) and (width is None or len(r) == width) and all(map(_is_int, r))
+        isinstance(r, list) and (width is None or len(r) == width)
+        and all(map(isinstance, r, repeat(int))) and not any(map(isinstance, r, repeat(bool)))
         for r in rows)
 
 
@@ -179,19 +182,19 @@ def _node_from_doc(doc: dict, path: str) -> CertNode:
     if doc.get("payload") is not None:
         payload = {}
         for key, val in doc["payload"].items():
-            where = f"{path}.payload.{key}"
             if key == "module":
-                payload[key] = _mod_from_doc(val, where)
+                payload[key] = _mod_from_doc(val, f"{path}.payload.module")
             elif key == "stages":
                 if not isinstance(val, list):
-                    raise ValueError(f"{where}: stages must be a list")
-                payload[key] = [_mod_from_doc(s, f"{where}.{i}") for i, s in enumerate(val)]
+                    raise ValueError(f"{path}.payload.stages: stages must be a list")
+                payload[key] = [_mod_from_doc(s, f"{path}.payload.stages.{i}")
+                                for i, s in enumerate(val)]
             elif key in ("into", "retract", "inject", "project", "map") \
                     and not _is_int_rows(val):
-                raise ValueError(f"{where}: must be a list of integer lists")
+                raise ValueError(f"{path}.payload.{key}: must be a list of integer lists")
             elif key == "transitions" and not (isinstance(val, list)
                                                and all(map(_is_int_rows, val))):
-                raise ValueError(f"{where}: must be a list of integer matrices")
+                raise ValueError(f"{path}.payload.transitions: must be a list of integer matrices")
             else:
                 payload[key] = val
     return CertNode(kind=doc["kind"], level=level,

@@ -7,9 +7,14 @@ generically: an element chosen inside a prime p lies in exactly the primes
 containing p, its up-set, so prime avoidance succeeds whenever no
 forbidden prime contains the target.  This makes the constructions below
 total, while the verifier only ever looks at intersection patterns and is
-independent of the element model.  For the length of one call the verifier
-numbers the primes as bits, so its sets are ints; a PrimePoset keeps its
-up-sets as frozensets, its one representation of the order.
+independent of the element model.
+
+Every set of primes is an int bit mask: bit i stands for the i-th label of
+``sorted(primes)``, so ascending bits are ascending labels.  A PrimePoset
+keeps one mask per up-set, its one representation of the order; element
+loci are those masks, and the builders and the verifier keep their hit,
+forbidden and kept sets as masks too.  Labels appear only in documents,
+error messages and the label-facing lookups.
 
 The classes are named tuples, so creating them runs no generated code.
 Like any tuple they iterate, compare equal to a plain tuple of the same
@@ -19,6 +24,7 @@ fields and serialize to JSON as lists; documents come from
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable
 from itertools import product
@@ -32,13 +38,15 @@ class DimensionMismatch(Exception):
     """Poset dimension incompatible with the requested construction."""
 
 
-class PrimePoset(namedtuple("PrimePoset", "primes up height")):
-    """Containment order on prime labels, kept as up-sets, with validated heights.
+class PrimePoset(namedtuple("PrimePoset", "primes labels up height")):
+    """Containment order on prime labels, kept as up-set masks, with validated heights.
 
-    ``up[p]`` holds the primes containing p, p included; it is also the
-    locus of a generic element of p.  ``height[p]`` is the length of the
-    longest chain below p.  Two posets are equal when they have the same
-    primes and the same order; the hash reads the primes only.
+    ``labels`` is ``sorted(primes)``; bit i of a mask stands for
+    ``labels[i]``.  ``up[p]`` is the mask of the primes containing p, p
+    included; it is also the locus of a generic element of p.
+    ``height[p]`` is the length of the longest chain below p.  Two posets
+    are equal when they have the same primes and the same order; the hash
+    reads the primes only.
     """
 
     __slots__ = ()
@@ -59,31 +67,46 @@ class PrimePoset(namedtuple("PrimePoset", "primes up height")):
         """Order generated by the pairs [lower, upper] in ``covers``, covers or
         any other strict pairs: the order is their transitive closure.  Pairs
         are checked in the order given and a cycle is named by its first prime
-        in ``primes``, so an error names the same culprit in every process."""
+        in ``primes``, so an error names the same culprit in every process.
+
+        One pass takes the primes lowest first, each once every pair below it
+        is taken, so a height is the longest path of pairs below; the reverse
+        pass ORs each prime's bit with its successors' up-sets."""
         primes_t = tuple(primes)
-        if len(set(primes_t)) != len(primes_t):
+        labels = tuple(sorted(primes_t))
+        index = {p: i for i, p in enumerate(labels)}
+        if len(index) != len(primes_t):
             raise ValueError("duplicate prime identifiers")
-        succ: dict[str, set[str]] = {p: set() for p in primes_t}
+        succ: list[list[int]] = [[] for _ in labels]
+        pending = [0] * len(labels)          # pairs below each prime not yet taken
         for a, b in covers:
-            if a not in succ or b not in succ:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 raise ValueError(f"lt pair ({a!r}, {b!r}) mentions unknown prime")
-            if a == b:
+            if i == j:
                 raise ValueError(f"lt is not irreflexive at {a!r}")
-            succ[a].add(b)
-        up = {}
-        for p in primes_t:
-            above: set[str] = set()
-            stack = list(succ[p])
-            while stack:
-                q = stack.pop()
-                if q not in above:
-                    above.add(q)
-                    stack.extend(succ[q])
-            if p in above:
-                raise ValueError(f"lt has a cycle through {p!r}")
-            above.add(p)
-            up[p] = frozenset(above)
-        return PrimePoset(primes_t, up, _heights(primes_t, up))
+            succ[i].append(j)
+            pending[j] += 1
+        order = [i for i, c in enumerate(pending) if not c]
+        height = [0] * len(labels)
+        for i in order:                      # grows while it is walked
+            h = height[i] + 1
+            for j in succ[i]:
+                if height[j] < h:
+                    height[j] = h
+                pending[j] -= 1
+                if not pending[j]:
+                    order.append(j)
+        if len(order) < len(labels):
+            raise ValueError(f"lt has a cycle through {_first_on_cycle(primes_t, index, succ)!r}")
+        up = [0] * len(labels)
+        for i in reversed(order):
+            mask = 1 << i
+            for j in succ[i]:
+                mask |= up[j]
+            up[i] = mask
+        return PrimePoset(primes_t, labels, {p: up[index[p]] for p in primes_t},
+                          {p: height[index[p]] for p in primes_t})
 
     @staticmethod
     def from_document(doc: dict) -> "PrimePoset":
@@ -103,57 +126,70 @@ class PrimePoset(namedtuple("PrimePoset", "primes up height")):
     def dimension(self) -> int:
         return max(self.height.values(), default=0)
 
-    def primes_of_height(self, h: int) -> list[str]:
-        return [p for p in self.primes if self.height[p] == h]
-
-    def canonical_order(self) -> list[str]:
-        """Ascending height, then identifier: the order the builders enumerate."""
-        return sorted(self.primes, key=lambda p: (self.height[p], p))
+    def canonical_order(self) -> list[int]:
+        """Bits by ascending height, then label: the order the builders enumerate."""
+        heights = [self.height[p] for p in self.labels]
+        return sorted(range(len(heights)), key=heights.__getitem__)
 
     def to_document(self) -> dict:
+        """Primes as given and the covers, sorted: q covers p when q lies
+        strictly above p and strictly above no prime strictly above p."""
+        labels = self.labels
+        strict = [self.up[p] ^ (1 << i) for i, p in enumerate(labels)]
         covers = []
-        for p in self.primes:
-            above = self.up[p] - {p}
-            covers += [[p, q] for q in above
-                       if not any(q in self.up[r] for r in above if r != q)]
-        return {"primes": list(self.primes), "covers": sorted(covers)}
+        for i, p in enumerate(labels):
+            beyond = 0
+            for j in _bits(strict[i]):
+                beyond |= strict[j]
+            # p ascends with i and q with j, so the list comes out sorted
+            covers += [[p, labels[j]] for j in _bits(strict[i] & ~beyond)]
+        return {"primes": list(self.primes), "covers": covers}
 
 
-def _heights(primes, up):
-    """Longest chain below each prime.  A prime's up-set is strictly larger
-    than that of every prime above it, so larger up-sets are final first."""
-    height = dict.fromkeys(primes, 0)
-    for p in sorted(primes, key=lambda p: -len(up[p])):
-        for q in up[p]:
-            if q != p and height[q] <= height[p]:
-                height[q] = height[p] + 1
-    return height
+def _first_on_cycle(primes: tuple[str, ...], index: dict[str, int],
+                    succ: list[list[int]]) -> str:
+    """First prime in ``primes`` that a path of pairs leads back to."""
+    for p in primes:
+        start = index[p]
+        seen: set[int] = set()
+        stack = list(succ[start])
+        while stack:
+            j = stack.pop()
+            if j == start:
+                return p
+            if j not in seen:
+                seen.add(j)
+                stack.extend(succ[j])
 
 
-# generic ring element: ``locus`` is the set of primes containing it
+# generic ring element: ``locus`` is the mask of the primes containing it
 AbstractElement = namedtuple("AbstractElement", "id locus")
 
 
-class MultSubsetModel(namedtuple("MultSubsetModel", "generators")):
+class MultSubsetModel(namedtuple("MultSubsetModel", "generators labels")):
     """Multiplicative subset presented by generator elements.
 
-    The subset meets a prime iff some generator lies in it; products never
+    Generator loci are masks over the sorted prime labels ``labels``.  The
+    subset meets a prime iff some generator lies in it; products never
     enter a prime all of whose factors avoid it.
     """
 
     __slots__ = ()
 
     def intersects(self, p: str) -> bool:
-        return any(p in g.locus for g in self.generators)
+        i = bisect_left(self.labels, p)
+        if i == len(self.labels) or self.labels[i] != p:
+            return False
+        return any(g.locus >> i & 1 for g in self.generators)
 
-    def hit_set(self) -> frozenset[str]:
-        out: set[str] = set()
+    def hit_mask(self) -> int:
+        out = 0
         for g in self.generators:
-            out.update(g.locus)
-        return frozenset(out)
+            out |= g.locus
+        return out
 
     def to_document(self) -> list:
-        return [sorted(g.locus) for g in self.generators]
+        return [[self.labels[i] for i in _bits(g.locus)] for g in self.generators]
 
 
 class DistinguishingFamily(namedtuple("DistinguishingFamily", "subsets dimension")):
@@ -175,21 +211,27 @@ def mu(d: int) -> int:
     return (d + 1) ** 2 // 4
 
 
-def avoidance_element(poset: PrimePoset, target: str, forbidden: set[str],
+def avoidance_element(poset: PrimePoset, target: str, forbidden: int,
                       id: str | None = None) -> AbstractElement:
-    """Generic element of ``target`` avoiding every prime in ``forbidden``.
+    """Generic element of ``target`` avoiding every prime in the mask ``forbidden``.
 
     Raises AvoidanceImpossible when some forbidden prime contains the target
     (then every element of the target lies in it).
     """
-    if target not in poset.up:
+    locus = poset.up.get(target)
+    if locus is None:
         raise ValueError(f"unknown prime {target}")
-    locus = poset.up[target]
-    bad = locus.intersection(forbidden)
+    bad = locus & forbidden
     if bad:
         raise AvoidanceImpossible(
-            f"forbidden prime(s) {sorted(bad)} contain the target {target}")
-    return AbstractElement(id=id or f"e[{target}]", locus=locus)
+            f"forbidden prime(s) {[poset.labels[i] for i in _bits(bad)]} "
+            f"contain the target {target}")
+    return AbstractElement(id or f"e[{target}]", locus)
+
+
+def _level_mask(heights: list[int], h: int) -> int:
+    """Mask of the primes of height h, from the heights in label order."""
+    return sum(1 << i for i, x in enumerate(heights) if x == h)
 
 
 def build_one_dimensional(poset: PrimePoset) -> MultSubsetModel:
@@ -201,10 +243,12 @@ def build_one_dimensional(poset: PrimePoset) -> MultSubsetModel:
 
 def _height1_subset(poset: PrimePoset, prefix: str) -> MultSubsetModel:
     """Distinguish height-1 primes from minimal ones; also the odd-dimension tail."""
-    minimal = set(poset.primes_of_height(0))
+    labels = poset.labels
+    heights = [poset.height[p] for p in labels]
+    minimal = _level_mask(heights, 0)
     return MultSubsetModel(tuple(
         avoidance_element(poset, p, minimal, id=f"{prefix}[{p}]")
-        for p in sorted(poset.primes_of_height(1))))
+        for p, h in zip(labels, heights) if h == 1), labels)
 
 
 def build_pair_dim2(poset: PrimePoset) -> tuple[MultSubsetModel, MultSubsetModel]:
@@ -214,32 +258,35 @@ def build_pair_dim2(poset: PrimePoset) -> tuple[MultSubsetModel, MultSubsetModel
     invariants: minimal primes meet neither set, height-1 primes meet at
     most one, and every new element avoids the other set's height-1
     "U-primes" and all minimal primes (automatic in the generic model,
-    asserted here).  Hit sets and avoided primes are kept as they grow.
+    asserted here).  Hit sets and avoided primes are masks kept as they
+    grow.
     """
     if poset.dimension() > 2:
         raise DimensionMismatch(f"dimension {poset.dimension()} > 2")
-    minimal = poset.primes_of_height(0)
+    labels = poset.labels
+    heights = [poset.height[p] for p in labels]
+    minimal, ones = _level_mask(heights, 0), _level_mask(heights, 1)
     gens: tuple[list[AbstractElement], ...] = ([], [])
-    hit: tuple[set[str], ...] = (set(), set())
+    hit = [0, 0]
     # per set: minimal primes plus the height-1 primes the other set meets
-    avoid = (set(minimal), set(minimal))
+    avoid = [minimal, minimal]
 
     def grow(k: int, p: str, step: int) -> None:
         e = avoidance_element(poset, p, avoid[k], id=f"{'ST'[k]}[{step}:{p}]")
         gens[k].append(e)
-        hit[k].update(e.locus)
-        avoid[1 - k].update(q for q in e.locus if poset.height[q] == 1)
+        hit[k] |= e.locus
+        avoid[1 - k] |= e.locus & ones
 
-    for step, p in enumerate(poset.canonical_order()):
-        h = poset.height[p]
-        if h == 1 and p not in hit[0] and p not in hit[1]:
+    for step, i in enumerate(poset.canonical_order()):
+        h, p = heights[i], labels[i]
+        if h == 1 and not (hit[0] | hit[1]) >> i & 1:
             grow(0, p, step)
         elif h == 2:
-            if p not in hit[0]:
+            if not hit[0] >> i & 1:
                 grow(0, p, step)
-            if p not in hit[1]:
+            if not hit[1] >> i & 1:
                 grow(1, p, step)
-    return MultSubsetModel(tuple(gens[0])), MultSubsetModel(tuple(gens[1]))
+    return MultSubsetModel(tuple(gens[0]), labels), MultSubsetModel(tuple(gens[1]), labels)
 
 
 def build_wave(poset: PrimePoset, l: int) -> list[MultSubsetModel]:
@@ -254,34 +301,45 @@ def build_wave(poset: PrimePoset, l: int) -> list[MultSubsetModel]:
     stops as soon as every height-l/l-1 prime is saturated.
 
     Meeting counts only grow, so ``missing`` (sets a prime still has to
-    meet) and the ``forbidden`` set are kept as they change, and the first
-    unsaturated target only moves forward.
+    meet, per bit) and the ``forbidden`` mask are kept as they change, and
+    the first unsaturated target only moves forward.
     """
     if l < 2:
         raise DimensionMismatch(f"wave level l={l} must be >= 2")
     if l > poset.dimension():
         raise DimensionMismatch(f"l={l} exceeds dimension {poset.dimension()}")
+    labels = poset.labels
+    heights = [poset.height[p] for p in labels]
     gens: list[list[AbstractElement]] = [[] for _ in range(l)]
-    hit: list[set[str]] = [set() for _ in range(l)]
-    missing = {p: min(h, l) for p, h in poset.height.items()}
-    forbidden = set(poset.primes_of_height(0))
+    hit = [0] * l
+    missing = [h if h < l else l for h in heights]
+    below = sum(1 << i for i, h in enumerate(heights) if h < l)
+    forbidden = _level_mask(heights, 0)
+    # canonical order on the two levels: height l-1, then height l, by label
+    targets = [i for i, h in enumerate(heights) if h == l - 1]
+    targets += [i for i, h in enumerate(heights) if h == l]
     step = 0
-    for target in poset.canonical_order():
-        if poset.height[target] not in (l - 1, l):
-            continue
-        while missing[target] > 0:
-            k = next(i for i in range(l) if target not in hit[i])
+    for i in targets:
+        target = labels[i]
+        while missing[i] > 0:
+            k = 0
+            while hit[k] >> i & 1:
+                k += 1
             e = avoidance_element(poset, target, forbidden,
                                   id=f"W{l}.{k}[{step}:{target}]")
             gens[k].append(e)
-            for q in e.locus - hit[k]:
+            new = e.locus & ~hit[k]
+            hit[k] |= new
+            while new:
+                low = new & -new
+                q = low.bit_length() - 1
                 missing[q] -= 1
-                if missing[q] == 0 and poset.height[q] < l:
-                    forbidden.add(q)
-            hit[k].update(e.locus)
+                if not missing[q]:
+                    forbidden |= low & below
+                new ^= low
             step += 1
 
-    return [MultSubsetModel(tuple(g)) for g in gens]
+    return [MultSubsetModel(tuple(g), labels) for g in gens]
 
 
 def build_mu_family(poset: PrimePoset) -> DistinguishingFamily:
@@ -343,52 +401,72 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
         choices are enumerated outright while their number stays within
         ``exhaustive_budget``.
 
-    Within the call each prime is a bit, assigned in label order, so sets of
-    primes and of subset indices are ints and ascending bits are ascending
-    labels.  A choice is a combo of one (mask, generator) option per subset,
-    generator None for an inverted subset; it keeps the AND of its masks,
-    and since restriction keeps the order, the pairs that survive it are
-    the comparable pairs with both ends kept.  The canonical and the
-    enumerated choices go through the same combos.
+    Sets of primes are the poset's masks and sets of subset indices are ints
+    too.  The primes above p fall into classes by their miss vector, so a
+    witness is found once per class, and the canonical choice, which
+    depends on p alone, is built once per p.  A choice is a combo of one
+    (mask, generator) option per subset, generator None for an inverted
+    subset; it keeps the AND of its masks, and since restriction keeps the
+    order, the pairs that survive it are the comparable pairs with both ends
+    kept.  The canonical and the enumerated choices go through the same
+    combos, and a failure is recorded once, in the order first found.
     """
-    labels = sorted(poset.primes)
-    bit = {p: 1 << i for i, p in enumerate(labels)}
+    labels = poset.labels
     everything = (1 << len(labels)) - 1
-    masks: dict[frozenset[str], int] = {}
-
-    def mask(primes: frozenset[str]) -> int:
-        # generator loci are the poset's own up-set objects, so each distinct
-        # set is converted once; labels outside the poset play no part
-        if primes not in masks:
-            masks[primes] = sum(bit[p] for p in primes if p in bit)
-        return masks[primes]
-
-    above = [mask(poset.up[p]) ^ bit[p] for p in labels]
-    hits = [mask(sub.hit_set()) for sub in family.subsets]
-    m = family.count
-    miss = [sum(1 << j for j in range(m) if not hits[j] & b) for b in bit.values()]
+    above = [poset.up[p] ^ (1 << i) for i, p in enumerate(labels)]
+    hits = [sub.hit_mask() for sub in family.subsets]
+    inverted = [everything & ~hit for hit in hits]
+    # the classes of primes by miss vector, split subset by subset
+    classes = [(0, everything)]
+    for k, hit in enumerate(hits):
+        split = []
+        for vector, members in classes:
+            if members & hit:
+                split.append((vector, members & hit))
+            if members & ~hit:
+                split.append((vector | 1 << k, members & ~hit))
+        classes = split
+    members_of = dict(classes)
+    miss = [0] * len(labels)
+    for vector, members in classes:
+        for i in _bits(members):
+            miss[i] = vector
 
     witnesses: dict[tuple[str, str], int] = {}
     failures: list[tuple[str, str]] = []
     anti_failures: list[dict] = []
+    found: set[tuple] = set()
     for i, p in enumerate(labels):
-        for j in _bits(above[i]):
-            q = labels[j]
-            w = miss[i] & ~miss[j]
+        rest, unseparated = above[i], 0
+        while rest:
+            vector = miss[(rest & -rest).bit_length() - 1]
+            pairs = rest & members_of[vector]
+            rest ^= pairs
+            w = miss[i] & ~vector
             if w:
-                witnesses[(p, q)] = (w & -w).bit_length() - 1
+                j = (w & -w).bit_length() - 1
+                while pairs:
+                    low = pairs & -pairs
+                    witnesses[(p, labels[low.bit_length() - 1])] = j
+                    pairs ^= low
             else:
-                failures.append((p, q))
-            if miss[i] != miss[j]:
-                continue
-            # k outside J = miss[q] = miss[p] means p lies in subset k's hit
-            # set, so some generator of subset k contains p
-            combo = [(everything & ~hits[k], None) if miss[j] >> k & 1 else
-                     next((mask(g.locus), g) for g in sub.generators if p in g.locus)
-                     for k, sub in enumerate(family.subsets)]
-            keep = _kept(combo, everything)
-            if keep >> i & keep >> j & 1:
-                anti_failures.append(_failure(combo, p, q))
+                unseparated |= pairs
+        if not unseparated:
+            continue
+        failures += [(p, labels[q]) for q in _bits(unseparated)]
+        same = unseparated & members_of[miss[i]]
+        if not same:
+            continue
+        # k outside J = miss[p] means p lies in subset k's hit set, so some
+        # generator of subset k contains p
+        combo = [(inverted[k], None) if miss[i] >> k & 1 else
+                 next((g.locus, g) for g in sub.generators if g.locus >> i & 1)
+                 for k, sub in enumerate(family.subsets)]
+        keep = _kept(combo, everything)
+        key = _choice_key(combo)
+        for q in _bits(same & keep):
+            found.add((key, i, q))
+            anti_failures.append(_failure(combo, p, labels[q]))
     pairwise_ok = not failures
 
     checked = 0
@@ -399,16 +477,18 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
         if total > exhaustive_budget:
             break
     if total <= exhaustive_budget:
-        options = [[(mask(g.locus), g) for g in sub.generators] + [(everything & ~hit, None)]
-                   for sub, hit in zip(family.subsets, hits)]
+        options = [[(g.locus, g) for g in sub.generators] + [(outside, None)]
+                   for sub, outside in zip(family.subsets, inverted)]
         for combo in product(*options):
             keep = _kept(combo, everything)
             checked += 1
+            key = None
             for i in _bits(keep):
-                for j in _bits(above[i] & keep):
-                    rec = _failure(combo, labels[i], labels[j])
-                    if rec not in anti_failures:
-                        anti_failures.append(rec)
+                for q in _bits(above[i] & keep):
+                    key = key or _choice_key(combo)
+                    if (key, i, q) not in found:
+                        found.add((key, i, q))
+                        anti_failures.append(_failure(combo, labels[i], labels[q]))
 
     antichain_ok = not anti_failures
     return DistinguishReport(
@@ -428,6 +508,11 @@ def _kept(combo, everything: int) -> int:
     for locus, _ in combo:
         keep &= locus
     return keep
+
+
+def _choice_key(combo) -> tuple:
+    """What a failure record reads of a choice: J and the chosen generators' ids."""
+    return tuple(None if g is None else g.id for _, g in combo)
 
 
 def _failure(combo, p: str, q: str) -> dict:

@@ -15,7 +15,11 @@ solve; today both are gcd formulas (``towers._five_term_assemble``,
 the maps already hold.  The distinguishing verifier compared frozensets and
 restricted the poset to Spec(R_{J,s}) for every (J, s) choice, the
 canonical one of each pair included; today both run as ANDs of bitmasks,
-and the restricted spectrum lives here only.
+and the restricted spectrum lives here only.  A poset kept its up-sets as
+frozensets of labels (``SetPoset``), closed by a search from every prime,
+and the builders kept label sets; the verifier renumbered the primes as
+bits on every call (``verify_distinguishing_renumbered``).  Today the
+up-sets are masks from parsing on, and the tests compare the two routes.
 
 Tower limits were taken on matrices: the quotient, torsion and constant
 towers were built as ``FPModule`` towers (``Tower``), each level's carrier
@@ -52,7 +56,8 @@ from multloc.certs import CertNode, Certificate, PayloadMismatch
 from multloc.fpmod import FPModule, Morphism, direct_sum, is_exact_pair, merge_invariants
 from multloc.intlinalg import (_eliminate, canonical_invariants, hnf_rows, identity,
                                lattice_coordinates, lattice_member, mat_mul)
-from multloc.poset import DistinguishReport, PrimePoset, _heights
+from multloc.poset import (AvoidanceImpossible, DimensionMismatch, DistinguishingFamily,
+                           DistinguishReport)
 from multloc.towers import (DEFAULT_DEPTH, FINITE_STAGES, FiveTermReport, LimCertificate,
                             MultSubsetSeq, NotStabilized, TelescopeComplex, _check_depth,
                             _partial_products)
@@ -468,6 +473,306 @@ def five_term_by_submodules(module, tor, con, quo, lims) -> FiveTermReport:
     )
 
 
+# ---------------------------------------------------------------------------
+# the poset on frozensets of labels
+# ---------------------------------------------------------------------------
+
+
+class SetPoset(namedtuple("SetPoset", "primes up height")):
+    """The containment order with every up-set a frozenset of labels, closed
+    by a search from every prime; equal when the primes and the order are."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, SetPoset):
+            return NotImplemented
+        return self.primes == other.primes and self.up == other.up
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.primes)
+
+    @staticmethod
+    def from_covers(primes, covers) -> "SetPoset":
+        primes_t = tuple(primes)
+        if len(set(primes_t)) != len(primes_t):
+            raise ValueError("duplicate prime identifiers")
+        succ: dict[str, set[str]] = {p: set() for p in primes_t}
+        for a, b in covers:
+            if a not in succ or b not in succ:
+                raise ValueError(f"lt pair ({a!r}, {b!r}) mentions unknown prime")
+            if a == b:
+                raise ValueError(f"lt is not irreflexive at {a!r}")
+            succ[a].add(b)
+        up = {}
+        for p in primes_t:
+            above: set[str] = set()
+            stack = list(succ[p])
+            while stack:
+                q = stack.pop()
+                if q not in above:
+                    above.add(q)
+                    stack.extend(succ[q])
+            if p in above:
+                raise ValueError(f"lt has a cycle through {p!r}")
+            above.add(p)
+            up[p] = frozenset(above)
+        return SetPoset(primes_t, up, _heights(primes_t, up))
+
+    def dimension(self) -> int:
+        return max(self.height.values(), default=0)
+
+    def primes_of_height(self, h: int) -> list[str]:
+        return [p for p in self.primes if self.height[p] == h]
+
+    def canonical_order(self) -> list[str]:
+        return sorted(self.primes, key=lambda p: (self.height[p], p))
+
+    def to_document(self) -> dict:
+        covers = []
+        for p in self.primes:
+            above = self.up[p] - {p}
+            covers += [[p, q] for q in above
+                       if not any(q in self.up[r] for r in above if r != q)]
+        return {"primes": list(self.primes), "covers": sorted(covers)}
+
+
+def _heights(primes, up):
+    """Longest chain below each prime.  A prime's up-set is strictly larger
+    than that of every prime above it, so larger up-sets are final first."""
+    height = dict.fromkeys(primes, 0)
+    for p in sorted(primes, key=lambda p: -len(up[p])):
+        for q in up[p]:
+            if q != p and height[q] <= height[p]:
+                height[q] = height[p] + 1
+    return height
+
+
+# generic ring element whose ``locus`` is a frozenset of labels
+SetElement = namedtuple("SetElement", "id locus")
+
+
+class SetSubset(namedtuple("SetSubset", "generators")):
+    """Multiplicative subset whose generators have frozenset loci."""
+
+    __slots__ = ()
+
+    def intersects(self, p: str) -> bool:
+        return any(p in g.locus for g in self.generators)
+
+    def hit_set(self) -> frozenset[str]:
+        out: set[str] = set()
+        for g in self.generators:
+            out.update(g.locus)
+        return frozenset(out)
+
+    def to_document(self) -> list:
+        return [sorted(g.locus) for g in self.generators]
+
+
+def labels_of(labels, mask: int) -> frozenset[str]:
+    """The labels of a mask over the sorted labels ``labels``."""
+    return frozenset(p for i, p in enumerate(labels) if mask >> i & 1)
+
+
+def mask_of(labels, primes) -> int:
+    """The mask over the sorted labels ``labels`` of a set of labels."""
+    return sum(1 << i for i, p in enumerate(labels) if p in primes)
+
+
+def to_sets(poset) -> SetPoset:
+    """A PrimePoset with its up-set masks decoded to frozensets."""
+    return SetPoset(poset.primes, {p: labels_of(poset.labels, m) for p, m in poset.up.items()},
+                    dict(poset.height))
+
+
+def family_to_sets(family) -> DistinguishingFamily:
+    """A family on masks with its generator loci decoded, ids and order kept."""
+    return DistinguishingFamily(tuple(
+        SetSubset(tuple(SetElement(g.id, labels_of(sub.labels, g.locus))
+                        for g in sub.generators))
+        for sub in family.subsets), family.dimension)
+
+
+def avoidance_element_by_sets(poset: SetPoset, target: str, forbidden: set[str],
+                              id: str | None = None) -> SetElement:
+    if target not in poset.up:
+        raise ValueError(f"unknown prime {target}")
+    locus = poset.up[target]
+    bad = locus.intersection(forbidden)
+    if bad:
+        raise AvoidanceImpossible(
+            f"forbidden prime(s) {sorted(bad)} contain the target {target}")
+    return SetElement(id=id or f"e[{target}]", locus=locus)
+
+
+def build_one_dimensional_by_sets(poset: SetPoset) -> SetSubset:
+    if poset.dimension() != 1:
+        raise DimensionMismatch(f"dimension {poset.dimension()} != 1")
+    return _height1_subset_by_sets(poset, "s")
+
+
+def _height1_subset_by_sets(poset: SetPoset, prefix: str) -> SetSubset:
+    minimal = set(poset.primes_of_height(0))
+    return SetSubset(tuple(
+        avoidance_element_by_sets(poset, p, minimal, id=f"{prefix}[{p}]")
+        for p in sorted(poset.primes_of_height(1))))
+
+
+def build_pair_dim2_by_sets(poset: SetPoset) -> tuple[SetSubset, SetSubset]:
+    """The two-subset builder with hit sets and avoided primes as label sets."""
+    if poset.dimension() > 2:
+        raise DimensionMismatch(f"dimension {poset.dimension()} > 2")
+    minimal = poset.primes_of_height(0)
+    gens: tuple[list[SetElement], ...] = ([], [])
+    hit: tuple[set[str], ...] = (set(), set())
+    avoid = (set(minimal), set(minimal))
+
+    def grow(k: int, p: str, step: int) -> None:
+        e = avoidance_element_by_sets(poset, p, avoid[k], id=f"{'ST'[k]}[{step}:{p}]")
+        gens[k].append(e)
+        hit[k].update(e.locus)
+        avoid[1 - k].update(q for q in e.locus if poset.height[q] == 1)
+
+    for step, p in enumerate(poset.canonical_order()):
+        h = poset.height[p]
+        if h == 1 and p not in hit[0] and p not in hit[1]:
+            grow(0, p, step)
+        elif h == 2:
+            if p not in hit[0]:
+                grow(0, p, step)
+            if p not in hit[1]:
+                grow(1, p, step)
+    return SetSubset(tuple(gens[0])), SetSubset(tuple(gens[1]))
+
+
+def build_wave_by_sets(poset: SetPoset, l: int) -> list[SetSubset]:
+    """The wave builder with hit and forbidden sets and missing counts by label."""
+    if l < 2:
+        raise DimensionMismatch(f"wave level l={l} must be >= 2")
+    if l > poset.dimension():
+        raise DimensionMismatch(f"l={l} exceeds dimension {poset.dimension()}")
+    gens: list[list[SetElement]] = [[] for _ in range(l)]
+    hit: list[set[str]] = [set() for _ in range(l)]
+    missing = {p: min(h, l) for p, h in poset.height.items()}
+    forbidden = set(poset.primes_of_height(0))
+    step = 0
+    for target in poset.canonical_order():
+        if poset.height[target] not in (l - 1, l):
+            continue
+        while missing[target] > 0:
+            k = next(i for i in range(l) if target not in hit[i])
+            e = avoidance_element_by_sets(poset, target, forbidden,
+                                          id=f"W{l}.{k}[{step}:{target}]")
+            gens[k].append(e)
+            for q in e.locus - hit[k]:
+                missing[q] -= 1
+                if missing[q] == 0 and poset.height[q] < l:
+                    forbidden.add(q)
+            hit[k].update(e.locus)
+            step += 1
+    return [SetSubset(tuple(g)) for g in gens]
+
+
+def build_mu_family_by_sets(poset: SetPoset) -> DistinguishingFamily:
+    d = poset.dimension()
+    subsets: list[SetSubset] = []
+    level = d
+    while level >= 2:
+        subsets.extend(build_wave_by_sets(poset, level))
+        level -= 2
+    if d % 2 == 1:
+        subsets.append(_height1_subset_by_sets(poset, "tail"))
+    return DistinguishingFamily(subsets=tuple(subsets), dimension=d)
+
+
+def verify_distinguishing_renumbered(poset: SetPoset, family: DistinguishingFamily,
+                                     exhaustive_budget: int = 512) -> DistinguishReport:
+    """The verifier on a poset and a family of frozensets: every call numbers
+    the primes as bits in label order and converts each distinct locus to a
+    mask once; failures are deduplicated against the list of records."""
+    labels = sorted(poset.primes)
+    bit = {p: 1 << i for i, p in enumerate(labels)}
+    everything = (1 << len(labels)) - 1
+    masks: dict[frozenset[str], int] = {}
+
+    def mask(primes: frozenset[str]) -> int:
+        if primes not in masks:
+            masks[primes] = sum(bit[p] for p in primes if p in bit)
+        return masks[primes]
+
+    def kept(combo) -> int:
+        keep = everything
+        for locus, _ in combo:
+            keep &= locus
+        return keep
+
+    def failure(combo, p: str, q: str) -> dict:
+        return {"J": [k for k, (_, g) in enumerate(combo) if g is None],
+                "s": {k: g.id for k, (_, g) in enumerate(combo) if g is not None},
+                "pair": [p, q]}
+
+    def bits(x: int):
+        while x:
+            low = x & -x
+            yield low.bit_length() - 1
+            x ^= low
+
+    above = [mask(poset.up[p]) ^ bit[p] for p in labels]
+    hits = [mask(sub.hit_set()) for sub in family.subsets]
+    m = family.count
+    miss = [sum(1 << j for j in range(m) if not hits[j] & b) for b in bit.values()]
+
+    witnesses: dict[tuple[str, str], int] = {}
+    failures: list[tuple[str, str]] = []
+    anti_failures: list[dict] = []
+    for i, p in enumerate(labels):
+        for j in bits(above[i]):
+            q = labels[j]
+            w = miss[i] & ~miss[j]
+            if w:
+                witnesses[(p, q)] = (w & -w).bit_length() - 1
+            else:
+                failures.append((p, q))
+            if miss[i] != miss[j]:
+                continue
+            combo = [(everything & ~hits[k], None) if miss[j] >> k & 1 else
+                     next((mask(g.locus), g) for g in sub.generators if p in g.locus)
+                     for k, sub in enumerate(family.subsets)]
+            keep = kept(combo)
+            if keep >> i & keep >> j & 1:
+                anti_failures.append(failure(combo, p, q))
+    pairwise_ok = not failures
+
+    checked = 0
+    total = 1
+    for sub in family.subsets:
+        total *= len(sub.generators) + 1
+        if total > exhaustive_budget:
+            break
+    if total <= exhaustive_budget:
+        options = [[(mask(g.locus), g) for g in sub.generators] + [(everything & ~hit, None)]
+                   for sub, hit in zip(family.subsets, hits)]
+        for combo in product(*options):
+            keep = kept(combo)
+            checked += 1
+            for i in bits(keep):
+                for j in bits(above[i] & keep):
+                    rec = failure(combo, labels[i], labels[j])
+                    if rec not in anti_failures:
+                        anti_failures.append(rec)
+
+    antichain_ok = not anti_failures
+    return DistinguishReport(
+        pairwise_ok=pairwise_ok, pairwise_witnesses=witnesses,
+        pairwise_failures=failures, antichain_ok=antichain_ok,
+        antichain_failures=anti_failures, agreement=pairwise_ok == antichain_ok,
+        exhaustive_choices_checked=checked)
+
+
 def comparable_pairs(poset) -> list[tuple[str, str]]:
     """All pairs (p, q) with p strictly contained in q, sorted."""
     return sorted((p, q) for p in poset.primes for q in poset.up[p] if q != p)
@@ -477,7 +782,7 @@ class BadChoice(Exception):
     """A chosen element is not a generator of the indicated subset."""
 
 
-def restrict(poset, keep: set[str]) -> PrimePoset:
+def restrict(poset: SetPoset, keep: set[str]) -> SetPoset:
     """Induced subposet with heights recomputed inside the subset.
 
     The restriction of a closed, acyclic order is closed and acyclic,
@@ -485,10 +790,10 @@ def restrict(poset, keep: set[str]) -> PrimePoset:
     """
     primes = tuple(p for p in poset.primes if p in keep)
     up = {p: poset.up[p].intersection(keep) for p in primes}
-    return PrimePoset(primes, up, _heights(primes, up))
+    return SetPoset(primes, up, _heights(primes, up))
 
 
-def spectrum_of_R_Js(poset, family, J: set[int], s: dict) -> PrimePoset:
+def spectrum_of_R_Js(poset: SetPoset, family, J: set[int], s: dict) -> SetPoset:
     """Subposet of primes avoiding the inverted subsets and containing each chosen s_k.
 
     J holds 0-based subset indices to invert; s maps every index outside J

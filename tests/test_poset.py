@@ -1,9 +1,11 @@
 import hashlib
+import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +30,11 @@ from multloc.poset import (
     DistinguishingFamily,
 )
 from multloc.randomgen import antichain_poset, chain_poset, diamond_poset, random_ranked_poset
-from reference_routes import (BadChoice, comparable_pairs, restrict, spectrum_of_R_Js,
-                              verify_distinguishing_by_sets)
+from reference_routes import (BadChoice, SetPoset, SetSubset, build_mu_family_by_sets,
+                              build_one_dimensional_by_sets, build_pair_dim2_by_sets,
+                              build_wave_by_sets, comparable_pairs, family_to_sets, labels_of,
+                              mask_of, restrict, spectrum_of_R_Js, to_sets,
+                              verify_distinguishing_by_sets, verify_distinguishing_renumbered)
 
 
 class TestMu:
@@ -59,8 +64,8 @@ class TestPoset:
         p = diamond_poset()
         assert p.height == {"q": 0, "p1": 1, "p2": 1, "m": 2}
         assert p.dimension() == 2
-        assert "m" in p.up["q"]
-        assert "p2" not in p.up["p1"]
+        assert "m" in labels_of(p.labels, p.up["q"])
+        assert "p2" not in labels_of(p.labels, p.up["p1"])
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
@@ -116,29 +121,32 @@ class TestPoset:
 class TestAvoidance:
     def test_chain_avoid_below(self):
         p = chain_poset(1)  # c0 < c1
-        e = avoidance_element(p, "c1", {"c0"})
-        assert e.locus == frozenset({"c1"})
+        e = avoidance_element(p, "c1", mask_of(p.labels, {"c0"}))
+        assert labels_of(p.labels, e.locus) == frozenset({"c1"})
 
     def test_minimal_upclosure(self):
         p = chain_poset(2)
-        e = avoidance_element(p, "c0", set())
-        assert e.locus == frozenset({"c0", "c1", "c2"})
+        e = avoidance_element(p, "c0", 0)
+        assert labels_of(p.labels, e.locus) == frozenset({"c0", "c1", "c2"})
 
     def test_impossible(self):
         p = chain_poset(1)
-        with pytest.raises(AvoidanceImpossible):
-            avoidance_element(p, "c0", {"c1"})
+        with pytest.raises(AvoidanceImpossible,
+                           match=r"^forbidden prime\(s\) \['c1'\] contain the target c0$"):
+            avoidance_element(p, "c0", mask_of(p.labels, {"c1"}))
 
     def test_locus_upward_closed_and_disjoint(self):
         rng = random.Random(3)
         for _ in range(20):
             poset = random_ranked_poset(rng, rng.randint(1, 3))
             target = rng.choice(poset.primes)
-            forbidden = {q for q in poset.primes if q not in poset.up[target]}
-            e = avoidance_element(poset, target, forbidden)
-            assert all(q in e.locus for p in e.locus for q in poset.primes
-                       if p != q and q in poset.up[p])
-            assert not (e.locus & forbidden)
+            up = to_sets(poset).up
+            forbidden = {q for q in poset.primes if q not in up[target]}
+            locus = labels_of(poset.labels,
+                              avoidance_element(poset, target, mask_of(poset.labels, forbidden)).locus)
+            assert all(q in locus for p in locus for q in poset.primes
+                       if p != q and q in up[p])
+            assert not (locus & forbidden)
 
 
 class TestOneDimensional:
@@ -146,7 +154,7 @@ class TestOneDimensional:
         p = chain_poset(1)
         s = build_one_dimensional(p)
         assert len(s.generators) == 1
-        assert s.generators[0].locus == frozenset({"c1"})
+        assert labels_of(p.labels, s.generators[0].locus) == frozenset({"c1"})
         fam = DistinguishingFamily(subsets=(s,), dimension=1)
         assert verify_distinguishing(p, fam).passed()
 
@@ -294,7 +302,7 @@ class TestSpectrumRJs:
     def _diamond_family(self):
         poset = diamond_poset()
         s, t = build_pair_dim2(poset)
-        return poset, DistinguishingFamily(subsets=(s, t), dimension=2)
+        return to_sets(poset), family_to_sets(DistinguishingFamily(subsets=(s, t), dimension=2))
 
     def test_invert_all(self):
         poset, fam = self._diamond_family()
@@ -315,14 +323,14 @@ class TestSpectrumRJs:
         # leaves no prime at all
         poset = PrimePoset.from_covers(["a0", "a1", "b0", "b1"],
                                        [("a0", "a1"), ("b0", "b1")])
-        fam = build_mu_family(poset)
+        fam = family_to_sets(build_mu_family(poset))
         gens = fam.subsets[0].generators
         in_a = next(g for g in gens if "a1" in g.locus)
         in_b = next(g for g in gens if "b1" in g.locus)
         fam2 = DistinguishingFamily(
-            subsets=(MultSubsetModel((in_a,)), MultSubsetModel((in_b,))),
+            subsets=(SetSubset((in_a,)), SetSubset((in_b,))),
             dimension=1)
-        sub = spectrum_of_R_Js(poset, fam2, set(), {0: in_a, 1: in_b})
+        sub = spectrum_of_R_Js(to_sets(poset), fam2, set(), {0: in_a, 1: in_b})
         assert sub.primes == ()
 
     def test_invert_first_antichain(self):
@@ -345,7 +353,7 @@ class TestSpectrumRJs:
             d = rng.randint(1, 3)
             poset = random_ranked_poset(rng, d, rng.randint(d + 1, 15))
             fam = build_mu_family(poset)
-            hits = [s.hit_set() for s in fam.subsets]
+            hits = [labels_of(poset.labels, s.hit_mask()) for s in fam.subsets]
             m = fam.count
             idx = list(range(m))
             rng.shuffle(idx)
@@ -370,9 +378,8 @@ class TestVerifier:
 
     def test_single_generator_family_passes(self):
         poset = chain_poset(1)
-        from multloc.poset import AbstractElement
-        g = AbstractElement(id="g", locus=frozenset({"c1"}))
-        fam = DistinguishingFamily(subsets=(MultSubsetModel((g,)),), dimension=1)
+        g = AbstractElement(id="g", locus=mask_of(poset.labels, {"c1"}))
+        fam = DistinguishingFamily(subsets=(MultSubsetModel((g,), poset.labels),), dimension=1)
         rep = verify_distinguishing(poset, fam)
         assert rep.passed()
 
@@ -405,9 +412,10 @@ class TestRandomCorpusInvariant:
 
 
 @st.composite
-def ranked_posets(draw):
-    """Levels of primes; each prime above level 0 covers one or two primes of
-    the level below and may reach further down, so heights are the levels."""
+def ranked_relations(draw):
+    """Primes and pairs on levels; each prime above level 0 covers one or two
+    primes of the level below and may reach further down, so heights are the
+    levels."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
     names = [[f"l{lv}.{i}" for i in range(n)] for lv, n in enumerate(sizes)]
     covers = set()
@@ -420,17 +428,25 @@ def ranked_posets(draw):
                 low = draw(st.sampled_from(names[draw(st.integers(0, lv - 2))]))
                 covers.add((low, node))
     primes = draw(st.permutations([p for row in names for p in row]))
-    return PrimePoset.from_covers(primes, sorted(covers))
+    return primes, sorted(covers)
 
 
 @st.composite
-def dag_posets(draw):
-    """Any acyclic relation: edges go forward in a drawn linear order."""
+def dag_relations(draw):
+    """Primes and any acyclic relation: edges go forward in a drawn linear order."""
     n = draw(st.integers(0, 9))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                           .filter(lambda e: e[0] < e[1]), max_size=20)) if n > 1 else []
     primes = draw(st.permutations([f"p{i}" for i in range(n)]))
-    return PrimePoset.from_covers(primes, [(f"p{a}", f"p{b}") for a, b in edges])
+    return primes, [(f"p{a}", f"p{b}") for a, b in edges]
+
+
+def ranked_posets():
+    return ranked_relations().map(lambda rel: PrimePoset.from_covers(*rel))
+
+
+def dag_posets():
+    return dag_relations().map(lambda rel: PrimePoset.from_covers(*rel))
 
 
 def brute_order(poset):
@@ -481,7 +497,8 @@ def quick_corpus():
 def scanning_build_wave(poset, l):
     """The wave builder that recomputes ``forbidden`` and the first unsaturated
     target by scanning every prime on each step."""
-    order = poset.canonical_order()
+    labels = poset.labels
+    order = [labels[i] for i in poset.canonical_order()]
     targets = [p for p in order if poset.height[p] in (l - 1, l)]
     gens = [[] for _ in range(l)]
     meet_count = {p: 0 for p in poset.primes}
@@ -498,25 +515,25 @@ def scanning_build_wave(poset, l):
         k = next(i for i in range(l) if not meets_set[i][target])
         forbidden = {p for p in poset.primes
                      if poset.height[p] <= l - 1 and saturated(p)}
-        e = poset_module.avoidance_element(poset, target, forbidden,
+        e = poset_module.avoidance_element(poset, target, mask_of(labels, forbidden),
                                            id=f"W{l}.{k}[{step}:{target}]")
         gens[k].append(e)
-        for q in e.locus:
+        for q in labels_of(labels, e.locus):
             if not meets_set[k][q]:
                 meets_set[k][q] = True
                 meet_count[q] += 1
         step += 1
-    return [MultSubsetModel(tuple(g)) for g in gens]
+    return [MultSubsetModel(tuple(g), labels) for g in gens]
 
 
 def random_locus_family(poset, rng):
     """A family of random, usually not up-closed, loci: most such families fail."""
     subsets = []
     for k in range(rng.randint(0, 4)):
-        gens = tuple(AbstractElement(id=f"r{k}.{i}", locus=frozenset(
-            rng.sample(poset.primes, rng.randint(0, len(poset.primes)))))
+        gens = tuple(AbstractElement(id=f"r{k}.{i}", locus=mask_of(poset.labels, set(
+            rng.sample(poset.primes, rng.randint(0, len(poset.primes))))))
             for i in range(rng.randint(0, 3)))
-        subsets.append(MultSubsetModel(gens))
+        subsets.append(MultSubsetModel(gens, poset.labels))
     return DistinguishingFamily(tuple(subsets), poset.dimension())
 
 
@@ -531,7 +548,7 @@ def planted_family(family, rng):
     k = rng.randrange(family.count)
     subsets = list(family.subsets)
     subsets[k] = MultSubsetModel(subsets[k].generators[:rng.randrange(
-        max(1, len(subsets[k].generators)))])
+        max(1, len(subsets[k].generators)))], subsets[k].labels)
     return DistinguishingFamily(tuple(subsets), family.dimension)
 
 
@@ -552,36 +569,40 @@ QUICK_CORPUS_DOCS_SHA256 = "c1ff8dbb26321afc99f46af62bed7606c63f77cee02ae9d36052
 
 
 def generators(subsets):
-    return [[(g.id, sorted(g.locus)) for g in sub.generators] for sub in subsets]
+    return [[(g.id, sorted(labels_of(sub.labels, g.locus))) for g in sub.generators]
+            for sub in subsets]
 
 
 def check_order(poset):
     pairs, heights, covers = brute_order(poset)
-    assert poset.up == brute_up(poset.primes, covers)
-    assert comparable_pairs(poset) == pairs
+    assert poset.labels == tuple(sorted(poset.primes))
+    assert to_sets(poset).up == brute_up(poset.primes, covers)
+    assert comparable_pairs(to_sets(poset)) == pairs
     assert poset.height == heights
     assert poset.to_document()["covers"] == covers
     assert PrimePoset.from_document(poset.to_document()) == poset
 
 
 def check_restrict(poset, keep):
-    sub = restrict(poset, keep)
+    sets = to_sets(poset)
+    sub = restrict(sets, keep)
     rebuilt = PrimePoset.from_covers([p for p in poset.primes if p in keep],
-                                     {(a, b) for a, b in comparable_pairs(poset)
+                                     {(a, b) for a, b in comparable_pairs(sets)
                                       if a in keep and b in keep})
-    assert sub == rebuilt
+    assert sub == to_sets(rebuilt)
     assert sub.primes == rebuilt.primes
-    assert comparable_pairs(sub) == comparable_pairs(rebuilt)
+    assert comparable_pairs(sub) == comparable_pairs(to_sets(rebuilt))
     assert sub.height == rebuilt.height
 
 
 def check_waves(poset, monkeypatch):
-    """Same generators, and the same ``forbidden`` set at every step."""
+    """Same generators, and the same ``forbidden`` set, decoded to labels, at
+    every step."""
     calls = []
     avoid = poset_module.avoidance_element
 
     def spy(poset, target, forbidden, id=None):
-        calls.append((id, frozenset(forbidden)))
+        calls.append((id, labels_of(poset.labels, forbidden)))
         return avoid(poset, target, forbidden, id)
 
     monkeypatch.setattr(poset_module, "avoidance_element", spy)
@@ -646,13 +667,15 @@ class TestAgainstScanningVersions:
         for fam, budget in ((mu_family, 512), (random_locus_family(poset, rng), 512),
                             (planted_family(mu_family, rng), PLANTED_BUDGET)):
             assert (verify_distinguishing(poset, fam, budget).to_document()
-                    == verify_distinguishing_by_sets(poset, fam, budget).to_document())
+                    == verify_distinguishing_by_sets(to_sets(poset), family_to_sets(fam),
+                                                     budget).to_document())
 
     def test_verifier_on_quick_corpus(self):
         failing = 0
         for poset, fam, budget in quick_corpus_families():
             doc = verify_distinguishing(poset, fam, budget).to_document()
-            assert doc == verify_distinguishing_by_sets(poset, fam, budget).to_document()
+            assert doc == verify_distinguishing_by_sets(to_sets(poset), family_to_sets(fam),
+                                                        budget).to_document()
             failing += not doc["pass"]
         assert failing > 0
 
@@ -674,10 +697,14 @@ class TestAgainstScanningVersions:
             checked = verify_distinguishing(poset, fam, budget).exhaustive_choices_checked
             canonical += len(seen) - checked
             labels = sorted(poset.primes)
+            sets, set_fam = to_sets(poset), family_to_sets(fam)
             for combo, keep in seen:
-                sub = spectrum_of_R_Js(poset, fam,
+                # the decoded copy of each chosen generator, found by position
+                sub = spectrum_of_R_Js(sets, set_fam,
                                        {k for k, (_, g) in enumerate(combo) if g is None},
-                                       {k: g for k, (_, g) in enumerate(combo) if g is not None})
+                                       {k: set_fam.subsets[k].generators[
+                                           fam.subsets[k].generators.index(g)]
+                                        for k, (_, g) in enumerate(combo) if g is not None})
                 assert keep == sum(1 << i for i, p in enumerate(labels) if p in sub.up)
         assert canonical > 0
 
@@ -687,3 +714,132 @@ class TestAgainstScanningVersions:
         assert sum(not doc["pass"] for doc in docs) == 92
         assert (hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
                 == QUICK_CORPUS_DOCS_SHA256)
+
+
+# ---------------------------------------------------------------------------
+# the mask route against the frozenset route it replaced
+# ---------------------------------------------------------------------------
+
+
+def outcome(make, *args):
+    """What a call gives: its value, or the class and text of its error."""
+    try:
+        return make(*args)
+    except (ValueError, DimensionMismatch) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def constructions(poset, one, pair, wave, mu_family):
+    """Every construction the CLI offers, mode by mode: the family document
+    and the generator ids of each subset, or the error."""
+    modes = {"dim1": lambda: [one(poset)], "dim2": lambda: list(pair(poset)),
+             "mu": lambda: list(mu_family(poset).subsets)}
+    modes.update({f"wave:{l}": lambda l=l: wave(poset, l)
+                  for l in range(poset.dimension() + 2)})
+
+    def views(make):
+        subsets = make()
+        return (DistinguishingFamily(tuple(subsets), poset.dimension()).to_document(),
+                [[g.id for g in sub.generators] for sub in subsets])
+    return {mode: outcome(views, make) for mode, make in modes.items()}
+
+
+class TestAgainstSetRoute:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(ranked_relations(), dag_relations()), st.randoms(use_true_random=False))
+    def test_routes_agree(self, relation, rng):
+        """The same order, heights and document; the same family documents
+        and generator ids from every builder; the same verifier documents on
+        the mu family, on random loci and on planted failures."""
+        primes, covers = relation
+        poset, old = PrimePoset.from_covers(primes, covers), SetPoset.from_covers(primes, covers)
+        assert to_sets(poset) == old and poset.height == old.height
+        assert poset.to_document() == old.to_document()
+        assert (constructions(poset, build_one_dimensional, build_pair_dim2, build_wave,
+                              build_mu_family)
+                == constructions(old, build_one_dimensional_by_sets, build_pair_dim2_by_sets,
+                                 build_wave_by_sets, build_mu_family_by_sets))
+        mu_family = build_mu_family(poset)
+        for fam, budget in ((mu_family, 512), (random_locus_family(poset, rng), 512),
+                            (planted_family(mu_family, rng), PLANTED_BUDGET)):
+            assert (verify_distinguishing(poset, fam, budget).to_document()
+                    == verify_distinguishing_renumbered(old, family_to_sets(fam),
+                                                        budget).to_document())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(ranked_relations(), dag_relations()), st.data())
+    def test_errors_agree(self, relation, data):
+        """Extra pairs, which may close a cycle, repeat a prime or name an
+        unknown one, and a repeated prime: both routes raise the same error,
+        naming the same culprit, or build the same order."""
+        primes, covers = relation
+        names = list(primes) + ["zz"]
+        extra = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                                   max_size=3))
+        if covers and data.draw(st.booleans()):
+            a, b = data.draw(st.sampled_from(covers))
+            extra.append((b, a))        # closes a cycle through a and b
+        covers = data.draw(st.permutations(covers + extra))
+        if primes and data.draw(st.integers(0, 4)) == 4:
+            primes = primes + [data.draw(st.sampled_from(primes))]
+        new = outcome(PrimePoset.from_covers, primes, covers)
+        old = outcome(SetPoset.from_covers, primes, covers)
+        if isinstance(new, PrimePoset):
+            assert to_sets(new) == old and new.height == old.height
+        else:
+            assert new == old
+
+    def test_routes_agree_on_quick_corpus(self):
+        for poset in quick_corpus():
+            doc = poset.to_document()
+            old = SetPoset.from_covers(doc["primes"], doc["covers"])
+            assert to_sets(poset) == old and poset.height == old.height
+            assert (generators(build_mu_family(poset).subsets)
+                    == [[(g.id, sorted(g.locus)) for g in sub.generators]
+                        for sub in build_mu_family_by_sets(old).subsets])
+
+
+def spectra_certs_poset_documents():
+    """The poset documents of the benchmark's spectra-certs inputs for seed 1,
+    made by its own input generator."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [it["poset"] for it in workloads.spectra_inputs(1) if it["kind"] == "poset"]
+
+
+def digest(docs) -> str:
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of json.dumps(docs, sort_keys=True) over the poset documents, the mu
+# family documents and the verifier documents of each corpus
+DOCUMENT_SHA256 = {
+    "quick": ("bf752eb1462b71202081996f8c1da2eac5815985558a743354ab46a8a7103302",
+              "76c2ade4643ffba459b16773330d8d1490b22810226018773a3b6ca71421ad8e",
+              "108d298d83ee63b8df130757c1d884ac2f175698f5816b838462f3ffe3d5bd64"),
+    "spectra-certs seed 1": (
+        "29e00eaec9b18b516e0d702d8aa873cc39997162e70bdd3d5cdd2c843532abbe",
+        "f23bc4f64bed845f4610b72cbb2a473faa49e726a7ef1b8aa70e231e3e565b81",
+        "a8fc4a3c4392307f41e25cf8c2a83fc7c325270df3bc0bc707be71d4e4f0c2be"),
+}
+
+
+class TestDocumentsPinned:
+    def test_quick_corpus(self):
+        self.check(quick_corpus(), DOCUMENT_SHA256["quick"])
+
+    def test_spectra_certs_seed_1(self):
+        docs = spectra_certs_poset_documents()
+        posets = [PrimePoset.from_document(doc) for doc in docs]
+        assert [p.to_document() for p in posets] == docs
+        self.check(posets, DOCUMENT_SHA256["spectra-certs seed 1"])
+
+    @staticmethod
+    def check(posets, pinned):
+        families = [build_mu_family(p) for p in posets]
+        assert (digest([p.to_document() for p in posets]),
+                digest([f.to_document() for f in families]),
+                digest([verify_distinguishing(p, f).to_document()
+                        for p, f in zip(posets, families)])) == pinned

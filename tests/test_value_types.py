@@ -76,7 +76,7 @@ def test_prime_poset_compares_primes_and_order_and_hashes_primes():
     chain = PrimePoset.from_covers(["a", "b"], [("a", "b")])
     antichain = PrimePoset.from_covers(["a", "b"], [])
     # the heights do not take part in equality
-    relabelled = PrimePoset(chain.primes, chain.up, {"a": 5, "b": 7})
+    relabelled = PrimePoset(chain.primes, chain.labels, chain.up, {"a": 5, "b": 7})
     assert chain == relabelled and not chain != relabelled
     assert hash(chain) == hash(relabelled)
     assert chain != antichain and not chain == antichain
