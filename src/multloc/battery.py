@@ -26,6 +26,7 @@ import random
 import signal
 import sys
 import time
+from bisect import bisect_left
 
 from . import RULE_REFS
 from .certs import (
@@ -189,10 +190,10 @@ def criterion_3(seed: int, corpus):
         s, t = build_pair_dim2(poset)
         for p in poset.primes:
             hits = sum(1 for sub in (s, t) if sub.intersects(p))
+            height = poset.height[bisect_left(poset.labels, p)]
             checked += 1
-            if hits != poset.height[p]:
-                failures.append({"index": idx, "prime": p,
-                                 "hits": hits, "height": poset.height[p]})
+            if hits != height:
+                failures.append({"index": idx, "prime": p, "hits": hits, "height": height})
     return not failures, {"posets": len(posets), "primes_checked": checked,
                           "failures": failures}
 

@@ -408,8 +408,7 @@ def _checked(cert: Certificate, level: int) -> Certificate:
     return cert
 
 
-def decompose_weakly_cotorsion(module: FPModule, m: int,
-                               depth: int | None = None) -> Certificate:
+def decompose_weakly_cotorsion(module: FPModule, m: int) -> Certificate:
     """Certificate for a finite module over Z with the subset generated by m:
     an extension of its completion by its divisible part t*M (on which m acts
     invertibly), t = m^(n0 + 1).  The completion's stable index n0, and
@@ -422,45 +421,31 @@ def decompose_weakly_cotorsion(module: FPModule, m: int,
         raise NotWeaklyCotorsion("decomposition requires a finite module")
     seq = MultSubsetSeq(generators=(m,))
     canon = FPModule.from_invariants(module.invariants(), modulus=module.modulus)
-
-    if canon.is_zero():
-        seed = CertNode(kind="Seed", level=1,
-                        tag={"kind": "LocalizedRingModule", "generators": [m]},
-                        payload={"module": canon})
-        return Certificate(root=seed)
-
     # the quotient tower of a sum stabilizes where its slowest factor does
-    depth = depth if depth is not None else max(
-        certified_depth(d, seq) for d in canon.invariants())
+    depth = max((certified_depth(d, seq) for d in canon.invariants()), default=1)
     delta = delta_truncated(canon, seq, depth)
-    n0 = delta.lambda_stable_index
-    t_star = seq.t(n0 + 1)
-
-    # the divisible part t*M, presented by its canonical relation HNF
-    mult = Morphism.multiplication(canon, t_star)
-    div = mult.image()[0]
-
-    omega = omega_from_quotient_tower(canon, min(n0 + 1, depth - 1), m)
-    div_seed = CertNode(kind="Seed", level=1,
-                        tag={"kind": "LocalizedRingModule", "generators": [m]},
-                        payload={"module": div})
-
-    if div.is_zero():
-        cert = Certificate(root=omega)
-    elif delta.lambda_invariants == ():
-        cert = Certificate(root=CertNode(
-            kind="Seed", level=1,
-            tag={"kind": "LocalizedRingModule", "generators": [m]},
-            payload={"module": canon}))
+    if delta.lambda_invariants == ():
+        # a zero completion: M is its own divisible part
+        div = canon
     else:
-        ident = identity(canon.gens)
-        root = CertNode(kind="Extension", level=1,
-                        children=[div_seed, omega],
-                        payload={"module": canon, "inject": mult.mat(),
-                                 "project": ident})
-        cert = Certificate(root=root)
+        n0 = delta.lambda_stable_index
+        # the divisible part t*M, presented by its canonical relation HNF
+        mult = Morphism.multiplication(canon, seq.t(n0 + 1))
+        div = mult.image()[0]
+        omega = omega_from_quotient_tower(canon, min(n0 + 1, depth - 1), m)
+    seed = CertNode(kind="Seed", level=1,
+                    tag={"kind": "LocalizedRingModule", "generators": [m]},
+                    payload={"module": div})
 
-    return _checked(cert, 1)
+    if delta.lambda_invariants == ():
+        root = seed
+    elif div.is_zero():
+        root = omega
+    else:
+        root = CertNode(kind="Extension", level=1, children=[seed, omega],
+                        payload={"module": canon, "inject": mult.mat(),
+                                 "project": identity(canon.gens)})
+    return _checked(Certificate(root=root), 1)
 
 
 def omega_from_quotient_tower(module: FPModule, top: int, s: int) -> CertNode:

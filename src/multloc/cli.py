@@ -138,15 +138,12 @@ def cmd_distinguish(args) -> int:
         poset = PrimePoset.from_document(json.load(fh))
     mode = args.mode
     if mode == "dim1":
-        family = DistinguishingFamily(subsets=(build_one_dimensional(poset),),
-                                      dimension=poset.dimension())
+        family = DistinguishingFamily((build_one_dimensional(poset),))
     elif mode == "dim2":
-        s, t = build_pair_dim2(poset)
-        family = DistinguishingFamily(subsets=(s, t), dimension=poset.dimension())
+        family = DistinguishingFamily(build_pair_dim2(poset))
     elif mode.startswith("wave:"):
         level = int(mode.split(":", 1)[1])
-        family = DistinguishingFamily(subsets=tuple(build_wave(poset, level)),
-                                      dimension=poset.dimension())
+        family = DistinguishingFamily(tuple(build_wave(poset, level)))
     elif mode == "mu":
         family = build_mu_family(poset)
     else:

@@ -11,15 +11,16 @@ independent of the element model.
 
 Every set of primes is an int bit mask: bit i stands for the i-th label of
 ``sorted(primes)``, so ascending bits are ascending labels.  A PrimePoset
-keeps one mask per up-set, its one representation of the order; element
-loci are those masks, and the builders and the verifier keep their hit,
-forbidden and kept sets as masks too.  Labels appear only in documents,
-error messages and the label-facing lookups.
+keeps its up-set masks and heights as tuples indexed by bit; the masks
+are its one representation of the order.  Element loci are those masks,
+and the builders and the verifier keep their hit, forbidden and kept sets
+as masks too.  Labels appear only in documents, error messages and the
+label-facing lookups, which find a label's bit by bisection.
 
 The classes are named tuples, so creating them runs no generated code.
-Like any tuple they iterate, compare equal to a plain tuple of the same
-fields and serialize to JSON as lists; documents come from
-``to_document``.
+Like any tuple they iterate, compare and hash by their fields, compare
+equal to a plain tuple of the same fields and serialize to JSON as lists;
+documents come from ``to_document``.
 """
 
 from __future__ import annotations
@@ -42,25 +43,17 @@ class PrimePoset(namedtuple("PrimePoset", "primes labels up height")):
     """Containment order on prime labels, kept as up-set masks, with validated heights.
 
     ``labels`` is ``sorted(primes)``; bit i of a mask stands for
-    ``labels[i]``.  ``up[p]`` is the mask of the primes containing p, p
-    included; it is also the locus of a generic element of p.
-    ``height[p]`` is the length of the longest chain below p.  Two posets
-    are equal when they have the same primes and the same order; the hash
-    reads the primes only.
+    ``labels[i]``, and ``up`` and ``height`` are indexed by bit.  ``up[i]``
+    is the mask of the primes containing ``labels[i]``, itself included;
+    it is also the locus of a generic element of that prime.
+    ``height[i]`` is the length of the longest chain below it.  Equality
+    and the hash are the tuple's, field by field; for posets from
+    ``from_covers`` the labels follow from the primes and the heights from
+    the up-sets, so two are equal when they have the same primes and the
+    same order.
     """
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, PrimePoset):
-            return NotImplemented
-        return self.primes == other.primes and self.up == other.up
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self.primes)
 
     @staticmethod
     def from_covers(primes: list[str], covers: Iterable[tuple[str, str]]) -> "PrimePoset":
@@ -105,8 +98,7 @@ class PrimePoset(namedtuple("PrimePoset", "primes labels up height")):
             for j in succ[i]:
                 mask |= up[j]
             up[i] = mask
-        return PrimePoset(primes_t, labels, {p: up[index[p]] for p in primes_t},
-                          {p: height[index[p]] for p in primes_t})
+        return PrimePoset(primes_t, labels, tuple(up), tuple(height))
 
     @staticmethod
     def from_document(doc: dict) -> "PrimePoset":
@@ -124,18 +116,17 @@ class PrimePoset(namedtuple("PrimePoset", "primes labels up height")):
         return PrimePoset.from_covers(primes, [tuple(c) for c in covers])
 
     def dimension(self) -> int:
-        return max(self.height.values(), default=0)
+        return max(self.height, default=0)
 
     def canonical_order(self) -> list[int]:
         """Bits by ascending height, then label: the order the builders enumerate."""
-        heights = [self.height[p] for p in self.labels]
-        return sorted(range(len(heights)), key=heights.__getitem__)
+        return sorted(range(len(self.height)), key=self.height.__getitem__)
 
     def to_document(self) -> dict:
         """Primes as given and the covers, sorted: q covers p when q lies
         strictly above p and strictly above no prime strictly above p."""
         labels = self.labels
-        strict = [self.up[p] ^ (1 << i) for i, p in enumerate(labels)]
+        strict = [up ^ (1 << i) for i, up in enumerate(self.up)]
         covers = []
         for i, p in enumerate(labels):
             beyond = 0
@@ -177,10 +168,8 @@ class MultSubsetModel(namedtuple("MultSubsetModel", "generators labels")):
     __slots__ = ()
 
     def intersects(self, p: str) -> bool:
-        i = bisect_left(self.labels, p)
-        if i == len(self.labels) or self.labels[i] != p:
-            return False
-        return any(g.locus >> i & 1 for g in self.generators)
+        i = _bit(self.labels, p)
+        return i is not None and any(g.locus >> i & 1 for g in self.generators)
 
     def hit_mask(self) -> int:
         out = 0
@@ -192,7 +181,7 @@ class MultSubsetModel(namedtuple("MultSubsetModel", "generators labels")):
         return [[self.labels[i] for i in _bits(g.locus)] for g in self.generators]
 
 
-class DistinguishingFamily(namedtuple("DistinguishingFamily", "subsets dimension")):
+class DistinguishingFamily(namedtuple("DistinguishingFamily", "subsets")):
     __slots__ = ()
 
     @property
@@ -218,9 +207,10 @@ def avoidance_element(poset: PrimePoset, target: str, forbidden: int,
     Raises AvoidanceImpossible when some forbidden prime contains the target
     (then every element of the target lies in it).
     """
-    locus = poset.up.get(target)
-    if locus is None:
+    i = _bit(poset.labels, target)
+    if i is None:
         raise ValueError(f"unknown prime {target}")
+    locus = poset.up[i]
     bad = locus & forbidden
     if bad:
         raise AvoidanceImpossible(
@@ -229,8 +219,14 @@ def avoidance_element(poset: PrimePoset, target: str, forbidden: int,
     return AbstractElement(id or f"e[{target}]", locus)
 
 
-def _level_mask(heights: list[int], h: int) -> int:
-    """Mask of the primes of height h, from the heights in label order."""
+def _bit(labels: tuple[str, ...], p: str) -> int | None:
+    """Bit of the label p in the sorted ``labels``, or None when p is none of them."""
+    i = bisect_left(labels, p)
+    return i if i < len(labels) and labels[i] == p else None
+
+
+def _level_mask(heights: tuple[int, ...], h: int) -> int:
+    """Mask of the primes of height h, from the heights in bit order."""
     return sum(1 << i for i, x in enumerate(heights) if x == h)
 
 
@@ -243,12 +239,10 @@ def build_one_dimensional(poset: PrimePoset) -> MultSubsetModel:
 
 def _height1_subset(poset: PrimePoset, prefix: str) -> MultSubsetModel:
     """Distinguish height-1 primes from minimal ones; also the odd-dimension tail."""
-    labels = poset.labels
-    heights = [poset.height[p] for p in labels]
-    minimal = _level_mask(heights, 0)
+    minimal = _level_mask(poset.height, 0)
     return MultSubsetModel(tuple(
         avoidance_element(poset, p, minimal, id=f"{prefix}[{p}]")
-        for p, h in zip(labels, heights) if h == 1), labels)
+        for p, h in zip(poset.labels, poset.height) if h == 1), poset.labels)
 
 
 def build_pair_dim2(poset: PrimePoset) -> tuple[MultSubsetModel, MultSubsetModel]:
@@ -263,8 +257,7 @@ def build_pair_dim2(poset: PrimePoset) -> tuple[MultSubsetModel, MultSubsetModel
     """
     if poset.dimension() > 2:
         raise DimensionMismatch(f"dimension {poset.dimension()} > 2")
-    labels = poset.labels
-    heights = [poset.height[p] for p in labels]
+    labels, heights = poset.labels, poset.height
     minimal, ones = _level_mask(heights, 0), _level_mask(heights, 1)
     gens: tuple[list[AbstractElement], ...] = ([], [])
     hit = [0, 0]
@@ -308,8 +301,7 @@ def build_wave(poset: PrimePoset, l: int) -> list[MultSubsetModel]:
         raise DimensionMismatch(f"wave level l={l} must be >= 2")
     if l > poset.dimension():
         raise DimensionMismatch(f"l={l} exceeds dimension {poset.dimension()}")
-    labels = poset.labels
-    heights = [poset.height[p] for p in labels]
+    labels, heights = poset.labels, poset.height
     gens: list[list[AbstractElement]] = [[] for _ in range(l)]
     hit = [0] * l
     missing = [h if h < l else l for h in heights]
@@ -356,7 +348,7 @@ def build_mu_family(poset: PrimePoset) -> DistinguishingFamily:
         level -= 2
     if d % 2 == 1:
         subsets.append(_height1_subset(poset, "tail"))
-    fam = DistinguishingFamily(subsets=tuple(subsets), dimension=d)
+    fam = DistinguishingFamily(tuple(subsets))
     assert fam.count == mu(d)
     return fam
 
@@ -413,7 +405,7 @@ def verify_distinguishing(poset: PrimePoset, family: DistinguishingFamily,
     """
     labels = poset.labels
     everything = (1 << len(labels)) - 1
-    above = [poset.up[p] ^ (1 << i) for i, p in enumerate(labels)]
+    above = [up ^ (1 << i) for i, up in enumerate(poset.up)]
     hits = [sub.hit_mask() for sub in family.subsets]
     inverted = [everything & ~hit for hit in hits]
     # the classes of primes by miss vector, split subset by subset

@@ -89,7 +89,7 @@ def coprime_split(rng: random.Random, n: int) -> tuple[int, int]:
 def random_certificate(rng: random.Random, modulus: int, ann: int,
                        depth: int = 3):
     """Random valid certificate over Z/modulus whose every payload module is
-    annihilated by ``ann``; returns (certificate, ann).
+    annihilated by ``ann``.
 
     All construction payloads are concrete: extensions and products use
     split middles, kernels of surjections use coordinate projections, and

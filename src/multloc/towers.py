@@ -33,17 +33,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from collections import namedtuple
 from itertools import accumulate
 
-from .fpmod import (
-    FPModule,
-    Morphism,
-    _invariants,
-    _relation_hnf,
-    canonical_invariants,
-    merge_invariants,
-)
+from .fpmod import FPModule, Morphism, canonical_invariants, merge_invariants
 from .intlinalg import _saturate_divisor, hnf_rows, identity, mat_mul, smith_normal_form
 
 DEFAULT_DEPTH = 12
@@ -534,9 +528,9 @@ def delta_truncated(module: FPModule, seq: MultSubsetSeq,
 # ---------------------------------------------------------------------------
 
 
-class FiveTermReport(namedtuple("FiveTermReport", "hom_loc_mod_r hom_loc module_invariants "
-                                "delta_invariants ext_invariants exact_at_hom_loc "
-                                "exact_at_module injective_start lim1 stable_index")):
+class FiveTermReport(namedtuple("FiveTermReport", "hom_loc_mod_r hom_loc delta_invariants "
+                                "ext_invariants exact_at_hom_loc exact_at_module "
+                                "injective_start lim1 stable_index")):
     """hom_loc_mod_r: maps from the localization-over-ring quotient;
     hom_loc: maps from the localization."""
 
@@ -593,7 +587,6 @@ def _five_term_assemble(d: int, seq: MultSubsetSeq, tor: Chain, con: Chain,
     return FiveTermReport(
         hom_loc_mod_r=canonical_invariants([e1]),
         hom_loc=canonical_invariants([e2]),
-        module_invariants=canonical_invariants([d]),
         delta_invariants=canonical_invariants([e3]),
         ext_invariants=(),
         exact_at_hom_loc=v is not None and math.gcd(v, e2) == d // math.gcd(d, y),
@@ -645,7 +638,6 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
     return FiveTermReport(
         hom_loc_mod_r=merge("hom_loc_mod_r"),
         hom_loc=merge("hom_loc"),
-        module_invariants=merge("module_invariants"),
         delta_invariants=merge("delta_invariants"),
         ext_invariants=merge("ext_invariants"),
         exact_at_hom_loc=all(b.exact_at_hom_loc for b in blocks),
@@ -657,19 +649,16 @@ def five_term_check(module: FPModule, seq: MultSubsetSeq,
 
 
 def clear_caches() -> None:
-    """Empty the eight cross-call memos of the package: relation HNFs
-    (``_relation_hnf``) and invariants (``_invariants``); the telescope
-    engine's Smith factors (``_dual_factors``) and homology per factor
-    (``_telescope_dual_homology``); the direct route's homology of a
-    scalar (``_scalar_homology``); the per-factor quotient limits
-    (``_lambda_cyclic``) and five-term blocks (``_five_term_cyclic``); and the
-    certificate joints (``certs._joint_failure``, imported here: ``certs``
-    imports this module).  Each holds a pure function of its arguments (a
-    call that raises stores nothing), so this changes no answer."""
-    from .certs import _joint_failure
-    for memo in (_relation_hnf, _invariants, _dual_factors, _telescope_dual_homology,
-                 _scalar_homology, _lambda_cyclic, _five_term_cyclic, _joint_failure):
-        memo.cache_clear()
+    """Empty every cross-call memo of the package: each ``functools.cache``
+    bound at module level in a loaded ``multloc`` module.  A module that was
+    never imported has filled no memo, and a memo patched over by a plain
+    function is skipped.  Each memo holds a pure function of its arguments
+    (a call that raises stores nothing), so this changes no answer."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{__package__}."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 # ---------------------------------------------------------------------------

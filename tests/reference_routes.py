@@ -430,7 +430,6 @@ def five_term_on_maps(d, modulus, seq, tor, con, lims) -> FiveTermReport:
     return FiveTermReport(
         hom_loc_mod_r=l1.invariants(),
         hom_loc=l2.invariants(),
-        module_invariants=module.invariants(),
         delta_invariants=lam.invariants(),
         ext_invariants=pi.cokernel().invariants(),
         exact_at_hom_loc=ok_struct and is_exact_pair(iota, ev),
@@ -462,7 +461,6 @@ def five_term_by_submodules(module, tor, con, quo, lims) -> FiveTermReport:
     return FiveTermReport(
         hom_loc_mod_r=l1.invariants(),
         hom_loc=l2.invariants(),
-        module_invariants=module.invariants(),
         delta_invariants=lam.invariants(),
         ext_invariants=pi.cokernel().invariants(),
         exact_at_hom_loc=ok_struct and exact_by_submodules(iota, ev),
@@ -583,10 +581,16 @@ def mask_of(labels, primes) -> int:
     return sum(1 << i for i, p in enumerate(labels) if p in primes)
 
 
+def heights_of(poset) -> dict[str, int]:
+    """A PrimePoset's heights, in bit order, keyed by label."""
+    return dict(zip(poset.labels, poset.height))
+
+
 def to_sets(poset) -> SetPoset:
     """A PrimePoset with its up-set masks decoded to frozensets."""
-    return SetPoset(poset.primes, {p: labels_of(poset.labels, m) for p, m in poset.up.items()},
-                    dict(poset.height))
+    return SetPoset(poset.primes, {p: labels_of(poset.labels, m)
+                                   for p, m in zip(poset.labels, poset.up)},
+                    heights_of(poset))
 
 
 def family_to_sets(family) -> DistinguishingFamily:
@@ -594,7 +598,7 @@ def family_to_sets(family) -> DistinguishingFamily:
     return DistinguishingFamily(tuple(
         SetSubset(tuple(SetElement(g.id, labels_of(sub.labels, g.locus))
                         for g in sub.generators))
-        for sub in family.subsets), family.dimension)
+        for sub in family.subsets))
 
 
 def avoidance_element_by_sets(poset: SetPoset, target: str, forbidden: set[str],
@@ -686,7 +690,7 @@ def build_mu_family_by_sets(poset: SetPoset) -> DistinguishingFamily:
         level -= 2
     if d % 2 == 1:
         subsets.append(_height1_subset_by_sets(poset, "tail"))
-    return DistinguishingFamily(subsets=tuple(subsets), dimension=d)
+    return DistinguishingFamily(tuple(subsets))
 
 
 def verify_distinguishing_renumbered(poset: SetPoset, family: DistinguishingFamily,

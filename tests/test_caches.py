@@ -48,6 +48,15 @@ def test_clear_caches_empties_every_memo():
         memo.__qualname__: 0 for memo in memos}
 
 
+def test_clear_caches_skips_a_memo_patched_with_a_plain_function(monkeypatch):
+    """The memos are found, not listed: one patched over is passed by, and
+    the others are still emptied."""
+    fill_memos()
+    monkeypatch.setattr(towers, "_scalar_homology", lambda module, scalar: ((), ()))
+    clear_caches()
+    assert all(memo.cache_info().currsize == 0 for memo in module_memos())
+
+
 def test_run_battery_clears_before_its_first_pass(monkeypatch):
     """Both passes, this process's and the forked child's, start from empty
     memos, though each pass fills them."""

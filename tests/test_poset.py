@@ -32,8 +32,8 @@ from multloc.poset import (
 from multloc.randomgen import antichain_poset, chain_poset, diamond_poset, random_ranked_poset
 from reference_routes import (BadChoice, SetPoset, SetSubset, build_mu_family_by_sets,
                               build_one_dimensional_by_sets, build_pair_dim2_by_sets,
-                              build_wave_by_sets, comparable_pairs, family_to_sets, labels_of,
-                              mask_of, restrict, spectrum_of_R_Js, to_sets,
+                              build_wave_by_sets, comparable_pairs, family_to_sets, heights_of,
+                              labels_of, mask_of, restrict, spectrum_of_R_Js, to_sets,
                               verify_distinguishing_by_sets, verify_distinguishing_renumbered)
 
 
@@ -62,10 +62,10 @@ class TestMu:
 class TestPoset:
     def test_heights_from_covers(self):
         p = diamond_poset()
-        assert p.height == {"q": 0, "p1": 1, "p2": 1, "m": 2}
+        assert heights_of(p) == {"q": 0, "p1": 1, "p2": 1, "m": 2}
         assert p.dimension() == 2
-        assert "m" in labels_of(p.labels, p.up["q"])
-        assert "p2" not in labels_of(p.labels, p.up["p1"])
+        assert "m" in to_sets(p).up["q"]
+        assert "p2" not in to_sets(p).up["p1"]
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
@@ -108,7 +108,7 @@ class TestPoset:
 
     def test_skip_edges_do_not_change_heights(self):
         p = PrimePoset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
-        assert p.height == {"a": 0, "b": 1, "c": 2}
+        assert heights_of(p) == {"a": 0, "b": 1, "c": 2}
 
     def test_document_roundtrip(self):
         p = diamond_poset()
@@ -155,7 +155,7 @@ class TestOneDimensional:
         s = build_one_dimensional(p)
         assert len(s.generators) == 1
         assert labels_of(p.labels, s.generators[0].locus) == frozenset({"c1"})
-        fam = DistinguishingFamily(subsets=(s,), dimension=1)
+        fam = DistinguishingFamily((s,))
         assert verify_distinguishing(p, fam).passed()
 
     def test_two_minimal_two_above(self):
@@ -164,7 +164,7 @@ class TestOneDimensional:
             [("q1", "p1"), ("q2", "p1"), ("q1", "p2"), ("q2", "p2")])
         s = build_one_dimensional(poset)
         assert len(s.generators) == 2
-        fam = DistinguishingFamily(subsets=(s,), dimension=1)
+        fam = DistinguishingFamily((s,))
         assert verify_distinguishing(poset, fam).passed()
 
     def test_dimension_mismatch(self):
@@ -178,8 +178,8 @@ class TestPairDim2:
         s, t = build_pair_dim2(poset)
         for p in poset.primes:
             hits = sum(1 for sub in (s, t) if sub.intersects(p))
-            assert hits == poset.height[p]
-        fam = DistinguishingFamily(subsets=(s, t), dimension=2)
+            assert hits == heights_of(poset)[p]
+        fam = DistinguishingFamily((s, t))
         assert verify_distinguishing(poset, fam).passed()
 
     def test_dimension_one_input(self):
@@ -188,7 +188,7 @@ class TestPairDim2:
         assert len(t.generators) == 0
         for p in poset.primes:
             hits = sum(1 for sub in (s, t) if sub.intersects(p))
-            assert hits == poset.height[p]
+            assert hits == heights_of(poset)[p]
 
     def test_single_minimal(self):
         poset = antichain_poset(1)
@@ -207,7 +207,7 @@ class TestPairDim2:
             s, t = build_pair_dim2(poset)
             for p in poset.primes:
                 hits = sum(1 for sub in (s, t) if sub.intersects(p))
-                assert hits == poset.height[p]
+                assert hits == heights_of(poset)[p]
 
 
 class TestWave:
@@ -216,7 +216,7 @@ class TestWave:
         wave = build_wave(poset, 2)
         assert len(wave) == 2
         for p in poset.primes:
-            h = poset.height[p]
+            h = heights_of(poset)[p]
             hits = sum(1 for sub in wave if sub.intersects(p))
             assert hits == h
 
@@ -253,7 +253,7 @@ class TestWave:
             wave = build_wave(poset, l)
             assert len(wave) == l
             for p in poset.primes:
-                h = poset.height[p]
+                h = heights_of(poset)[p]
                 hits = sum(1 for sub in wave if sub.intersects(p))
                 if h <= l - 2:
                     assert hits <= h
@@ -278,7 +278,7 @@ class TestMuFamily:
         fam = build_mu_family(poset)
         assert fam.count == 2
         s, t = build_pair_dim2(poset)
-        pair_fam = DistinguishingFamily(subsets=(s, t), dimension=2)
+        pair_fam = DistinguishingFamily((s, t))
         assert verify_distinguishing(poset, fam).passed()
         assert verify_distinguishing(poset, pair_fam).passed()
 
@@ -302,7 +302,7 @@ class TestSpectrumRJs:
     def _diamond_family(self):
         poset = diamond_poset()
         s, t = build_pair_dim2(poset)
-        return to_sets(poset), family_to_sets(DistinguishingFamily(subsets=(s, t), dimension=2))
+        return to_sets(poset), family_to_sets(DistinguishingFamily((s, t)))
 
     def test_invert_all(self):
         poset, fam = self._diamond_family()
@@ -327,9 +327,7 @@ class TestSpectrumRJs:
         gens = fam.subsets[0].generators
         in_a = next(g for g in gens if "a1" in g.locus)
         in_b = next(g for g in gens if "b1" in g.locus)
-        fam2 = DistinguishingFamily(
-            subsets=(SetSubset((in_a,)), SetSubset((in_b,))),
-            dimension=1)
+        fam2 = DistinguishingFamily((SetSubset((in_a,)), SetSubset((in_b,))))
         sub = spectrum_of_R_Js(to_sets(poset), fam2, set(), {0: in_a, 1: in_b})
         assert sub.primes == ()
 
@@ -370,7 +368,7 @@ class TestSpectrumRJs:
 class TestVerifier:
     def test_empty_family_on_chain_fails(self):
         poset = chain_poset(1)
-        fam = DistinguishingFamily(subsets=(), dimension=1)
+        fam = DistinguishingFamily(())
         rep = verify_distinguishing(poset, fam)
         assert not rep.passed()
         assert ("c0", "c1") in rep.pairwise_failures
@@ -379,7 +377,7 @@ class TestVerifier:
     def test_single_generator_family_passes(self):
         poset = chain_poset(1)
         g = AbstractElement(id="g", locus=mask_of(poset.labels, {"c1"}))
-        fam = DistinguishingFamily(subsets=(MultSubsetModel((g,), poset.labels),), dimension=1)
+        fam = DistinguishingFamily((MultSubsetModel((g,), poset.labels),))
         rep = verify_distinguishing(poset, fam)
         assert rep.passed()
 
@@ -497,15 +495,15 @@ def quick_corpus():
 def scanning_build_wave(poset, l):
     """The wave builder that recomputes ``forbidden`` and the first unsaturated
     target by scanning every prime on each step."""
-    labels = poset.labels
+    labels, height = poset.labels, heights_of(poset)
     order = [labels[i] for i in poset.canonical_order()]
-    targets = [p for p in order if poset.height[p] in (l - 1, l)]
+    targets = [p for p in order if height[p] in (l - 1, l)]
     gens = [[] for _ in range(l)]
     meet_count = {p: 0 for p in poset.primes}
     meets_set = [{p: False for p in poset.primes} for _ in range(l)]
 
     def saturated(p):
-        return meet_count[p] >= min(poset.height[p], l)
+        return meet_count[p] >= min(height[p], l)
 
     step = 0
     while True:
@@ -514,7 +512,7 @@ def scanning_build_wave(poset, l):
             break
         k = next(i for i in range(l) if not meets_set[i][target])
         forbidden = {p for p in poset.primes
-                     if poset.height[p] <= l - 1 and saturated(p)}
+                     if height[p] <= l - 1 and saturated(p)}
         e = poset_module.avoidance_element(poset, target, mask_of(labels, forbidden),
                                            id=f"W{l}.{k}[{step}:{target}]")
         gens[k].append(e)
@@ -534,7 +532,7 @@ def random_locus_family(poset, rng):
             rng.sample(poset.primes, rng.randint(0, len(poset.primes))))))
             for i in range(rng.randint(0, 3)))
         subsets.append(MultSubsetModel(gens, poset.labels))
-    return DistinguishingFamily(tuple(subsets), poset.dimension())
+    return DistinguishingFamily(tuple(subsets))
 
 
 PLANTED_BUDGET = 4096
@@ -549,7 +547,7 @@ def planted_family(family, rng):
     subsets = list(family.subsets)
     subsets[k] = MultSubsetModel(subsets[k].generators[:rng.randrange(
         max(1, len(subsets[k].generators)))], subsets[k].labels)
-    return DistinguishingFamily(tuple(subsets), family.dimension)
+    return DistinguishingFamily(tuple(subsets))
 
 
 def quick_corpus_families():
@@ -578,7 +576,7 @@ def check_order(poset):
     assert poset.labels == tuple(sorted(poset.primes))
     assert to_sets(poset).up == brute_up(poset.primes, covers)
     assert comparable_pairs(to_sets(poset)) == pairs
-    assert poset.height == heights
+    assert heights_of(poset) == heights
     assert poset.to_document()["covers"] == covers
     assert PrimePoset.from_document(poset.to_document()) == poset
 
@@ -592,7 +590,7 @@ def check_restrict(poset, keep):
     assert sub == to_sets(rebuilt)
     assert sub.primes == rebuilt.primes
     assert comparable_pairs(sub) == comparable_pairs(to_sets(rebuilt))
-    assert sub.height == rebuilt.height
+    assert sub.height == heights_of(rebuilt)
 
 
 def check_waves(poset, monkeypatch):
@@ -739,7 +737,7 @@ def constructions(poset, one, pair, wave, mu_family):
 
     def views(make):
         subsets = make()
-        return (DistinguishingFamily(tuple(subsets), poset.dimension()).to_document(),
+        return (DistinguishingFamily(tuple(subsets)).to_document(),
                 [[g.id for g in sub.generators] for sub in subsets])
     return {mode: outcome(views, make) for mode, make in modes.items()}
 
@@ -753,7 +751,7 @@ class TestAgainstSetRoute:
         the mu family, on random loci and on planted failures."""
         primes, covers = relation
         poset, old = PrimePoset.from_covers(primes, covers), SetPoset.from_covers(primes, covers)
-        assert to_sets(poset) == old and poset.height == old.height
+        assert to_sets(poset) == old and heights_of(poset) == old.height
         assert poset.to_document() == old.to_document()
         assert (constructions(poset, build_one_dimensional, build_pair_dim2, build_wave,
                               build_mu_family)
@@ -785,7 +783,7 @@ class TestAgainstSetRoute:
         new = outcome(PrimePoset.from_covers, primes, covers)
         old = outcome(SetPoset.from_covers, primes, covers)
         if isinstance(new, PrimePoset):
-            assert to_sets(new) == old and new.height == old.height
+            assert to_sets(new) == old and heights_of(new) == old.height
         else:
             assert new == old
 
@@ -793,7 +791,7 @@ class TestAgainstSetRoute:
         for poset in quick_corpus():
             doc = poset.to_document()
             old = SetPoset.from_covers(doc["primes"], doc["covers"])
-            assert to_sets(poset) == old and poset.height == old.height
+            assert to_sets(poset) == old and heights_of(poset) == old.height
             assert (generators(build_mu_family(poset).subsets)
                     == [[(g.id, sorted(g.locus)) for g in sub.generators]
                         for sub in build_mu_family_by_sets(old).subsets])

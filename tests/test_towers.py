@@ -328,8 +328,8 @@ class TestDelta:
             "lim1": lim1, "lambda_invariants": [], "lambda_stable_index": 0,
             "delta_invariants": [], "delta_equals_lambda": True}
         five = five_term_check(zero, s)
-        assert (five.hom_loc_mod_r, five.hom_loc, five.module_invariants,
-                five.delta_invariants, five.ext_invariants) == ((),) * 5
+        assert (five.hom_loc_mod_r, five.hom_loc, five.delta_invariants,
+                five.ext_invariants) == ((),) * 4
         assert five.exact_everywhere() and five.stable_index == 0
         assert five.lim1.to_document() == lim1
 
@@ -352,7 +352,7 @@ class TestFiveTerm:
     def test_zero_module(self):
         rep = five_term_check(FPModule.zero(), seq(2))
         assert rep.exact_everywhere()
-        assert rep.module_invariants == ()
+        assert rep.delta_invariants == ()
 
     def test_mixed_z12(self):
         rep = five_term_check(z_mod(12), seq(2))
