@@ -1,5 +1,5 @@
 """The acceptance battery: one callable per criterion, a deterministic
-runner, and the corpus generators shared with the command line front end.
+runner, and the seeded corpus generators the criteria draw from.
 
 Each criterion body returns ``(ok, details)``; the ``_criterion`` harness
 on the line above it times the body and builds the result.  Structured

@@ -30,7 +30,6 @@ from .ext import ext1, ext2
 from .intlinalg import _saturate_divisor, identity
 from .towers import (
     MultSubsetSeq,
-    certified_depth,
     delta_truncated,
     is_weakly_cotorsion_fg,
 )
@@ -421,9 +420,7 @@ def decompose_weakly_cotorsion(module: FPModule, m: int) -> Certificate:
         raise NotWeaklyCotorsion("decomposition requires a finite module")
     seq = MultSubsetSeq(generators=(m,))
     canon = FPModule.from_invariants(module.invariants(), modulus=module.modulus)
-    # the quotient tower of a sum stabilizes where its slowest factor does
-    depth = max((certified_depth(d, seq) for d in canon.invariants()), default=1)
-    delta = delta_truncated(canon, seq, depth)
+    delta = delta_truncated(canon, seq)
     if delta.lambda_invariants == ():
         # a zero completion: M is its own divisible part
         div = canon
@@ -432,7 +429,7 @@ def decompose_weakly_cotorsion(module: FPModule, m: int) -> Certificate:
         # the divisible part t*M, presented by its canonical relation HNF
         mult = Morphism.multiplication(canon, seq.t(n0 + 1))
         div = mult.image()[0]
-        omega = omega_from_quotient_tower(canon, min(n0 + 1, depth - 1), m)
+        omega = omega_from_quotient_tower(canon, n0 + 1, m)
     seed = CertNode(kind="Seed", level=1,
                     tag={"kind": "LocalizedRingModule", "generators": [m]},
                     payload={"module": div})

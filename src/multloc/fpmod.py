@@ -184,12 +184,9 @@ class Morphism(namedtuple("Morphism", "source target matrix")):
     def equals(self, other: "Morphism") -> bool:
         if self.source.gens != other.source.gens or self.target.gens != other.target.gens:
             return False
-        tgt = self.target.relation_hnf()
-        for i in range(self.source.gens):
-            diff = [self.matrix[i][j] - other.matrix[i][j] for j in range(self.target.gens)]
-            if not lattice_member(tgt, diff):
-                return False
-        return True
+        return Morphism(self.source, self.target, tuple(
+            tuple(map(operator.sub, a, b)) for a, b in zip(self.matrix, other.matrix))
+        ).is_zero_morphism()
 
     # -- homological toolkit -------------------------------------------------
 

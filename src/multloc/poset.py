@@ -118,10 +118,6 @@ class PrimePoset(namedtuple("PrimePoset", "primes labels up height")):
     def dimension(self) -> int:
         return max(self.height, default=0)
 
-    def canonical_order(self) -> list[int]:
-        """Bits by ascending height, then label: the order the builders enumerate."""
-        return sorted(range(len(self.height)), key=self.height.__getitem__)
-
     def to_document(self) -> dict:
         """Primes as given and the covers, sorted: q covers p when q lies
         strictly above p and strictly above no prime strictly above p."""
@@ -246,49 +242,23 @@ def _height1_subset(poset: PrimePoset, prefix: str) -> MultSubsetModel:
 
 
 def build_pair_dim2(poset: PrimePoset) -> tuple[MultSubsetModel, MultSubsetModel]:
-    """Grow two subsets so that a prime of height h meets exactly h of them.
-
-    Processes primes in ``poset.canonical_order()``, keeping the running
-    invariants: minimal primes meet neither set, height-1 primes meet at
-    most one, and every new element avoids the other set's height-1
-    "U-primes" and all minimal primes (automatic in the generic model,
-    asserted here).  Hit sets and avoided primes are masks kept as they
-    grow.
-    """
-    if poset.dimension() > 2:
-        raise DimensionMismatch(f"dimension {poset.dimension()} > 2")
-    labels, heights = poset.labels, poset.height
-    minimal, ones = _level_mask(heights, 0), _level_mask(heights, 1)
-    gens: tuple[list[AbstractElement], ...] = ([], [])
-    hit = [0, 0]
-    # per set: minimal primes plus the height-1 primes the other set meets
-    avoid = [minimal, minimal]
-
-    def grow(k: int, p: str, step: int) -> None:
-        e = avoidance_element(poset, p, avoid[k], id=f"{'ST'[k]}[{step}:{p}]")
-        gens[k].append(e)
-        hit[k] |= e.locus
-        avoid[1 - k] |= e.locus & ones
-
-    for step, i in enumerate(poset.canonical_order()):
-        h, p = heights[i], labels[i]
-        if h == 1 and not (hit[0] | hit[1]) >> i & 1:
-            grow(0, p, step)
-        elif h == 2:
-            if not hit[0] >> i & 1:
-                grow(0, p, step)
-            if not hit[1] >> i & 1:
-                grow(1, p, step)
-    return MultSubsetModel(tuple(gens[0]), labels), MultSubsetModel(tuple(gens[1]), labels)
+    """Two subsets that a prime of height h meets exactly h of: the level-2
+    wave in dimension 2, and below it the height-1 subset and an empty one."""
+    d = poset.dimension()
+    if d > 2:
+        raise DimensionMismatch(f"dimension {d} > 2")
+    if d == 2:
+        return tuple(build_wave(poset, 2))
+    return _height1_subset(poset, "S"), MultSubsetModel((), poset.labels)
 
 
 def build_wave(poset: PrimePoset, l: int) -> list[MultSubsetModel]:
     """l subsets distinguishing the primes of height l and l-1 downwards.
 
-    Induction over the height-(l-1) and height-l primes in
-    ``poset.canonical_order()``: at each step the smallest-index prime that
-    does not yet meet height-many of the growing sets receives one new
-    element, placed in the first set it avoids.  The new element must avoid every "saturated"
+    Induction over the height-(l-1) and then the height-l primes, each level
+    by label: at each step the first prime that does not yet meet
+    height-many of the growing sets receives one new element, placed in the
+    first set it avoids.  The new element must avoid every "saturated"
     prime of height <= l-1 (saturated: already meeting height-many sets),
     which the generic element model grants automatically.  The induction
     stops as soon as every height-l/l-1 prime is saturated.
@@ -307,7 +277,7 @@ def build_wave(poset: PrimePoset, l: int) -> list[MultSubsetModel]:
     missing = [h if h < l else l for h in heights]
     below = sum(1 << i for i, h in enumerate(heights) if h < l)
     forbidden = _level_mask(heights, 0)
-    # canonical order on the two levels: height l-1, then height l, by label
+    # the two levels in order: height l-1, then height l, each by label
     targets = [i for i, h in enumerate(heights) if h == l - 1]
     targets += [i for i, h in enumerate(heights) if h == l]
     step = 0

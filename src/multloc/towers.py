@@ -259,7 +259,7 @@ def chain_lim(chain: Chain) -> ChainLimit:
                   if b % math.gcd(carrier[i], orders[i])), len(below)) - 1
     if i_max < w:
         raise NotStabilized("image chains not confirmed within depth",
-                            chains=[[list(merge_invariants([(o,)])) for o in orders]])
+                            chains=[[list(canonical_invariants([o])) for o in orders]])
 
     lattice = [o // math.gcd(o, c) for o, c in zip(orders, carrier[:i_max + 1])]
     i0 = i_max
@@ -267,7 +267,7 @@ def chain_lim(chain: Chain) -> ChainLimit:
         i0 -= 1
     if i_max - i0 < w:
         raise NotStabilized("stable images keep changing through the truncation",
-                            chains=[[canonical_invariants([e]) for e in lattice]])
+                            chains=[[list(canonical_invariants([e])) for e in lattice]])
     return ChainLimit(lattice[i0], LimCertificate(stable_index=i0, verified_through=i_max))
 
 

@@ -290,7 +290,7 @@ def tower_lim(tower) -> TowerLimit:
     if i_max - iso_down_to < w:
         raise NotStabilized(
             "stable images keep changing through the truncation",
-            chains=[[canonical_invariants(list(level(i).image()[0].invariants()), 0)
+            chains=[[list(canonical_invariants(list(level(i).image()[0].invariants()), 0))
                      for i in range(i_max + 1)]])
 
     cert = LimCertificate(stable_index=iso_down_to, verified_through=i_max)
@@ -344,7 +344,7 @@ def echelon_level_lim(tower) -> TowerLimit:
         iso_down_to = j
     if i_max - iso_down_to < w:
         raise NotStabilized("stable images keep changing through the truncation",
-                            chains=[[canonical_invariants(list(sub(i).invariants()), 0)
+                            chains=[[list(canonical_invariants(list(sub(i).invariants()), 0))
                                      for i in range(i_max + 1)]])
     cert = LimCertificate(stable_index=iso_down_to, verified_through=i_max)
     return TowerLimit(module=sub(iso_down_to), carriers=carrier, certificate=cert)
@@ -627,30 +627,13 @@ def _height1_subset_by_sets(poset: SetPoset, prefix: str) -> SetSubset:
 
 
 def build_pair_dim2_by_sets(poset: SetPoset) -> tuple[SetSubset, SetSubset]:
-    """The two-subset builder with hit sets and avoided primes as label sets."""
-    if poset.dimension() > 2:
-        raise DimensionMismatch(f"dimension {poset.dimension()} > 2")
-    minimal = poset.primes_of_height(0)
-    gens: tuple[list[SetElement], ...] = ([], [])
-    hit: tuple[set[str], ...] = (set(), set())
-    avoid = (set(minimal), set(minimal))
-
-    def grow(k: int, p: str, step: int) -> None:
-        e = avoidance_element_by_sets(poset, p, avoid[k], id=f"{'ST'[k]}[{step}:{p}]")
-        gens[k].append(e)
-        hit[k].update(e.locus)
-        avoid[1 - k].update(q for q in e.locus if poset.height[q] == 1)
-
-    for step, p in enumerate(poset.canonical_order()):
-        h = poset.height[p]
-        if h == 1 and p not in hit[0] and p not in hit[1]:
-            grow(0, p, step)
-        elif h == 2:
-            if p not in hit[0]:
-                grow(0, p, step)
-            if p not in hit[1]:
-                grow(1, p, step)
-    return SetSubset(tuple(gens[0])), SetSubset(tuple(gens[1]))
+    """The level-2 wave in dimension 2; the height-1 subset and an empty one below."""
+    d = poset.dimension()
+    if d > 2:
+        raise DimensionMismatch(f"dimension {d} > 2")
+    if d == 2:
+        return tuple(build_wave_by_sets(poset, 2))
+    return _height1_subset_by_sets(poset, "S"), SetSubset(())
 
 
 def build_wave_by_sets(poset: SetPoset, l: int) -> list[SetSubset]:

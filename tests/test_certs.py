@@ -349,6 +349,9 @@ def test_saturate_divisor_64_bit_modulus():
 # of a decompose document is presented by its canonical relation HNF.
 DECOMPOSE_DOCS_SHA256 = "a5594f009df474107471dc15c1bbcb2be59dd60b44a84b7753629886b50b2a5d"
 EMBED_DOCS_SHA256 = "e3d6d2feb515b945804fe568b0f2a0140998a739882c998f0f3a8223d7796f68"
+# the zero module and the same groups with the other generators m in
+# {4, 5, 10, 12, 30}: prime powers, a third prime and three-prime products
+DECOMPOSE_OTHER_M_DOCS_SHA256 = "3f4c9e099173218187776c5add25e2f0a74603b4b32fca878b9f72eec8b78435"
 
 
 def _sha256(docs) -> str:
@@ -360,6 +363,13 @@ def test_decompose_documents_are_pinned():
             for g in abelian_groups_upto(64) for m in (2, 3, 6)]
     assert len(docs) == 348
     assert _sha256(docs) == DECOMPOSE_DOCS_SHA256
+
+
+def test_decompose_documents_for_other_generators_are_pinned():
+    docs = [decompose_weakly_cotorsion(FPModule.from_invariants(list(g)), m).to_document()
+            for g in [()] + abelian_groups_upto(64) for m in (4, 5, 10, 12, 30)]
+    assert len(docs) == 585
+    assert _sha256(docs) == DECOMPOSE_OTHER_M_DOCS_SHA256
 
 
 def test_decompose_seed_relations_are_their_hnf():

@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import multloc
-from multloc.battery import GENERATOR_SETS
+from multloc.battery import GENERATOR_SETS, poset_corpus
 from multloc.cli import BROKEN_PIPE, main
+from multloc.randomgen import antichain_poset, chain_poset, diamond_poset, random_ranked_poset
 from multloc.towers import (DEFAULT_DEPTH, MultSubsetSeq, certified_depth,
                             cyclic_completion_oracle)
 
@@ -46,6 +49,22 @@ class TestMu:
         code, out, _ = run_cli(["mu", "0"], capsys)
         assert code == 0
         assert "mu: 0" in out
+
+
+def dim2_posets():
+    """The quick corpus's posets of dimension <= 2, then the posets criterion
+    3 adds for seed 42, drawn the way it draws them."""
+    posets = [p for ps in poset_corpus(42, 10).values() for p in ps if p.dimension() <= 2]
+    posets += [diamond_poset(), chain_poset(1), chain_poset(2), antichain_poset(5)]
+    rng = random.Random("42:dim2-extra")
+    for _ in range(20):
+        d = rng.randint(0, 2)
+        posets.append(random_ranked_poset(rng, d, rng.randint(d + 1, 25)))
+    return posets
+
+
+# sha256 of json.dumps of the [exit code, stdout] pairs of test_dim2_outputs_pinned
+DIM2_OUTPUTS_SHA256 = "8d0c07220acf802dc1e7f3a7899bbec6e5e2735ccaf7380dd7219901bdac6e81"
 
 
 class TestDistinguish:
@@ -85,6 +104,23 @@ class TestDistinguish:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["distinguish", "/nonexistent.json"], capsys)
         assert code == 2
+
+    def test_dim2_outputs_pinned(self, tmp_path, capsys):
+        """``--mode dim2`` in both formats on the quick corpus's posets of
+        dimension <= 2 and on criterion 3's extra posets for seed 42: exit
+        codes and output bytes."""
+        outputs = []
+        for i, poset in enumerate(dim2_posets()):
+            path = tmp_path / f"poset{i}.json"
+            path.write_text(json.dumps(poset.to_document()))
+            for fmt in ("text", "structured"):
+                code, out, err = run_cli(["distinguish", str(path), "--mode", "dim2",
+                                          "--format", fmt], capsys)
+                assert err == ""
+                outputs.append([code, out])
+        assert len(outputs) == 2 * 44
+        assert (hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+                == DIM2_OUTPUTS_SHA256)
 
     @pytest.mark.parametrize("doc, where", [
         ([1], "poset document"),

@@ -496,7 +496,7 @@ def scanning_build_wave(poset, l):
     """The wave builder that recomputes ``forbidden`` and the first unsaturated
     target by scanning every prime on each step."""
     labels, height = poset.labels, heights_of(poset)
-    order = [labels[i] for i in poset.canonical_order()]
+    order = sorted(labels, key=height.__getitem__)
     targets = [p for p in order if height[p] in (l - 1, l)]
     gens = [[] for _ in range(l)]
     meet_count = {p: 0 for p in poset.primes}

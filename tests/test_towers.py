@@ -190,7 +190,7 @@ class TestTowerLim:
             tower_lim(t)
         with pytest.raises(NotStabilized, match="keep changing") as info:
             chain_lim(quotient_chain(0, seq(2), 8))
-        assert info.value.chains == [[(2 ** n,) for n in range(1, 8)]]
+        assert info.value.chains == [[[2 ** n] for n in range(1, 8)]]
 
     def test_idempotent(self):
         t = quotient_tower(z_mod(12), seq(2), 12)
@@ -730,7 +730,7 @@ def kernel_route_lim(tower):
         iso_down_to = j
     if i_max - iso_down_to < w:
         raise NotStabilized("stable images keep changing through the truncation",
-                            chains=[[canonical_invariants(list(sub(i).invariants()), 0)
+                            chains=[[list(canonical_invariants(list(sub(i).invariants()), 0))
                                      for i in range(i_max + 1)]])
     cert = towers.LimCertificate(stable_index=iso_down_to, verified_through=i_max)
     return TowerLimit(module=sub(iso_down_to), carriers=carrier,
@@ -1285,7 +1285,7 @@ def hnf_level_lim(tower):
         iso_down_to = j
     if i_max - iso_down_to < w:
         raise NotStabilized("stable images keep changing through the truncation",
-                            chains=[[canonical_invariants(list(m.invariants()), 0)
+                            chains=[[list(canonical_invariants(list(m.invariants()), 0))
                                      for m in sub]])
     cert = towers.LimCertificate(stable_index=iso_down_to, verified_through=i_max)
     return TowerLimit(module=sub[iso_down_to], carriers=carrier,
